@@ -12,13 +12,11 @@ from .multicoupling import (
     CouplingMatrix,
     SpectrumReport,
     build_coupling_matrix,
-    ks_distance_esd,
     ks_statistic,
     normalize,
     spectrum,
 )
 from .pointproc import (
-    CompensatedStream,
     HomogeneousRate,
     IntensityModel,
     SinusoidRate,
@@ -32,7 +30,6 @@ from .signals import (
     PhaseSpec,
     SignalMatrix,
     TabulatedPhase,
-    eval_at_spike_times,
     synthesize_oscillations,
     whiten,
 )

@@ -276,9 +276,10 @@ def _cmd_analyze(args) -> int:
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
+        totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
-            total = int(spikes.counts()[j].sum())
+            total = int(totals[j])
             entry = {"id": j, "total_spikes": total}
             if total == 0:
                 entry["plv"] = None

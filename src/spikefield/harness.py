@@ -6,6 +6,17 @@ aggregate statistics against targets computed by library calls (never
 hard-coded numbers), and emits named PASS/FAIL verdicts. Reports are
 deterministic for a fixed configuration: rerunning reproduces the same
 bytes apart from the runtime field.
+
+All experiments share one skeleton. ``run_experiment`` validates the
+config, calls the experiment's runner from ``EXPERIMENTS`` and builds the
+one ``ExperimentReport`` (experiment, config, master seed, runtime); a
+runner returns only its targets, aggregates, replicates, verdicts and plot
+data. The PLV experiments draw their replicates from ``_plv_replicates``
+(replicate i of block b uses seed index ``b * replicates + i``) and judge
+each case against its asymptotic law with ``_plv_case``: the univariate
+experiments are one unprefixed case, the sinusoid experiment a matched and
+a mismatched one. Verdicts come from ``_check`` (within a named tolerance
+of a target) and ``_below`` (strictly under a named absolute bound).
 """
 
 from __future__ import annotations
@@ -15,10 +26,10 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kstest
 
 from .errors import ConfigurationError, DomainError
 from .multicoupling import build_coupling_matrix, ks_statistic, normalize, spectrum
@@ -101,10 +112,7 @@ class ExperimentConfig:
     @classmethod
     def defaults(cls, experiment: str, **overrides) -> "ExperimentConfig":
         """Config for a named experiment with table defaults and tolerances."""
-        if experiment not in EXPERIMENTS:
-            raise DomainError(
-                f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
-            )
+        _require_known(experiment)
         base = dict(_DEFAULTS[experiment])
         tolerances = dict(base.pop("tolerances"))
         tolerances.update(overrides.pop("tolerances", {}))
@@ -235,17 +243,27 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run a named experiment and return (and optionally write) its report."""
-    if config.experiment not in EXPERIMENTS:
-        raise DomainError(
-            f"unknown experiment {config.experiment!r}; expected one of {sorted(EXPERIMENTS)}"
-        )
+    _require_known(config.experiment)
     _validate(config)
     started = time.perf_counter()
-    report = EXPERIMENTS[config.experiment](config)
-    report.runtime_seconds = time.perf_counter() - started
+    parts = EXPERIMENTS[config.experiment](config)
+    report = ExperimentReport(
+        experiment=config.experiment,
+        config=_config_dict(config),
+        master_seed=config.master_seed,
+        runtime_seconds=time.perf_counter() - started,
+        **parts,
+    )
     if config.output_dir is not None:
         report.write(config.output_dir)
     return report
+
+
+def _require_known(experiment: str) -> None:
+    if experiment not in EXPERIMENTS:
+        raise DomainError(
+            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
+        )
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -277,16 +295,17 @@ def _validate(config: ExperimentConfig) -> None:
                 )
 
 
-def _tol(config: ExperimentConfig, name: str) -> Tolerance:
-    return config.tolerances[name]
-
-
 def _config_dict(config: ExperimentConfig) -> dict:
     doc = asdict(config)
     doc["tolerances"] = {k: asdict(v) for k, v in config.tolerances.items()}
     doc["components"] = list(config.components)
     doc["windows"] = list(config.windows)
     return doc
+
+
+def _parts() -> dict:
+    """Empty runner output, filled in place by ``_plv_case``."""
+    return {"targets": {}, "aggregates": {}, "replicates": {}, "verdicts": [], "plot_data": {}}
 
 
 def _verdict(name, observed, target, bound, tolerance_name, passed, z=None):
@@ -303,7 +322,10 @@ def _verdict(name, observed, target, bound, tolerance_name, passed, z=None):
     return v
 
 
-def _check_abs(name, observed, target, tol: Tolerance, tol_name, se=None):
+def _check(config, name, observed, target, tolerance_name=None, se=None):
+    """Verdict that ``observed`` lies within the named tolerance of ``target``."""
+    tolerance_name = tolerance_name or name
+    tol = config.tolerances[tolerance_name]
     if tol.kind == "se_multiple":
         bound = tol.value * se
     elif tol.kind == "relative":
@@ -312,52 +334,85 @@ def _check_abs(name, observed, target, tol: Tolerance, tol_name, se=None):
         bound = tol.value
     err = abs(observed - target)
     z = err / se if se else None
-    return _verdict(name, observed, target, bound, tol_name, err <= bound, z)
+    return _verdict(name, observed, target, bound, tolerance_name, err <= bound, z)
 
 
-def _residual_verdicts(config, law, plvs, prefix=""):
-    """Mean/covariance/Gaussianity verdicts shared by the univariate runners."""
+def _below(config, name, observed, tolerance_name=None):
+    """Verdict that ``observed`` stays strictly under the named absolute bound."""
+    tolerance_name = tolerance_name or name
+    bound = config.tolerances[tolerance_name].value
+    return _verdict(name, observed, 0.0, bound, tolerance_name, observed < bound)
+
+
+def _plv_replicates(config, model, phase, window, block=0):
+    """PLV and total spike count of each replicate of one block.
+
+    Replicate i of block b draws from seed index ``b * replicates + i``, so
+    blocks (windows, cases) use disjoint streams.
+    """
+    plvs = np.empty(config.replicates, dtype=complex)
+    totals = np.empty(config.replicates, dtype=int)
+    for i in range(config.replicates):
+        rng = np.random.default_rng(replicate_seed(config.master_seed, block * config.replicates + i))
+        sd = simulate_poisson(model, window, config.trials, rng)
+        plvs[i] = estimate_plv(phase, sd)
+        totals[i] = int(sd.counts().sum())
+    return plvs, totals
+
+
+def _plv_case(config, parts, laws, plvs, label=""):
+    """Judge one case's replicate PLVs against its asymptotic law.
+
+    ``laws(ratio_correction=...)`` builds the law. Adds the case's limit
+    targets, mean/covariance/Gaussianity verdicts, residual statistics,
+    replicate PLVs and residual histogram to ``parts``, every key prefixed
+    by ``label`` (the single univariate case has none). Returns the law.
+    """
+    prefix = f"{label}_" if label else ""
+    law = laws()
     n = len(plvs)
     z = law.rotated_residuals(plvs, config.trials)
     cov = law.cov
-    verdicts = []
 
     se_mean = math.sqrt((cov[0, 0] + cov[1, 1]) / (config.trials * n))
     mean_err = abs(np.mean(plvs) - law.limit)
-    tol = _tol(config, "mean_limit")
-    verdicts.append(
-        _verdict(prefix + "mean_limit", mean_err, 0.0, tol.value * se_mean,
-                 "mean_limit", mean_err <= tol.value * se_mean, mean_err / se_mean)
-    )
-
-    var_tol = _tol(config, "variance")
     var_re = float(np.var(z.real, ddof=1))
     var_im = float(np.var(z.imag, ddof=1))
-    verdicts.append(_check_abs(prefix + "var_re", var_re, cov[0, 0], var_tol, "variance"))
-    verdicts.append(_check_abs(prefix + "var_im", var_im, cov[1, 1], var_tol, "variance"))
-
     off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
     se_off = math.sqrt(cov[0, 0] * cov[1, 1] / n)
-    off_tol = _tol(config, "offdiag")
-    verdicts.append(
-        _verdict(prefix + "cov_offdiag", off, 0.0, off_tol.value * se_off,
-                 "offdiag", abs(off) <= off_tol.value * se_off, off / se_off)
-    )
-
+    off_bound = config.tolerances["offdiag"].value * se_off
+    verdicts = [
+        _check(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
+        _check(config, prefix + "var_re", var_re, cov[0, 0], "variance"),
+        _check(config, prefix + "var_im", var_im, cov[1, 1], "variance"),
+        _verdict(prefix + "cov_offdiag", off, 0.0, off_bound, "offdiag",
+                 abs(off) <= off_bound, off / se_off),
+    ]
     if "gaussian_ks" in config.tolerances:
+        from scipy.stats import kstest  # scipy.stats dominates import time; load it on use
+
         ks = kstest(z.real, "norm", args=(0.0, math.sqrt(cov[0, 0]))).statistic
-        ks_tol = _tol(config, "gaussian_ks")
-        verdicts.append(
-            _verdict(prefix + "gaussian_ks", ks, 0.0, ks_tol.value, "gaussian_ks", ks < ks_tol.value)
-        )
-    stats = {
+        verdicts.append(_below(config, prefix + "gaussian_ks", ks, "gaussian_ks"))
+
+    parts["verdicts"].extend(verdicts)
+    parts["targets"].update({
+        prefix + "limit_re": law.limit.real,
+        prefix + "limit_im": law.limit.imag,
+        prefix + "cov_re_ratio_corrected": laws(ratio_correction=True).cov[0, 0],
+    })
+    parts["aggregates"].update({
         prefix + "var_re": var_re,
         prefix + "var_im": var_im,
         prefix + "cov_offdiag": off,
         prefix + "mean_re": float(np.mean(plvs.real)),
         prefix + "mean_im": float(np.mean(plvs.imag)),
-    }
-    return z, stats, verdicts
+    })
+    parts["replicates"].update({
+        prefix + "plv_re": plvs.real.tolist(),
+        prefix + "plv_im": plvs.imag.tolist(),
+    })
+    parts["plot_data"]["residual_hist" + (f"_{label}" if label else "")] = _residual_histogram(z, law)
+    return law
 
 
 def _residual_histogram(z, law):
@@ -381,88 +436,51 @@ def _residual_histogram(z, law):
     return rows
 
 
-def _run_univar(config: ExperimentConfig) -> ExperimentReport:
+def _run_univar(config: ExperimentConfig) -> dict:
     phase = LinearPhase(config.frequency, config.window)
     if config.kappa == 0.0:
         model = HomogeneousRate(config.rate0)
     else:
         model = VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
-    law = plv_asymptotics_vonmises(
-        config.kappa, config.phase_offset, config.rate0, config.window
-    )
-    law_corrected = plv_asymptotics_vonmises(
-        config.kappa, config.phase_offset, config.rate0, config.window,
-        ratio_correction=True,
-    )
+    plvs, totals = _plv_replicates(config, model, phase, config.window)
+    p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
-    plvs = np.empty(config.replicates, dtype=complex)
-    totals = np.empty(config.replicates, dtype=int)
-    p_null = np.empty(config.replicates)
-    for i in range(config.replicates):
-        rng = np.random.default_rng(replicate_seed(config.master_seed, i))
-        sd = simulate_poisson(model, config.window, config.trials, rng)
-        plvs[i] = estimate_plv(phase, sd)
-        totals[i] = int(sd.counts().sum())
-        p_null[i] = plv_null_test(plvs[i], totals[i])
-
-    z, stats, verdicts = _residual_verdicts(config, law, plvs)
+    parts = _parts()
+    laws = partial(plv_asymptotics_vonmises, config.kappa, config.phase_offset,
+                   config.rate0, config.window)
+    law = _plv_case(config, parts, laws, plvs)
+    parts["targets"].update({
+        "cov_re": law.cov[0, 0],
+        "cov_im": law.cov[1, 1],
+        "expected_events_per_trial": law.expected_events,
+    })
+    parts["replicates"].update({"total_spikes": totals.tolist(), "p_null": p_null.tolist()})
     if "null_fp_rate" in config.tolerances:
         fp = float(np.mean(p_null < 0.05))
-        verdicts.append(_check_abs("null_fp_rate", fp, 0.05, _tol(config, "null_fp_rate"), "null_fp_rate"))
-        stats["null_fp_rate"] = fp
-
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=_config_dict(config),
-        targets={
-            "limit_re": law.limit.real,
-            "limit_im": law.limit.imag,
-            "cov_re": law.cov[0, 0],
-            "cov_im": law.cov[1, 1],
-            "cov_re_ratio_corrected": law_corrected.cov[0, 0],
-            "expected_events_per_trial": law.expected_events,
-        },
-        aggregates=stats,
-        replicates={
-            "plv_re": plvs.real.tolist(),
-            "plv_im": plvs.imag.tolist(),
-            "total_spikes": totals.tolist(),
-            "p_null": p_null.tolist(),
-        },
-        verdicts=verdicts,
-        master_seed=config.master_seed,
-        runtime_seconds=0.0,
-        plot_data={"residual_hist": _residual_histogram(z, law)},
-    )
+        parts["verdicts"].append(_check(config, "null_fp_rate", fp, 0.05))
+        parts["aggregates"]["null_fp_rate"] = fp
+    return parts
 
 
-def _run_bias_curve(config: ExperimentConfig) -> ExperimentReport:
+def _run_bias_curve(config: ExperimentConfig) -> dict:
     model = HomogeneousRate(config.rate0)
     rows = []
-    replicate_means = {}
+    replicates = {}
     verdicts = []
     targets = {}
     for w_idx, window in enumerate(config.windows):
         phase = LinearPhase(config.frequency, window)
         limit = plv_limit_numeric(phase, model, window)
-        vals = np.empty(config.replicates, dtype=complex)
-        for i in range(config.replicates):
-            seed = replicate_seed(config.master_seed, w_idx * config.replicates + i)
-            rng = np.random.default_rng(seed)
-            sd = simulate_poisson(model, window, config.trials, rng)
-            vals[i] = estimate_plv(phase, sd)
+        vals, _ = _plv_replicates(config, model, phase, window, block=w_idx)
         mean = vals.mean()
         se = math.sqrt((np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / config.replicates)
-        err = abs(mean - limit)
-        tol = _tol(config, "mean_limit")
-        name = f"window_{window:g}_mean_limit"
         verdicts.append(
-            _verdict(name, err, 0.0, tol.value * se, "mean_limit", err <= tol.value * se, err / se)
+            _check(config, f"window_{window:g}_mean_limit", abs(mean - limit), 0.0, "mean_limit", se=se)
         )
         targets[f"limit_re_{window:g}"] = limit.real
         targets[f"limit_im_{window:g}"] = limit.imag
-        replicate_means[f"plv_re_{window:g}"] = vals.real.tolist()
-        replicate_means[f"plv_im_{window:g}"] = vals.imag.tolist()
+        replicates[f"plv_re_{window:g}"] = vals.real.tolist()
+        replicates[f"plv_im_{window:g}"] = vals.imag.tolist()
         rows.append({
             "window": window,
             "limit_re": limit.real,
@@ -475,20 +493,16 @@ def _run_bias_curve(config: ExperimentConfig) -> ExperimentReport:
             "replicates": config.replicates,
         })
 
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=_config_dict(config),
-        targets=targets,
-        aggregates={f"mean_modulus_{r['window']:g}": r["mean_modulus"] for r in rows},
-        replicates=replicate_means,
-        verdicts=verdicts,
-        master_seed=config.master_seed,
-        runtime_seconds=0.0,
-        plot_data={"bias_curve": rows},
-    )
+    return {
+        "targets": targets,
+        "aggregates": {f"mean_modulus_{r['window']:g}": r["mean_modulus"] for r in rows},
+        "replicates": replicates,
+        "verdicts": verdicts,
+        "plot_data": {"bias_curve": rows},
+    }
 
 
-def _run_sinusoid(config: ExperimentConfig) -> ExperimentReport:
+def _run_sinusoid(config: ExperimentConfig) -> dict:
     # Matched (rate harmonic == phase harmonic) and mismatched cases share a
     # report; the mismatched rate harmonic comes from the config.
     if config.rate_harmonic == config.phase_harmonic:
@@ -505,50 +519,15 @@ def _run_sinusoid(config: ExperimentConfig) -> ExperimentReport:
         "matched": config.phase_harmonic,
         "mismatched": config.rate_harmonic,
     }
-    targets = {}
-    aggregates = {}
-    replicates = {}
-    verdicts = []
-    plot = {}
+    parts = _parts()
     for c_idx, (label, harmonic) in enumerate(cases.items()):
         model = SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset, config.window)
-        law = plv_asymptotics_sinusoid(
-            config.depth, harmonic, config.phase_harmonic,
-            config.phase_offset, config.rate0, config.window,
-        )
-        law_corrected = plv_asymptotics_sinusoid(
-            config.depth, harmonic, config.phase_harmonic,
-            config.phase_offset, config.rate0, config.window,
-            ratio_correction=True,
-        )
-        vals = np.empty(config.replicates, dtype=complex)
-        for i in range(config.replicates):
-            seed = replicate_seed(config.master_seed, c_idx * config.replicates + i)
-            rng = np.random.default_rng(seed)
-            sd = simulate_poisson(model, config.window, config.trials, rng)
-            vals[i] = estimate_plv(phase, sd)
-        z, stats, case_verdicts = _residual_verdicts(config, law, vals, prefix=f"{label}_")
-        verdicts.extend(case_verdicts)
-        aggregates.update(stats)
-        targets[f"{label}_limit_re"] = law.limit.real
-        targets[f"{label}_limit_im"] = law.limit.imag
-        targets[f"{label}_cov"] = law.cov[0, 0]
-        targets[f"{label}_cov_re_ratio_corrected"] = law_corrected.cov[0, 0]
-        replicates[f"{label}_plv_re"] = vals.real.tolist()
-        replicates[f"{label}_plv_im"] = vals.imag.tolist()
-        plot[f"residual_hist_{label}"] = _residual_histogram(z, law)
-
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=_config_dict(config),
-        targets=targets,
-        aggregates=aggregates,
-        replicates=replicates,
-        verdicts=verdicts,
-        master_seed=config.master_seed,
-        runtime_seconds=0.0,
-        plot_data=plot,
-    )
+        vals, _ = _plv_replicates(config, model, phase, config.window, block=c_idx)
+        laws = partial(plv_asymptotics_sinusoid, config.depth, harmonic, config.phase_harmonic,
+                       config.phase_offset, config.rate0, config.window)
+        law = _plv_case(config, parts, laws, vals, label)
+        parts["targets"][f"{label}_cov"] = law.cov[0, 0]
+    return parts
 
 
 def _multivar_unit_models(config: ExperimentConfig):
@@ -593,7 +572,7 @@ def _orthonormalize_integrand(signals):
     return corrected, deviation
 
 
-def _run_multivar(config: ExperimentConfig) -> ExperimentReport:
+def _run_multivar(config: ExperimentConfig) -> dict:
     models = _multivar_unit_models(config)
     law = mp_law(config.channels / config.units)
     upper = law.upper_edge
@@ -637,26 +616,17 @@ def _run_multivar(config: ExperimentConfig) -> ExperimentReport:
         "mean_integrand_gram_deviation": float(integrand_dev.mean()),
     }
 
-    verdicts = []
     if config.experiment == "multivar-null":
-        verdicts.append(_verdict("mean_ks", aggregates["mean_ks"], 0.0,
-                                 _tol(config, "mean_ks").value, "mean_ks",
-                                 aggregates["mean_ks"] < _tol(config, "mean_ks").value))
-        verdicts.append(_verdict("pooled_ks", pooled_ks, 0.0,
-                                 _tol(config, "pooled_ks").value, "pooled_ks",
-                                 pooled_ks < _tol(config, "pooled_ks").value))
-        verdicts.append(_check_abs("top_eigenvalue", aggregates["mean_top_eigenvalue"],
-                                   upper, _tol(config, "top_eigenvalue"), "top_eigenvalue"))
-        verdicts.append(_verdict("edge_fp_rate", aggregates["edge_fp_rate"], 0.0,
-                                 _tol(config, "edge_fp_rate").value, "edge_fp_rate",
-                                 aggregates["edge_fp_rate"] < _tol(config, "edge_fp_rate").value))
-        verdicts.append(_check_abs("trace", aggregates["mean_trace_over_p"], 1.0,
-                                   _tol(config, "trace"), "trace"))
+        verdicts = [
+            _below(config, "mean_ks", aggregates["mean_ks"]),
+            _below(config, "pooled_ks", aggregates["pooled_ks"]),
+            _check(config, "top_eigenvalue", aggregates["mean_top_eigenvalue"], upper),
+            _below(config, "edge_fp_rate", aggregates["edge_fp_rate"]),
+            _check(config, "trace", aggregates["mean_trace_over_p"], 1.0),
+        ]
     else:
-        tol = _tol(config, "detection_rate")
-        verdicts.append(_verdict("detection_rate", aggregates["detection_rate"], 1.0,
-                                 tol.value, "detection_rate",
-                                 aggregates["detection_rate"] >= tol.value))
+        rate, bound = aggregates["detection_rate"], config.tolerances["detection_rate"].value
+        verdicts = [_verdict("detection_rate", rate, 1.0, bound, "detection_rate", rate >= bound)]
 
     # Pooled ESD histogram against the MP density for plotting.
     positive = pooled[pooled > 1e-12]
@@ -669,27 +639,23 @@ def _run_multivar(config: ExperimentConfig) -> ExperimentReport:
         for m, h in zip(mids, hist)
     ]
 
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=_config_dict(config),
-        targets={
+    return {
+        "targets": {
             "mp_lower_edge": law.lower_edge,
             "mp_upper_edge": law.upper_edge,
             "mp_zero_atom": law.zero_atom,
             "alpha": law.alpha,
         },
-        aggregates=aggregates,
-        replicates={
+        "aggregates": aggregates,
+        "replicates": {
             "ks": ks_vals.tolist(),
             "top_eigenvalue": top_eigs.tolist(),
             "n_significant": n_sig.tolist(),
             "trace_over_p": traces.tolist(),
         },
-        verdicts=verdicts,
-        master_seed=config.master_seed,
-        runtime_seconds=0.0,
-        plot_data={"esd_vs_mp": esd_rows},
-    )
+        "verdicts": verdicts,
+        "plot_data": {"esd_vs_mp": esd_rows},
+    }
 
 
 _MOMENT_SETS = {
@@ -709,7 +675,7 @@ _MOMENT_SETS = {
 }
 
 
-def _run_moment_oracle(config: ExperimentConfig) -> ExperimentReport:
+def _run_moment_oracle(config: ExperimentConfig) -> dict:
     # "trials" is the Monte Carlo sample size per integrand set here.
     model = HomogeneousRate(config.rate0)
     window = config.window
@@ -734,24 +700,19 @@ def _run_moment_oracle(config: ExperimentConfig) -> ExperimentReport:
             prods *= sums - comp
         observed = float(prods.mean())
         se = float(prods.std(ddof=1) / math.sqrt(config.trials))
-        verdicts.append(_check_abs(f"{label}_moment", observed, predicted,
-                                   _tol(config, "moment"), "moment", se=se))
+        verdicts.append(_check(config, f"{label}_moment", observed, predicted, "moment", se=se))
         aggregates[f"{label}_observed"] = observed
         aggregates[f"{label}_se"] = se
         targets[f"{label}_predicted"] = float(predicted)
         rows.append({"set": label, "observed": observed, "predicted": float(predicted), "se": se})
 
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=_config_dict(config),
-        targets=targets,
-        aggregates=aggregates,
-        replicates={},
-        verdicts=verdicts,
-        master_seed=config.master_seed,
-        runtime_seconds=0.0,
-        plot_data={"moment_sets": rows},
-    )
+    return {
+        "targets": targets,
+        "aggregates": aggregates,
+        "replicates": {},
+        "verdicts": verdicts,
+        "plot_data": {"moment_sets": rows},
+    }
 
 
 EXPERIMENTS = {

@@ -25,7 +25,6 @@ __all__ = [
     "build_coupling_matrix",
     "normalize",
     "spectrum",
-    "ks_distance_esd",
     "ks_statistic",
 ]
 
@@ -187,13 +186,6 @@ def spectrum(normalized: CouplingMatrix, edge_margin: float = 0.0) -> SpectrumRe
         n_units=n,
         edge_margin=edge_margin,
     )
-
-
-def ks_distance_esd(report: SpectrumReport) -> float:
-    """Sup distance between the empirical spectral CDF and the MP CDF."""
-    if len(report.eigenvalues) < 2:
-        raise DomainError("need at least two eigenvalues for a KS distance")
-    return ks_statistic(report.eigenvalues, report.mp)
 
 
 def ks_statistic(eigenvalues: np.ndarray, law: MpLaw) -> float:

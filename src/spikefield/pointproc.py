@@ -2,16 +2,13 @@
 
 Simulation uses thinning (rejection from a homogeneous dominating process),
 which is exact for any bounded rate function: no time-discretization bias.
-``CompensatedStream`` exposes stochastic integrals against the compensated
-process, sum-over-jumps minus quadrature of the rate, with both pieces
-accessible separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,7 +22,6 @@ __all__ = [
     "IntensityModel",
     "SpikeData",
     "simulate_poisson",
-    "CompensatedStream",
     "fourth_moment_oracle",
 ]
 
@@ -233,51 +229,6 @@ def _enforce_strict_increase(times, model, lam_max, window, rng):
                 break
         times = np.sort(np.concatenate([np.delete(times, dup), [t_new]]))
     return times
-
-
-class CompensatedStream:
-    """Stochastic integrals against one trial's compensated counting process.
-
-    For an integrand x, ``integral(x)`` returns
-    sum_j x(t_j) - int_0^T x(t) rate(t) dt; the jump sum and the
-    compensator are also exposed separately.
-    """
-
-    def __init__(self, times, rate, window: float, grid_points: int = 4097):
-        times = np.asarray(times, dtype=float)
-        if not (window > 0.0):
-            raise DomainError("window must be positive")
-        if times.size and (times.min() < 0.0 or times.max() > window):
-            raise DomainError("event times must lie within the window")
-        if np.any(np.diff(times) <= 0.0):
-            raise DomainError("event times must increase strictly")
-        self.times = times
-        self.window = float(window)
-        self._grid = np.linspace(0.0, window, grid_points)
-        rate_fn = rate if callable(rate) else (lambda t, r=float(rate): np.full_like(t, r))
-        self._rate_on_grid = np.asarray(rate_fn(self._grid), dtype=float)
-        if np.any(self._rate_on_grid < 0.0):
-            raise DomainError("rate must be nonnegative over the window")
-
-    def jump_sum(self, integrand: Callable):
-        """sum_j x(t_j) over the trial's events."""
-        if self.times.size == 0:
-            return 0.0
-        return complex_or_float(np.sum(integrand(self.times)))
-
-    def compensator(self, integrand: Callable):
-        """int_0^T x(t) rate(t) dt by trapezoid quadrature on the stream's grid."""
-        values = np.asarray(integrand(self._grid)) * self._rate_on_grid
-        return complex_or_float(_trapezoid(values, self._grid))
-
-    def integral(self, integrand: Callable):
-        """Martingale integral: jump sum minus compensator."""
-        return self.jump_sum(integrand) - self.compensator(integrand)
-
-
-def complex_or_float(z):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else z
 
 
 def _trapezoid(values, grid):

@@ -25,7 +25,6 @@ __all__ = [
     "SignalMatrix",
     "synthesize_oscillations",
     "whiten",
-    "eval_at_spike_times",
 ]
 
 
@@ -223,11 +222,3 @@ def whiten(signals: SignalMatrix) -> SignalMatrix:
     inv_root = (v * (w**-0.5)) @ v.conj().T
     return SignalMatrix(inv_root @ signals.samples, dt=signals.dt, whitened=True)
 
-
-def eval_at_spike_times(obj, times) -> np.ndarray:
-    """Evaluate a SignalMatrix (complex values) or phase model (radians) at spike times."""
-    if isinstance(obj, SignalMatrix):
-        return obj.eval_at(times)
-    if isinstance(obj, (LinearPhase, TabulatedPhase)):
-        return obj.phase(_check_times(times, obj.window))
-    raise DomainError(f"cannot evaluate object of type {type(obj).__name__} at spike times")

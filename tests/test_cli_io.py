@@ -161,6 +161,21 @@ class TestCliSimulateAnalyze:
         assert len(uni["units"]) == 2
         assert 0.0 <= uni["units"][0]["p_null"] <= 1.0
 
+    def test_analyze_phase_totals_per_unit(self, tmp_path):
+        sd = _sample_spikes(units=4, trials=3, seed=3)
+        sd.trains[2] = [np.empty(0) for _ in range(3)]  # a silent unit
+        save_spikes(sd, tmp_path / "s.json")
+        code = main(["analyze", "--spikes", str(tmp_path / "s.json"),
+                     "--phase", "linear:1.0", "--out", str(tmp_path / "o")])
+        assert code == 0
+        uni = json.loads((tmp_path / "o" / "univariate.json").read_text())
+        expected = [sum(len(t) for t in unit) for unit in sd.trains]
+        assert expected[2] == 0 and len(set(expected)) == 4
+        assert [u["total_spikes"] for u in uni["units"]] == expected
+        assert [u["id"] for u in uni["units"]] == [0, 1, 2, 3]
+        assert uni["units"][2]["plv"] is None
+        assert all("plv_re" in u for j, u in enumerate(uni["units"]) if j != 2)
+
     def test_simulate_rejects_bad_depth(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
         sim_cfg.write_text(json.dumps({

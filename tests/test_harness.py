@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment harness (small-scale configurations)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -132,3 +133,54 @@ class TestReports:
     def test_univar_report_has_corrected_target(self):
         rep = run_experiment(_small("univar-coupled", replicates=10, trials=100))
         assert rep.targets["cov_re_ratio_corrected"] < rep.targets["cov_re"]
+
+
+_GOLDEN_MULTIVAR = dict(
+    replicates=3, channels=20, units=18, components=(3.0, 4.0), window=2.0, dt=1 / 256, trials=5,
+)
+
+# sha256 of json.dumps(body_dict(), sort_keys=True) at reduced configurations.
+# A refactor of the runners must leave every report body byte-identical; a
+# change that moves a number on purpose re-baselines here and says so.
+_GOLDEN_BODIES = {
+    "univar-null": (
+        dict(replicates=12, trials=200),
+        "dcbd983f52520a428b42faf1cde0c32f88f257b4b02049805161629cf7c949bc",
+    ),
+    "univar-coupled": (
+        dict(replicates=12, trials=200),
+        "35f10ad9804bfba7a9c0ad2fdd8fdf4da1b8d0b7f70656d59a021a2d0104df1b",
+    ),
+    "bias-curve": (
+        dict(replicates=20),
+        "c9eec99166a3c49ca559c9a95ae55a623cb6dad5d739df73fdc95f4083714a8c",
+    ),
+    "sinusoid-uncoupled": (
+        dict(replicates=12, trials=100),
+        "0e27c2daff6157e70d014214d9751a009ce9347a9fc66130e87e0c7dbb586cdb",
+    ),
+    "multivar-null": (
+        _GOLDEN_MULTIVAR,
+        "f81f68d1f8229a17c6bd33ef82f16d1e8e2ac58a42a68c2d53a3bbf3e0713d58",
+    ),
+    "multivar-coupled": (
+        _GOLDEN_MULTIVAR,
+        "aafdd49e30845583946ee603b3375e75156fce5509f3d09b259f1f9cf8969d06",
+    ),
+    "moment-oracle": (
+        dict(trials=5000),
+        "10f6c89f730410c51167070fcf0b504e5233b0dfd3327838a061d38809b9c268",
+    ),
+}
+
+
+class TestGoldenBodies:
+    def test_covers_every_experiment(self):
+        assert set(_GOLDEN_BODIES) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_BODIES))
+    def test_body_hash(self, name):
+        overrides, expected = _GOLDEN_BODIES[name]
+        rep = run_experiment(_small(name, **overrides))
+        body = json.dumps(rep.body_dict(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == expected

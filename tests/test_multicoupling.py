@@ -10,7 +10,6 @@ from spikefield.errors import DomainError
 from spikefield.multicoupling import (
     CouplingMatrix,
     build_coupling_matrix,
-    ks_distance_esd,
     normalize,
     spectrum,
 )
@@ -197,7 +196,7 @@ class TestKsDistance:
         from spikefield.multicoupling import ks_statistic
 
         assert ks_statistic(np.sort(eigs)[::-1], law) <= 1 / p + 1e-6
-        assert ks_distance_esd(rep) >= 0.0
+        assert rep.ks_distance >= 0.0
 
     def test_all_zero_spectrum_atom(self):
         p, n = 30, 3  # alpha = 10
@@ -205,10 +204,3 @@ class TestKsDistance:
                                       window=1.0, normalized=True, unit_rates=np.ones(n),
                                       signal_integral=np.zeros(p)))
         assert rep.ks_distance == pytest.approx(1.0 / 10.0, abs=1e-12)
-
-    def test_needs_two_eigenvalues(self):
-        rep = spectrum(CouplingMatrix(entries=np.ones((1, 1), dtype=complex), trials=1,
-                                      window=1.0, normalized=True, unit_rates=np.ones(1),
-                                      signal_integral=np.zeros(1)))
-        with pytest.raises(DomainError):
-            ks_distance_esd(rep)

@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 
 from spikefield.errors import DomainError
 from spikefield.pointproc import (
-    CompensatedStream,
     HomogeneousRate,
     SinusoidRate,
     SpikeData,
@@ -141,34 +140,6 @@ class TestSpikeData:
     def test_ragged_trials_rejected(self):
         with pytest.raises(DomainError):
             SpikeData(window=1.0, trains=[[np.array([0.1])], [np.array([0.1]), np.array([])]])
-
-
-class TestCompensatedStream:
-    def test_empty_trial_pure_compensator(self):
-        cs = CompensatedStream(np.empty(0), rate=20.0, window=5.0)
-        assert cs.integral(lambda t: np.ones_like(t)) == pytest.approx(-100.0)
-
-    def test_zero_mean_over_trials(self):
-        rng = np.random.default_rng(20)
-        sd = simulate_poisson(HomogeneousRate(20.0), window=5.0, trials=2000, rng=rng)
-        one = lambda t: np.ones_like(t)
-        vals = np.array([
-            CompensatedStream(t, rate=20.0, window=5.0).integral(one) for t in sd.trains[0]
-        ])
-        se = math.sqrt(100.0 / 2000)  # Var of integral is rate*T = 100
-        assert abs(vals.mean()) < 3 * se
-        assert abs(vals.var(ddof=1) - 100.0) < 0.05 * 100.0
-
-    def test_exposed_pieces(self):
-        cs = CompensatedStream(np.array([0.25, 0.5]), rate=4.0, window=1.0)
-        f = lambda t: t
-        assert cs.jump_sum(f) == pytest.approx(0.75)
-        assert cs.compensator(f) == pytest.approx(2.0, abs=1e-9)
-        assert cs.integral(f) == pytest.approx(0.75 - 2.0, abs=1e-9)
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            CompensatedStream(np.array([0.5]), rate=lambda t: -np.ones_like(t), window=1.0)
 
 
 class TestFourthMomentOracle:

@@ -10,7 +10,6 @@ from spikefield.signals import (
     LinearPhase,
     SignalMatrix,
     TabulatedPhase,
-    eval_at_spike_times,
     synthesize_oscillations,
     whiten,
 )
@@ -40,9 +39,12 @@ class TestPhaseModels:
             TabulatedPhase(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]))
 
     def test_eval_outside_window(self):
-        ph = LinearPhase(frequency=1.0, window=1.0)
+        times = np.linspace(0, 1, 11)
+        ph = TabulatedPhase(times=times, values=2 * math.pi * times)
         with pytest.raises(DomainError):
-            eval_at_spike_times(ph, np.array([1.5]))
+            ph.phase(np.array([1.5]))
+        with pytest.raises(DomainError):
+            ph.phase(np.array([-0.2]))
 
 
 class TestSynthesize:
