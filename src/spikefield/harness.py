@@ -322,16 +322,19 @@ def _verdict(name, observed, target, bound, tolerance_name, passed, z=None):
     return v
 
 
+def _bound(tol, target, se):
+    """Largest distance from ``target`` that tolerance ``tol`` accepts."""
+    if tol.kind == "se_multiple":
+        return tol.value * se
+    if tol.kind == "relative":
+        return tol.value * abs(target)
+    return tol.value
+
+
 def _check(config, name, observed, target, tolerance_name=None, se=None):
     """Verdict that ``observed`` lies within the named tolerance of ``target``."""
     tolerance_name = tolerance_name or name
-    tol = config.tolerances[tolerance_name]
-    if tol.kind == "se_multiple":
-        bound = tol.value * se
-    elif tol.kind == "relative":
-        bound = tol.value * abs(target)
-    else:
-        bound = tol.value
+    bound = _bound(config.tolerances[tolerance_name], target, se)
     err = abs(observed - target)
     z = err / se if se else None
     return _verdict(name, observed, target, bound, tolerance_name, err <= bound, z)
@@ -380,7 +383,7 @@ def _plv_case(config, parts, laws, plvs, label=""):
     var_im = float(np.var(z.imag, ddof=1))
     off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
     se_off = math.sqrt(cov[0, 0] * cov[1, 1] / n)
-    off_bound = config.tolerances["offdiag"].value * se_off
+    off_bound = _bound(config.tolerances["offdiag"], 0.0, se_off)
     verdicts = [
         _check(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
         _check(config, prefix + "var_re", var_re, cov[0, 0], "variance"),

@@ -1,6 +1,9 @@
 """Multivariate coupling: the p x n coupling matrix and its spectral test.
 
-The raw matrix averages each channel over each unit's spike times; the
+The raw matrix averages each channel over each unit's spike times. It is
+computed as one product, samples @ W.T / K: row j of the real
+(units x samples) matrix W holds unit j's linear-interpolation weights
+summed onto the sample grid, so no per-spike channel vector is formed. The
 normalized matrix compensates every column by its unit's estimated rate
 and scales so that, absent coupling, entries have unit variance. The
 eigenvalues of (1/n) Y Y^H are then compared against the Marchenko-Pastur
@@ -76,30 +79,33 @@ class SpectrumReport:
     edge_margin: float
 
 
-def _unit_column(signals: SignalMatrix, spikes: SpikeData, unit: int) -> np.ndarray:
-    """Column ``unit`` of the raw coupling matrix, (1/K) sum over the unit's spikes of x(t).
+def _coupling_entries(signals: SignalMatrix, spikes: SpikeData) -> np.ndarray:
+    """Raw coupling block, entry (i, j) = (1/K) sum over unit j's spikes of x_i(t).
 
-    The single implementation of the coupling sum for sampled signals, so
-    every caller gets the same summation order and hence the same bits.
-    Zeros for a silent unit.
+    The single implementation of the coupling sum for sampled signals. Each
+    spike adds its two interpolation weights to its unit's row of W at the
+    stencil's sample indices, and the block is samples @ W.T / K. A GEMM's
+    rounding depends on the shape of the product, so every caller takes its
+    entries from this one block to get the same bits. A silent unit gives a
+    zero column.
     """
     if abs(signals.window - spikes.window) > 0.5 * signals.dt:
         raise DomainError(
             f"signals cover {signals.window} s but spikes cover {spikes.window} s"
         )
-    times = np.minimum(spikes.unit_times(unit), signals.window)
-    if times.size == 0:
-        return np.zeros(signals.n_channels, dtype=complex)
-    return signals.eval_at(times).sum(axis=1) / spikes.n_trials
+    n, q = spikes.n_units, signals.n_samples
+    times = [np.minimum(spikes.unit_times(j), signals.window) for j in range(n)]
+    row = np.repeat(np.arange(n) * q, [t.size for t in times])
+    i0, i1, w = signals._stencil(np.concatenate(times))
+    weights = np.bincount(row + i0, 1.0 - w, minlength=n * q)
+    weights += np.bincount(row + i1, w, minlength=n * q)
+    return signals.samples @ weights.reshape(n, q).T / spikes.n_trials
 
 
 def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingMatrix:
     """Raw coupling matrix: entry (i, j) = (1/K) sum over unit j's spikes of x_i(t)."""
-    entries = np.zeros((signals.n_channels, spikes.n_units), dtype=complex)
-    for j in range(spikes.n_units):
-        entries[:, j] = _unit_column(signals, spikes, j)
     return CouplingMatrix(
-        entries=entries,
+        entries=_coupling_entries(signals, spikes),
         trials=spikes.n_trials,
         window=spikes.window,
         normalized=False,

@@ -143,14 +143,24 @@ class SignalMatrix:
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt
 
-    def eval_at(self, t) -> np.ndarray:
-        """Linear interpolation of every channel at times ``t``; shape (p, len(t))."""
+    def _stencil(self, t):
+        """Linear-interpolation stencil at times ``t``: x(t) = (1 - w) x[i0] + w x[i1].
+
+        The one definition of the interpolation rule, shared by ``eval_at``
+        and the coupling-matrix kernel.
+        """
         t = _check_times(t, self.window)
         q = self.n_samples
-        pos = t / self.dt
+        # (q dt) / dt can round above q; capping keeps both weights in [0, 1].
+        pos = np.minimum(t / self.dt, q)
         i0 = np.minimum(pos.astype(int), q - 1)
         w = pos - i0
         i1 = (i0 + 1) % q  # periodic continuation for the trailing subinterval
+        return i0, i1, w
+
+    def eval_at(self, t) -> np.ndarray:
+        """Linear interpolation of every channel at times ``t``; shape (p, len(t))."""
+        i0, i1, w = self._stencil(t)
         return self.samples[:, i0] * (1.0 - w) + self.samples[:, i1] * w
 
     def gram(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .multicoupling import _unit_column
+from .multicoupling import _coupling_entries
 from .pointproc import IntensityModel, SpikeData
 from .signals import LinearPhase, PhaseSpec, SignalMatrix, TabulatedPhase
 from .specfun import bessel_i
@@ -75,13 +75,15 @@ def estimate_coupling(x, spikes: SpikeData, unit: int = 0, channel: int = 0) -> 
     compensator is subtracted.
 
     For a SignalMatrix the result is exactly entry ``(channel, unit)`` of
-    ``build_coupling_matrix(x, spikes)``: both go through the same sum, and
-    the signal and spike windows must agree in the same way.
+    ``build_coupling_matrix(x, spikes)``: both read it from the same single
+    product of the samples with every unit's interpolation weights, so the
+    whole (channels, units) block is computed, and the signal and spike
+    windows must agree in the same way.
     """
     if spikes.n_trials < 1:
         raise DomainError("coupling estimate needs at least one trial")
     if isinstance(x, SignalMatrix):
-        return complex(_unit_column(x, spikes, unit)[channel])
+        return complex(_coupling_entries(x, spikes)[channel, unit])
     times = spikes.unit_times(unit)
     if times.size == 0:
         return 0j

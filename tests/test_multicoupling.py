@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from spikefield.errors import DomainError
@@ -29,6 +31,41 @@ def _exp_signals(freqs, window, dt):
 def _merge_units(spike_list):
     return SpikeData(window=spike_list[0].window,
                      trains=[sd.trains[0] for sd in spike_list])
+
+
+def _random_signals(p, q, dt, seed):
+    rng = np.random.default_rng(seed)
+    return SignalMatrix(rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q)), dt=dt)
+
+
+def _eval_at_oracle(sig, sd):
+    """Column j = (1/K) sum over unit j's spikes of the interpolated channels, spike by spike."""
+    out = np.zeros((sig.n_channels, sd.n_units), dtype=complex)
+    for j in range(sd.n_units):
+        times = np.minimum(sd.unit_times(j), sig.window)
+        if times.size:
+            out[:, j] = sig.eval_at(times).sum(axis=1) / sd.n_trials
+    return out
+
+
+def _assert_close(actual, expected, rel=1e-13):
+    scale = max(np.abs(expected).max(), 1e-300)
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
+def _edge_spikes(sig, spike_window):
+    """Three trials of three units: edge times, a silent unit, and random interior times."""
+    dt, q = sig.dt, sig.n_samples
+    edges = np.array([0.0, 4 * dt, (q - 0.5) * dt, min(sig.window, spike_window)])
+    if spike_window > sig.window:
+        edges = np.append(edges, spike_window)  # beyond the samples: clamped to their window
+    rng = np.random.default_rng(47)
+    interior = [np.sort(rng.uniform(0.0, spike_window, size=k)) for k in (5, 9, 1)]
+    return SpikeData(window=spike_window, trains=[
+        [edges, np.array([2 * dt, (q - 0.25) * dt]), np.array([0.0])],
+        [np.empty(0), np.empty(0), np.empty(0)],
+        interior,
+    ])
 
 
 class TestBuildCouplingMatrix:
@@ -77,6 +114,75 @@ class TestBuildCouplingMatrix:
         lam_total = 20.0 * window * bessel_quadrature(0, 0.5)
         se = math.sqrt(lam_total / (trials * n_sims))
         assert abs(vals.mean() - target) < 3 * se
+
+
+class TestCouplingKernel:
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("offset", [0.0, 0.4, -0.4])
+    def test_matches_eval_at_per_unit(self, p, offset):
+        # Spikes at 0, on grid points, in the trailing interval (wrapping to
+        # sample 0) and at the window, with spike windows up to 0.4 dt off.
+        sig = _random_signals(p, 16, 1 / 16, seed=48)
+        sd = _edge_spikes(sig, sig.window + offset * sig.dt)
+        raw = build_coupling_matrix(sig, sd)
+        expected = _eval_at_oracle(sig, sd)
+        _assert_close(raw.entries, expected)
+        assert np.all(raw.entries[:, 1] == 0)
+
+    def test_matches_eval_at_at_published_scale(self):
+        window, dt = 2.0, 1 / 1024
+        sig = _random_signals(30, int(round(window / dt)), dt, seed=49)
+        rng = np.random.default_rng(50)
+        sd = _merge_units([simulate_poisson(HomogeneousRate(20.0), window, 10, rng) for _ in range(25)])
+        _assert_close(build_coupling_matrix(sig, sd).entries, _eval_at_oracle(sig, sd))
+
+    def test_window_end_interpolates_to_the_first_sample(self):
+        # q dt / dt rounds above q here; the periodic wrap still gives x[0].
+        sig = _random_signals(2, 3, 0.1, seed=51)
+        sd = SpikeData(window=sig.window, trains=[[np.array([sig.window])]])
+        assert np.array_equal(build_coupling_matrix(sig, sd).entries[:, 0], sig.samples[:, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @example(q=3, dt=0.1, trains=[[[1.0], []]])  # (q dt) / dt rounds above q
+    @given(
+        q=st.integers(2, 40),
+        dt=st.floats(1e-3, 1.0),
+        trains=st.lists(
+            st.lists(st.lists(st.floats(0.0, 1.0), max_size=12), min_size=2, max_size=2),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_weights_are_a_partition_of_unity(self, q, dt, trains):
+        # With identity samples, column j of the raw matrix is unit j's
+        # weight row over the sample grid, divided by K.
+        sig = SignalMatrix(np.eye(q), dt=dt)
+        sd = SpikeData(window=sig.window, trains=[
+            [np.unique(np.asarray(t) * sig.window) for t in unit] for unit in trains
+        ])
+        weights = build_coupling_matrix(sig, sd).entries * sd.n_trials
+        assert np.all(weights.imag == 0)
+        assert np.all(weights.real >= 0)
+        counts = sd.counts().sum(axis=1)
+        assert np.allclose(weights.real.sum(axis=0), counts, rtol=1e-12, atol=0)
+
+    def test_no_per_spike_block(self, monkeypatch):
+        # The kernel is one product over a weight histogram: it must not go
+        # through eval_at, which builds a (channels, spikes) block per unit.
+        from spikefield.unicoupling import estimate_coupling
+
+        sig = _random_signals(3, 16, 1 / 16, seed=52)
+        sd = _edge_spikes(sig, sig.window)
+        expected = _eval_at_oracle(sig, sd)
+
+        def refuse(self, t):
+            raise AssertionError("eval_at called on the coupling hot path")
+
+        monkeypatch.setattr(SignalMatrix, "eval_at", refuse)
+        _assert_close(build_coupling_matrix(sig, sd).entries, expected)
+        for unit in range(sd.n_units):
+            for channel in range(sig.n_channels):
+                entry = estimate_coupling(sig, sd, unit=unit, channel=channel)
+                _assert_close(np.array([entry]), expected[channel, unit:unit + 1])
 
 
 class TestNormalize:
