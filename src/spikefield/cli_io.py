@@ -2,8 +2,15 @@
 
 Spike trains serialize to JSON (ragged, diffable); signals to CSV with a
 JSON metadata sidecar (rectangular, stream-friendly). Floats are written
-with shortest round-trip formatting, so serialize -> parse is lossless and
-the determinism guarantees survive file boundaries.
+with shortest round-trip formatting (``repr``), so serialize -> parse is
+lossless, signed zeros included, and the determinism guarantees survive
+file boundaries.
+
+CSV files are written in blocks of rows and read with ``numpy.loadtxt``,
+so numpy's C code does the per-field work. A malformed signal file is
+reported as ``DomainError("<path>:<line>: ...")`` with the file line of
+the first bad row (the header is line 1). Every line after the header
+must be a data row: a blank line is rejected, not skipped.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -13,9 +20,10 @@ experiment report does not change the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import re
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -47,7 +55,7 @@ def save_spikes(spikes: SpikeData, path) -> None:
         "t_start": 0.0,
         "t_end": spikes.window,
         "units": [
-            {"id": j, "trials": [list(map(float, t)) for t in unit]}
+            {"id": j, "trials": [t.tolist() for t in unit]}
             for j, unit in enumerate(spikes.trains)
         ],
     }
@@ -80,21 +88,37 @@ def _sidecar(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+_CSV_BLOCK_ROWS = 1024  # rows formatted per write; bounds the Python floats alive at once
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV of floats: a header line, then the rows of each 2-D block.
+
+    Every field is ``repr`` of the float and every line ends in CRLF, as
+    ``csv.writer`` writes them.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
+
+
+def _signal_rows(signals: SignalMatrix):
+    """Yield the signal table (time, then re/im per channel) in blocks of rows."""
+    p, n = signals.n_channels, signals.n_samples
+    times = signals.times
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = slice(start, min(start + _CSV_BLOCK_ROWS, n))
+        block = np.empty((rows.stop - start, 1 + 2 * p))
+        block[:, 0] = times[rows]
+        block[:, 1:].view(complex)[:] = signals.samples[:, rows].T
+        yield block
+
+
 def save_signals(signals: SignalMatrix, csv_path) -> None:
     p = signals.n_channels
-    header = ["time"]
-    for k in range(p):
-        header += [f"ch{k}_re", f"ch{k}_im"]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        times = signals.times
-        for i in range(signals.n_samples):
-            row = [repr(float(times[i]))]
-            for k in range(p):
-                z = signals.samples[k, i]
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+    header = ["time"] + [f"ch{k}_{part}" for k in range(p) for part in ("re", "im")]
+    _write_csv(csv_path, header, _signal_rows(signals))
     meta = {
         "dt": signals.dt,
         "T": signals.window,
@@ -104,36 +128,70 @@ def save_signals(signals: SignalMatrix, csv_path) -> None:
     _sidecar(csv_path).write_text(json.dumps(meta))
 
 
+def _data_lines(fh, csv_path):
+    """Yield the lines after the header, rejecting a blank one by its file line."""
+    for lineno, line in enumerate(fh, start=2):
+        if line.isspace():
+            raise DomainError(f"{csv_path}:{lineno}: blank line")
+        yield line
+
+
+def _loadtxt_error(exc: ValueError, csv_path, columns: int) -> DomainError:
+    """Turn numpy.loadtxt's row-numbered ValueError into a file-line DomainError.
+
+    numpy counts data rows from 0 in a conversion error ("at row 3, column
+    2") and from 1 in a width error ("changed from 5 to 4 at row 7"). A
+    width error blames the row where the width changed, so a wrong width
+    on the first row is reported there instead.
+    """
+    msg = str(exc)
+    width = re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", msg)
+    if width is not None:
+        first, later, row = map(int, width.groups())
+        lineno, got = (2, first) if first != columns else (row + 1, later)
+        return DomainError(f"{csv_path}:{lineno}: expected {columns} fields, got {got}")
+    value = re.search(r"(.*) at row (\d+), column (\d+)", msg)
+    if value is not None:
+        reason, row, column = value.groups()
+        return DomainError(f"{csv_path}:{int(row) + 2}: field {column}: {reason}")
+    return DomainError(f"{csv_path}: {msg}")
+
+
 def load_signals(csv_path) -> SignalMatrix:
     meta = _read_json(_sidecar(csv_path))
     for key in ("dt", "T", "p", "whitened"):
         if key not in meta:
             raise DomainError(f"{_sidecar(csv_path)}: missing required field {key!r}")
     dt, window, p = float(meta["dt"]), float(meta["T"]), int(meta["p"])
+    columns = 1 + 2 * p
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{csv_path}: empty file") from None
-        if len(header) != 1 + 2 * p:
+        header = fh.readline()
+        if not header:
+            raise DomainError(f"{csv_path}: empty file")
+        n_header = len(header.rstrip("\r\n").split(","))
+        if n_header != columns:
             raise DomainError(
-                f"{csv_path}: header has {len(header)} columns, expected {1 + 2 * p} for {p} channels"
+                f"{csv_path}: header has {n_header} columns, expected {columns} for {p} channels"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DomainError(f"{csv_path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DomainError(f"{csv_path}:{lineno}: {exc}") from None
-    data = np.asarray(rows)
+        try:
+            with warnings.catch_warnings():
+                # A header-only file warns "no data"; the row-count check reports it.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(_data_lines(fh, csv_path), delimiter=",",
+                                  comments=None, ndmin=2)
+        except DomainError:
+            raise
+        except ValueError as exc:
+            raise _loadtxt_error(exc, csv_path, columns) from None
+    if len(data) and data.shape[1] != columns:
+        # Every row has the same wrong width, so loadtxt saw no change.
+        raise DomainError(f"{csv_path}:2: expected {columns} fields, got {data.shape[1]}")
     if abs(len(data) * dt - window) > 0.5 * dt:
         raise DomainError(
             f"{csv_path}: {len(data)} rows at dt={dt} do not cover T={window}"
         )
-    samples = data[:, 1::2].T + 1j * data[:, 2::2].T
+    # Viewing each re/im pair as one complex keeps every bit, signed zeros included.
+    samples = np.ascontiguousarray(data[:, 1:]).view(complex).T
     return SignalMatrix(samples, dt=dt, whitened=bool(meta["whitened"]))
 
 
@@ -338,11 +396,8 @@ def _cmd_analyze(args) -> int:
         }, indent=2, sort_keys=True))
         from .specfun import mp_density
 
-        with open(out / "esd.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eigenvalue", "mp_density"])
-            for ev in report.eigenvalues:
-                writer.writerow([repr(float(ev)), repr(float(mp_density(report.mp, ev)))])
+        esd = np.column_stack([report.eigenvalues, mp_density(report.mp, report.eigenvalues)])
+        _write_csv(out / "esd.csv", ["eigenvalue", "mp_density"], [esd])
     print(f"analysis written to {out}")
     return 0
 

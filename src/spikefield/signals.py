@@ -98,9 +98,14 @@ class TabulatedPhase:
 PhaseSpec = Union[LinearPhase, TabulatedPhase]
 
 
+def _time_tolerance(window: float) -> float:
+    """How far past [0, window] a time may round and still count as inside."""
+    return 1e-9 * max(1.0, window)
+
+
 def _check_times(t, window: float):
     t = np.asarray(t, dtype=float)
-    tol = 1e-9 * max(1.0, window)
+    tol = _time_tolerance(window)
     if t.size and (t.min() < -tol or t.max() > window + tol):
         raise DomainError(
             f"evaluation times must lie in [0, {window}], got range "

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, UndefinedEstimateError
 from .multicoupling import _coupling_entries
 from .pointproc import IntensityModel, SpikeData
-from .signals import LinearPhase, PhaseSpec, SignalMatrix, TabulatedPhase
+from .signals import LinearPhase, PhaseSpec, SignalMatrix, TabulatedPhase, _time_tolerance
 from .specfun import bessel_i
 
 __all__ = [
@@ -59,6 +59,18 @@ class AsymptoticLaw:
         return np.exp(-1j * self.rotation) * math.sqrt(trials) * (z - self.limit)
 
 
+def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
+    """Reject a phase model whose window ends before the spikes' window.
+
+    ``SpikeData.validate`` bounds every spike time by ``spikes.window``, so
+    this one comparison covers every time the estimate will evaluate.
+    """
+    if spikes.window > phase.window + _time_tolerance(phase.window):
+        raise DomainError(
+            f"phase model covers {phase.window} s but spikes cover {spikes.window} s"
+        )
+
+
 def _integrand_values(x, times: np.ndarray) -> np.ndarray:
     if isinstance(x, (LinearPhase, TabulatedPhase)):
         return np.exp(1j * x.phase(times))
@@ -84,6 +96,8 @@ def estimate_coupling(x, spikes: SpikeData, unit: int = 0, channel: int = 0) -> 
         raise DomainError("coupling estimate needs at least one trial")
     if isinstance(x, SignalMatrix):
         return complex(_coupling_entries(x, spikes)[channel, unit])
+    if isinstance(x, (LinearPhase, TabulatedPhase)):
+        _check_phase_window(x, spikes)
     times = spikes.unit_times(unit)
     if times.size == 0:
         return 0j
@@ -94,6 +108,7 @@ def estimate_plv(phase: PhaseSpec, spikes: SpikeData, unit: int = 0) -> complex:
     """Multi-trial PLV: mean of exp(i phi(t_j)) over all spikes pooled across trials."""
     if spikes.n_trials < 1:
         raise DomainError("PLV estimate needs at least one trial")
+    _check_phase_window(phase, spikes)
     times = spikes.unit_times(unit)
     if times.size == 0:
         raise UndefinedEstimateError(

@@ -97,6 +97,99 @@ class TestSignalRoundTrip:
             load_signals(path)
 
 
+
+def _pinned_signals():
+    # Signed zeros, the smallest subnormal, huge and inexact values, and
+    # negative imaginary parts: every case where a formatter could differ
+    # from shortest round-trip repr.
+    samples = np.array([
+        [complex(-0.0, 1.0), complex(5e-324, -0.1), complex(1e300, -2.5), complex(0.1, -0.0)],
+        [complex(1.0, -1e300), complex(-1.5, 0.0), complex(2.0, -5e-324), complex(-0.0, -0.0)],
+    ])
+    return SignalMatrix(samples, dt=0.1)
+
+
+def _short_file(tmp_path, text):
+    """A one-channel, four-sample signal file whose CSV body is ``text``."""
+    save_signals(SignalMatrix(np.ones((1, 4), dtype=complex), dt=0.25), tmp_path / "signals.csv")
+    (tmp_path / "signals.csv").write_text(text)
+    return tmp_path / "signals.csv"
+
+
+class TestSignalFileFormat:
+    """The bytes of signals.csv and how the loader reports a malformed one."""
+
+    def test_bytes_pinned(self, tmp_path):
+        sig = _pinned_signals()
+        path = tmp_path / "signals.csv"
+        save_signals(sig, path)
+        assert path.read_bytes() == (
+            b"time,ch0_re,ch0_im,ch1_re,ch1_im\r\n"
+            b"0.0,-0.0,1.0,1.0,-1e+300\r\n"
+            b"0.1,5e-324,-0.1,-1.5,0.0\r\n"
+            b"0.2,1e+300,-2.5,2.0,-5e-324\r\n"
+            b"0.30000000000000004,0.1,-0.0,-0.0,-0.0\r\n"
+        )
+        assert json.loads((tmp_path / "signals.json").read_text()) == {
+            "dt": 0.1, "T": 0.4, "p": 2, "whitened": False,
+        }
+        back = load_signals(path)
+        assert np.array_equal(back.samples, sig.samples)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(back.samples, part)),
+                                  np.signbit(getattr(sig.samples, part)))
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\n0.0,1.0,0.0\n0.25,1.0,0.0\n"
+                                     "0.5,1.0,0.0\n0.75,1.0\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:5: expected 3 fields, got 2"):
+            load_signals(path)
+
+    def test_long_row_names_its_line(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\n0.0,1.0,0.0\n0.25,1.0,0.0,7.0\n"
+                                     "0.5,1.0,0.0\n0.75,1.0,0.0\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:3: expected 3 fields, got 4"):
+            load_signals(path)
+
+    def test_short_first_row_names_line_two(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\n0.0,1.0\n0.25,1.0,0.0\n"
+                                     "0.5,1.0,0.0\n0.75,1.0,0.0\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:2: expected 3 fields, got 2"):
+            load_signals(path)
+
+    def test_every_row_one_field_short(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\n0.0,1.0\n0.25,1.0\n0.5,1.0\n0.75,1.0\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:2: expected 3 fields, got 2"):
+            load_signals(path)
+
+    def test_bad_value_on_last_line(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\r\n0.0,1.0,0.0\r\n0.25,1.0,0.0\r\n"
+                                     "0.5,1.0,0.0\r\n0.75,1.0,x\r\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:5:.*'x'"):
+            load_signals(path)
+
+    def test_blank_line_rejected(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\n0.0,1.0,0.0\n0.25,1.0,0.0\n\n"
+                                     "0.5,1.0,0.0\n0.75,1.0,0.0\n")
+        with pytest.raises(DomainError, match=r"signals\.csv:4:"):
+            load_signals(path)
+
+    def test_header_only(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re,ch0_im\r\n")
+        with pytest.raises(DomainError, match="0 rows .* do not cover"):
+            load_signals(path)
+
+    def test_empty_file(self, tmp_path):
+        path = _short_file(tmp_path, "")
+        with pytest.raises(DomainError, match="empty file"):
+            load_signals(path)
+
+    def test_header_width_checked(self, tmp_path):
+        path = _short_file(tmp_path, "time,ch0_re\n0.0,1.0\n")
+        with pytest.raises(DomainError, match="header has 2 columns, expected 3"):
+            load_signals(path)
+
+
 class TestExperimentConfigFile:
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 
 from spikefield.errors import DomainError, UndefinedEstimateError
 from spikefield.pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
-from spikefield.signals import LinearPhase
+from spikefield.signals import LinearPhase, TabulatedPhase
 from spikefield.unicoupling import (
     AsymptoticLaw,
     estimate_coupling,
@@ -96,6 +96,30 @@ class TestEstimatePlv:
         a = estimate_plv(phase, _spikes(1.0, trials))
         b = estimate_plv(phase, _spikes(1.0, trials[::-1]))
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestPhaseWindow:
+    """A phase model must cover the spikes' window, whatever the spike times."""
+
+    def test_short_linear_phase_rejected(self):
+        # Every spike lies inside the phase window; the windows still disagree.
+        sd = _spikes(5.0, [np.array([0.2, 0.7]), np.array([0.4])])
+        with pytest.raises(DomainError, match="phase model covers 1.0 s but spikes cover 5.0 s"):
+            estimate_plv(LinearPhase(1.0, 1.0), sd)
+        with pytest.raises(DomainError, match="phase model covers"):
+            estimate_coupling(LinearPhase(1.0, 1.0), sd)
+
+    def test_short_tabulated_phase_rejected(self):
+        sd = _spikes(5.0, [np.array([0.2, 0.7])])
+        phase = TabulatedPhase(np.array([0.0, 1.0]), np.array([0.0, 2 * math.pi]))
+        with pytest.raises(DomainError, match="phase model covers"):
+            estimate_plv(phase, sd)
+
+    def test_rounding_slack_and_longer_phase_accepted(self):
+        # The same rounding slack that evaluation times get.
+        sd = _spikes(5.0 + 4e-9, [np.array([0.2, 5.0 + 4e-9])])
+        assert abs(estimate_plv(LinearPhase(1.0, 5.0), sd)) <= 1.0
+        assert abs(estimate_plv(LinearPhase(1.0, 6.0), sd)) <= 1.0
 
 
 class TestVonMisesLaw:
