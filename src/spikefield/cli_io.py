@@ -69,14 +69,18 @@ def load_spikes(path) -> SpikeData:
             raise DomainError(f"{path}: missing required field {key!r}")
     if doc["t_start"] != 0.0:
         raise DomainError(f"{path}: field 't_start' must be 0, got {doc['t_start']!r}")
-    window = float(doc["t_end"])
+    if not isinstance(doc["units"], list):
+        raise DomainError(f"{path}: field 'units' must be a list")
     trains = []
     for u_idx, unit in enumerate(doc["units"]):
-        if "trials" not in unit:
-            raise DomainError(f"{path}: unit {u_idx} is missing field 'trials'")
-        trains.append([np.asarray(t, dtype=float) for t in unit["trials"]])
-    spikes = SpikeData(window=window, trains=trains)
-    spikes.validate()
+        if not (isinstance(unit, dict) and isinstance(unit.get("trials"), list)):
+            raise DomainError(f"{path}: unit {u_idx} needs a list field 'trials'")
+        trains.append(unit["trials"])
+    try:
+        spikes = SpikeData(window=doc["t_end"], trains=trains)
+        spikes.validate()
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
     return spikes
 
 

@@ -94,9 +94,8 @@ def _coupling_entries(signals: SignalMatrix, spikes: SpikeData) -> np.ndarray:
             f"signals cover {signals.window} s but spikes cover {spikes.window} s"
         )
     n, q = spikes.n_units, signals.n_samples
-    times = [np.minimum(spikes.unit_times(j), signals.window) for j in range(n)]
-    row = np.repeat(np.arange(n) * q, [t.size for t in times])
-    i0, i1, w = signals._stencil(np.concatenate(times))
+    row = np.repeat(np.arange(n) * q, spikes.counts().sum(axis=1))
+    i0, i1, w = signals._stencil(np.minimum(spikes.times, signals.window))
     weights = np.bincount(row + i0, 1.0 - w, minlength=n * q)
     weights += np.bincount(row + i1, w, minlength=n * q)
     return signals.samples @ weights.reshape(n, q).T / spikes.n_trials

@@ -7,6 +7,7 @@ which is exact for any bounded rate function: no time-discretization bias.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -114,53 +115,102 @@ class SinusoidRate:
 IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
 
 
-@dataclass
 class SpikeData:
     """Event times for n units over K trials on a common window [0, T].
 
-    ``trains[unit][trial]`` is a strictly increasing float array of event
-    times in seconds. All units carry the same number of trials.
+    Stored flat: ``times`` holds every event time, unit by unit and, within
+    a unit, trial by trial; ``offsets`` (int64, length n_units * K + 1)
+    bounds the trains, so unit u's trial k is
+    ``times[offsets[u * K + k] : offsets[u * K + k + 1]]`` and a unit's
+    pooled times are one contiguous slice. Both arrays are read-only.
+
+    Built from the ragged form ``trains[unit][trial]``, each trial a flat
+    sequence of numbers; every unit carries the same number K >= 1 of
+    trials. ``validate`` checks that each trial is strictly increasing
+    inside [0, T].
     """
 
-    window: float
-    trains: list
+    __slots__ = ("window", "times", "offsets", "n_trials")
 
-    def __post_init__(self):
-        if not (self.window > 0.0):
-            raise DomainError("window must be positive")
-        if not self.trains or not all(len(u) == len(self.trains[0]) for u in self.trains):
-            raise DomainError("units must be nonempty and share the same trial count")
+    def __init__(self, window, trains):
+        if not (isinstance(window, numbers.Real) and 0.0 < window < math.inf):
+            raise DomainError(f"window must be positive and finite, got {window!r}")
+        if not len(trains):
+            raise DomainError("need at least one unit")
+        n_trials = len(trains[0])
+        for u, unit in enumerate(trains):
+            if len(unit) != n_trials:
+                raise DomainError(f"unit {u} has {len(unit)} trials, unit 0 has {n_trials}")
+        if n_trials < 1:
+            raise DomainError("need at least one trial")
+        flat = [_flat_train(t, u, k) for u, unit in enumerate(trains) for k, t in enumerate(unit)]
+        offsets = np.zeros(len(flat) + 1, dtype=np.int64)
+        np.cumsum([t.size for t in flat], out=offsets[1:])
+        self._bind(float(window), np.concatenate(flat, dtype=np.float64), offsets, n_trials)
+
+    @classmethod
+    def _from_flat(cls, window, times, offsets, n_trials):
+        """Adopt already-flat arrays (no copy, no checks)."""
+        spikes = cls.__new__(cls)
+        spikes._bind(window, times, offsets, n_trials)
+        return spikes
+
+    def _bind(self, window, times, offsets, n_trials):
+        times.flags.writeable = False
+        offsets.flags.writeable = False
+        self.window, self.times, self.offsets, self.n_trials = window, times, offsets, n_trials
 
     @property
     def n_units(self) -> int:
-        return len(self.trains)
+        return (self.offsets.size - 1) // self.n_trials
 
     @property
-    def n_trials(self) -> int:
-        return len(self.trains[0])
+    def trains(self) -> list:
+        """Ragged read-only views ``trains[unit][trial]`` into ``times``."""
+        bounds = self.offsets.tolist()
+        trials = [self.times[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        k = self.n_trials
+        return [trials[u * k:(u + 1) * k] for u in range(self.n_units)]
 
     def counts(self) -> np.ndarray:
         """Per-unit, per-trial spike counts, shape (n_units, n_trials)."""
-        return np.array([[len(t) for t in unit] for unit in self.trains], dtype=int)
+        return np.diff(self.offsets).reshape(self.n_units, self.n_trials)
 
     def unit_times(self, unit: int) -> np.ndarray:
-        """All event times of one unit pooled across trials (concatenation order)."""
-        trials = self.trains[unit]
-        if not trials:
-            return np.empty(0)
-        return np.concatenate([np.asarray(t, dtype=float) for t in trials])
+        """All event times of one unit pooled across trials: a read-only view."""
+        u = range(self.n_units)[unit]
+        return self.times[self.offsets[u * self.n_trials]:self.offsets[(u + 1) * self.n_trials]]
 
     def validate(self) -> None:
-        """Check every invariant; raises DomainError on the first violation."""
-        for u, unit in enumerate(self.trains):
-            for k, t in enumerate(unit):
-                t = np.asarray(t, dtype=float)
-                if t.size == 0:
-                    continue
-                if t.min() < 0.0 or t.max() > self.window:
-                    raise DomainError(f"unit {u} trial {k}: event time outside [0, {self.window}]")
-                if np.any(np.diff(t) <= 0.0):
-                    raise DomainError(f"unit {u} trial {k}: event times not strictly increasing")
+        """Check every trial is strictly increasing in [0, T].
+
+        Raises DomainError naming the first offending unit and trial. NaN
+        lies outside the window.
+        """
+        t = self.times
+        outside = ~((t >= 0.0) & (t <= self.window))
+        unordered = np.zeros(t.size, dtype=bool)  # event i does not follow event i - 1
+        unordered[1:] = np.diff(t) <= 0.0
+        starts = self.offsets[:-1]
+        unordered[starts[starts < t.size]] = False  # a trial's first event follows nothing
+        bad = np.flatnonzero(outside | unordered)
+        if bad.size == 0:
+            return
+        j = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+        where = f"unit {j // self.n_trials} trial {j % self.n_trials}"
+        if outside[self.offsets[j]:self.offsets[j + 1]].any():
+            raise DomainError(f"{where}: event time outside [0, {self.window}]")
+        raise DomainError(f"{where}: event times not strictly increasing")
+
+
+def _flat_train(times, unit, trial) -> np.ndarray:
+    try:
+        arr = np.asarray(times)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise DomainError(f"unit {unit} trial {trial}: event times must be one flat list of numbers")
+    return arr
 
 
 def simulate_poisson(
@@ -204,31 +254,29 @@ def simulate_poisson(
     else:
         keep = rng.uniform(0.0, 1.0, total) * lam_max < model.rate(t_cand)
         t_keep, trial_keep = t_cand[keep], trial_of[keep]
-    kept_counts = np.bincount(trial_keep, minlength=trials)
-    per_trial = np.split(t_keep, np.cumsum(kept_counts)[:-1])
+    offsets = np.zeros(trials + 1, dtype=np.int64)
+    np.cumsum(np.bincount(trial_keep, minlength=trials), out=offsets[1:])
 
-    # Exact float collisions have probability zero; scan once and repair
-    # only affected trials.
+    # Scan once for exact ties and repair only the affected trials, each in
+    # place on its slice of t_keep.
     tied = (np.diff(t_keep) == 0.0) & (trial_keep[1:] == trial_keep[:-1])
-    if np.any(tied):
-        bad = np.unique(trial_keep[1:][tied])
-        for k in bad:
-            per_trial[k] = _enforce_strict_increase(per_trial[k], model, lam_max, window, rng)
-    return SpikeData(window=window, trains=[per_trial])
+    for k in np.unique(trial_keep[1:][tied]):
+        _enforce_strict_increase(t_keep[offsets[k]:offsets[k + 1]], model, lam_max, window, rng)
+    return SpikeData._from_flat(window, t_keep, offsets, trials)
 
 
 def _enforce_strict_increase(times, model, lam_max, window, rng):
     # Exact float collisions have probability zero; when one occurs, the
     # duplicate is replaced by a fresh draw from the normalized rate density
     # (which conditioning on the trial count makes distributionally exact).
-    while times.size > 1 and np.any(np.diff(times) == 0.0):
+    # ``times`` is one sorted trial, repaired in place.
+    while np.any(np.diff(times) == 0.0):
         dup = 1 + np.flatnonzero(np.diff(times) == 0.0)[0]
         while True:
             t_new = rng.uniform(0.0, window)
             if rng.uniform(0.0, 1.0) * lam_max < float(model.rate(t_new)):
                 break
-        times = np.sort(np.concatenate([np.delete(times, dup), [t_new]]))
-    return times
+        times[:] = np.sort(np.concatenate([np.delete(times, dup), [t_new]]))
 
 
 def _trapezoid(values, grid):

@@ -62,8 +62,9 @@ class AsymptoticLaw:
 def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
     """Reject a phase model whose window ends before the spikes' window.
 
-    ``SpikeData.validate`` bounds every spike time by ``spikes.window``, so
-    this one comparison covers every time the estimate will evaluate.
+    ``SpikeData.validate`` puts every spike time in [0, ``spikes.window``]
+    (NaN fails it), so this one comparison covers every time the estimate
+    will evaluate.
     """
     if spikes.window > phase.window + _time_tolerance(phase.window):
         raise DomainError(
@@ -92,8 +93,6 @@ def estimate_coupling(x, spikes: SpikeData, unit: int = 0, channel: int = 0) -> 
     whole (channels, units) block is computed, and the signal and spike
     windows must agree in the same way.
     """
-    if spikes.n_trials < 1:
-        raise DomainError("coupling estimate needs at least one trial")
     if isinstance(x, SignalMatrix):
         return complex(_coupling_entries(x, spikes)[channel, unit])
     if isinstance(x, (LinearPhase, TabulatedPhase)):
@@ -106,8 +105,6 @@ def estimate_coupling(x, spikes: SpikeData, unit: int = 0, channel: int = 0) -> 
 
 def estimate_plv(phase: PhaseSpec, spikes: SpikeData, unit: int = 0) -> complex:
     """Multi-trial PLV: mean of exp(i phi(t_j)) over all spikes pooled across trials."""
-    if spikes.n_trials < 1:
-        raise DomainError("PLV estimate needs at least one trial")
     _check_phase_window(phase, spikes)
     times = spikes.unit_times(unit)
     if times.size == 0:

@@ -255,8 +255,9 @@ class TestCliSimulateAnalyze:
         assert 0.0 <= uni["units"][0]["p_null"] <= 1.0
 
     def test_analyze_phase_totals_per_unit(self, tmp_path):
-        sd = _sample_spikes(units=4, trials=3, seed=3)
-        sd.trains[2] = [np.empty(0) for _ in range(3)]  # a silent unit
+        trains = _sample_spikes(units=4, trials=3, seed=3).trains
+        trains[2] = [np.empty(0) for _ in range(3)]  # a silent unit
+        sd = SpikeData(window=2.0, trains=trains)
         save_spikes(sd, tmp_path / "s.json")
         code = main(["analyze", "--spikes", str(tmp_path / "s.json"),
                      "--phase", "linear:1.0", "--out", str(tmp_path / "o")])
@@ -268,6 +269,26 @@ class TestCliSimulateAnalyze:
         assert [u["id"] for u in uni["units"]] == [0, 1, 2, 3]
         assert uni["units"][2]["plv"] is None
         assert all("plv_re" in u for j, u in enumerate(uni["units"]) if j != 2)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"t_end": 1.0, "units": [{"trials": [[[0.1, 0.2]]]}]}, "unit 0 trial 0: event times"),
+        ({"t_end": 1.0, "units": [{"trials": [[math.nan, 0.3]]}]}, "unit 0 trial 0: event time "),
+        ({"t_end": 1.0, "units": [{"trials": []}]}, "need at least one trial"),
+        ({"t_end": 1.0, "units": [{"trials": [["a"]]}]}, "unit 0 trial 0: event times"),
+        ({"t_end": 1.0, "units": [{"trials": [0.5]}]}, "unit 0 trial 0: event times"),
+        ({"t_end": "x", "units": [{"trials": [[0.5]]}]}, "window must be"),
+        ({"t_end": 1.0, "units": 5}, "field 'units'"),
+        ({"t_end": 1.0, "units": [{"trials": 5}]}, "unit 0 needs a list"),
+    ], ids=["nested-trial", "nan-time", "no-trials", "string-time", "scalar-trial",
+            "string-window", "units-not-a-list", "trials-not-a-list"])
+    def test_analyze_rejects_malformed_spikes(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"t_start": 0, **doc}))
+        code = main(["analyze", "--spikes", str(path), "--phase", "linear:1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "o" / "univariate.json").exists()
 
     def test_simulate_rejects_bad_depth(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare
 
@@ -119,6 +121,55 @@ class TestSimulatePoisson:
         with pytest.raises(DomainError):
             simulate_poisson(HomogeneousRate(20.0), 5.0, 0, np.random.default_rng(0))
 
+    def test_tie_repaired_in_place(self):
+        # Trial 0's first two candidates are both exactly 1/3; the repair
+        # draws a replacement (0.63696...) from the first uniforms of seed 0
+        # and leaves trial 1 as drawn.
+        sd = simulate_poisson(HomogeneousRate(1.0), 1.0, 2, _TiedStream())
+        sd.validate()
+        assert sd.counts().tolist() == [[3, 2]]
+        trial0, trial1 = sd.trains[0]
+        assert trial0.tolist() == [1 / 3, 0.6369616873214543, 2 / 3]
+        assert trial1.tolist() == [1 / 3, 2 / 3]
+
+
+class _TiedStream:
+    """Generator stub: candidate counts (3, 2) with spacings that tie trial 0's first two times."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def poisson(self, lam, size):
+        return np.array([3, 2])
+
+    def standard_exponential(self, size):
+        return np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+
+_WINDOW = 2.0
+
+
+@st.composite
+def _ragged_trains(draw):
+    """trains[unit][trial]: sorted distinct times in [0, _WINDOW], empty trials included."""
+    n_units, n_trials = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    trial = st.lists(st.floats(0.0, _WINDOW), max_size=4, unique=True).map(sorted)
+    return [[np.array(draw(trial), dtype=float) for _ in range(n_trials)] for _ in range(n_units)]
+
+
+def _first_violation(window, trains):
+    """Per-trial reference for ``SpikeData.validate``: the first bad (unit, trial) and why."""
+    for u, unit in enumerate(trains):
+        for k, t in enumerate(unit):
+            if not np.all((t >= 0.0) & (t <= window)):
+                return f"unit {u} trial {k}: event time outside"
+            if np.any(np.diff(t) <= 0.0):
+                return f"unit {u} trial {k}: event times not strictly increasing"
+    return None
+
 
 class TestSpikeData:
     def test_counts_shape(self):
@@ -140,6 +191,48 @@ class TestSpikeData:
     def test_ragged_trials_rejected(self):
         with pytest.raises(DomainError):
             SpikeData(window=1.0, trains=[[np.array([0.1])], [np.array([0.1]), np.array([])]])
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(DomainError, match="at least one trial"):
+            SpikeData(window=1.0, trains=[[], []])
+
+    @given(trains=_ragged_trains())
+    def test_flat_layout_matches_the_ragged_input(self, trains):
+        sd = SpikeData(_WINDOW, trains)
+        sd.validate()
+        assert sd.times.dtype == np.float64 and sd.offsets.dtype == np.int64
+        assert sd.offsets.size == len(trains) * len(trains[0]) + 1
+        assert [[t.tolist() for t in unit] for unit in sd.trains] == \
+               [[t.tolist() for t in unit] for unit in trains]
+        assert sd.counts().tolist() == [[len(t) for t in unit] for unit in trains]
+        for u, unit in enumerate(trains):
+            assert sd.unit_times(u).tolist() == np.concatenate(unit).tolist()
+        with pytest.raises(ValueError):
+            sd.unit_times(0)[:1] = 0.5
+        with pytest.raises(ValueError):
+            sd.trains[0][0][:1] = 0.5
+
+    @example(trains=[[np.array([0.5, 1.0])]], pick=1, value=0.5)  # a tie
+    @example(trains=[[np.empty(0), np.array([0.1, 0.2])], [np.array([0.3]), np.empty(0)]],
+             pick=2, value=math.nan)
+    @given(trains=_ragged_trains(), pick=st.integers(0, 10**6),
+           value=st.one_of(st.sampled_from([math.nan, -0.5, math.inf, _WINDOW]),
+                           st.floats(-1.0, _WINDOW + 1.0)))
+    def test_validate_names_the_first_bad_trial(self, trains, pick, value):
+        where = [(u, k, i) for u, unit in enumerate(trains)
+                 for k, t in enumerate(unit) for i in range(t.size)]
+        if where:
+            u, k, i = where[pick % len(where)]
+            trains[u][k] = trains[u][k].copy()
+            trains[u][k][i] = value
+        expected = _first_violation(_WINDOW, trains)
+        sd = SpikeData(_WINDOW, trains)
+        if expected is None:
+            sd.validate()
+        else:
+            with pytest.raises(DomainError) as err:
+                sd.validate()
+            assert str(err.value).startswith(expected)
 
 
 class TestFourthMomentOracle:
