@@ -366,28 +366,33 @@ def _plv_replicates(config, model, phase, window, block=0):
 def _plv_case(config, parts, laws, plvs, label=""):
     """Judge one case's replicate PLVs against its asymptotic law.
 
-    ``laws(ratio_correction=...)`` builds the law. Adds the case's limit
-    targets, mean/covariance/Gaussianity verdicts, residual statistics,
-    replicate PLVs and residual histogram to ``parts``, every key prefixed
-    by ``label`` (the single univariate case has none). Returns the law.
+    ``laws(ratio_correction=...)`` builds the law. The two variance
+    verdicts and their residuals come from the ratio-corrected law, which
+    accounts for the fluctuating spike count the PLV divides by; the mean,
+    off-diagonal and Gaussianity checks use the paper-form law. Adds the
+    case's limit targets, verdicts, residual statistics, replicate PLVs and
+    residual histogram to ``parts``, every key prefixed by ``label`` (the
+    single univariate case has none). Returns the paper-form law.
     """
     prefix = f"{label}_" if label else ""
     law = laws()
+    corrected = laws(ratio_correction=True)
     n = len(plvs)
     z = law.rotated_residuals(plvs, config.trials)
+    z_corrected = corrected.rotated_residuals(plvs, config.trials)
     cov = law.cov
 
     se_mean = math.sqrt((cov[0, 0] + cov[1, 1]) / (config.trials * n))
     mean_err = abs(np.mean(plvs) - law.limit)
-    var_re = float(np.var(z.real, ddof=1))
-    var_im = float(np.var(z.imag, ddof=1))
+    var_re = float(np.var(z_corrected.real, ddof=1))
+    var_im = float(np.var(z_corrected.imag, ddof=1))
     off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
     se_off = math.sqrt(cov[0, 0] * cov[1, 1] / n)
     off_bound = _bound(config.tolerances["offdiag"], 0.0, se_off)
     verdicts = [
         _check(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
-        _check(config, prefix + "var_re", var_re, cov[0, 0], "variance"),
-        _check(config, prefix + "var_im", var_im, cov[1, 1], "variance"),
+        _check(config, prefix + "var_re", var_re, corrected.cov[0, 0], "variance"),
+        _check(config, prefix + "var_im", var_im, corrected.cov[1, 1], "variance"),
         _verdict(prefix + "cov_offdiag", off, 0.0, off_bound, "offdiag",
                  abs(off) <= off_bound, off / se_off),
     ]
@@ -401,7 +406,7 @@ def _plv_case(config, parts, laws, plvs, label=""):
     parts["targets"].update({
         prefix + "limit_re": law.limit.real,
         prefix + "limit_im": law.limit.imag,
-        prefix + "cov_re_ratio_corrected": laws(ratio_correction=True).cov[0, 0],
+        prefix + "cov_re_ratio_corrected": corrected.cov[0, 0],
     })
     parts["aggregates"].update({
         prefix + "var_re": var_re,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spikefield.harness import (
     replicate_seed,
     run_experiment,
 )
+from spikefield.unicoupling import plv_asymptotics_vonmises
 
 
 class TestReplicateSeed:
@@ -143,6 +145,16 @@ class TestReports:
         rep = run_experiment(_small("univar-coupled", replicates=10, trials=100))
         assert rep.targets["cov_re_ratio_corrected"] < rep.targets["cov_re"]
 
+    def test_variance_verdicts_judge_the_ratio_corrected_law(self):
+        cfg = _small("univar-coupled", replicates=10, trials=100)
+        rep = run_experiment(cfg)
+        law = partial(plv_asymptotics_vonmises, cfg.kappa, cfg.phase_offset, cfg.rate0, cfg.window)
+        verdicts = {v["name"]: v for v in rep.verdicts}
+        corrected = law(ratio_correction=True).cov
+        assert verdicts["var_re"]["target"] == corrected[0, 0]
+        assert verdicts["var_im"]["target"] == corrected[1, 1]
+        assert rep.targets["cov_re"] == law().cov[0, 0] > corrected[0, 0]  # paper form kept beside
+
 
 _GOLDEN_MULTIVAR = dict(
     replicates=3, channels=20, units=18, components=(3.0, 4.0), window=2.0, dt=1 / 256, trials=5,
@@ -158,7 +170,7 @@ _GOLDEN_BODIES = {
     ),
     "univar-coupled": (
         dict(replicates=12, trials=200),
-        "35f10ad9804bfba7a9c0ad2fdd8fdf4da1b8d0b7f70656d59a021a2d0104df1b",
+        "ba91b7d22ae537fd3230e6687d0c5a59092dab51d28c3635eda1e5b48ccb8bd9",
     ),
     "bias-curve": (
         dict(replicates=20),
@@ -166,7 +178,7 @@ _GOLDEN_BODIES = {
     ),
     "sinusoid-uncoupled": (
         dict(replicates=12, trials=100),
-        "0e27c2daff6157e70d014214d9751a009ce9347a9fc66130e87e0c7dbb586cdb",
+        "bf7b6396eff9aaa799ffe09d2cc23428d0dd9e0e70ac273a06a4c66e08fc3f5a",
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
