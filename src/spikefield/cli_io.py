@@ -205,9 +205,12 @@ def _read_json(path) -> dict:
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

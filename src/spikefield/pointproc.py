@@ -122,7 +122,8 @@ class SpikeData:
     a unit, trial by trial; ``offsets`` (int64, length n_units * K + 1)
     bounds the trains, so unit u's trial k is
     ``times[offsets[u * K + k] : offsets[u * K + k + 1]]`` and a unit's
-    pooled times are one contiguous slice. Both arrays are read-only.
+    pooled times are one contiguous slice. Both arrays are read-only;
+    ``n_trials`` holds K.
 
     Built from the ragged form ``trains[unit][trial]``, each trial a flat
     sequence of numbers; every unit carries the same number K >= 1 of
@@ -133,7 +134,8 @@ class SpikeData:
     __slots__ = ("window", "times", "offsets", "n_trials")
 
     def __init__(self, window, trains):
-        if not (isinstance(window, numbers.Real) and 0.0 < window < math.inf):
+        real = isinstance(window, numbers.Real) and not isinstance(window, bool)
+        if not (real and 0.0 < window < math.inf):
             raise DomainError(f"window must be positive and finite, got {window!r}")
         if not len(trains):
             raise DomainError("need at least one unit")
@@ -209,7 +211,9 @@ def _flat_train(times, unit, trial) -> np.ndarray:
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise DomainError(f"unit {unit} trial {trial}: event times must be one flat list of numbers")
+        raise DomainError(
+            f"unit {unit} trial {trial}: event times must be one flat list of numbers"
+        )
     return arr
 
 

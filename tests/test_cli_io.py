@@ -48,6 +48,13 @@ class TestSpikeRoundTrip:
         with pytest.raises(DomainError, match=r"bad\.json:\d+:\d+"):
             load_spikes(path)
 
+    @pytest.mark.parametrize("text", ["5", "[]", '"spikes"'])
+    def test_top_level_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=r"bad\.json: expected a JSON object"):
+            load_spikes(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"t_start": 0, "units": []}))
@@ -277,10 +284,11 @@ class TestCliSimulateAnalyze:
         ({"t_end": 1.0, "units": [{"trials": [["a"]]}]}, "unit 0 trial 0: event times"),
         ({"t_end": 1.0, "units": [{"trials": [0.5]}]}, "unit 0 trial 0: event times"),
         ({"t_end": "x", "units": [{"trials": [[0.5]]}]}, "window must be"),
+        ({"t_end": True, "units": [{"trials": [[0.5]]}]}, "window must be"),
         ({"t_end": 1.0, "units": 5}, "field 'units'"),
         ({"t_end": 1.0, "units": [{"trials": 5}]}, "unit 0 needs a list"),
     ], ids=["nested-trial", "nan-time", "no-trials", "string-time", "scalar-trial",
-            "string-window", "units-not-a-list", "trials-not-a-list"])
+            "string-window", "bool-window", "units-not-a-list", "trials-not-a-list"])
     def test_analyze_rejects_malformed_spikes(self, tmp_path, capsys, doc, message):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"t_start": 0, **doc}))
