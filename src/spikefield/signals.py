@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularGramError
-from .specfun import von_mises_sample
+from .specfun import von_mises_phasor
 
 __all__ = [
     "LinearPhase",
@@ -190,13 +190,24 @@ def synthesize_oscillations(
     Channel c carries component ``c mod len(components)`` as
     exp(2 pi i f t) * exp(i eta[t]) with eta drawn i.i.d. from a zero-mean
     von Mises distribution of concentration ``phase_noise_kappa`` at every
-    sample. ``phase_noise_kappa = 0`` produces noiseless oscillations.
+    sample. ``phase_noise_kappa = 0`` produces noiseless oscillations; a
+    negative, NaN or infinite concentration, or one above the sampler's
+    1e12, raises ``DomainError``.
+
+    One carrier row exp(2 pi i f t) is computed per component and multiplied
+    into the channels' noise phasors (``von_mises_phasor``), which take the
+    same draws as ``von_mises_sample(0, kappa, rng, (channels, q))``.
     """
     freqs = np.asarray(components, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 1 or np.any(freqs <= 0.0):
         raise DomainError("components must be a nonempty list of positive frequencies")
     if channels < 1:
         raise DomainError("need at least one channel")
+    kappa = float(phase_noise_kappa)
+    if not (0.0 <= kappa < math.inf):  # NaN fails every comparison
+        raise DomainError(
+            f"phase_noise_kappa must be a nonnegative finite number, got {phase_noise_kappa!r}"
+        )
     f_max = float(freqs.max())
     if dt > 1.0 / (8.0 * f_max):
         raise ConfigurationError(
@@ -208,11 +219,13 @@ def synthesize_oscillations(
         raise ConfigurationError(f"window {window} is not an integer number of dt={dt} steps")
 
     t = np.arange(q) * dt
-    per_channel_f = freqs[np.arange(channels) % len(freqs)]
-    phases = 2.0 * math.pi * per_channel_f[:, None] * t[None, :]
-    if phase_noise_kappa > 0.0:
-        phases = phases + von_mises_sample(0.0, phase_noise_kappa, rng, size=(channels, q))
-    return SignalMatrix(np.exp(1j * phases), dt=dt, whitened=False)
+    carriers = np.exp(1j * (2.0 * math.pi * freqs[:, None] * t[None, :]))
+    if kappa == 0.0:
+        return SignalMatrix(carriers[np.arange(channels) % len(freqs)], dt=dt, whitened=False)
+    samples = von_mises_phasor(kappa, rng, size=(channels, q))
+    for k, carrier in enumerate(carriers):
+        samples[k :: len(freqs)] *= carrier
+    return SignalMatrix(samples, dt=dt, whitened=False)
 
 
 _GRAM_CONDITION_LIMIT = 1e10
@@ -224,7 +237,12 @@ def whiten(signals: SignalMatrix) -> SignalMatrix:
     Applies the inverse square root of the Gram matrix, computed through a
     Hermitian eigendecomposition. The output spans the same channel space.
     """
-    gram = signals.gram()
+    return SignalMatrix(_inverse_root(signals.gram()) @ signals.samples, dt=signals.dt,
+                        whitened=True)
+
+
+def _inverse_root(gram: np.ndarray) -> np.ndarray:
+    """gram^(-1/2) through a Hermitian eigendecomposition; rejects a near-singular gram."""
     w, v = np.linalg.eigh(gram)
     if w[-1] <= 0.0:
         raise SingularGramError("Gram matrix has no positive eigenvalue")
@@ -234,6 +252,4 @@ def whiten(signals: SignalMatrix) -> SignalMatrix:
             f"Gram matrix is numerically singular: {near_null} near-null "
             f"direction(s) out of {len(w)} (condition number above {_GRAM_CONDITION_LIMIT:g})"
         )
-    inv_root = (v * (w**-0.5)) @ v.conj().T
-    return SignalMatrix(inv_root @ signals.samples, dt=signals.dt, whitened=True)
-
+    return (v * (w**-0.5)) @ v.conj().T

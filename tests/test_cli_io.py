@@ -306,6 +306,20 @@ class TestCliSimulateAnalyze:
         code = main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["1e400", "-5"])
+    def test_simulate_rejects_bad_noise_kappa(self, tmp_path, capsys, text):
+        # JSON reads 1e400 as inf, which used to hang the sampler; -5 used
+        # to give noiseless signals.
+        sim_cfg = tmp_path / "sim.json"
+        sim_cfg.write_text(
+            '{"kind": "homogeneous", "window": 1.0, "trials": 2, "signals": '
+            '{"components": [3.0], "channels": 2, "dt": 0.015625, "noise_kappa": %s}}' % text
+        )
+        code = main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: phase_noise_kappa must be")
+        assert not (tmp_path / "o" / "signals.csv").exists()
+
     def test_simulate_deterministic(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
         sim_cfg.write_text(json.dumps({"kind": "homogeneous", "window": 1.0, "trials": 10}))

@@ -7,14 +7,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spikefield.errors import ConfigurationError, DomainError
+from spikefield.errors import ConfigurationError, DomainError, SingularGramError
 from spikefield.harness import (
     EXPERIMENTS,
     ExperimentConfig,
     Tolerance,
+    _whiten_interpolant,
     replicate_seed,
     run_experiment,
 )
+from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
+from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
+from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
 from spikefield.unicoupling import plv_asymptotics_vonmises
 
 
@@ -156,6 +160,58 @@ class TestReports:
         assert rep.targets["cov_re"] == law().cov[0, 0] > corrected[0, 0]  # paper form kept beside
 
 
+def _interpolant_gram(x):
+    """(2/3) A0 + (1/6)(B + B^H) over the periodic grid, B the lag-one cross-Gram."""
+    q = x.shape[1]
+    a0 = (x @ x.conj().T) / q
+    b = (x @ np.roll(x, -1, axis=1).conj().T) / q
+    return (2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0
+
+
+def _two_step_whitening(raw):
+    """Oracle: whiten the sample Gram, then orthonormalize the interpolant of the result."""
+    x = whiten(raw).samples
+    gram = _interpolant_gram(x)
+    deviation = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    w, v = np.linalg.eigh(gram)
+    return (v * w**-0.5) @ v.conj().T @ x, deviation
+
+
+class TestInterpolantWhitening:
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return synthesize_oscillations((3.0, 4.0, 5.0), 4.0, 1 / 128, 10.0, 24,
+                                       np.random.default_rng(17))
+
+    def test_interpolant_gram_is_identity(self, raw):
+        white, _ = _whiten_interpolant(raw)
+        assert white.whitened and white.dt == raw.dt
+        assert np.max(np.abs(_interpolant_gram(white.samples) - np.eye(24))) < 1e-12
+
+    def test_deviation_keeps_its_two_step_meaning(self, raw):
+        _, deviation = _whiten_interpolant(raw)
+        _, expected = _two_step_whitening(raw)
+        assert deviation > 0.1  # i.i.d. phase noise at kappa = 10 is far from band-limited
+        assert deviation == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_spectrum_matches_two_step_path(self, raw):
+        rng = np.random.default_rng(5)
+        trains = [simulate_poisson(HomogeneousRate(20.0), 4.0, 5, rng).trains[0]
+                  for _ in range(20)]
+        sd = SpikeData(window=4.0, trains=trains)
+        one_step, _ = _whiten_interpolant(raw)
+        two_step = SignalMatrix(_two_step_whitening(raw)[0], dt=raw.dt, whitened=True)
+        eig = [spectrum(normalize(build_coupling_matrix(s, sd), sd)).eigenvalues
+               for s in (one_step, two_step)]
+        np.testing.assert_allclose(eig[0], eig[1], rtol=1e-12, atol=1e-12 * eig[1][0])
+
+    def test_duplicated_noiseless_components_singular(self):
+        cfg = _small("multivar-null", replicates=2, channels=4, units=4, components=(3.0, 3.0),
+                     noise_kappa=0.0, window=2.0, dt=1 / 256, trials=2)
+        with pytest.raises(SingularGramError, match="near-null"):
+            run_experiment(cfg)
+
+
 _GOLDEN_MULTIVAR = dict(
     replicates=3, channels=20, units=18, components=(3.0, 4.0), window=2.0, dt=1 / 256, trials=5,
 )
@@ -182,11 +238,11 @@ _GOLDEN_BODIES = {
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
-        "7cd7028040168a6e25e6482655e1634b3a0e837f40cdacec885d85bc5c0f39e2",
+        "45074341db0692750805893afb106bf15dfb06d77dd1fb56e879084becd676a2",
     ),
     "multivar-coupled": (
         _GOLDEN_MULTIVAR,
-        "14a4a075b44c07f3487076cf6e0d41703b1c6c6818af3de61e5bdd27e2703b53",
+        "297993fb6cad116e79e26a6033302c3b2b85d10119d2283e4ba82ea761f8d7da",
     ),
     "moment-oracle": (
         dict(trials=5000),

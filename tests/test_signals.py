@@ -13,7 +13,7 @@ from spikefield.signals import (
     synthesize_oscillations,
     whiten,
 )
-from spikefield.specfun import bessel_i
+from spikefield.specfun import bessel_i, von_mises_sample
 
 
 class TestPhaseModels:
@@ -86,6 +86,27 @@ class TestSynthesize:
         i0, i2 = bessel_i(0, 10.0), bessel_i(2, 10.0)
         se = math.sqrt((1.0 + i2 / i0 - 2.0 * target**2) / (2.0 * n))
         assert abs(np.abs(deviation.mean()) - target) < 3.0 * se
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 10.0])
+    def test_matches_angle_formula(self, kappa):
+        # Oracle: the angle form exp(i (2 pi f t + eta)), with eta from the
+        # same seeded stream, channel c on component c mod len(components).
+        comps, window, dt, channels = [11.0, 12.0, 13.0], 2.0, 1 / 128, 7
+        sig = synthesize_oscillations(comps, window, dt, kappa, channels, np.random.default_rng(8))
+        t = np.arange(int(round(window / dt))) * dt
+        f = np.array(comps)[np.arange(channels) % len(comps)]
+        phases = 2.0 * math.pi * f[:, None] * t[None, :]
+        if kappa > 0.0:
+            phases = phases + von_mises_sample(0.0, kappa, np.random.default_rng(8),
+                                               size=phases.shape)
+        assert np.max(np.abs(sig.samples - np.exp(1j * phases))) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [-5.0, math.nan, math.inf, -math.inf])
+    def test_bad_noise_concentration_rejected(self, kappa):
+        # A negative or NaN concentration used to give noiseless signals.
+        with pytest.raises(DomainError, match="phase_noise_kappa"):
+            synthesize_oscillations([3.0], window=1.0, dt=1 / 64, phase_noise_kappa=kappa,
+                                    channels=2, rng=np.random.default_rng(0))
 
     def test_undersampling_rejected(self):
         with pytest.raises(ConfigurationError):

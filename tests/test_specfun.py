@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikefield.errors import DomainError
-from spikefield.specfun import bessel_i, mp_cdf, mp_density, mp_law, von_mises_sample
+from spikefield.specfun import (
+    bessel_i,
+    mp_cdf,
+    mp_density,
+    mp_law,
+    von_mises_phasor,
+    von_mises_sample,
+)
 
 from oracles import bessel_quadrature, mp_cdf_quadrature, mp_mass_quadrature
 
@@ -206,3 +213,54 @@ class TestVonMisesSample:
         a = von_mises_sample(0.2, 4.0, np.random.default_rng(42), size=1000)
         b = von_mises_sample(0.2, 4.0, np.random.default_rng(42), size=1000)
         assert np.array_equal(a, b)
+
+    def test_stream_pinned(self):
+        # The first five draws for this seed, as the sampler has produced them
+        # since its first version; any change to the batch order moves them.
+        draws = von_mises_sample(0.2, 4.0, np.random.default_rng(42), size=5)
+        assert draws.tolist() == [
+            -0.2056972513816291, -0.7027241328413405, 0.12566773666888453,
+            0.0982847795528139, 0.6204309205744414,
+        ]
+
+    @pytest.mark.parametrize("sampler", [
+        lambda kappa, rng: von_mises_sample(0.0, kappa, rng, size=4),
+        lambda kappa, rng: von_mises_phasor(kappa, rng, size=4),
+    ], ids=["angle", "phasor"])
+    @pytest.mark.parametrize("kappa", [-0.1, math.nan, math.inf, -math.inf, 1e20])
+    def test_rejects_bad_concentration(self, sampler, kappa):
+        # inf and 1e20 used to loop forever: the envelope parameter r is NaN
+        # or rounds to 1, and no candidate is ever accepted.
+        with pytest.raises(DomainError, match="concentration"):
+            sampler(kappa, np.random.default_rng(0))
+
+    def test_largest_concentration_accepted(self):
+        draws = von_mises_sample(0.0, 1e12, np.random.default_rng(0), size=10_000)
+        assert np.std(draws) * 1e6 == pytest.approx(1.0, rel=0.03)
+
+
+class TestVonMisesPhasor:
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 10.0, 1e3])
+    def test_same_stream_as_the_angles(self, kappa):
+        z = von_mises_phasor(kappa, np.random.default_rng(9), size=(7, 3001))
+        theta = von_mises_sample(0.0, kappa, np.random.default_rng(9), size=(7, 3001))
+        assert z.shape == (7, 3001) and z.dtype == complex
+        assert np.max(np.abs(z - np.exp(1j * theta))) < 1e-12
+        assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-15
+
+    def test_leaves_the_generator_where_the_angles_do(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        von_mises_phasor(10.0, a, size=1000)
+        von_mises_sample(0.0, 10.0, b, size=1000)
+        assert a.uniform() == b.uniform()
+
+    def test_kappa_zero_uniform_phase(self):
+        z = von_mises_phasor(0.0, np.random.default_rng(2), size=100_000)
+        theta = von_mises_sample(0.0, 0.0, np.random.default_rng(2), size=100_000)
+        assert np.max(np.abs(z - np.exp(1j * theta))) < 1e-12
+        assert abs(z.mean()) < 4.0 / math.sqrt(len(z))
+
+    def test_scalar(self):
+        z = von_mises_phasor(2.0, np.random.default_rng(1))
+        assert isinstance(z, complex)
+        assert z == pytest.approx(np.exp(1j * von_mises_sample(0.0, 2.0, np.random.default_rng(1))))
