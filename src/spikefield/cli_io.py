@@ -24,12 +24,12 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .harness import ExperimentConfig, Tolerance, run_experiment
 from .multicoupling import build_coupling_matrix, normalize, spectrum
 from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
@@ -77,11 +77,9 @@ def load_spikes(path) -> SpikeData:
             raise DomainError(f"{path}: unit {u_idx} needs a list field 'trials'")
         trains.append(unit["trials"])
     try:
-        spikes = SpikeData(window=doc["t_end"], trains=trains)
-        spikes.validate()
+        return SpikeData(window=doc["t_end"], trains=trains)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
-    return spikes
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +159,13 @@ def _loadtxt_error(exc: ValueError, csv_path, columns: int) -> DomainError:
     return DomainError(f"{csv_path}: {msg}")
 
 
+_SIDECAR_KINDS = {"dt": "float", "T": "float", "p": "int", "whitened": "bool"}
+
+
 def load_signals(csv_path) -> SignalMatrix:
-    meta = _read_json(_sidecar(csv_path))
-    for key in ("dt", "T", "p", "whitened"):
-        if key not in meta:
-            raise DomainError(f"{_sidecar(csv_path)}: missing required field {key!r}")
-    dt, window, p = float(meta["dt"]), float(meta["T"]), int(meta["p"])
+    sidecar = _sidecar(csv_path)
+    meta = _fields(_read_json(sidecar), sidecar, _SIDECAR_KINDS, required=_SIDECAR_KINDS)
+    dt, window, p = meta["dt"], meta["T"], meta["p"]
     columns = 1 + 2 * p
     with open(csv_path, newline="") as fh:
         header = fh.readline()
@@ -196,7 +195,7 @@ def load_signals(csv_path) -> SignalMatrix:
         )
     # Viewing each re/im pair as one complex keeps every bit, signed zeros included.
     samples = np.ascontiguousarray(data[:, 1:]).view(complex).T
-    return SignalMatrix(samples, dt=dt, whitened=bool(meta["whitened"]))
+    return SignalMatrix(samples, dt=dt, whitened=meta["whitened"])
 
 
 def _read_json(path) -> dict:
@@ -213,96 +212,132 @@ def _read_json(path) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON value each field kind accepts, what it reads as, and how an error
+# names it. Kinds are spelled as the Python annotations of the fields they
+# feed, so ExperimentConfig's and Tolerance's annotations serve directly.
+_KINDS = {
+    "float": (_is_number, float, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), lambda v: v, "a string or null"),
+    "tuple": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+              lambda v: tuple(map(float, v)), "a list of numbers"),
+    "dict": (lambda v: isinstance(v, dict), dict, "an object"),
+}
+
+
+def _fields(doc: dict, where, kinds: dict, required=()) -> dict:
+    """Check a JSON object's keys and value types; return it with its values typed.
+
+    ``kinds`` maps every allowed key to a kind of ``_KINDS``. A float field
+    takes any number and reads it as a float; an int field takes only an
+    integer, never a truncated 2.5; true and false are never numbers.
+    Raises DomainError naming ``where`` and the first bad field.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError(f"{where}: expected a JSON object, got {json.dumps(doc)}")
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise DomainError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise DomainError(f"{where}: missing required field {key!r}")
+    for key, value in doc.items():
+        accepts, read, name = _KINDS[kinds[key]]
+        if not accepts(value):
+            raise DomainError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+        try:
+            doc[key] = read(value)
+        except OverflowError:  # an integer past the float range
+            raise DomainError(f"{where}: field {key!r} is too large for a float") from None
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Experiment config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
+_TOLERANCE_KINDS = {f.name: f.type for f in fields(Tolerance)}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse an ExperimentConfig from a JSON file, rejecting unknown fields."""
-    doc = _read_json(path)
-    if "experiment" not in doc:
-        raise DomainError(f"{path}: missing required field 'experiment'")
-    unknown = set(doc) - _CONFIG_FIELDS
-    if unknown:
-        raise DomainError(f"{path}: unknown field(s) {sorted(unknown)}")
-    experiment = doc.pop("experiment")
-    tolerances = {
-        name: Tolerance(**spec) for name, spec in doc.pop("tolerances", {}).items()
-    }
-    for key in ("components", "windows"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    try:
-        return ExperimentConfig.defaults(experiment, tolerances=tolerances, **doc)
-    except TypeError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    """Parse an ExperimentConfig from a JSON file, rejecting unknown or mistyped fields."""
+    doc = _fields(_read_json(path), path, _CONFIG_KINDS, required=("experiment",))
+    tolerances = {}
+    for name, spec in doc.pop("tolerances", {}).items():
+        where = f"{path}: tolerance {name!r}"
+        try:
+            tolerances[name] = Tolerance(**_fields(spec, where, _TOLERANCE_KINDS,
+                                                   required=_TOLERANCE_KINDS))
+        except ConfigurationError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+    return ExperimentConfig.defaults(doc.pop("experiment"), tolerances=tolerances, **doc)
 
 
 # ---------------------------------------------------------------------------
 # Simulation config files
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = {
-    "kind", "window", "trials", "units", "rate0", "kappa", "phase_offset",
-    "frequency", "depth", "harmonic", "signals",
+_SIM_KINDS = {
+    "kind": "str", "window": "float", "trials": "int", "units": "int", "rate0": "float",
+    "kappa": "float", "phase_offset": "float", "frequency": "float", "depth": "float",
+    "harmonic": "int", "signals": "dict",
 }
-_SIGNAL_KEYS = {"components", "channels", "dt", "noise_kappa", "whiten"}
+_SIGNAL_KINDS = {
+    "components": "tuple", "channels": "int", "dt": "float", "noise_kappa": "float",
+    "whiten": "bool",
+}
 
 
 def _build_unit_model(sim: dict, unit_index: int):
     kind = sim.get("kind", "homogeneous")
-    rate0 = float(sim.get("rate0", 20.0))
-    window = float(sim["window"])
+    rate0 = sim.get("rate0", 20.0)
+    window = sim["window"]
     if kind == "homogeneous":
         return HomogeneousRate(rate0)
     if kind == "vonmises":
         if "frequency" in sim:
-            freq = float(sim["frequency"])
+            freq = sim["frequency"]
         else:
             comps = sim.get("signals", {}).get("components")
             if not comps:
                 raise DomainError(
                     "vonmises simulation needs 'frequency' or a signals block with 'components'"
                 )
-            freq = float(comps[unit_index % len(comps)])
+            freq = comps[unit_index % len(comps)]
         return VonMisesRate(
-            rate0, float(sim.get("kappa", 0.0)), float(sim.get("phase_offset", 0.0)),
-            LinearPhase(freq, window),
+            rate0, sim.get("kappa", 0.0), sim.get("phase_offset", 0.0), LinearPhase(freq, window),
         )
     if kind == "sinusoid":
         return SinusoidRate(
-            rate0, float(sim.get("depth", 0.3)), int(sim.get("harmonic", 1)),
-            float(sim.get("phase_offset", 0.0)), window,
+            rate0, sim.get("depth", 0.3), sim.get("harmonic", 1), sim.get("phase_offset", 0.0),
+            window,
         )
     raise DomainError(f"unknown simulation kind {kind!r}")
 
 
 def _cmd_simulate(args) -> int:
-    sim = _read_json(args.config)
-    unknown = set(sim) - _SIM_KEYS
-    if unknown:
-        raise DomainError(f"{args.config}: unknown field(s) {sorted(unknown)}")
-    if "window" not in sim or "trials" not in sim:
-        raise DomainError(f"{args.config}: 'window' and 'trials' are required")
+    sim = _fields(_read_json(args.config), args.config, _SIM_KINDS, required=("window", "trials"))
+    if "signals" in sim:
+        sim["signals"] = _fields(sim["signals"], f"{args.config}: signals", _SIGNAL_KINDS,
+                                 required=("components", "dt"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    window = float(sim["window"])
-    trials = int(sim["trials"])
-    n_units = int(sim.get("units", 1))
+    window, trials = sim["window"], sim["trials"]
 
     signals = None
     if "signals" in sim:
         block = sim["signals"]
-        unknown = set(block) - _SIGNAL_KEYS
-        if unknown:
-            raise DomainError(f"{args.config}: unknown signals field(s) {sorted(unknown)}")
         signals = synthesize_oscillations(
-            block["components"], window, float(block["dt"]),
-            float(block.get("noise_kappa", 0.0)), int(block.get("channels", 1)), rng,
+            block["components"], window, block["dt"], block.get("noise_kappa", 0.0),
+            block.get("channels", 1), rng,
         )
         if block.get("whiten", False):
             signals = whiten(signals)
@@ -310,7 +345,7 @@ def _cmd_simulate(args) -> int:
 
     trains = [
         simulate_poisson(_build_unit_model(sim, j), window, trials, rng).trains[0]
-        for j in range(n_units)
+        for j in range(sim.get("units", 1))
     ]
     save_spikes(SpikeData(window=window, trains=trains), out / "spikes.json")
     print(f"wrote {out / 'spikes.json'}" + (f" and {out / 'signals.csv'}" if signals else ""))
@@ -331,13 +366,16 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
     return LinearPhase(freq, window)
 
 
+_OPTION_KINDS = {"kappa": "float", "phase_offset": "float", "edge_margin": "float"}
+
+
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
     spikes = load_spikes(args.spikes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    options = _read_json(args.config) if args.config else {}
+    options = _fields(_read_json(args.config), args.config, _OPTION_KINDS) if args.config else {}
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
@@ -361,9 +399,10 @@ def _cmd_analyze(args) -> int:
                     "null_cov_re": null_law.cov[0, 0],
                 })
                 if "kappa" in options:
+                    # The ratio-corrected law, as the harness judges the same residual.
                     law = plv_asymptotics_vonmises(
-                        float(options["kappa"]), float(options.get("phase_offset", 0.0)),
-                        rate_hat, spikes.window,
+                        options["kappa"], options.get("phase_offset", 0.0), rate_hat,
+                        spikes.window, ratio_correction=True,
                     )
                     z = law.rotated_residuals(np.array([plv]), spikes.n_trials)[0]
                     entry.update({
@@ -389,11 +428,11 @@ def _cmd_analyze(args) -> int:
             "entries_re": raw.entries.real.tolist(),
             "entries_im": raw.entries.imag.tolist(),
         }, sort_keys=True))
-        report = spectrum(normalize(raw, spikes), float(options.get("edge_margin", 0.0)))
+        report = spectrum(normalize(raw, spikes), options.get("edge_margin", 0.0))
         (out / "spectrum.json").write_text(json.dumps({
             "eigenvalues": report.eigenvalues.tolist(),
             "singular_values": report.singular_values.tolist(),
-            "alpha": report.alpha,
+            "alpha": report.mp.alpha,
             "mp_lower_edge": report.mp.lower_edge,
             "mp_upper_edge": report.mp.upper_edge,
             "mp_zero_atom": report.mp.zero_atom,

@@ -71,8 +71,13 @@ class Tolerance:
     """A named pass/fail bound with its provenance."""
 
     value: float
-    kind: str  # "se_multiple" | "relative" | "absolute" | "min_rate"
+    kind: str
     provenance: str
+
+    def __post_init__(self):
+        kinds = ("se_multiple", "relative", "absolute", "min_rate")
+        if self.kind not in kinds:
+            raise ConfigurationError(f"kind must be one of {kinds}, got {self.kind!r}")
 
 
 @dataclass
@@ -272,8 +277,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError("need at least two replicates")
     if config.trials < 1:
         raise ConfigurationError("need at least one trial per replicate")
-    if not (config.rate0 > 0.0 and config.window > 0.0):
-        raise ConfigurationError("rate0 and window must be positive")
+    if not (config.rate0 > 0.0 and 0.0 < config.window < math.inf):
+        raise ConfigurationError("rate0 and window must be positive, and window finite")
     if config.kappa < 0.0:
         raise ConfigurationError(f"coupling strength must be >= 0, got {config.kappa}")
     if not (0.0 <= config.depth <= 1.0):
@@ -328,7 +333,9 @@ def _bound(tol, target, se):
         return tol.value * se
     if tol.kind == "relative":
         return tol.value * abs(target)
-    return tol.value
+    if tol.kind == "absolute":
+        return tol.value
+    raise ConfigurationError(f"a {tol.kind!r} tolerance gives no distance bound")
 
 
 def _check(config, name, observed, target, tolerance_name=None, se=None):

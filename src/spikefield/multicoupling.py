@@ -38,14 +38,13 @@ class CouplingMatrix:
 
     ``signal_integral`` keeps the per-channel time integral of the signals
     the matrix was built from, which ``normalize`` needs for the
-    compensator term. ``unit_rates`` is populated by ``normalize``.
+    compensator term.
     """
 
     entries: np.ndarray
     trials: int
     window: float
     normalized: bool = False
-    unit_rates: np.ndarray | None = None
     signal_integral: np.ndarray | None = None
 
     def __post_init__(self):
@@ -71,23 +70,20 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray  # sorted nonincreasing, clamped at zero
     singular_values: np.ndarray  # sqrt(n * eigenvalue), same order
-    alpha: float  # channels / units
-    mp: MpLaw
+    mp: MpLaw  # its alpha is channels / units
     n_significant: int  # eigenvalues above upper_edge * (1 + edge_margin)
     ks_distance: float
-    n_units: int
     edge_margin: float
 
 
-def _coupling_entries(signals: SignalMatrix, spikes: SpikeData) -> np.ndarray:
-    """Raw coupling block, entry (i, j) = (1/K) sum over unit j's spikes of x_i(t).
+def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingMatrix:
+    """Raw coupling matrix: entry (i, j) = (1/K) sum over unit j's spikes of x_i(t).
 
     The single implementation of the coupling sum for sampled signals. Each
     spike adds its two interpolation weights to its unit's row of W at the
-    stencil's sample indices, and the block is samples @ W.T / K. A GEMM's
-    rounding depends on the shape of the product, so every caller takes its
-    entries from this one block to get the same bits. A silent unit gives a
-    zero column.
+    stencil's sample indices, and the block is samples @ W.T / K. A silent
+    unit gives a zero column. The two windows may differ by half a step; a
+    spike past the samples' window (inside its own) reads the window end.
     """
     if abs(signals.window - spikes.window) > 0.5 * signals.dt:
         raise DomainError(
@@ -98,13 +94,8 @@ def _coupling_entries(signals: SignalMatrix, spikes: SpikeData) -> np.ndarray:
     i0, i1, w = signals._stencil(np.minimum(spikes.times, signals.window))
     weights = np.bincount(row + i0, 1.0 - w, minlength=n * q)
     weights += np.bincount(row + i1, w, minlength=n * q)
-    return signals.samples @ weights.reshape(n, q).T / spikes.n_trials
-
-
-def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingMatrix:
-    """Raw coupling matrix: entry (i, j) = (1/K) sum over unit j's spikes of x_i(t)."""
     return CouplingMatrix(
-        entries=_coupling_entries(signals, spikes),
+        entries=signals.samples @ weights.reshape(n, q).T / spikes.n_trials,
         trials=spikes.n_trials,
         window=spikes.window,
         normalized=False,
@@ -144,7 +135,6 @@ def normalize(raw: CouplingMatrix, spikes: SpikeData) -> CouplingMatrix:
         trials=raw.trials,
         window=raw.window,
         normalized=True,
-        unit_rates=rates,
         signal_integral=raw.signal_integral,
     )
 
@@ -178,17 +168,14 @@ def spectrum(normalized: CouplingMatrix, edge_margin: float = 0.0) -> SpectrumRe
     # Rank-deficient eigenvalues surface as +/- eps-scale fuzz; snap them to
     # exact zero so the spectrum's zero atom is countable.
     eigs[eigs < scale * len(w) * np.finfo(float).eps] = 0.0
-    alpha = normalized.n_channels / n
-    law = mp_law(alpha)
+    law = mp_law(normalized.n_channels / n)
     upper = law.upper_edge * (1.0 + edge_margin)
     return SpectrumReport(
         eigenvalues=eigs,
         singular_values=np.sqrt(n * eigs),
-        alpha=alpha,
         mp=law,
         n_significant=int(np.sum(eigs > upper)),
         ks_distance=ks_statistic(eigs, law),
-        n_units=n,
         edge_margin=edge_margin,
     )
 

@@ -39,11 +39,6 @@ class LinearPhase:
         if not (self.frequency > 0.0) or not (self.window > 0.0):
             raise DomainError("frequency and window must be positive")
 
-    @property
-    def cycles(self) -> float:
-        """Number of oscillation periods in the window."""
-        return self.frequency * self.window
-
     def phase(self, t):
         return 2.0 * math.pi * self.frequency * np.asarray(t, dtype=float)
 
@@ -76,10 +71,6 @@ class TabulatedPhase:
     @property
     def window(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def cycles(self) -> float:
-        return float(self.values[-1] - self.values[0]) / (2.0 * math.pi)
 
     def phase(self, t):
         t = _check_times(t, self.window)

@@ -1,6 +1,7 @@
 """Univariate spike-field coupling: estimators, asymptotic laws, null test.
 
-The coupling estimate averages a signal over spike times across trials;
+The coupling estimate averages a callable or a phase model over spike
+times across trials (sampled signals go through ``build_coupling_matrix``);
 the multi-trial PLV normalizes by the pooled spike count instead. Closed
 forms for the infinite-trial limit and the Gaussian law of the scaled
 residual are provided for the exponential-cosine (von Mises) and the
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .multicoupling import _coupling_entries
 from .pointproc import IntensityModel, SpikeData
-from .signals import LinearPhase, PhaseSpec, SignalMatrix, TabulatedPhase, _time_tolerance
+from .signals import LinearPhase, PhaseSpec, TabulatedPhase, _time_tolerance
 from .specfun import bessel_i
 
 __all__ = [
@@ -62,9 +62,10 @@ class AsymptoticLaw:
 def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
     """Reject a phase model whose window ends before the spikes' window.
 
-    ``SpikeData.validate`` puts every spike time in [0, ``spikes.window``]
-    (NaN fails it), so this one comparison covers every time the estimate
-    will evaluate.
+    Every ``SpikeData`` holds its spike times in [0, ``spikes.window``]:
+    the constructor rejects any other time (NaN included), and
+    ``simulate_poisson`` draws inside the window. So this one comparison
+    covers every time the estimate will evaluate.
     """
     if spikes.window > phase.window + _time_tolerance(phase.window):
         raise DomainError(
@@ -72,35 +73,27 @@ def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
         )
 
 
-def _integrand_values(x, times: np.ndarray) -> np.ndarray:
-    if isinstance(x, (LinearPhase, TabulatedPhase)):
-        return np.exp(1j * x.phase(times))
-    if callable(x):
-        return np.asarray(x(times))
-    raise DomainError(f"cannot evaluate coupling integrand of type {type(x).__name__}")
-
-
-def estimate_coupling(x, spikes: SpikeData, unit: int = 0, channel: int = 0) -> complex:
+def estimate_coupling(x, spikes: SpikeData, unit: int = 0) -> complex:
     """Trial-averaged sum of the integrand over spike times, (1/K) sum_k sum_j x(t_j).
 
-    ``x`` may be a callable of time, a SignalMatrix (select ``channel``),
-    or a phase model (evaluated as its unit-modulus oscillation). No
-    compensator is subtracted.
-
-    For a SignalMatrix the result is exactly entry ``(channel, unit)`` of
-    ``build_coupling_matrix(x, spikes)``: both read it from the same single
-    product of the samples with every unit's interpolation weights, so the
-    whole (channels, units) block is computed, and the signal and spike
-    windows must agree in the same way.
+    ``x`` may be a callable of time or a phase model (evaluated as its
+    unit-modulus oscillation). No compensator is subtracted. Anything else
+    is rejected, a SignalMatrix included: ``build_coupling_matrix``
+    computes its (channels, units) block.
     """
-    if isinstance(x, SignalMatrix):
-        return complex(_coupling_entries(x, spikes)[channel, unit])
-    if isinstance(x, (LinearPhase, TabulatedPhase)):
+    is_phase = isinstance(x, (LinearPhase, TabulatedPhase))
+    if is_phase:
         _check_phase_window(x, spikes)
+    elif not callable(x):
+        raise DomainError(
+            f"estimate_coupling takes a callable or a phase model, not a {type(x).__name__}; "
+            "a SignalMatrix couples through build_coupling_matrix"
+        )
     times = spikes.unit_times(unit)
     if times.size == 0:
         return 0j
-    return complex(np.sum(_integrand_values(x, times)) / spikes.n_trials)
+    values = np.exp(1j * x.phase(times)) if is_phase else x(times)
+    return complex(np.sum(values) / spikes.n_trials)
 
 
 def estimate_plv(phase: PhaseSpec, spikes: SpikeData, unit: int = 0) -> complex:

@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -18,7 +19,8 @@ from spikefield.errors import DomainError
 from spikefield.multicoupling import build_coupling_matrix
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, synthesize_oscillations
-from spikefield.unicoupling import estimate_coupling
+
+from oracles import bessel_quadrature
 
 
 def _sample_spikes(units=2, trials=3, seed=0):
@@ -251,9 +253,6 @@ class TestCliSimulateAnalyze:
         doc = json.loads((res / "coupling.json").read_text())
         assert np.array_equal(np.asarray(doc["entries_re"]), raw.entries.real)
         assert np.array_equal(np.asarray(doc["entries_im"]), raw.entries.imag)
-        direct = estimate_coupling(signals, spikes, unit=0, channel=0)
-        assert doc["entries_re"][0][0] == direct.real
-        assert doc["entries_im"][0][0] == direct.imag
 
         spec = json.loads((res / "spectrum.json").read_text())
         assert spec["alpha"] == pytest.approx(4 / 2)
@@ -360,3 +359,171 @@ class TestCliSimulateAnalyze:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "univar-null", "bogus": True}))
         assert main(["experiment", "--config", str(cfg)]) == 1
+
+    def test_analyze_law_fields_use_the_ratio_corrected_variance(self, tmp_path):
+        # z_re standardizes by the ratio-corrected Re variance, as the harness
+        # judges the same residual; z_im and the limit are the paper form's.
+        kappa, offset, freq, trials = 0.5, 0.3, 2.0, 3
+        sd = _sample_spikes(units=1, trials=trials, seed=5)
+        save_spikes(sd, tmp_path / "s.json")
+        (tmp_path / "opt.json").write_text(json.dumps({"kappa": kappa, "phase_offset": offset}))
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:2",
+                     "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")]) == 0
+        (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+
+        times = sd.unit_times(0)
+        plv = np.mean(np.exp(2j * math.pi * freq * times))
+        rate_t = times.size / trials  # estimated rate times window
+        i0, i1, i2 = (bessel_quadrature(k, kappa) for k in range(3))
+        limit = np.exp(1j * offset) * i1 / i0
+        z = np.exp(-1j * offset) * math.sqrt(trials) * (plv - limit)
+        var_re = (i0 + i2) / (2 * rate_t * i0**2) - (i1 / i0) ** 2 / (rate_t * i0)
+        var_im = (i0 - i2) / (2 * rate_t * i0**2)
+        assert unit["law_limit_re"] == pytest.approx(limit.real, rel=1e-10)
+        assert unit["law_limit_im"] == pytest.approx(limit.imag, rel=1e-10)
+        assert unit["z_re"] == pytest.approx(z.real / math.sqrt(var_re), rel=1e-9)
+        assert unit["z_im"] == pytest.approx(z.imag / math.sqrt(var_im), rel=1e-9)
+
+
+def _run(capsys, argv):
+    """Run the CLI; return its exit code and stderr."""
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+_SIM = {"kind": "homogeneous", "window": 1.0, "trials": 2,
+        "signals": {"components": [3.0], "channels": 2, "dt": 0.015625}}
+_EXPERIMENT = {"experiment": "univar-null", "replicates": 12, "trials": 200}
+
+
+class TestTypedFields:
+    """Every config, options and sidecar field is checked for its JSON type."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"window": "x"}, "field 'window' must be a number, got \"x\""),
+        ({"units": "a"}, "field 'units' must be an integer, got \"a\""),
+        ({"rate0": None}, "field 'rate0' must be a number, got null"),
+        ({"trials": 2.5}, "field 'trials' must be an integer, got 2.5"),
+        ({"trials": True}, "field 'trials' must be an integer, got true"),
+        ({"window": 10**400}, "field 'window' is too large for a float"),
+        ({"signals": {"channels": 2, "dt": 0.015625}},
+         "signals: missing required field 'components'"),
+        ({"signals": {**_SIM["signals"], "whiten": "yes"}},
+         "signals: field 'whiten' must be true or false, got \"yes\""),
+    ], ids=["string-window", "string-units", "null-rate", "fractional-trials", "bool-trials",
+            "huge-window", "no-components", "string-whiten"])
+    def test_simulate(self, tmp_path, capsys, change, message):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**_SIM, **change}))
+        code, err = _run(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert (code, err.splitlines()[0]) == (1, f"error: {path}: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_reads_integers_in_float_fields(self, tmp_path, capsys):
+        for name, window, rate0 in (("ints", 1, 20), ("floats", 1.0, 20.0)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "kind": "vonmises", "window": window, "trials": 2, "rate0": rate0, "kappa": 0,
+                "signals": {"components": [3], "channels": 2, "dt": 0.015625},
+            }))
+            assert main(["simulate", "--config", str(tmp_path / f"{name}.json"), "--seed", "4",
+                         "--out", str(tmp_path / name)]) == 0
+        for file in ("spikes.json", "signals.csv", "signals.json"):
+            assert (tmp_path / "ints" / file).read_bytes() == \
+                   (tmp_path / "floats" / file).read_bytes()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"replicates": "x"}, "field 'replicates' must be an integer"),
+        ({"components": 5}, "field 'components' must be a list of numbers, got 5"),
+        ({"tolerances": {"variance": {"v": 1}}}, "tolerance 'variance': unknown field(s) ['v']"),
+        ({"tolerances": {"variance": 5}}, "tolerance 'variance': expected a JSON object, got 5"),
+        ({"tolerances": {"variance": {"value": 0.05, "kind": "relatve", "provenance": "typo"}}},
+         "tolerance 'variance': kind must be one of"),
+    ], ids=["string-replicates", "scalar-components", "unknown-tolerance-field",
+            "scalar-tolerance", "mistyped-tolerance-kind"])
+    def test_experiment(self, tmp_path, capsys, change, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_EXPERIMENT, **change}))
+        code, err = _run(capsys, ["experiment", "--config", str(path)])
+        assert code == 1
+        assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("options, message", [
+        ({"kapa": 0.5}, "unknown field(s) ['kapa']"),
+        ({"kappa": "0.5"}, "field 'kappa' must be a number, got \"0.5\""),
+        ({"edge_margin": None}, "field 'edge_margin' must be a number, got null"),
+    ], ids=["unknown-option", "string-kappa", "null-edge-margin"])
+    def test_analyze_options(self, tmp_path, capsys, options, message):
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(options))
+        code, err = _run(capsys, [
+            "analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+            "--config", str(path), "--out", str(tmp_path / "o")])
+        assert (code, err.splitlines()[0]) == (1, f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"whitened": "no"}, "field 'whitened' must be true or false, got \"no\""),
+        ({"whitened": 0}, "field 'whitened' must be true or false, got 0"),
+        ({"dt": "x"}, "field 'dt' must be a number, got \"x\""),
+        ({"T": None}, "field 'T' must be a number, got null"),
+        ({"p": 2.5}, "field 'p' must be an integer, got 2.5"),
+        ({"extra": 1}, "unknown field(s) ['extra']"),
+    ], ids=["string-whitened", "int-whitened", "string-dt", "null-window", "fractional-p",
+            "unknown-field"])
+    def test_signal_sidecar(self, tmp_path, capsys, change, message):
+        sd = _sample_spikes()
+        save_spikes(sd, tmp_path / "s.json")
+        rng = np.random.default_rng(2)
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, rng),
+                     tmp_path / "signals.csv")
+        sidecar = tmp_path / "signals.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        code, err = _run(capsys, [
+            "analyze", "--spikes", str(tmp_path / "s.json"),
+            "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
+        assert (code, err.splitlines()[0]) == (1, f"error: {sidecar}: {message}")
+        assert not (tmp_path / "o" / "coupling.json").exists()
+
+
+# sha256 of every file ``simulate`` then ``analyze --signals --phase`` writes at
+# a tiny configuration (p = 6, n = 4, K = 3, T = 1 s, dt = 1/64, kappa = 0.8).
+# Any change to a number or to a file's formatting moves one of them; a change
+# that does so on purpose re-pins here and says so. univariate.json carries the
+# law fields of the kappa option, z_re against the ratio-corrected variance.
+_CLI_BYTES = {
+    "data/spikes.json":
+        "f444bf845040717b62e4f182a09a3bb2d8ba6f3606bf70a6a5317597826b546e",
+    "data/signals.csv":
+        "c50fb77968f4c8d0958554ded851e5cbcddeda002ffac4057301fb0b81b07ca1",
+    "data/signals.json":
+        "93262a7fcb0587689557aed10ef978aa16807458f81e28832d73bf19fa731e0a",
+    "analysis/coupling.json":
+        "c4147cb582dc3d32afbe9112b0a972121c3c31447a6c4c2c0a72fa37df9116b5",
+    "analysis/spectrum.json":
+        "2e747130fcde579b4df630f4c260a2499bd89a5803cc56bd6cbc21de414cef16",
+    "analysis/esd.csv":
+        "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
+    "analysis/univariate.json":
+        "3db02c550f1e9178dee8a638f2e3132a50d73af29ee63aa4ef323f9b39ea9f64",
+}
+
+
+class TestCliOutputBytes:
+    def test_simulate_then_analyze_bytes_pinned(self, tmp_path):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({
+            "kind": "vonmises", "window": 1.0, "trials": 3, "units": 4, "rate0": 20.0,
+            "kappa": 0.8,
+            "signals": {"components": [3.0, 4.0], "channels": 6, "dt": 1 / 64,
+                        "noise_kappa": 5.0, "whiten": True},
+        }))
+        options = tmp_path / "options.json"
+        options.write_text(json.dumps({"kappa": 0.8}))
+        data, analysis = tmp_path / "data", tmp_path / "analysis"
+        assert main(["simulate", "--config", str(sim), "--seed", "7", "--out", str(data)]) == 0
+        assert main(["analyze", "--spikes", str(data / "spikes.json"),
+                     "--signals", str(data / "signals.csv"), "--phase", "linear:3",
+                     "--config", str(options), "--out", str(analysis)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in _CLI_BYTES}
+        assert digests == _CLI_BYTES

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -62,6 +63,9 @@ class TestConfig:
             run_experiment(cfg)
         with pytest.raises(ConfigurationError, match="depth"):
             run_experiment(ExperimentConfig.defaults("sinusoid-uncoupled", depth=1.5))
+        for name in ("univar-null", "multivar-null"):  # inf made the cycle check overflow
+            with pytest.raises(ConfigurationError, match="window finite"):
+                run_experiment(ExperimentConfig.defaults(name, window=math.inf))
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -144,6 +148,19 @@ class TestReports:
         assert verdict["bound"] == 0.5
         assert verdict["passed"]
         assert verdict["z"] * verdict["observed"] > 0  # z keeps the sign of the covariance
+
+    def test_tolerance_kind_is_checked(self):
+        for kind in ("se_multiple", "relative", "absolute", "min_rate"):
+            Tolerance(1.0, kind, "a known kind")
+        with pytest.raises(ConfigurationError, match="'relatve'"):
+            Tolerance(0.05, "relatve", "a mistyped kind")
+
+    def test_distance_verdict_rejects_a_min_rate_tolerance(self):
+        # _check has no fall-through: only the three distance kinds give a bound.
+        cfg = _small("moment-oracle", trials=2000,
+                     tolerances={"moment": Tolerance(3.0, "min_rate", "not a distance")})
+        with pytest.raises(ConfigurationError, match="'min_rate' tolerance gives no distance"):
+            run_experiment(cfg)
 
     def test_univar_report_has_corrected_target(self):
         rep = run_experiment(_small("univar-coupled", replicates=10, trials=100))

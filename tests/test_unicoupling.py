@@ -7,7 +7,7 @@ import pytest
 
 from spikefield.errors import DomainError, UndefinedEstimateError
 from spikefield.pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
-from spikefield.signals import LinearPhase, TabulatedPhase
+from spikefield.signals import LinearPhase, SignalMatrix, TabulatedPhase
 from spikefield.unicoupling import (
     AsymptoticLaw,
     estimate_coupling,
@@ -38,6 +38,12 @@ class TestEstimateCoupling:
         sd = _spikes(1.0, [np.array([0.1, 0.2]), np.array([0.5]), np.empty(0)])
         val = estimate_coupling(lambda t: np.ones_like(t), sd)
         assert val == pytest.approx(3 / 3)
+
+    def test_signal_matrix_points_to_the_coupling_matrix(self):
+        sig = SignalMatrix(np.ones((2, 8), dtype=complex), dt=1 / 8)
+        for trial in (np.array([0.5]), np.empty(0)):  # a silent unit too
+            with pytest.raises(DomainError, match="build_coupling_matrix"):
+                estimate_coupling(sig, _spikes(1.0, [trial]))
 
     def test_monte_carlo_mean_matches_event_rate(self):
         # x = 1: the coupling mean is the expected events per trial.
