@@ -277,7 +277,10 @@ def load_experiment_config(path) -> ExperimentConfig:
                                                    required=_TOLERANCE_KINDS))
         except ConfigurationError as exc:
             raise DomainError(f"{where}: {exc}") from None
-    return ExperimentConfig.defaults(doc.pop("experiment"), tolerances=tolerances, **doc)
+    try:
+        return ExperimentConfig.defaults(doc.pop("experiment"), tolerances=tolerances, **doc)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +370,22 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
 
 
 _OPTION_KINDS = {"kappa": "float", "phase_offset": "float", "edge_margin": "float"}
+# What each option needs to have an effect; phase_offset needs kappa, which needs --phase.
+_OPTION_NEEDS = {"kappa": "--phase", "phase_offset": "'kappa'", "edge_margin": "--signals"}
 
 
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
+    options = _fields(_read_json(args.config), args.config, _OPTION_KINDS) if args.config else {}
+    given = {"--phase": args.phase is not None, "--signals": args.signals is not None,
+             "'kappa'": "kappa" in options}
+    for key, needs in _OPTION_NEEDS.items():
+        if key in options and not given[needs]:
+            raise DomainError(f"{args.config}: option {key!r} needs {needs}")
     spikes = load_spikes(args.spikes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    options = _fields(_read_json(args.config), args.config, _OPTION_KINDS) if args.config else {}
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)

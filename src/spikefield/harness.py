@@ -15,8 +15,10 @@ data. The PLV experiments draw their replicates from ``_plv_replicates``
 (replicate i of block b uses seed index ``b * replicates + i``) and judge
 each case against its asymptotic law with ``_plv_case``: the univariate
 experiments are one unprefixed case, the sinusoid experiment a matched and
-a mismatched one. Verdicts come from ``_check`` (within a named tolerance
-of a target) and ``_below`` (strictly under a named absolute bound).
+a mismatched one. Every verdict comes from ``_judge``, where the named
+tolerance's kind alone decides the rule: a ``min_rate`` floor on the observed
+value, or else a bound on its distance from the target (a multiple of the
+standard error, a fraction of the target, or an absolute value).
 """
 
 from __future__ import annotations
@@ -116,11 +118,16 @@ class ExperimentConfig:
 
     @classmethod
     def defaults(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        """Config for a named experiment with table defaults and tolerances."""
+        """Config for a named experiment; a tolerance override must name one it judges."""
         _require_known(experiment)
         base = dict(_DEFAULTS[experiment])
         tolerances = dict(base.pop("tolerances"))
-        tolerances.update(overrides.pop("tolerances", {}))
+        changed = overrides.pop("tolerances", {})
+        unknown = set(changed) - set(tolerances)
+        if unknown:
+            raise ConfigurationError(f"{experiment} judges no tolerance(s) {sorted(unknown)}; "
+                                     f"it judges {sorted(tolerances)}")
+        tolerances.update(changed)
         base.update(overrides)
         return cls(experiment=experiment, tolerances=tolerances, **base)
 
@@ -285,6 +292,10 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"
         )
+    if config.experiment == "bias-curve":
+        windows = list(config.windows)
+        if not (windows and all(0.0 < w < math.inf for w in windows)):
+            raise ConfigurationError(f"bias-curve needs windows, all positive and finite: {windows}")
     if config.experiment in ("univar-null", "univar-coupled"):
         cycles = config.frequency * config.window
         if abs(cycles - round(cycles)) > 1e-9:
@@ -313,7 +324,20 @@ def _parts() -> dict:
     return {"targets": {}, "aggregates": {}, "replicates": {}, "verdicts": [], "plot_data": {}}
 
 
-def _verdict(name, observed, target, bound, tolerance_name, passed, z=None):
+def _judge(config, name, observed, target, tolerance_name=None, se=None):
+    """Verdict on ``observed`` under the named tolerance, whose kind alone sets the rule.
+
+    ``min_rate`` passes when ``observed`` reaches the tolerance's value. Every
+    other kind bounds |observed - target|: ``se_multiple`` by value * se,
+    ``relative`` by value * |target|, ``absolute`` by value. Given a standard
+    error, the verdict also carries the signed z = (observed - target) / se.
+    """
+    tolerance_name = tolerance_name or name
+    tol = config.tolerances[tolerance_name]
+    if tol.kind == "se_multiple" and se is None:
+        raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
+    bound = tol.value * {"se_multiple": se, "relative": abs(target)}.get(tol.kind, 1.0)
+    passed = observed >= bound if tol.kind == "min_rate" else abs(observed - target) <= bound
     v = {
         "name": name,
         "observed": float(observed),
@@ -322,36 +346,9 @@ def _verdict(name, observed, target, bound, tolerance_name, passed, z=None):
         "tolerance": tolerance_name,
         "passed": bool(passed),
     }
-    if z is not None:
-        v["z"] = float(z)
+    if se:
+        v["z"] = float((observed - target) / se)
     return v
-
-
-def _bound(tol, target, se):
-    """Largest distance from ``target`` that tolerance ``tol`` accepts."""
-    if tol.kind == "se_multiple":
-        return tol.value * se
-    if tol.kind == "relative":
-        return tol.value * abs(target)
-    if tol.kind == "absolute":
-        return tol.value
-    raise ConfigurationError(f"a {tol.kind!r} tolerance gives no distance bound")
-
-
-def _check(config, name, observed, target, tolerance_name=None, se=None):
-    """Verdict that ``observed`` lies within the named tolerance of ``target``."""
-    tolerance_name = tolerance_name or name
-    bound = _bound(config.tolerances[tolerance_name], target, se)
-    err = abs(observed - target)
-    z = err / se if se else None
-    return _verdict(name, observed, target, bound, tolerance_name, err <= bound, z)
-
-
-def _below(config, name, observed, tolerance_name=None):
-    """Verdict that ``observed`` stays strictly under the named absolute bound."""
-    tolerance_name = tolerance_name or name
-    bound = config.tolerances[tolerance_name].value
-    return _verdict(name, observed, 0.0, bound, tolerance_name, observed < bound)
 
 
 def _plv_replicates(config, model, phase, window, block=0):
@@ -395,19 +392,17 @@ def _plv_case(config, parts, laws, plvs, label=""):
     var_im = float(np.var(z_corrected.imag, ddof=1))
     off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
     se_off = math.sqrt(cov[0, 0] * cov[1, 1] / n)
-    off_bound = _bound(config.tolerances["offdiag"], 0.0, se_off)
     verdicts = [
-        _check(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
-        _check(config, prefix + "var_re", var_re, corrected.cov[0, 0], "variance"),
-        _check(config, prefix + "var_im", var_im, corrected.cov[1, 1], "variance"),
-        _verdict(prefix + "cov_offdiag", off, 0.0, off_bound, "offdiag",
-                 abs(off) <= off_bound, off / se_off),
+        _judge(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
+        _judge(config, prefix + "var_re", var_re, corrected.cov[0, 0], "variance"),
+        _judge(config, prefix + "var_im", var_im, corrected.cov[1, 1], "variance"),
+        _judge(config, prefix + "cov_offdiag", off, 0.0, "offdiag", se=se_off),
     ]
     if "gaussian_ks" in config.tolerances:
         from scipy.stats import kstest  # scipy.stats dominates import time; load it on use
 
         ks = kstest(z.real, "norm", args=(0.0, math.sqrt(cov[0, 0]))).statistic
-        verdicts.append(_below(config, prefix + "gaussian_ks", ks, "gaussian_ks"))
+        verdicts.append(_judge(config, prefix + "gaussian_ks", ks, 0.0, "gaussian_ks"))
 
     parts["verdicts"].extend(verdicts)
     parts["targets"].update({
@@ -472,7 +467,7 @@ def _run_univar(config: ExperimentConfig) -> dict:
     parts["replicates"].update({"total_spikes": totals.tolist(), "p_null": p_null.tolist()})
     if "null_fp_rate" in config.tolerances:
         fp = float(np.mean(p_null < 0.05))
-        parts["verdicts"].append(_check(config, "null_fp_rate", fp, 0.05))
+        parts["verdicts"].append(_judge(config, "null_fp_rate", fp, 0.05))
         parts["aggregates"]["null_fp_rate"] = fp
     return parts
 
@@ -490,7 +485,7 @@ def _run_bias_curve(config: ExperimentConfig) -> dict:
         mean = vals.mean()
         se = math.sqrt((np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / config.replicates)
         verdicts.append(
-            _check(config, f"window_{window:g}_mean_limit", abs(mean - limit), 0.0, "mean_limit", se=se)
+            _judge(config, f"window_{window:g}_mean_limit", abs(mean - limit), 0.0, "mean_limit", se=se)
         )
         targets[f"limit_re_{window:g}"] = limit.real
         targets[f"limit_im_{window:g}"] = limit.imag
@@ -630,15 +625,14 @@ def _run_multivar(config: ExperimentConfig) -> dict:
 
     if config.experiment == "multivar-null":
         verdicts = [
-            _below(config, "mean_ks", aggregates["mean_ks"]),
-            _below(config, "pooled_ks", aggregates["pooled_ks"]),
-            _check(config, "top_eigenvalue", aggregates["mean_top_eigenvalue"], upper),
-            _below(config, "edge_fp_rate", aggregates["edge_fp_rate"]),
-            _check(config, "trace", aggregates["mean_trace_over_p"], 1.0),
+            _judge(config, "mean_ks", aggregates["mean_ks"], 0.0),
+            _judge(config, "pooled_ks", aggregates["pooled_ks"], 0.0),
+            _judge(config, "top_eigenvalue", aggregates["mean_top_eigenvalue"], upper),
+            _judge(config, "edge_fp_rate", aggregates["edge_fp_rate"], 0.0),
+            _judge(config, "trace", aggregates["mean_trace_over_p"], 1.0),
         ]
     else:
-        rate, bound = aggregates["detection_rate"], config.tolerances["detection_rate"].value
-        verdicts = [_verdict("detection_rate", rate, 1.0, bound, "detection_rate", rate >= bound)]
+        verdicts = [_judge(config, "detection_rate", aggregates["detection_rate"], 1.0)]
 
     # Pooled ESD histogram against the MP density for plotting.
     positive = pooled[pooled > 1e-12]
@@ -712,7 +706,7 @@ def _run_moment_oracle(config: ExperimentConfig) -> dict:
             prods *= sums - comp
         observed = float(prods.mean())
         se = float(prods.std(ddof=1) / math.sqrt(config.trials))
-        verdicts.append(_check(config, f"{label}_moment", observed, predicted, "moment", se=se))
+        verdicts.append(_judge(config, f"{label}_moment", observed, predicted, "moment", se=se))
         aggregates[f"{label}_observed"] = observed
         aggregates[f"{label}_se"] = se
         targets[f"{label}_predicted"] = float(predicted)

@@ -146,10 +146,13 @@ def spectrum(normalized: CouplingMatrix, edge_margin: float = 0.0) -> SpectrumRe
     """Eigendecomposition of S = (1/n) Y Y^H with the MP-law comparison.
 
     Eigenpair residuals are verified against a 1e-8 relative tolerance;
-    ``n_significant`` counts eigenvalues above upper_edge * (1 + edge_margin).
+    ``n_significant`` counts eigenvalues above upper_edge * (1 + edge_margin),
+    with ``edge_margin`` finite and >= 0.
     """
     if not normalized.normalized:
         raise DomainError("spectrum requires a normalized coupling matrix")
+    if not (0.0 <= edge_margin < math.inf):
+        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin!r}")
     y = normalized.entries
     n = normalized.n_units
     s = (y @ y.conj().T) / n

@@ -48,36 +48,26 @@ class HomogeneousRate:
 class VonMisesRate:
     """Rate modulated by a phase: rate0 * exp(kappa * cos(phi(t) - phase_offset)).
 
-    With ``include_phase_derivative`` the instantaneous phase velocity
-    phi'(t) multiplies the rate (the change-of-variables form); without it
-    the rate is the plain exponential-cosine modulation.
+    Bounded by rate0 * exp(kappa); ``plv_asymptotics_vonmises`` is its PLV law.
     """
 
     rate0: float
     kappa: float
     phase_offset: float
     phase: PhaseSpec
-    include_phase_derivative: bool = False
 
     def __post_init__(self):
         if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):
             raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
             raise DomainError(f"modulation strength must be >= 0, got {self.kappa!r}")
+        _check_phase_offset(self.phase_offset)
 
     def rate(self, t):
-        out = self.rate0 * np.exp(
-            self.kappa * np.cos(self.phase.phase(t) - self.phase_offset)
-        )
-        if self.include_phase_derivative:
-            out = out * self.phase.derivative(t)
-        return out
+        return self.rate0 * np.exp(self.kappa * np.cos(self.phase.phase(t) - self.phase_offset))
 
     def max_rate(self) -> float:
-        peak = self.rate0 * math.exp(self.kappa)
-        if self.include_phase_derivative:
-            peak *= self.phase.max_derivative()
-        return peak
+        return self.rate0 * math.exp(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -99,6 +89,7 @@ class SinusoidRate:
             raise DomainError(f"harmonic must be a positive integer, got {self.harmonic!r}")
         if not (self.window > 0.0):
             raise DomainError("window must be positive")
+        _check_phase_offset(self.phase_offset)
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
@@ -113,6 +104,11 @@ class SinusoidRate:
 
 
 IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
+
+
+def _check_phase_offset(phase_offset) -> None:
+    if not math.isfinite(phase_offset):
+        raise DomainError(f"phase offset must be finite, got {phase_offset!r}")
 
 
 class SpikeData:

@@ -42,12 +42,6 @@ class LinearPhase:
     def phase(self, t):
         return 2.0 * math.pi * self.frequency * np.asarray(t, dtype=float)
 
-    def derivative(self, t):
-        return np.full_like(np.asarray(t, dtype=float), 2.0 * math.pi * self.frequency)
-
-    def max_derivative(self) -> float:
-        return 2.0 * math.pi * self.frequency
-
 
 @dataclass(frozen=True)
 class TabulatedPhase:
@@ -75,15 +69,6 @@ class TabulatedPhase:
     def phase(self, t):
         t = _check_times(t, self.window)
         return np.interp(t, self.times, self.values)
-
-    def derivative(self, t):
-        t = _check_times(t, self.window)
-        slopes = np.diff(self.values) / np.diff(self.times)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    def max_derivative(self) -> float:
-        return float(np.max(np.diff(self.values) / np.diff(self.times)))
 
 
 PhaseSpec = Union[LinearPhase, TabulatedPhase]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .pointproc import IntensityModel, SpikeData
+from .pointproc import IntensityModel, SpikeData, _check_phase_offset
 from .signals import LinearPhase, PhaseSpec, TabulatedPhase, _time_tolerance
 from .specfun import bessel_i
 
@@ -132,6 +132,7 @@ def plv_asymptotics_vonmises(
         raise DomainError(f"modulation strength must be >= 0, got {kappa!r}")
     if not (rate0 > 0.0 and window > 0.0):
         raise DomainError("rate and window must be positive")
+    _check_phase_offset(phase_offset)
     i0, i1, i2 = (bessel_i(k, kappa) for k in (0, 1, 2))
     scale = 1.0 / (2.0 * rate0 * window * i0 * i0)
     cov = np.diag([(i0 + i2) * scale, (i0 - i2) * scale])
@@ -174,6 +175,7 @@ def plv_asymptotics_sinusoid(
         raise DomainError("harmonics must be positive integers")
     if not (rate0 > 0.0 and window > 0.0):
         raise DomainError("rate and window must be positive")
+    _check_phase_offset(phase_offset)
     matched = rate_harmonic == phase_harmonic
     limit = 0.5 * depth * np.exp(1j * phase_offset) if matched else 0j
     scale = 1.0 / (2.0 * rate0 * window)

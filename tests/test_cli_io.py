@@ -319,6 +319,50 @@ class TestCliSimulateAnalyze:
         assert capsys.readouterr().err.startswith("error: phase_noise_kappa must be")
         assert not (tmp_path / "o" / "signals.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["sinusoid", "vonmises"])
+    def test_simulate_rejects_a_phase_offset_that_is_not_finite(self, tmp_path, capsys, kind):
+        # JSON reads Infinity; a sinusoid rate at an infinite offset used to
+        # thin away every spike and exit 0.
+        sim_cfg = tmp_path / "sim.json"
+        sim_cfg.write_text(json.dumps({"kind": kind, "window": 1.0, "trials": 3, "frequency": 2.0,
+                                       "kappa": 0.5, "phase_offset": math.inf}))
+        code = main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: phase offset must be finite, got inf")
+        assert not (tmp_path / "o" / "spikes.json").exists()
+
+    @pytest.mark.parametrize("options, message", [
+        ({"kappa": 0.5, "phase_offset": math.nan}, "phase offset must be finite, got nan"),
+        ({"edge_margin": math.nan}, "edge margin must be finite and >= 0, got nan"),
+        ({"edge_margin": math.inf}, "edge margin must be finite and >= 0, got inf"),
+        ({"edge_margin": -0.5}, "edge margin must be finite and >= 0, got -0.5"),
+    ], ids=["nan-offset", "nan-margin", "inf-margin", "negative-margin"])
+    def test_analyze_rejects_a_law_parameter_out_of_domain(self, tmp_path, capsys, options,
+                                                           message):
+        # A NaN used to reach univariate.json or spectrum.json, which is not valid JSON.
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, np.random.default_rng(2)),
+                     tmp_path / "signals.csv")
+        (tmp_path / "opt.json").write_text(json.dumps(options))
+        code = main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+                     "--signals", str(tmp_path / "signals.csv"),
+                     "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o" / "spectrum.json").exists()
+
+    def test_experiment_se_multiple_without_a_standard_error_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "multivar-coupled", "replicates": 2, "channels": 20, "units": 18,
+            "components": [3.0, 4.0], "window": 2.0, "dt": 1 / 256, "trials": 5,
+            "tolerances": {"detection_rate": {"value": 3.0, "kind": "se_multiple",
+                                              "provenance": "not a rate floor"}},
+        }))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: verdict 'detection_rate' has no standard error")
+
     def test_simulate_deterministic(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
         sim_cfg.write_text(json.dumps({"kind": "homogeneous", "window": 1.0, "trials": 10}))
@@ -438,8 +482,15 @@ class TestTypedFields:
         ({"tolerances": {"variance": 5}}, "tolerance 'variance': expected a JSON object, got 5"),
         ({"tolerances": {"variance": {"value": 0.05, "kind": "relatve", "provenance": "typo"}}},
          "tolerance 'variance': kind must be one of"),
+        ({"experiment": "moment-oracle",
+          "tolerances": {"momnet": {"value": 1e-9, "kind": "se_multiple", "provenance": "typo"}}},
+         "moment-oracle judges no tolerance(s) ['momnet']; it judges ['moment']"),
+        ({"tolerances": {"detection_rate": {"value": 0.95, "kind": "min_rate",
+                                            "provenance": "another experiment's"}}},
+         "univar-null judges no tolerance(s) ['detection_rate']"),
     ], ids=["string-replicates", "scalar-components", "unknown-tolerance-field",
-            "scalar-tolerance", "mistyped-tolerance-kind"])
+            "scalar-tolerance", "mistyped-tolerance-kind", "misspelled-tolerance",
+            "unjudged-tolerance"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**_EXPERIMENT, **change}))
@@ -447,19 +498,29 @@ class TestTypedFields:
         assert code == 1
         assert err.startswith(f"error: {path}: {message}")
 
-    @pytest.mark.parametrize("options, message", [
-        ({"kapa": 0.5}, "unknown field(s) ['kapa']"),
-        ({"kappa": "0.5"}, "field 'kappa' must be a number, got \"0.5\""),
-        ({"edge_margin": None}, "field 'edge_margin' must be a number, got null"),
-    ], ids=["unknown-option", "string-kappa", "null-edge-margin"])
-    def test_analyze_options(self, tmp_path, capsys, options, message):
+    @pytest.mark.parametrize("options, flag, message", [
+        ({"kapa": 0.5}, "--phase", "unknown field(s) ['kapa']"),
+        ({"kappa": "0.5"}, "--phase", "field 'kappa' must be a number, got \"0.5\""),
+        ({"edge_margin": None}, "--phase", "field 'edge_margin' must be a number, got null"),
+        ({"phase_offset": 0.3}, "--phase", "option 'phase_offset' needs 'kappa'"),
+        ({"kappa": 0.5}, "--signals", "option 'kappa' needs --phase"),
+        ({"kappa": 0.5, "phase_offset": 0.3}, "--signals", "option 'kappa' needs --phase"),
+        ({"edge_margin": 0.3}, "--phase", "option 'edge_margin' needs --signals"),
+    ], ids=["unknown-option", "string-kappa", "null-edge-margin", "offset-without-kappa",
+            "kappa-without-phase", "offset-without-phase", "margin-without-signals"])
+    def test_analyze_options(self, tmp_path, capsys, options, flag, message):
+        # Every option is read by one mode of analyze; one the flags leave unused is refused.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, np.random.default_rng(2)),
+                     tmp_path / "signals.csv")
+        mode = {"--phase": "linear:1", "--signals": str(tmp_path / "signals.csv")}[flag]
         path = tmp_path / "opt.json"
         path.write_text(json.dumps(options))
         code, err = _run(capsys, [
-            "analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+            "analyze", "--spikes", str(tmp_path / "s.json"), flag, mode,
             "--config", str(path), "--out", str(tmp_path / "o")])
         assert (code, err.splitlines()[0]) == (1, f"error: {path}: {message}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("change, message", [
         ({"whitened": "no"}, "field 'whitened' must be true or false, got \"no\""),

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from spikefield import harness
 from spikefield.errors import ConfigurationError, DomainError, SingularGramError
 from spikefield.harness import (
     EXPERIMENTS,
@@ -66,6 +67,16 @@ class TestConfig:
         for name in ("univar-null", "multivar-null"):  # inf made the cycle check overflow
             with pytest.raises(ConfigurationError, match="window finite"):
                 run_experiment(ExperimentConfig.defaults(name, window=math.inf))
+
+    @pytest.mark.parametrize("windows", [(), (0.5, 0.0), (0.5, -1.0), (math.nan,), (math.inf,)],
+                             ids=["empty", "zero", "negative", "nan", "inf"])
+    def test_bias_curve_windows_checked_before_running(self, monkeypatch, windows):
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
+        with pytest.raises(ConfigurationError, match="window"):
+            run_experiment(ExperimentConfig.defaults("bias-curve", windows=windows))
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -155,12 +166,42 @@ class TestReports:
         with pytest.raises(ConfigurationError, match="'relatve'"):
             Tolerance(0.05, "relatve", "a mistyped kind")
 
-    def test_distance_verdict_rejects_a_min_rate_tolerance(self):
-        # _check has no fall-through: only the three distance kinds give a bound.
-        cfg = _small("moment-oracle", trials=2000,
-                     tolerances={"moment": Tolerance(3.0, "min_rate", "not a distance")})
-        with pytest.raises(ConfigurationError, match="'min_rate' tolerance gives no distance"):
+    def test_min_rate_tolerance_is_a_floor(self):
+        # A min_rate tolerance judges the observed value itself, whatever the target.
+        for value, passed in ((-1e300, True), (1e300, False)):
+            tol = Tolerance(value, "min_rate", "a floor on the observed moment")
+            rep = run_experiment(_small("moment-oracle", trials=2000,
+                                        tolerances={"moment": tol}))
+            for v in rep.verdicts:
+                assert v["bound"] == value
+                assert v["passed"] == (v["observed"] >= value) == passed, v
+
+    def test_se_multiple_tolerance_needs_a_standard_error(self):
+        cfg = _small("multivar-coupled", **_GOLDEN_MULTIVAR, tolerances={
+            "detection_rate": Tolerance(3.0, "se_multiple", "no standard error here")})
+        with pytest.raises(ConfigurationError,
+                           match="verdict 'detection_rate' has no standard error"):
             run_experiment(cfg)
+
+    def test_distance_kind_bounds_a_zero_target(self):
+        # Relative to a zero target the bound is 0, so a positive KS distance fails.
+        tol = Tolerance(0.08, "relative", "relative to a zero target")
+        rep = run_experiment(_small("multivar-null", **{**_GOLDEN_MULTIVAR, "replicates": 2},
+                                    tolerances={"mean_ks": tol}))
+        (verdict,) = [v for v in rep.verdicts if v["name"] == "mean_ks"]
+        assert (verdict["target"], verdict["bound"]) == (0.0, 0.0)
+        assert verdict["observed"] > 0.0 and not verdict["passed"]
+
+    def test_unjudged_tolerance_name_refused(self):
+        with pytest.raises(ConfigurationError, match=r"judges no tolerance\(s\) \['momnet'\]"):
+            _small("moment-oracle", tolerances={"momnet": Tolerance(1e-9, "se_multiple", "typo")})
+
+    def test_moment_z_is_signed(self):
+        rep = run_experiment(_small("moment-oracle", trials=5000))
+        assert min(v["z"] for v in rep.verdicts) < 0.0
+        for v in rep.verdicts:
+            assert v["z"] == (v["observed"] - v["target"]) / rep.aggregates[
+                v["name"].replace("_moment", "_se")]
 
     def test_univar_report_has_corrected_target(self):
         rep = run_experiment(_small("univar-coupled", replicates=10, trials=100))
@@ -263,7 +304,7 @@ _GOLDEN_BODIES = {
     ),
     "moment-oracle": (
         dict(trials=5000),
-        "10f6c89f730410c51167070fcf0b504e5233b0dfd3327838a061d38809b9c268",
+        "4353a03d59f4e251e7d449d75e262faefd6699ba359a01cb894548bc6895c8eb",
     ),
 }
 
@@ -278,3 +319,11 @@ class TestGoldenBodies:
         rep = run_experiment(_small(name, **overrides))
         body = json.dumps(rep.body_dict(), sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_BODIES))
+    def test_judged_tolerances_are_the_accepted_ones(self, name):
+        # A name the experiment accepts is one it reads, and the reverse.
+        overrides, _ = _GOLDEN_BODIES[name]
+        rep = run_experiment(_small(name, **overrides))
+        assert {v["tolerance"] for v in rep.verdicts} == \
+               set(ExperimentConfig.defaults(name).tolerances)

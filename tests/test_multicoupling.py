@@ -259,6 +259,13 @@ class TestSpectrum:
         rep2 = spectrum(self._normalized(5.0 * y), edge_margin=0.0)
         assert rep2.n_significant >= 1
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.3])
+    def test_rejects_an_edge_margin_that_is_not_finite_and_nonnegative(self, margin):
+        # A negative margin would count eigenvalues below the MP edge as significant.
+        y = 2.0 * np.eye(4, dtype=complex)
+        with pytest.raises(DomainError, match="edge margin must be finite and >= 0"):
+            spectrum(self._normalized(y), edge_margin=margin)
+
 
 class TestKsDistance:
     def test_quantile_construction(self):

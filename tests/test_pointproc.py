@@ -36,13 +36,6 @@ class TestIntensityModels:
         assert np.all(r <= m.max_rate() + 1e-9)
         assert m.max_rate() == pytest.approx(20.0 * math.exp(0.5))
 
-    def test_vonmises_phase_derivative_factor(self):
-        base = VonMisesRate(20.0, 0.5, 0.0, LinearPhase(2.0, 5.0))
-        with_der = VonMisesRate(20.0, 0.5, 0.0, LinearPhase(2.0, 5.0),
-                                include_phase_derivative=True)
-        t = np.array([0.3, 1.7])
-        assert np.allclose(with_der.rate(t), base.rate(t) * 4 * math.pi)
-
     def test_sinusoid_nonnegative(self):
         m = SinusoidRate(30.0, 0.3, 1, 0.0, 1.0)
         t = np.linspace(0, 1, 1001)
@@ -58,6 +51,13 @@ class TestIntensityModels:
             SinusoidRate(30.0, 1.5, 1, 0.0, 1.0)
         with pytest.raises(DomainError):
             SinusoidRate(30.0, 0.3, 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
+        with pytest.raises(DomainError, match="phase offset must be finite"):
+            VonMisesRate(20.0, 0.5, offset, LinearPhase(1.0, 5.0))
+        with pytest.raises(DomainError, match="phase offset must be finite"):
+            SinusoidRate(30.0, 0.3, 1, offset, 1.0)
 
 
 class TestSimulatePoisson:

@@ -21,16 +21,10 @@ class TestPhaseModels:
         ph = LinearPhase(frequency=1.0, window=1.0)
         assert ph.phase(0.25) == pytest.approx(math.pi / 2)
 
-    def test_linear_derivative(self):
-        ph = LinearPhase(frequency=2.0, window=3.0)
-        assert float(ph.derivative(1.0)) == pytest.approx(4 * math.pi)
-        assert ph.max_derivative() == pytest.approx(4 * math.pi)
-
     def test_tabulated_interpolation(self):
         times = np.linspace(0, 1, 101)
         ph = TabulatedPhase(times=times, values=2 * math.pi * times)
         assert float(ph.phase(0.505)) == pytest.approx(2 * math.pi * 0.505, abs=1e-12)
-        assert float(ph.derivative(0.3)) == pytest.approx(2 * math.pi, rel=1e-9)
 
     def test_tabulated_rejects_decreasing(self):
         with pytest.raises(DomainError):

@@ -18,10 +18,12 @@ tier2 = _load_tier2()
 
 
 class _TightMoment:
-    """Published defaults, but a moment tolerance no run can meet."""
+    """Published defaults, but a moment-oracle tolerance no run can meet."""
 
     @staticmethod
     def defaults(name):
+        if name != "moment-oracle":
+            return ExperimentConfig.defaults(name)
         return ExperimentConfig.defaults(
             name, tolerances={"moment": Tolerance(1e-9, "se_multiple", "test")})
 

@@ -157,6 +157,11 @@ class TestVonMisesLaw:
         with pytest.raises(DomainError):
             plv_asymptotics_vonmises(-0.5, 0.0, 20.0, 5.0)
 
+    @pytest.mark.parametrize("offset", [math.inf, math.nan])
+    def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
+        with pytest.raises(DomainError, match="phase offset must be finite"):
+            plv_asymptotics_vonmises(0.5, offset, 20.0, 5.0)
+
     def test_ratio_correction_shifts_re_variance_only(self):
         base = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
         corr = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0, ratio_correction=True)
@@ -204,6 +209,13 @@ class TestSinusoidLaw:
         with pytest.raises(DomainError):
             plv_asymptotics_sinusoid(1.5, 1, 1, 0.0, 20.0, 1.0)
 
+    @pytest.mark.parametrize("offset", [math.inf, math.nan])
+    def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
+        # The mismatched law's limit is 0 whatever the offset; it is refused all the same.
+        for rate_harmonic in (1, 3):
+            with pytest.raises(DomainError, match="phase offset must be finite"):
+                plv_asymptotics_sinusoid(0.3, rate_harmonic, 1, offset, 20.0, 1.0)
+
 
 class TestPlvLimitNumeric:
     def test_full_cycle_vanishes(self):
@@ -222,11 +234,10 @@ class TestPlvLimitNumeric:
 
     def test_matches_vonmises_closed_form(self):
         phase = LinearPhase(1.0, 5.0)
-        for include in (False, True):
-            model = VonMisesRate(20.0, 0.5, 0.4, phase, include_phase_derivative=include)
-            val = plv_limit_numeric(phase, model, 5.0)
-            law = plv_asymptotics_vonmises(0.5, 0.4, 20.0, 5.0)
-            assert val == pytest.approx(law.limit, abs=1e-6)
+        model = VonMisesRate(20.0, 0.5, 0.4, phase)
+        val = plv_limit_numeric(phase, model, 5.0)
+        law = plv_asymptotics_vonmises(0.5, 0.4, 20.0, 5.0)
+        assert val == pytest.approx(law.limit, abs=1e-6)
 
     def test_matches_sinusoid_closed_form(self):
         window = 1.0
