@@ -34,6 +34,7 @@ from .harness import ExperimentConfig, Tolerance, run_experiment
 from .multicoupling import build_coupling_matrix, normalize, spectrum
 from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
 from .signals import LinearPhase, SignalMatrix, synthesize_oscillations, whiten
+from .specfun import mp_density
 from .unicoupling import estimate_plv, plv_asymptotics_vonmises, plv_null_test
 
 __all__ = [
@@ -369,23 +370,21 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
     return LinearPhase(freq, window)
 
 
-_OPTION_KINDS = {"kappa": "float", "phase_offset": "float", "edge_margin": "float"}
-# What each option needs to have an effect; phase_offset needs kappa, which needs --phase.
-_OPTION_NEEDS = {"kappa": "--phase", "phase_offset": "'kappa'", "edge_margin": "--signals"}
+_OPTION_KINDS = {"kappa": "float", "phase_offset": "float"}
 
 
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
     options = _fields(_read_json(args.config), args.config, _OPTION_KINDS) if args.config else {}
-    given = {"--phase": args.phase is not None, "--signals": args.signals is not None,
-             "'kappa'": "kappa" in options}
-    for key, needs in _OPTION_NEEDS.items():
-        if key in options and not given[needs]:
+    # An option needs what gives it an effect: phase_offset needs kappa, which needs --phase.
+    for key, needs, given in (("kappa", "--phase", args.phase is not None),
+                              ("phase_offset", "'kappa'", "kappa" in options)):
+        if key in options and not given:
             raise DomainError(f"{args.config}: option {key!r} needs {needs}")
     spikes = load_spikes(args.spikes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # Every output is built before any is written, so a refused input leaves none behind.
+    texts, esd = {}, None
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
@@ -423,23 +422,23 @@ def _cmd_analyze(args) -> int:
                     })
             units.append(entry)
         doc = {"frequency": phase.frequency, "window": spikes.window, "units": units}
-        (out / "univariate.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        texts["univariate.json"] = json.dumps(doc, indent=2, sort_keys=True)
 
     if args.signals is not None:
         signals = load_signals(args.signals)
         if not signals.whitened:
             signals = whiten(signals)
         raw = build_coupling_matrix(signals, spikes)
-        (out / "coupling.json").write_text(json.dumps({
+        texts["coupling.json"] = json.dumps({
             "channels": raw.n_channels,
             "units": raw.n_units,
             "trials": raw.trials,
             "window": raw.window,
             "entries_re": raw.entries.real.tolist(),
             "entries_im": raw.entries.imag.tolist(),
-        }, sort_keys=True))
-        report = spectrum(normalize(raw, spikes), options.get("edge_margin", 0.0))
-        (out / "spectrum.json").write_text(json.dumps({
+        }, sort_keys=True)
+        report = spectrum(normalize(raw, spikes))
+        texts["spectrum.json"] = json.dumps({
             "eigenvalues": report.eigenvalues.tolist(),
             "singular_values": report.singular_values.tolist(),
             "alpha": report.mp.alpha,
@@ -448,11 +447,14 @@ def _cmd_analyze(args) -> int:
             "mp_zero_atom": report.mp.zero_atom,
             "n_significant": report.n_significant,
             "ks_distance": report.ks_distance,
-            "edge_margin": report.edge_margin,
-        }, indent=2, sort_keys=True))
-        from .specfun import mp_density
-
+        }, indent=2, sort_keys=True)
         esd = np.column_stack([report.eigenvalues, mp_density(report.mp, report.eigenvalues)])
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    if esd is not None:
         _write_csv(out / "esd.csv", ["eigenvalue", "mp_density"], [esd])
     print(f"analysis written to {out}")
     return 0
@@ -490,7 +492,7 @@ def main(argv=None) -> int:
     p_an.add_argument("--spikes", required=True, help="spike JSON file")
     p_an.add_argument("--signals", help="signal CSV file (with JSON sidecar)")
     p_an.add_argument("--phase", help="phase model, e.g. linear:1.0")
-    p_an.add_argument("--config", help="optional analysis options JSON (kappa, edge_margin, ...)")
+    p_an.add_argument("--config", help="optional options JSON: the law's kappa and phase_offset")
     p_an.add_argument("--out", required=True, help="output directory")
 
     p_ex = sub.add_parser("experiment", help="run a named Monte Carlo experiment")

@@ -86,8 +86,9 @@ class Tolerance:
 class ExperimentConfig:
     """Parameters, seed, and named tolerances for one experiment.
 
-    Defaults mirror the published simulation tables: univariate runs use
-    f = 1 Hz, T = 5 s, rate 20 Hz, K = 5000 trials; the bias sweep uses
+    Build it with ``defaults``, which accepts only the fields the experiment
+    reads. Defaults mirror the published simulation tables: univariate runs
+    use f = 1 Hz, T = 5 s, rate 20 Hz, K = 5000 trials; the bias sweep uses
     K = 10, rate 30 Hz over sub-cycle windows; multivariate runs use five
     oscillatory components at 11-15 Hz over 11 s, 100 channels, up to 90
     units, K = 10, phase-noise concentration 10. Replicate counts are
@@ -111,14 +112,13 @@ class ExperimentConfig:
     units: int = 90
     noise_kappa: float = 10.0
     dt: float = 1.0 / 1024.0
-    edge_margin: float = 0.05
     windows: tuple = (0.5, 0.75, 1.0)
     output_dir: str | None = None
     tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def defaults(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        """Config for a named experiment; a tolerance override must name one it judges."""
+        """Config for a named experiment; an override must name a field it reads or a tolerance it judges."""
         _require_known(experiment)
         base = dict(_DEFAULTS[experiment])
         tolerances = dict(base.pop("tolerances"))
@@ -127,6 +127,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"{experiment} judges no tolerance(s) {sorted(unknown)}; "
                                      f"it judges {sorted(tolerances)}")
+        unread = set(overrides) - set(base) - {"master_seed", "output_dir"}
+        if unread:
+            raise ConfigurationError(f"{experiment} reads no field(s) {sorted(unread)}; "
+                                     f"it reads {sorted(base)}, master_seed and output_dir")
         tolerances.update(changed)
         base.update(overrides)
         return cls(experiment=experiment, tolerances=tolerances, **base)
@@ -134,9 +138,15 @@ class ExperimentConfig:
 
 _SE3 = Tolerance(3.0, "se_multiple", "three standard errors (CLT)")
 
+_UNIVAR = dict(rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0,
+               phase_offset=0.0)
+_MULTIVAR = dict(rate0=20.0, window=11.0, trials=10, replicates=100, units=90, channels=100,
+                 components=(11.0, 12.0, 13.0, 14.0, 15.0), noise_kappa=10.0, dt=1.0 / 1024.0)
+
+# Each entry lists exactly the parameters its runner reads, besides the seed.
 _DEFAULTS = {
     "univar-null": dict(
-        rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0, kappa=0.0,
+        _UNIVAR, kappa=0.0,
         tolerances={
             "mean_limit": _SE3,
             "variance": Tolerance(0.05, "relative", "scaled-residual variance vs 1/(2 rate0 T)"),
@@ -146,7 +156,7 @@ _DEFAULTS = {
         },
     ),
     "univar-coupled": dict(
-        rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0, kappa=0.5,
+        _UNIVAR, kappa=0.5,
         # No Gaussianity bound here: the closed form omits the
         # ratio-estimator term, so the predicted normal is off-scale along
         # the coupling direction (see the variance verdict).
@@ -157,13 +167,12 @@ _DEFAULTS = {
         },
     ),
     "bias-curve": dict(
-        rate0=30.0, window=1.0, trials=10, replicates=500, frequency=1.0, kappa=0.0,
-        windows=(0.5, 0.75, 1.0),
+        rate0=30.0, trials=10, replicates=500, frequency=1.0, windows=(0.5, 0.75, 1.0),
         tolerances={"mean_limit": _SE3},
     ),
     "sinusoid-uncoupled": dict(
         rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,
-        rate_harmonic=3, phase_harmonic=1,
+        rate_harmonic=3, phase_harmonic=1, phase_offset=0.0,
         tolerances={
             "mean_limit": _SE3,
             "variance": Tolerance(0.10, "relative", "isotropic covariance 1/(2 rate0 T)"),
@@ -171,8 +180,7 @@ _DEFAULTS = {
         },
     ),
     "multivar-null": dict(
-        rate0=20.0, window=11.0, trials=10, replicates=100, kappa=0.0,
-        channels=100, units=90, noise_kappa=10.0, dt=1.0 / 1024.0, edge_margin=0.05,
+        _MULTIVAR, kappa=0.0,
         tolerances={
             "mean_ks": Tolerance(0.08, "absolute", "per-run KS to MP, Monte Carlo calibration"),
             "pooled_ks": Tolerance(0.05, "absolute", "pooled-ESD KS to MP, Monte Carlo calibration"),
@@ -182,14 +190,13 @@ _DEFAULTS = {
         },
     ),
     "multivar-coupled": dict(
-        rate0=20.0, window=11.0, trials=10, replicates=100, kappa=0.15,
-        channels=100, units=90, noise_kappa=10.0, dt=1.0 / 1024.0, edge_margin=0.0,
+        _MULTIVAR, kappa=0.15, phase_offset=0.0,
         tolerances={
             "detection_rate": Tolerance(0.95, "min_rate", "runs whose top eigenvalue exceeds the MP edge"),
         },
     ),
     "moment-oracle": dict(
-        rate0=20.0, window=1.0, trials=100000, replicates=3,
+        rate0=20.0, window=1.0, trials=100000,
         tolerances={"moment": _SE3},
     ),
 }
@@ -292,6 +299,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"
         )
+    defaults = _DEFAULTS[config.experiment]["tolerances"]
+    for name, tol in config.tolerances.items():
+        # Exactly the verdicts whose default bound is se_multiple carry a standard error.
+        if tol.kind == "se_multiple" and defaults[name].kind != "se_multiple":
+            raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
     if config.experiment == "bias-curve":
         windows = list(config.windows)
         if not (windows and all(0.0 < w < math.inf for w in windows)):
@@ -312,15 +324,13 @@ def _validate(config: ExperimentConfig) -> None:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    doc = asdict(config)
-    doc["tolerances"] = {k: asdict(v) for k, v in config.tolerances.items()}
-    doc["components"] = list(config.components)
-    doc["windows"] = list(config.windows)
-    return doc
+    """The fields ``defaults`` accepts for the experiment."""
+    accepted = {"experiment", "master_seed", "output_dir", *_DEFAULTS[config.experiment]}
+    return {k: v for k, v in asdict(config).items() if k in accepted}
 
 
 def _parts() -> dict:
-    """Empty runner output, filled in place by ``_plv_case``."""
+    """Empty runner output, filled in place by the runner and ``_plv_case``."""
     return {"targets": {}, "aggregates": {}, "replicates": {}, "verdicts": [], "plot_data": {}}
 
 
@@ -334,8 +344,6 @@ def _judge(config, name, observed, target, tolerance_name=None, se=None):
     """
     tolerance_name = tolerance_name or name
     tol = config.tolerances[tolerance_name]
-    if tol.kind == "se_multiple" and se is None:
-        raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
     bound = tol.value * {"se_multiple": se, "relative": abs(target)}.get(tol.kind, 1.0)
     passed = observed >= bound if tol.kind == "min_rate" else abs(observed - target) <= bound
     v = {
@@ -474,23 +482,20 @@ def _run_univar(config: ExperimentConfig) -> dict:
 
 def _run_bias_curve(config: ExperimentConfig) -> dict:
     model = HomogeneousRate(config.rate0)
-    rows = []
-    replicates = {}
-    verdicts = []
-    targets = {}
+    parts, rows = _parts(), []
     for w_idx, window in enumerate(config.windows):
         phase = LinearPhase(config.frequency, window)
         limit = plv_limit_numeric(phase, model, window)
         vals, _ = _plv_replicates(config, model, phase, window, block=w_idx)
         mean = vals.mean()
         se = math.sqrt((np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / config.replicates)
-        verdicts.append(
+        parts["verdicts"].append(
             _judge(config, f"window_{window:g}_mean_limit", abs(mean - limit), 0.0, "mean_limit", se=se)
         )
-        targets[f"limit_re_{window:g}"] = limit.real
-        targets[f"limit_im_{window:g}"] = limit.imag
-        replicates[f"plv_re_{window:g}"] = vals.real.tolist()
-        replicates[f"plv_im_{window:g}"] = vals.imag.tolist()
+        parts["targets"].update({f"limit_re_{window:g}": limit.real, f"limit_im_{window:g}": limit.imag})
+        parts["aggregates"][f"mean_modulus_{window:g}"] = abs(mean)
+        parts["replicates"].update({f"plv_re_{window:g}": vals.real.tolist(),
+                                    f"plv_im_{window:g}": vals.imag.tolist()})
         rows.append({
             "window": window,
             "limit_re": limit.real,
@@ -502,14 +507,8 @@ def _run_bias_curve(config: ExperimentConfig) -> dict:
             "se": se,
             "replicates": config.replicates,
         })
-
-    return {
-        "targets": targets,
-        "aggregates": {f"mean_modulus_{r['window']:g}": r["mean_modulus"] for r in rows},
-        "replicates": replicates,
-        "verdicts": verdicts,
-        "plot_data": {"bias_curve": rows},
-    }
+    parts["plot_data"]["bias_curve"] = rows
+    return parts
 
 
 def _run_sinusoid(config: ExperimentConfig) -> dict:
@@ -601,7 +600,7 @@ def _run_multivar(config: ExperimentConfig) -> dict:
             simulate_poisson(m, config.window, config.trials, rng).trains[0] for m in models
         ]
         sd = SpikeData(window=config.window, trains=unit_trains)
-        rep = spectrum(normalize(build_coupling_matrix(white, sd), sd), config.edge_margin)
+        rep = spectrum(normalize(build_coupling_matrix(white, sd), sd))
         ks_vals[i] = rep.ks_distance
         top_eigs[i] = rep.eigenvalues[0]
         n_sig[i] = rep.n_significant
@@ -686,10 +685,7 @@ def _run_moment_oracle(config: ExperimentConfig) -> dict:
     model = HomogeneousRate(config.rate0)
     window = config.window
     grid = np.linspace(0.0, window, 4097)
-    verdicts = []
-    aggregates = {}
-    targets = {}
-    rows = []
+    parts, rows = _parts(), []
     for s_idx, (label, factory) in enumerate(_MOMENT_SETS.items()):
         fns = factory(window)
         predicted = fourth_moment_oracle(*fns, rate=config.rate0, horizon=window)
@@ -706,19 +702,12 @@ def _run_moment_oracle(config: ExperimentConfig) -> dict:
             prods *= sums - comp
         observed = float(prods.mean())
         se = float(prods.std(ddof=1) / math.sqrt(config.trials))
-        verdicts.append(_judge(config, f"{label}_moment", observed, predicted, "moment", se=se))
-        aggregates[f"{label}_observed"] = observed
-        aggregates[f"{label}_se"] = se
-        targets[f"{label}_predicted"] = float(predicted)
+        parts["verdicts"].append(_judge(config, f"{label}_moment", observed, predicted, "moment", se=se))
+        parts["aggregates"].update({f"{label}_observed": observed, f"{label}_se": se})
+        parts["targets"][f"{label}_predicted"] = float(predicted)
         rows.append({"set": label, "observed": observed, "predicted": float(predicted), "se": se})
-
-    return {
-        "targets": targets,
-        "aggregates": aggregates,
-        "replicates": {},
-        "verdicts": verdicts,
-        "plot_data": {"moment_sets": rows},
-    }
+    parts["plot_data"]["moment_sets"] = rows
+    return parts
 
 
 EXPERIMENTS = {

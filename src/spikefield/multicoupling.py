@@ -66,14 +66,17 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of (1/n) Y Y^H with their Marchenko-Pastur comparison."""
+    """Eigenvalues of (1/n) Y Y^H with their Marchenko-Pastur comparison.
+
+    ``n_significant`` counts the eigenvalues above the MP upper edge, with
+    no margin and no calibrated p-value.
+    """
 
     eigenvalues: np.ndarray  # sorted nonincreasing, clamped at zero
     singular_values: np.ndarray  # sqrt(n * eigenvalue), same order
     mp: MpLaw  # its alpha is channels / units
-    n_significant: int  # eigenvalues above upper_edge * (1 + edge_margin)
+    n_significant: int
     ks_distance: float
-    edge_margin: float
 
 
 def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingMatrix:
@@ -142,17 +145,14 @@ def normalize(raw: CouplingMatrix, spikes: SpikeData) -> CouplingMatrix:
 _RESIDUAL_TOL = 1e-8
 
 
-def spectrum(normalized: CouplingMatrix, edge_margin: float = 0.0) -> SpectrumReport:
+def spectrum(normalized: CouplingMatrix) -> SpectrumReport:
     """Eigendecomposition of S = (1/n) Y Y^H with the MP-law comparison.
 
     Eigenpair residuals are verified against a 1e-8 relative tolerance;
-    ``n_significant`` counts eigenvalues above upper_edge * (1 + edge_margin),
-    with ``edge_margin`` finite and >= 0.
+    ``n_significant`` counts eigenvalues above the MP upper edge.
     """
     if not normalized.normalized:
         raise DomainError("spectrum requires a normalized coupling matrix")
-    if not (0.0 <= edge_margin < math.inf):
-        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin!r}")
     y = normalized.entries
     n = normalized.n_units
     s = (y @ y.conj().T) / n
@@ -172,14 +172,12 @@ def spectrum(normalized: CouplingMatrix, edge_margin: float = 0.0) -> SpectrumRe
     # exact zero so the spectrum's zero atom is countable.
     eigs[eigs < scale * len(w) * np.finfo(float).eps] = 0.0
     law = mp_law(normalized.n_channels / n)
-    upper = law.upper_edge * (1.0 + edge_margin)
     return SpectrumReport(
         eigenvalues=eigs,
         singular_values=np.sqrt(n * eigs),
         mp=law,
-        n_significant=int(np.sum(eigs > upper)),
+        n_significant=int(np.sum(eigs > law.upper_edge)),
         ks_distance=ks_statistic(eigs, law),
-        edge_margin=edge_margin,
     )
 
 

@@ -333,10 +333,7 @@ class TestCliSimulateAnalyze:
 
     @pytest.mark.parametrize("options, message", [
         ({"kappa": 0.5, "phase_offset": math.nan}, "phase offset must be finite, got nan"),
-        ({"edge_margin": math.nan}, "edge margin must be finite and >= 0, got nan"),
-        ({"edge_margin": math.inf}, "edge margin must be finite and >= 0, got inf"),
-        ({"edge_margin": -0.5}, "edge margin must be finite and >= 0, got -0.5"),
-    ], ids=["nan-offset", "nan-margin", "inf-margin", "negative-margin"])
+    ], ids=["nan-offset"])
     def test_analyze_rejects_a_law_parameter_out_of_domain(self, tmp_path, capsys, options,
                                                            message):
         # A NaN used to reach univariate.json or spectrum.json, which is not valid JSON.
@@ -350,6 +347,19 @@ class TestCliSimulateAnalyze:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "o" / "spectrum.json").exists()
+
+    def test_analyze_refuses_a_silent_unit_before_writing(self, tmp_path, capsys):
+        # The coupling matrix cannot be normalized, so neither mode writes its output.
+        trains = _sample_spikes().trains
+        trains[1] = [np.empty(0) for _ in range(3)]
+        save_spikes(SpikeData(window=2.0, trains=trains), tmp_path / "s.json")
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, np.random.default_rng(2)),
+                     tmp_path / "signals.csv")
+        code = main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+                     "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unit(s) [1] have zero spikes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_experiment_se_multiple_without_a_standard_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -488,9 +498,10 @@ class TestTypedFields:
         ({"tolerances": {"detection_rate": {"value": 0.95, "kind": "min_rate",
                                             "provenance": "another experiment's"}}},
          "univar-null judges no tolerance(s) ['detection_rate']"),
+        ({"channels": 3}, "univar-null reads no field(s) ['channels']"),
     ], ids=["string-replicates", "scalar-components", "unknown-tolerance-field",
             "scalar-tolerance", "mistyped-tolerance-kind", "misspelled-tolerance",
-            "unjudged-tolerance"])
+            "unjudged-tolerance", "unread-field"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**_EXPERIMENT, **change}))
@@ -501,13 +512,11 @@ class TestTypedFields:
     @pytest.mark.parametrize("options, flag, message", [
         ({"kapa": 0.5}, "--phase", "unknown field(s) ['kapa']"),
         ({"kappa": "0.5"}, "--phase", "field 'kappa' must be a number, got \"0.5\""),
-        ({"edge_margin": None}, "--phase", "field 'edge_margin' must be a number, got null"),
         ({"phase_offset": 0.3}, "--phase", "option 'phase_offset' needs 'kappa'"),
         ({"kappa": 0.5}, "--signals", "option 'kappa' needs --phase"),
         ({"kappa": 0.5, "phase_offset": 0.3}, "--signals", "option 'kappa' needs --phase"),
-        ({"edge_margin": 0.3}, "--phase", "option 'edge_margin' needs --signals"),
-    ], ids=["unknown-option", "string-kappa", "null-edge-margin", "offset-without-kappa",
-            "kappa-without-phase", "offset-without-phase", "margin-without-signals"])
+    ], ids=["unknown-option", "string-kappa", "offset-without-kappa",
+            "kappa-without-phase", "offset-without-phase"])
     def test_analyze_options(self, tmp_path, capsys, options, flag, message):
         # Every option is read by one mode of analyze; one the flags leave unused is refused.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
@@ -540,10 +549,10 @@ class TestTypedFields:
         sidecar = tmp_path / "signals.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
         code, err = _run(capsys, [
-            "analyze", "--spikes", str(tmp_path / "s.json"),
+            "analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
             "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
         assert (code, err.splitlines()[0]) == (1, f"error: {sidecar}: {message}")
-        assert not (tmp_path / "o" / "coupling.json").exists()
+        assert not (tmp_path / "o").exists()  # not even the --phase output
 
 
 # sha256 of every file ``simulate`` then ``analyze --signals --phase`` writes at
@@ -561,7 +570,7 @@ _CLI_BYTES = {
     "analysis/coupling.json":
         "c4147cb582dc3d32afbe9112b0a972121c3c31447a6c4c2c0a72fa37df9116b5",
     "analysis/spectrum.json":
-        "2e747130fcde579b4df630f4c260a2499bd89a5803cc56bd6cbc21de414cef16",
+        "fd12f20e753bc08fdcd7305bc9167778708ee2e7272e478471d8f741a3a08cc6",
     "analysis/esd.csv":
         "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
     "analysis/univariate.json":

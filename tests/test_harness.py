@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -77,6 +78,22 @@ class TestConfig:
         monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
         with pytest.raises(ConfigurationError, match="window"):
             run_experiment(ExperimentConfig.defaults("bias-curve", windows=windows))
+
+    @pytest.mark.parametrize("name, tolerance", [
+        (name, tol) for name in sorted(EXPERIMENTS)
+        for tol, default in ExperimentConfig.defaults(name).tolerances.items()
+        if default.kind != "se_multiple"])
+    def test_se_multiple_refused_before_running(self, monkeypatch, name, tolerance):
+        # Only the verdicts whose default bound is se_multiple carry a standard error.
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
+        monkeypatch.setattr(harness, "synthesize_oscillations", no_replicates)
+        cfg = ExperimentConfig.defaults(name, tolerances={
+            tolerance: Tolerance(3.0, "se_multiple", "no standard error here")})
+        with pytest.raises(ConfigurationError, match=f"verdict '{tolerance}' has no standard error"):
+            run_experiment(cfg)
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -280,31 +297,31 @@ _GOLDEN_MULTIVAR = dict(
 _GOLDEN_BODIES = {
     "univar-null": (
         dict(replicates=12, trials=200),
-        "dcbd983f52520a428b42faf1cde0c32f88f257b4b02049805161629cf7c949bc",
+        "4e0791c81e5f2e21b59ecdc9f41d86b80e4afbf32749d25464ec4417ecf3c7a6",
     ),
     "univar-coupled": (
         dict(replicates=12, trials=200),
-        "ba91b7d22ae537fd3230e6687d0c5a59092dab51d28c3635eda1e5b48ccb8bd9",
+        "410dd2799123cf8543a996d545c7c89edb6862ecc9223b8d741b34b7a3d9fceb",
     ),
     "bias-curve": (
         dict(replicates=20),
-        "c9eec99166a3c49ca559c9a95ae55a623cb6dad5d739df73fdc95f4083714a8c",
+        "56961f6cee6238a5c58245afa7d0c9e14fa22211a112f9be9d3acd33e2742020",
     ),
     "sinusoid-uncoupled": (
         dict(replicates=12, trials=100),
-        "bf7b6396eff9aaa799ffe09d2cc23428d0dd9e0e70ac273a06a4c66e08fc3f5a",
+        "e3454eaddbb16c1d6937057eb473aa71f0f0d9d8b3f730d80a076821260220ea",
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
-        "45074341db0692750805893afb106bf15dfb06d77dd1fb56e879084becd676a2",
+        "0f226e211f399f858f622286467cb7027e61c5bd81348f534d199d2709007e18",
     ),
     "multivar-coupled": (
         _GOLDEN_MULTIVAR,
-        "297993fb6cad116e79e26a6033302c3b2b85d10119d2283e4ba82ea761f8d7da",
+        "11f2ad9495171cd968ded41afce41122f08643ddfc1a79eaf27a937841e95823",
     ),
     "moment-oracle": (
         dict(trials=5000),
-        "4353a03d59f4e251e7d449d75e262faefd6699ba359a01cb894548bc6895c8eb",
+        "f5785c4234f91a52e3c31d344d43ed2eb40a9978a7e156f5fc66cf9da9426d23",
     ),
 }
 
@@ -325,5 +342,34 @@ class TestGoldenBodies:
         # A name the experiment accepts is one it reads, and the reverse.
         overrides, _ = _GOLDEN_BODIES[name]
         rep = run_experiment(_small(name, **overrides))
-        assert {v["tolerance"] for v in rep.verdicts} == \
-               set(ExperimentConfig.defaults(name).tolerances)
+        defaults = ExperimentConfig.defaults(name).tolerances
+        assert {v["tolerance"] for v in rep.verdicts} == set(defaults)
+        for v in rep.verdicts:  # a verdict has a standard error where its default bound uses one
+            assert ("z" in v) == (defaults[v["tolerance"]].kind == "se_multiple"), v
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_BODIES))
+    def test_read_fields_are_the_accepted_ones(self, name):
+        # A field ExperimentConfig.defaults accepts is one the runner reads, and the
+        # reverse; output_dir is read by run_experiment, not the runner.
+        config = _small(name, **_GOLDEN_BODIES[name][0])
+        recorder = _ReadRecorder(config)
+        EXPERIMENTS[name](recorder)
+        accepted = set()
+        for key in (f.name for f in fields(ExperimentConfig) if f.name != "experiment"):
+            try:
+                ExperimentConfig.defaults(name, **{key: getattr(config, key)})
+                accepted.add(key)
+            except ConfigurationError:
+                pass
+        assert recorder.reads - {"experiment"} == accepted - {"output_dir"}
+
+
+class _ReadRecorder:
+    """Stands in for a config and records the name of every attribute read from it."""
+
+    def __init__(self, config):
+        self._config, self.reads = config, set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._config, name)

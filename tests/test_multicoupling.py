@@ -249,22 +249,18 @@ class TestSpectrum:
         frac = np.mean(rep.eigenvalues < 1e-12)
         assert abs(frac - (1 - n / p)) <= 2 / p
 
-    def test_edge_margin_counting(self):
+    def test_significance_counts_eigenvalues_above_the_edge(self):
         n = 4
         eigs = np.diag([3.0, 1.0, 0.5, 0.2])
         y = np.sqrt(n * eigs).astype(complex)
-        rep = spectrum(self._normalized(y), edge_margin=0.0)
+        rep = spectrum(self._normalized(y))
         # alpha = 1 -> upper edge 4; eigenvalue 3 is below it
         assert rep.n_significant == 0
-        rep2 = spectrum(self._normalized(5.0 * y), edge_margin=0.0)
+        rep2 = spectrum(self._normalized(5.0 * y))
         assert rep2.n_significant >= 1
-
-    @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.3])
-    def test_rejects_an_edge_margin_that_is_not_finite_and_nonnegative(self, margin):
-        # A negative margin would count eigenvalues below the MP edge as significant.
-        y = 2.0 * np.eye(4, dtype=complex)
-        with pytest.raises(DomainError, match="edge margin must be finite and >= 0"):
-            spectrum(self._normalized(y), edge_margin=margin)
+        # No margin: an eigenvalue just above the edge counts.
+        just_above = np.sqrt(n * np.diag([4.05, 1.0, 0.5, 0.2])).astype(complex)
+        assert spectrum(self._normalized(just_above)).n_significant == 1
 
 
 class TestKsDistance:

@@ -1,16 +1,25 @@
 """Tests for the tier-2 verify command, tools/tier2.py."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from spikefield.harness import ExperimentConfig, Tolerance
 
 
+_TIER2 = Path(__file__).resolve().parents[1] / "tools" / "tier2.py"
+
+
 def _load_tier2():
-    path = Path(__file__).resolve().parents[1] / "tools" / "tier2.py"
-    spec = importlib.util.spec_from_file_location("tier2", path)
+    spec = importlib.util.spec_from_file_location("tier2", _TIER2)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.dict(os.environ):  # keep its OpenBLAS setting out of this process
+        spec.loader.exec_module(module)
     return module
 
 
@@ -41,6 +50,34 @@ def test_any_fail_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] moment-oracle/" in out
     assert "bias-curve: PASS in" in out
+
+
+# Loads tools/tier2.py in a fresh interpreter and prints OPENBLAS_NUM_THREADS as
+# numpy's first import saw it.
+_WATCH_NUMPY = """
+import importlib.util, os, sys
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+spec = importlib.util.spec_from_file_location("tier2", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_openblas_pinned_before_numpy_loads(given, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    run = subprocess.run([sys.executable, "-c", _WATCH_NUMPY, str(_TIER2)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == expected
 
 
 def test_unknown_name_exits_two(capsys):

@@ -1,6 +1,6 @@
 """Tier-2 verify: run every named experiment at its published defaults.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/tier2.py [EXPERIMENT ...]
+    python3 tools/tier2.py [EXPERIMENT ...]
 
 With no names it runs every entry of ``spikefield.harness.EXPERIMENTS``
 in turn, default seed and all. It prints each verdict line as the
@@ -8,15 +8,20 @@ experiment finishes, then one status line per experiment with its wall
 time, and exits 1 if any verdict FAILs (2 on an unknown name). The
 ``spikefield experiment`` command keeps exit 0 on a FAIL verdict, so this
 is the command that gates on them. Serial, the full set takes several
-minutes; pin BLAS to one thread for bit-reproducible report bodies.
+minutes. OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says
+otherwise, so the report bodies, and the verdict lines with them, are
+bit-reproducible from one host to another.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from pathlib import Path
 
+# Before numpy loads: OpenBLAS reads its thread count once, at load time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from spikefield.harness import EXPERIMENTS, ExperimentConfig, run_experiment  # noqa: E402
