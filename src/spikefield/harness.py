@@ -27,7 +27,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .pointproc import (
     fourth_moment_oracle,
     simulate_poisson,
 )
-from .signals import LinearPhase, SignalMatrix, _inverse_root, synthesize_oscillations
+from .signals import LinearPhase, _inverse_root, synthesize_oscillations
 from .specfun import mp_density, mp_law
 from .unicoupling import (
     estimate_plv,
@@ -286,20 +286,26 @@ def _require_known(experiment: str) -> None:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    # Surface parameter problems before any replicate runs.
-    if config.replicates < 2:
+    # Surface parameter problems before any replicate runs, judging only the
+    # fields the experiment reads: a config built without ``defaults`` still
+    # carries every field.
+    reads = _DEFAULTS[config.experiment]
+    if "replicates" in reads and config.replicates < 2:
         raise ConfigurationError("need at least two replicates")
     if config.trials < 1:
         raise ConfigurationError("need at least one trial per replicate")
-    if not (config.rate0 > 0.0 and 0.0 < config.window < math.inf):
+    if not (config.rate0 > 0.0 and ("window" not in reads or 0.0 < config.window < math.inf)):
         raise ConfigurationError("rate0 and window must be positive, and window finite")
-    if config.kappa < 0.0:
+    if "kappa" in reads and config.kappa < 0.0:
         raise ConfigurationError(f"coupling strength must be >= 0, got {config.kappa}")
-    if not (0.0 <= config.depth <= 1.0):
+    if "depth" in reads and not (0.0 <= config.depth <= 1.0):
         raise ConfigurationError(
             f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"
         )
-    defaults = _DEFAULTS[config.experiment]["tolerances"]
+    defaults = reads["tolerances"]
+    if set(config.tolerances) != set(defaults):
+        raise ConfigurationError(f"{config.experiment} judges tolerance(s) {sorted(defaults)}; "
+                                 f"the config names {sorted(config.tolerances)}")
     for name, tol in config.tolerances.items():
         # Exactly the verdicts whose default bound is se_multiple carry a standard error.
         if tol.kind == "se_multiple" and defaults[name].kind != "se_multiple":
@@ -555,16 +561,18 @@ def _multivar_unit_models(config: ExperimentConfig):
 
 
 def _whiten_interpolant(signals):
-    """Make the piecewise-linear interpolant of the raw channels orthonormal, in one step.
+    """The channel map that makes the piecewise-linear interpolant of the raw channels orthonormal.
 
     The spectral limit theorem constrains the integrand the spike sums
     actually see, and interpolating i.i.d. phase noise loses a third of its
     power between samples, so whitening the sample Gram A0 alone falls
     short. The interpolant Gram over the periodic grid is
-    G = (2/3) A0 + (1/6)(B + B^H) with B the lag-one cross-Gram; G^(-1/2) is
-    applied to the raw samples. A0 keeps ``whiten``'s near-singular check.
-    Returns the whitened signals and max|A0^(-1/2) G A0^(-1/2) - I|, how far
-    sample-Gram whitening alone would leave the interpolant from orthonormal.
+    G = (2/3) A0 + (1/6)(B + B^H) with B the lag-one cross-Gram. A0 keeps
+    ``whiten``'s near-singular check. Returns the p x p map G^(-1/2) and
+    max|A0^(-1/2) G A0^(-1/2) - I|, how far sample-Gram whitening alone would
+    leave the interpolant from orthonormal. The coupling sum and the signal
+    integral are linear in the samples, so the caller applies the map to the
+    coupling matrix built from the raw signals instead of to the samples.
     """
     x = signals.samples
     a0 = signals.gram()
@@ -574,8 +582,7 @@ def _whiten_interpolant(signals):
     del shifted
     gram = (2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0
     deviation = float(np.max(np.abs(a0_inv_root @ gram @ a0_inv_root - np.eye(len(gram)))))
-    white = SignalMatrix(_inverse_root(gram) @ x, dt=signals.dt, whitened=True)
-    return white, deviation
+    return _inverse_root(gram), deviation
 
 
 def _run_multivar(config: ExperimentConfig) -> dict:
@@ -595,12 +602,15 @@ def _run_multivar(config: ExperimentConfig) -> dict:
             config.components, config.window, config.dt,
             config.noise_kappa, config.channels, rng,
         )
-        white, integrand_dev[i] = _whiten_interpolant(raw_signals)
+        root, integrand_dev[i] = _whiten_interpolant(raw_signals)
         unit_trains = [
             simulate_poisson(m, config.window, config.trials, rng).trains[0] for m in models
         ]
         sd = SpikeData(window=config.window, trains=unit_trains)
-        rep = spectrum(normalize(build_coupling_matrix(white, sd), sd))
+        # Whitened in coupling space: (root X) @ W.T / K = root (X @ W.T / K).
+        raw = build_coupling_matrix(raw_signals, sd)
+        white = replace(raw, entries=root @ raw.entries, signal_integral=root @ raw.signal_integral)
+        rep = spectrum(normalize(white, sd))
         ks_vals[i] = rep.ks_distance
         top_eigs[i] = rep.eigenvalues[0]
         n_sig[i] = rep.n_significant

@@ -3,7 +3,10 @@
 The raw matrix averages each channel over each unit's spike times. It is
 computed as one product, samples @ W.T / K: row j of the real
 (units x samples) matrix W holds unit j's linear-interpolation weights
-summed onto the sample grid, so no per-spike channel vector is formed. The
+summed onto the sample grid, so no per-spike channel vector is formed, and
+the complex samples enter as their stacked real and imaginary parts, so the
+product is one real GEMM. The sum is linear in the samples: a channel map M
+applied to the samples gives M @ entries and M @ signal_integral. The
 normalized matrix compensates every column by its unit's estimated rate
 and scales so that, absent coupling, entries have unit variance. The
 eigenvalues of (1/n) Y Y^H are then compared against the Marchenko-Pastur
@@ -84,9 +87,11 @@ def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingM
 
     The single implementation of the coupling sum for sampled signals. Each
     spike adds its two interpolation weights to its unit's row of W at the
-    stencil's sample indices, and the block is samples @ W.T / K. A silent
-    unit gives a zero column. The two windows may differ by half a step; a
-    spike past the samples' window (inside its own) reads the window end.
+    stencil's sample indices, and the block is samples @ W.T / K. W is real,
+    so that product is one real GEMM of the stacked real and imaginary parts,
+    [Re X; Im X] @ W.T, recombined from its two halves. A silent unit gives
+    a zero column. The two windows may differ by half a step; a spike past
+    the samples' window (inside its own) reads the window end.
     """
     if abs(signals.window - spikes.window) > 0.5 * signals.dt:
         raise DomainError(
@@ -97,8 +102,10 @@ def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingM
     i0, i1, w = signals._stencil(np.minimum(spikes.times, signals.window))
     weights = np.bincount(row + i0, 1.0 - w, minlength=n * q)
     weights += np.bincount(row + i1, w, minlength=n * q)
+    x, p = signals.samples, signals.n_channels
+    halves = np.concatenate((x.real, x.imag)) @ weights.reshape(n, q).T  # (2p, n)
     return CouplingMatrix(
-        entries=signals.samples @ weights.reshape(n, q).T / spikes.n_trials,
+        entries=(halves[:p] + 1j * halves[p:]) / spikes.n_trials,
         trials=spikes.n_trials,
         window=spikes.window,
         normalized=False,

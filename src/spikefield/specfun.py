@@ -288,10 +288,21 @@ def _draw_shape(size):
     return shape, int(np.prod(shape)) if shape else 1
 
 
+# Candidates tested per step of the Best-Fisher core. At 2^15 doubles
+# (256 KiB) per array, a slice's temporaries stay in cache from one step to
+# the next instead of streaming a batch-sized array through memory per step.
+_SLICE = 1 << 15
+
+
 def _best_fisher(kappa: float, rng: np.random.Generator, n: int):
     """n accepted Best-Fisher draws as (cos theta clipped to [-1, 1], sign of theta).
 
-    The sign is -1, 0 or +1 from ``np.sign(u3 - 0.5)``; 0 has probability 2^-53.
+    Each batch draws its candidates as three full arrays u1, u2, u3, in that
+    order, then tests them ``_SLICE`` at a time, so the temporaries of the
+    cos / squeeze / log / gather steps stay in cache. Every step is
+    elementwise, so the accepted draws and the next batch size do not depend
+    on the slicing. The sign is -1, 0 or +1 from ``np.sign(u3 - 0.5)``; 0
+    has probability 2^-53.
     """
     tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
     rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
@@ -305,22 +316,26 @@ def _best_fisher(kappa: float, rng: np.random.Generator, n: int):
         u1 = rng.uniform(size=m)
         u2 = rng.uniform(size=m)
         u3 = rng.uniform(size=m)
-        z = np.cos(np.multiply(math.pi, u1, out=u1), out=u1)
-        f = r * z
-        f += 1.0
-        f /= np.add(r, z, out=z)  # f = (1 + r z) / (r + z)
-        c = np.subtract(r, f, out=z)
-        c *= kappa
-        # Squeeze first; the log test only runs where the squeeze rejects.
-        # a - u2 > 0 and a > u2 agree for finite a (gradual underflow).
-        accept = c * (2.0 - c) > u2
-        rest = np.flatnonzero(~accept)
-        cr = c[rest]
-        accept[rest] = np.log(cr / u2[rest]) + 1.0 - cr >= 0.0
-        del c, z, u1, u2, cr, rest
-        keep = np.flatnonzero(accept)[: n - filled]
-        take = len(keep)
-        np.clip(f[keep], -1.0, 1.0, out=cos[filled : filled + take])
-        np.sign(u3[keep] - 0.5, out=sign[filled : filled + take])
-        filled += take
+        for start in range(0, m, _SLICE):
+            if filled == n:
+                break
+            part = slice(start, start + _SLICE)
+            z, v = u1[part], u2[part]
+            np.cos(np.multiply(math.pi, z, out=z), out=z)
+            f = r * z
+            f += 1.0
+            f /= np.add(r, z, out=z)  # f = (1 + r z) / (r + z)
+            c = np.subtract(r, f, out=z)
+            c *= kappa
+            # Squeeze first; the log test only runs where the squeeze rejects.
+            # a - u2 > 0 and a > u2 agree for finite a (gradual underflow).
+            accept = c * (2.0 - c) > v
+            rest = np.flatnonzero(~accept)
+            cr = c[rest]
+            accept[rest] = np.log(cr / v[rest]) + 1.0 - cr >= 0.0
+            keep = np.flatnonzero(accept)[: n - filled]
+            take = len(keep)
+            np.clip(f[keep], -1.0, 1.0, out=cos[filled : filled + take])
+            np.sign(u3[part][keep] - 0.5, out=sign[filled : filled + take])
+            filled += take
     return cos, sign

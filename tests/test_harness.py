@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -94,6 +94,29 @@ class TestConfig:
             tolerance: Tolerance(3.0, "se_multiple", "no standard error here")})
         with pytest.raises(ConfigurationError, match=f"verdict '{tolerance}' has no standard error"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("tolerances", [
+        {}, {"mean_limit": Tolerance(3.0, "se_multiple", "one of the five judged")}],
+        ids=["none", "some"])
+    def test_tolerance_names_checked_before_running(self, monkeypatch, tolerances):
+        # A config built without ExperimentConfig.defaults names its own tolerances.
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
+        cfg = ExperimentConfig(experiment="univar-null", replicates=2, trials=10,
+                               tolerances=tolerances)
+        with pytest.raises(ConfigurationError, match="univar-null judges tolerance"):
+            run_experiment(cfg)
+
+    def test_unread_fields_not_judged(self):
+        # moment-oracle reads neither replicates nor kappa.
+        tolerances = ExperimentConfig.defaults("moment-oracle").tolerances
+        rep = run_experiment(ExperimentConfig(experiment="moment-oracle", replicates=1, kappa=-1.0,
+                                              trials=2000, tolerances=tolerances))
+        assert len(rep.verdicts) == 3
+        with pytest.raises(ConfigurationError, match="need at least two replicates"):
+            run_experiment(ExperimentConfig.defaults("univar-null", replicates=1))
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -259,9 +282,9 @@ class TestInterpolantWhitening:
                                        np.random.default_rng(17))
 
     def test_interpolant_gram_is_identity(self, raw):
-        white, _ = _whiten_interpolant(raw)
-        assert white.whitened and white.dt == raw.dt
-        assert np.max(np.abs(_interpolant_gram(white.samples) - np.eye(24))) < 1e-12
+        root, _ = _whiten_interpolant(raw)
+        assert root.shape == (24, 24)
+        assert np.max(np.abs(root @ _interpolant_gram(raw.samples) @ root - np.eye(24))) < 1e-12
 
     def test_deviation_keeps_its_two_step_meaning(self, raw):
         _, deviation = _whiten_interpolant(raw)
@@ -270,14 +293,19 @@ class TestInterpolantWhitening:
         assert deviation == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_spectrum_matches_two_step_path(self, raw):
+        # The map applied to the coupling matrix of the raw signals, as the
+        # harness does, against the explicitly whitened samples' spectrum.
         rng = np.random.default_rng(5)
         trains = [simulate_poisson(HomogeneousRate(20.0), 4.0, 5, rng).trains[0]
                   for _ in range(20)]
         sd = SpikeData(window=4.0, trains=trains)
-        one_step, _ = _whiten_interpolant(raw)
+        root, _ = _whiten_interpolant(raw)
+        coupling = build_coupling_matrix(raw, sd)
+        coupling_space = replace(coupling, entries=root @ coupling.entries,
+                                 signal_integral=root @ coupling.signal_integral)
         two_step = SignalMatrix(_two_step_whitening(raw)[0], dt=raw.dt, whitened=True)
-        eig = [spectrum(normalize(build_coupling_matrix(s, sd), sd)).eigenvalues
-               for s in (one_step, two_step)]
+        eig = [spectrum(normalize(c, sd)).eigenvalues
+               for c in (coupling_space, build_coupling_matrix(two_step, sd))]
         np.testing.assert_allclose(eig[0], eig[1], rtol=1e-12, atol=1e-12 * eig[1][0])
 
     def test_duplicated_noiseless_components_singular(self):
@@ -285,6 +313,20 @@ class TestInterpolantWhitening:
                      noise_kappa=0.0, window=2.0, dt=1 / 256, trials=2)
         with pytest.raises(SingularGramError, match="near-null"):
             run_experiment(cfg)
+
+    def test_spectrum_called_once_per_replicate(self, monkeypatch):
+        # perfbench collects the multivar spectra through harness.spectrum.
+        seen = []
+
+        def stand_in(normalized):
+            report = spectrum(normalized)
+            seen.append(report.eigenvalues)
+            return report
+
+        monkeypatch.setattr(harness, "spectrum", stand_in)
+        rep = run_experiment(_small("multivar-null", **_GOLDEN_MULTIVAR))
+        assert [e[0] for e in seen] == rep.replicates["top_eigenvalue"]
+        assert len(seen) == _GOLDEN_MULTIVAR["replicates"]
 
 
 _GOLDEN_MULTIVAR = dict(
@@ -313,11 +355,11 @@ _GOLDEN_BODIES = {
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
-        "0f226e211f399f858f622286467cb7027e61c5bd81348f534d199d2709007e18",
+        "0dc69d25efaeb4454def9283369e5d7bba0130e5705065b7cd776ecda2d6ab4e",
     ),
     "multivar-coupled": (
         _GOLDEN_MULTIVAR,
-        "11f2ad9495171cd968ded41afce41122f08643ddfc1a79eaf27a937841e95823",
+        "9a4dc9760bc6d12a0245962b41e600c26d4c60b288b494f9c67234a230bb33bb",
     ),
     "moment-oracle": (
         dict(trials=5000),

@@ -101,7 +101,7 @@ class TestBuildCouplingMatrix:
 
 
 class TestCouplingKernel:
-    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("p", [1, 4, 20])
     @pytest.mark.parametrize("offset", [0.0, 0.4, -0.4])
     def test_matches_eval_at_per_unit(self, p, offset):
         # Spikes at 0, on grid points, in the trailing interval (wrapping to

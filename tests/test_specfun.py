@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikefield import specfun
 from spikefield.errors import DomainError
 from spikefield.specfun import (
     bessel_i,
@@ -264,3 +265,62 @@ class TestVonMisesPhasor:
         z = von_mises_phasor(2.0, np.random.default_rng(1))
         assert isinstance(z, complex)
         assert z == pytest.approx(np.exp(1j * von_mises_sample(0.0, 2.0, np.random.default_rng(1))))
+
+
+def _unsliced_best_fisher(kappa, rng, n):
+    """Oracle: the Best-Fisher core testing each batch's candidates in one pass."""
+    tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
+    rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
+    r = (1.0 + rho * rho) / (2.0 * rho)
+    cos, sign = np.empty(n), np.empty(n)
+    filled = 0
+    while filled < n:
+        m = int((n - filled) * 1.6) + 8
+        u1, u2, u3 = (rng.uniform(size=m) for _ in range(3))
+        z = np.cos(math.pi * u1)
+        f = (1.0 + r * z) / (r + z)
+        c = kappa * (r - f)
+        accept = c * (2.0 - c) > u2
+        rest = ~accept
+        accept[rest] = np.log(c[rest] / u2[rest]) + 1.0 - c[rest] >= 0.0
+        keep = np.flatnonzero(accept)[: n - filled]
+        cos[filled : filled + len(keep)] = np.clip(f[keep], -1.0, 1.0)
+        sign[filled : filled + len(keep)] = np.sign(u3[keep] - 0.5)
+        filled += len(keep)
+    return cos, sign
+
+
+class _CountingRng:
+    """A generator that counts its ``uniform`` calls."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.uniform(*args, **kwargs)
+
+
+class TestBestFisherSlices:
+    # (kappa, seed, n); 2^15 candidates are tested per slice. At kappa = 2,
+    # seed 671 accepts fewer than 10 of the first batch's 24 candidates.
+    @pytest.mark.parametrize("kappa, seed, n", [
+        (10.0, 1, 1), (10.0, 2, 2**15 - 1), (0.5, 3, 2**15), (1e3, 4, 2**15 + 1),
+        (10.0, 5, 100_003), (2.0, 671, 10),
+    ])
+    def test_bit_identical_to_the_unsliced_core(self, monkeypatch, kappa, seed, n):
+        def draws(rng):
+            return (von_mises_sample(0.3, kappa, rng, size=n).view(np.int64),
+                    von_mises_phasor(kappa, rng, size=n).view(np.int64))
+
+        sliced_rng = _CountingRng(seed)
+        sliced = draws(sliced_rng)
+        monkeypatch.setattr(specfun, "_best_fisher", _unsliced_best_fisher)
+        reference_rng = _CountingRng(seed)
+        reference = draws(reference_rng)
+        for got, expected in zip(sliced, reference):
+            assert np.array_equal(got, expected)
+        assert sliced_rng.calls == reference_rng.calls
+        assert sliced_rng.uniform() == reference_rng.uniform()
+        if seed == 671:
+            assert sliced_rng.calls > 6  # a second batch in at least one sampler
