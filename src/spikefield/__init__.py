@@ -27,16 +27,13 @@ from .pointproc import (
 )
 from .signals import (
     LinearPhase,
-    PhaseSpec,
     SignalMatrix,
-    TabulatedPhase,
     synthesize_oscillations,
     whiten,
 )
 from .specfun import MpLaw, bessel_i, mp_cdf, mp_density, mp_law, von_mises_phasor, von_mises_sample
 from .unicoupling import (
     AsymptoticLaw,
-    estimate_coupling,
     estimate_plv,
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,

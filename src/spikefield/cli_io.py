@@ -24,7 +24,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +279,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         except ConfigurationError as exc:
             raise DomainError(f"{where}: {exc}") from None
     try:
-        return ExperimentConfig.defaults(doc.pop("experiment"), tolerances=tolerances, **doc)
+        return ExperimentConfig(tolerances=tolerances, **doc)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
 
@@ -331,11 +331,10 @@ def _cmd_simulate(args) -> int:
     if "signals" in sim:
         sim["signals"] = _fields(sim["signals"], f"{args.config}: signals", _SIGNAL_KINDS,
                                  required=("components", "dt"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     window, trials = sim["window"], sim["trials"]
 
+    # Everything is drawn, signals first, before anything is written.
     signals = None
     if "signals" in sim:
         block = sim["signals"]
@@ -345,13 +344,17 @@ def _cmd_simulate(args) -> int:
         )
         if block.get("whiten", False):
             signals = whiten(signals)
-        save_signals(signals, out / "signals.csv")
-
     trains = [
         simulate_poisson(_build_unit_model(sim, j), window, trials, rng).trains[0]
         for j in range(sim.get("units", 1))
     ]
-    save_spikes(SpikeData(window=window, trains=trains), out / "spikes.json")
+    spikes = SpikeData(window=window, trains=trains)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if signals is not None:
+        save_signals(signals, out / "signals.csv")
+    save_spikes(spikes, out / "spikes.json")
     print(f"wrote {out / 'spikes.json'}" + (f" and {out / 'signals.csv'}" if signals else ""))
     return 0
 
@@ -463,9 +466,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     if args.seed is not None:
-        config.master_seed = args.seed
+        config = replace(config, master_seed=args.seed)
     if args.out is not None:
-        config.output_dir = args.out
+        config = replace(config, output_dir=args.out)
     report = run_experiment(config)
     for line in report.summary_lines():
         print(line)

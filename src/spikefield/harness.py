@@ -7,15 +7,15 @@ hard-coded numbers), and emits named PASS/FAIL verdicts. Reports are
 deterministic for a fixed configuration: rerunning reproduces the same
 bytes apart from the runtime field.
 
-All experiments share one skeleton. ``run_experiment`` validates the
-config, calls the experiment's runner from ``EXPERIMENTS`` and builds the
-one ``ExperimentReport`` (experiment, config, master seed, runtime); a
-runner returns only its targets, aggregates, replicates, verdicts and plot
-data. The PLV experiments draw their replicates from ``_plv_replicates``
-(replicate i of block b uses seed index ``b * replicates + i``) and judge
-each case against its asymptotic law with ``_plv_case``: the univariate
-experiments are one unprefixed case, the sinusoid experiment a matched and
-a mismatched one. Every verdict comes from ``_judge``, where the named
+All experiments share one skeleton. ``run_experiment`` calls the
+experiment's runner from ``EXPERIMENTS`` on a config that is valid from
+construction, and builds the one ``ExperimentReport`` (experiment, config,
+master seed, runtime); a runner returns only its targets, aggregates,
+replicates, verdicts and plot data. The PLV experiments draw their
+replicates from ``_plv_replicates`` (replicate i of block b uses seed
+index ``b * replicates + i``) and judge each case against its asymptotic
+law with ``_plv_case``: the univariate experiments are one unprefixed
+case, the sinusoid experiment a matched and a mismatched one. Every verdict comes from ``_judge``, where the named
 tolerance's kind alone decides the rule: a ``min_rate`` floor on the observed
 value, or else a bound on its distance from the target (a multiple of the
 standard error, a fraction of the target, or an absolute value).
@@ -27,7 +27,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -82,58 +82,74 @@ class Tolerance:
             raise ConfigurationError(f"kind must be one of {kinds}, got {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters, seed, and named tolerances for one experiment.
 
-    Build it with ``defaults``, which accepts only the fields the experiment
-    reads. Defaults mirror the published simulation tables: univariate runs
-    use f = 1 Hz, T = 5 s, rate 20 Hz, K = 5000 trials; the bias sweep uses
-    K = 10, rate 30 Hz over sub-cycle windows; multivariate runs use five
-    oscillatory components at 11-15 Hz over 11 s, 100 channels, up to 90
-    units, K = 10, phase-noise concentration 10. Replicate counts are
-    scaled to desk runtime (2000 univariate, 100 multivariate).
+    Build it with the experiment's name and the fields to change. Every
+    parameter left unset (None) that the experiment reads is filled from
+    its entry in ``_DEFAULTS``, the one copy of the published simulation
+    tables: univariate runs use f = 1 Hz, T = 5 s, rate 20 Hz, K = 5000
+    trials; the bias sweep uses K = 10, rate 30 Hz over sub-cycle windows;
+    multivariate runs use five oscillatory components at 11-15 Hz over
+    11 s, 100 channels, 90 units, K = 10, phase-noise concentration 10.
+    Replicate counts are scaled to desk runtime (2000 univariate, 100
+    multivariate). ``tolerances`` names only the bounds to change; once
+    built, the config holds every bound the experiment judges.
+
+    A field the experiment does not read stays unset, and setting one is
+    refused, as are a tolerance name it does not judge and every parameter
+    out of its domain. All of it is checked here, before any replicate
+    runs, and the config is frozen, so it stays valid.
     """
 
     experiment: str
-    rate0: float = 20.0
-    window: float = 5.0
-    trials: int = 5000
-    replicates: int = 2000
+    rate0: float = None
+    window: float = None
+    trials: int = None
+    replicates: int = None
     master_seed: int = 20260810
-    frequency: float = 1.0
-    kappa: float = 0.0
-    phase_offset: float = 0.0
-    depth: float = 0.3
-    rate_harmonic: int = 3
-    phase_harmonic: int = 1
-    components: tuple = (11.0, 12.0, 13.0, 14.0, 15.0)
-    channels: int = 100
-    units: int = 90
-    noise_kappa: float = 10.0
-    dt: float = 1.0 / 1024.0
-    windows: tuple = (0.5, 0.75, 1.0)
+    frequency: float = None
+    kappa: float = None
+    phase_offset: float = None
+    depth: float = None
+    rate_harmonic: int = None
+    phase_harmonic: int = None
+    components: tuple = None
+    channels: int = None
+    units: int = None
+    noise_kappa: float = None
+    dt: float = None
+    windows: tuple = None
     output_dir: str | None = None
     tolerances: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.experiment not in _DEFAULTS:
+            raise DomainError(
+                f"unknown experiment {self.experiment!r}; expected one of {sorted(_DEFAULTS)}"
+            )
+        published = dict(_DEFAULTS[self.experiment])
+        tolerances = published.pop("tolerances")
+        unknown = set(self.tolerances) - set(tolerances)
+        if unknown:
+            raise ConfigurationError(f"{self.experiment} judges no tolerance(s) {sorted(unknown)}; "
+                                     f"it judges {sorted(tolerances)}")
+        unread = {f.name for f in fields(self) if getattr(self, f.name) is not None} - set(published)
+        unread -= {"experiment", "master_seed", "output_dir", "tolerances"}
+        if unread:
+            raise ConfigurationError(f"{self.experiment} reads no field(s) {sorted(unread)}; "
+                                     f"it reads {sorted(published)}, master_seed and output_dir")
+        for name, value in published.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "tolerances", {**tolerances, **self.tolerances})
+        _validate(self)
+
     @classmethod
     def defaults(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        """Config for a named experiment; an override must name a field it reads or a tolerance it judges."""
-        _require_known(experiment)
-        base = dict(_DEFAULTS[experiment])
-        tolerances = dict(base.pop("tolerances"))
-        changed = overrides.pop("tolerances", {})
-        unknown = set(changed) - set(tolerances)
-        if unknown:
-            raise ConfigurationError(f"{experiment} judges no tolerance(s) {sorted(unknown)}; "
-                                     f"it judges {sorted(tolerances)}")
-        unread = set(overrides) - set(base) - {"master_seed", "output_dir"}
-        if unread:
-            raise ConfigurationError(f"{experiment} reads no field(s) {sorted(unread)}; "
-                                     f"it reads {sorted(base)}, master_seed and output_dir")
-        tolerances.update(changed)
-        base.update(overrides)
-        return cls(experiment=experiment, tolerances=tolerances, **base)
+        """The config of a named experiment, with ``overrides`` set."""
+        return cls(experiment=experiment, **overrides)
 
 
 _SE3 = Tolerance(3.0, "se_multiple", "three standard errors (CLT)")
@@ -262,8 +278,6 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run a named experiment and return (and optionally write) its report."""
-    _require_known(config.experiment)
-    _validate(config)
     started = time.perf_counter()
     parts = EXPERIMENTS[config.experiment](config)
     report = ExperimentReport(
@@ -278,24 +292,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _require_known(experiment: str) -> None:
-    if experiment not in EXPERIMENTS:
-        raise DomainError(
-            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
-        )
+def _positive_finite(x) -> bool:
+    return 0.0 < x < math.inf  # NaN fails every comparison
 
 
 def _validate(config: ExperimentConfig) -> None:
     # Surface parameter problems before any replicate runs, judging only the
-    # fields the experiment reads: a config built without ``defaults`` still
-    # carries every field.
+    # fields the experiment reads; the others are unset.
     reads = _DEFAULTS[config.experiment]
     if "replicates" in reads and config.replicates < 2:
         raise ConfigurationError("need at least two replicates")
     if config.trials < 1:
         raise ConfigurationError("need at least one trial per replicate")
-    if not (config.rate0 > 0.0 and ("window" not in reads or 0.0 < config.window < math.inf)):
+    if config.experiment == "moment-oracle" and config.trials < 2:
+        raise ConfigurationError("moment-oracle needs at least two trials for a standard error")
+    if not (config.rate0 > 0.0 and ("window" not in reads or _positive_finite(config.window))):
         raise ConfigurationError("rate0 and window must be positive, and window finite")
+    if "frequency" in reads and not _positive_finite(config.frequency):
+        raise ConfigurationError(f"frequency must be positive and finite, got {config.frequency}")
     if "kappa" in reads and config.kappa < 0.0:
         raise ConfigurationError(f"coupling strength must be >= 0, got {config.kappa}")
     if "depth" in reads and not (0.0 <= config.depth <= 1.0):
@@ -303,16 +317,13 @@ def _validate(config: ExperimentConfig) -> None:
             f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"
         )
     defaults = reads["tolerances"]
-    if set(config.tolerances) != set(defaults):
-        raise ConfigurationError(f"{config.experiment} judges tolerance(s) {sorted(defaults)}; "
-                                 f"the config names {sorted(config.tolerances)}")
     for name, tol in config.tolerances.items():
         # Exactly the verdicts whose default bound is se_multiple carry a standard error.
         if tol.kind == "se_multiple" and defaults[name].kind != "se_multiple":
             raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
     if config.experiment == "bias-curve":
         windows = list(config.windows)
-        if not (windows and all(0.0 < w < math.inf for w in windows)):
+        if not (windows and all(map(_positive_finite, windows))):
             raise ConfigurationError(f"bias-curve needs windows, all positive and finite: {windows}")
     if config.experiment in ("univar-null", "univar-coupled"):
         cycles = config.frequency * config.window
@@ -320,7 +331,29 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigurationError(
                 f"window must hold an integer number of cycles, got f*T={cycles}"
             )
+    if config.experiment == "sinusoid-uncoupled":
+        # The matched case (rate harmonic == phase harmonic) runs alongside the
+        # mismatched one, whose rate harmonic comes from the config.
+        if config.rate_harmonic == config.phase_harmonic:
+            raise ConfigurationError(
+                "rate_harmonic must differ from phase_harmonic; the matched case is run alongside"
+            )
+        if config.rate_harmonic == 2 * config.phase_harmonic:
+            raise ConfigurationError(
+                "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
+                "not covered by the closed form; pick another harmonic"
+            )
     if config.experiment.startswith("multivar"):
+        if config.units < 1 or config.channels < 1:
+            raise ConfigurationError(
+                f"need at least one unit and one channel, got {config.units} and {config.channels}"
+            )
+        if not _positive_finite(config.dt):
+            raise ConfigurationError(f"dt must be positive and finite, got {config.dt}")
+        if not (config.components and all(map(_positive_finite, config.components))):
+            raise ConfigurationError(
+                f"components must be positive and finite frequencies, got {list(config.components)}"
+            )
         for j, f in enumerate(config.components):
             cycles = f * config.window
             if abs(cycles - round(cycles)) > 1e-9:
@@ -330,7 +363,7 @@ def _validate(config: ExperimentConfig) -> None:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    """The fields ``defaults`` accepts for the experiment."""
+    """The fields the experiment reads, with its name, seed and output directory."""
     accepted = {"experiment", "master_seed", "output_dir", *_DEFAULTS[config.experiment]}
     return {k: v for k, v in asdict(config).items() if k in accepted}
 
@@ -518,17 +551,6 @@ def _run_bias_curve(config: ExperimentConfig) -> dict:
 
 
 def _run_sinusoid(config: ExperimentConfig) -> dict:
-    # Matched (rate harmonic == phase harmonic) and mismatched cases share a
-    # report; the mismatched rate harmonic comes from the config.
-    if config.rate_harmonic == config.phase_harmonic:
-        raise ConfigurationError(
-            "rate_harmonic must differ from phase_harmonic; the matched case is run alongside"
-        )
-    if config.rate_harmonic == 2 * config.phase_harmonic:
-        raise ConfigurationError(
-            "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
-            "not covered by the closed form; pick another harmonic"
-        )
     phase = LinearPhase(config.phase_harmonic / config.window, config.window)
     cases = {
         "matched": config.phase_harmonic,

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .signals import PhaseSpec
+from .signals import LinearPhase
 
 __all__ = [
     "HomogeneousRate",
@@ -54,7 +54,7 @@ class VonMisesRate:
     rate0: float
     kappa: float
     phase_offset: float
-    phase: PhaseSpec
+    phase: LinearPhase
 
     def __post_init__(self):
         if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):

@@ -10,8 +10,7 @@ subinterval when interpolating).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .specfun import von_mises_phasor
 
 __all__ = [
     "LinearPhase",
-    "TabulatedPhase",
-    "PhaseSpec",
     "SignalMatrix",
     "synthesize_oscillations",
     "whiten",
@@ -41,37 +38,6 @@ class LinearPhase:
 
     def phase(self, t):
         return 2.0 * math.pi * self.frequency * np.asarray(t, dtype=float)
-
-
-@dataclass(frozen=True)
-class TabulatedPhase:
-    """Piecewise-linear phase given by (time, phase) samples on [0, window]."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
-            raise DomainError("need matching 1-d time and phase arrays with >= 2 samples")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-            raise DomainError("times must start at 0 and increase strictly")
-        if np.any(np.diff(values) < 0.0):
-            raise DomainError("phase must be nondecreasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def window(self) -> float:
-        return float(self.times[-1])
-
-    def phase(self, t):
-        t = _check_times(t, self.window)
-        return np.interp(t, self.times, self.values)
-
-
-PhaseSpec = Union[LinearPhase, TabulatedPhase]
 
 
 def _time_tolerance(window: float) -> float:
@@ -174,6 +140,8 @@ def synthesize_oscillations(
     into the channels' noise phasors (``von_mises_phasor``), which take the
     same draws as ``von_mises_sample(0, kappa, rng, (channels, q))``.
     """
+    if not (0.0 < window < math.inf and 0.0 < dt < math.inf):
+        raise DomainError(f"window and dt must be positive and finite, got {window!r} and {dt!r}")
     freqs = np.asarray(components, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 1 or np.any(freqs <= 0.0):
         raise DomainError("components must be a nonempty list of positive frequencies")

@@ -1,11 +1,11 @@
-"""Univariate spike-field coupling: estimators, asymptotic laws, null test.
+"""Univariate spike-field coupling: the PLV, its asymptotic laws, null test.
 
-The coupling estimate averages a callable or a phase model over spike
-times across trials (sampled signals go through ``build_coupling_matrix``);
-the multi-trial PLV normalizes by the pooled spike count instead. Closed
-forms for the infinite-trial limit and the Gaussian law of the scaled
-residual are provided for the exponential-cosine (von Mises) and the
-sinusoidally modulated rate; arbitrary windows go through quadrature.
+The multi-trial PLV averages the unit phasor of a linear phase over the
+spikes pooled across trials; sampled signals couple through
+``build_coupling_matrix``. Closed forms for the infinite-trial limit and
+the Gaussian law of the scaled residual are provided for the
+exponential-cosine (von Mises) and the sinusoidally modulated rate;
+arbitrary windows go through quadrature.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
 from .pointproc import IntensityModel, SpikeData, _check_phase_offset
-from .signals import LinearPhase, PhaseSpec, TabulatedPhase, _time_tolerance
+from .signals import LinearPhase, _time_tolerance
 from .specfun import bessel_i
 
 __all__ = [
     "AsymptoticLaw",
-    "estimate_coupling",
     "estimate_plv",
     "plv_asymptotics_vonmises",
     "plv_asymptotics_sinusoid",
@@ -59,7 +58,7 @@ class AsymptoticLaw:
         return np.exp(-1j * self.rotation) * math.sqrt(trials) * (z - self.limit)
 
 
-def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
+def _check_phase_window(phase: LinearPhase, spikes: SpikeData) -> None:
     """Reject a phase model whose window ends before the spikes' window.
 
     Every ``SpikeData`` holds its spike times in [0, ``spikes.window``]:
@@ -73,30 +72,7 @@ def _check_phase_window(phase: PhaseSpec, spikes: SpikeData) -> None:
         )
 
 
-def estimate_coupling(x, spikes: SpikeData, unit: int = 0) -> complex:
-    """Trial-averaged sum of the integrand over spike times, (1/K) sum_k sum_j x(t_j).
-
-    ``x`` may be a callable of time or a phase model (evaluated as its
-    unit-modulus oscillation). No compensator is subtracted. Anything else
-    is rejected, a SignalMatrix included: ``build_coupling_matrix``
-    computes its (channels, units) block.
-    """
-    is_phase = isinstance(x, (LinearPhase, TabulatedPhase))
-    if is_phase:
-        _check_phase_window(x, spikes)
-    elif not callable(x):
-        raise DomainError(
-            f"estimate_coupling takes a callable or a phase model, not a {type(x).__name__}; "
-            "a SignalMatrix couples through build_coupling_matrix"
-        )
-    times = spikes.unit_times(unit)
-    if times.size == 0:
-        return 0j
-    values = np.exp(1j * x.phase(times)) if is_phase else x(times)
-    return complex(np.sum(values) / spikes.n_trials)
-
-
-def estimate_plv(phase: PhaseSpec, spikes: SpikeData, unit: int = 0) -> complex:
+def estimate_plv(phase: LinearPhase, spikes: SpikeData, unit: int = 0) -> complex:
     """Multi-trial PLV: mean of exp(i phi(t_j)) over all spikes pooled across trials."""
     _check_phase_window(phase, spikes)
     times = spikes.unit_times(unit)
@@ -197,7 +173,7 @@ def plv_asymptotics_sinusoid(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def plv_limit_numeric(phase: PhaseSpec, model: IntensityModel, window: float) -> complex:
+def plv_limit_numeric(phase: LinearPhase, model: IntensityModel, window: float) -> complex:
     """Infinite-trial PLV limit int e^{i phi} lambda / int lambda for any window.
 
     Composite Gauss-Legendre quadrature with at least two segments per

@@ -371,7 +371,7 @@ class TestCliSimulateAnalyze:
         }))
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: verdict 'detection_rate' has no standard error")
+            f"error: {cfg}: verdict 'detection_rate' has no standard error")
 
     def test_simulate_deterministic(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
@@ -553,6 +553,73 @@ class TestTypedFields:
             "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
         assert (code, err.splitlines()[0]) == (1, f"error: {sidecar}: {message}")
         assert not (tmp_path / "o").exists()  # not even the --phase output
+
+
+_MULTIVAR = {"experiment": "multivar-null", "replicates": 2, "channels": 4, "units": 4,
+             "components": [3.0, 4.0], "window": 2.0, "dt": 1 / 256, "trials": 2}
+
+
+class TestRefusedConfigs:
+    """A refused config exits 1 with one ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"signals": {**_SIM["signals"], "dt": 0.0}},
+         "window and dt must be positive and finite, got 1.0 and 0.0"),
+        ({"signals": {**_SIM["signals"], "dt": math.nan}},
+         "window and dt must be positive and finite, got 1.0 and nan"),
+        ({"signals": {"components": [11.0], "channels": 2, "dt": 0.05}},
+         "dt=0.05 undersamples the 11.0 Hz component"),
+        ({"kind": "sinusoid", "depth": 1.5}, "modulation depth must lie in [0, 1], got 1.5"),
+        ({"signals": {**_SIM["signals"], "channels": 0}}, "need at least one channel"),
+        ({"signals": {**_SIM["signals"], "components": []}}, "components must be a nonempty list"),
+        ({"units": 0}, "need at least one unit"),
+        ({"trials": 0}, "need at least one trial"),
+        ({"window": math.inf}, "window and dt must be positive and finite, got inf and 0.015625"),
+        ({"kind": "vonmises", "frequency": 1.0, "kappa": math.inf},
+         "modulation strength must be >= 0, got inf"),
+        ({"kind": "poisson"}, "unknown simulation kind 'poisson'"),
+    ], ids=["zero-dt", "nan-dt", "undersampled", "unit-model-after-signals", "no-channels",
+            "no-components", "no-units", "no-trials", "inf-window", "inf-kappa", "unknown-kind"])
+    def test_simulate(self, tmp_path, capsys, change, message):
+        # Each signals block here is refused before any unit is drawn, and each
+        # unit model after the signals are drawn; neither leaves a file behind.
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**_SIM, **change}))
+        code, err = _run(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        self._refused(code, err, message, tmp_path / "o")
+
+    @pytest.mark.parametrize("change, message", [
+        ({**_MULTIVAR, "units": 0}, "need at least one unit and one channel, got 0 and 4"),
+        ({**_MULTIVAR, "dt": 0.0}, "dt must be positive and finite, got 0.0"),
+        ({**_MULTIVAR, "dt": math.nan}, "dt must be positive and finite, got nan"),
+        ({**_MULTIVAR, "experiment": "multivar-coupled", "components": []},
+         "components must be positive and finite frequencies, got []"),
+        ({"frequency": math.nan}, "frequency must be positive and finite, got nan"),
+        ({"channels": 3, "depth": 0.9}, "univar-null reads no field(s) ['channels', 'depth']"),
+        ({"experiment": "no-such-thing"}, "unknown experiment 'no-such-thing'"),
+        ({"replicates": 1}, "need at least two replicates"),
+        ({"window": math.inf}, "rate0 and window must be positive, and window finite"),
+        ({"experiment": "sinusoid-uncoupled", "rate_harmonic": 2},
+         "rate_harmonic = 2 * phase_harmonic"),
+        ({"experiment": "moment-oracle", "replicates": None, "trials": 1},
+         "moment-oracle needs at least two trials"),
+        ({"experiment": "bias-curve", "trials": 10, "windows": []}, "bias-curve needs windows"),
+    ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
+            "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
+            "one-moment-trial", "no-windows"])
+    def test_experiment(self, tmp_path, capsys, change, message):
+        path = tmp_path / "cfg.json"
+        doc = {k: v for k, v in {**_EXPERIMENT, **change}.items() if v is not None}
+        path.write_text(json.dumps(doc))
+        code, err = _run(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
+        self._refused(code, err, f"{path}: {message}", tmp_path / "o")
+
+    @staticmethod
+    def _refused(code, err, message, out):
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # sha256 of every file ``simulate`` then ``analyze --signals --phase`` writes at

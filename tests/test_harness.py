@@ -3,7 +3,8 @@
 import hashlib
 import json
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from spikefield import harness
 from spikefield.errors import ConfigurationError, DomainError, SingularGramError
 from spikefield.harness import (
+    _DEFAULTS,
     EXPERIMENTS,
     ExperimentConfig,
     Tolerance,
@@ -60,14 +62,34 @@ class TestConfig:
         assert cfg.replicates == 10 and cfg.master_seed == 7
 
     def test_precondition_surfaced_before_running(self):
-        cfg = ExperimentConfig.defaults("univar-null", window=5.3)  # non-integer cycles
+        # Refused where the config is built, so no replicate can run.
         with pytest.raises(ConfigurationError, match="integer number of cycles"):
-            run_experiment(cfg)
+            ExperimentConfig(experiment="univar-null", window=5.3)  # non-integer cycles
         with pytest.raises(ConfigurationError, match="depth"):
-            run_experiment(ExperimentConfig.defaults("sinusoid-uncoupled", depth=1.5))
+            ExperimentConfig(experiment="sinusoid-uncoupled", depth=1.5)
         for name in ("univar-null", "multivar-null"):  # inf made the cycle check overflow
             with pytest.raises(ConfigurationError, match="window finite"):
-                run_experiment(ExperimentConfig.defaults(name, window=math.inf))
+                ExperimentConfig(experiment=name, window=math.inf)
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("multivar-null", {"units": 0}, "at least one unit"),
+        ("multivar-coupled", {"channels": 0}, "one channel"),
+        ("multivar-null", {"dt": 0.0}, "dt must be positive and finite"),
+        ("multivar-null", {"dt": math.nan}, "dt must be positive and finite"),
+        ("multivar-coupled", {"components": ()}, "components must be positive"),
+        ("multivar-null", {"components": (11.0, math.nan)}, "components must be positive"),
+        ("univar-null", {"frequency": math.nan}, "frequency must be positive and finite"),
+        ("bias-curve", {"frequency": math.inf}, "frequency must be positive and finite"),
+        ("univar-coupled", {"frequency": 0.0}, "frequency must be positive and finite"),
+        ("moment-oracle", {"trials": 1}, "two trials for a standard error"),
+    ], ids=["no-units", "no-channels", "zero-dt", "nan-dt", "no-components", "nan-component",
+            "nan-frequency", "inf-frequency", "zero-frequency", "one-moment-trial"])
+    def test_edge_inputs_refused_at_construction(self, name, change, message):
+        # Each used to escape from inside the runner as ZeroDivisionError,
+        # ValueError or OverflowError, or (one moment trial) to write a NaN
+        # standard error into the report.
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(experiment=name, **change)
 
     @pytest.mark.parametrize("windows", [(), (0.5, 0.0), (0.5, -1.0), (math.nan,), (math.inf,)],
                              ids=["empty", "zero", "negative", "nan", "inf"])
@@ -90,33 +112,89 @@ class TestConfig:
 
         monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
         monkeypatch.setattr(harness, "synthesize_oscillations", no_replicates)
-        cfg = ExperimentConfig.defaults(name, tolerances={
-            tolerance: Tolerance(3.0, "se_multiple", "no standard error here")})
         with pytest.raises(ConfigurationError, match=f"verdict '{tolerance}' has no standard error"):
-            run_experiment(cfg)
+            run_experiment(ExperimentConfig.defaults(name, tolerances={
+                tolerance: Tolerance(3.0, "se_multiple", "no standard error here")}))
 
     @pytest.mark.parametrize("tolerances", [
         {}, {"mean_limit": Tolerance(3.0, "se_multiple", "one of the five judged")}],
         ids=["none", "some"])
-    def test_tolerance_names_checked_before_running(self, monkeypatch, tolerances):
-        # A config built without ExperimentConfig.defaults names its own tolerances.
-        def no_replicates(*args):
-            raise AssertionError("a replicate ran")
-
-        monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
+    def test_tolerance_names_checked_before_running(self, tolerances):
+        # The constructor merges the named bounds into the published ones, so
+        # the config judges every verdict, and refuses a name it does not judge.
         cfg = ExperimentConfig(experiment="univar-null", replicates=2, trials=10,
                                tolerances=tolerances)
-        with pytest.raises(ConfigurationError, match="univar-null judges tolerance"):
-            run_experiment(cfg)
+        published = _DEFAULTS["univar-null"]["tolerances"]
+        assert cfg.tolerances == {**published, **tolerances}
+        assert list(cfg.tolerances) == list(published)
+        with pytest.raises(ConfigurationError, match=r"univar-null judges no tolerance\(s\) \['moment'\]"):
+            ExperimentConfig(experiment="univar-null", tolerances={
+                **tolerances, "moment": Tolerance(3.0, "se_multiple", "moment-oracle's")})
 
     def test_unread_fields_not_judged(self):
-        # moment-oracle reads neither replicates nor kappa.
-        tolerances = ExperimentConfig.defaults("moment-oracle").tolerances
-        rep = run_experiment(ExperimentConfig(experiment="moment-oracle", replicates=1, kappa=-1.0,
-                                              trials=2000, tolerances=tolerances))
-        assert len(rep.verdicts) == 3
+        # moment-oracle reads neither replicates nor kappa: setting them is
+        # refused as unread, not judged as out of range.
+        with pytest.raises(ConfigurationError,
+                           match=r"moment-oracle reads no field\(s\) \['kappa', 'replicates'\]"):
+            ExperimentConfig(experiment="moment-oracle", replicates=1, kappa=-1.0, trials=2000)
+        cfg = ExperimentConfig(experiment="moment-oracle", trials=2000)
+        assert (cfg.replicates, cfg.kappa) == (None, None)
         with pytest.raises(ConfigurationError, match="need at least two replicates"):
-            run_experiment(ExperimentConfig.defaults("univar-null", replicates=1))
+            ExperimentConfig(experiment="univar-null", replicates=1)
+
+    def test_unread_field_refused_whatever_the_tolerances(self):
+        # A config carrying univar-null's own tolerances used to run all six
+        # verdicts and drop channels and depth from its report without a word.
+        tolerances = ExperimentConfig.defaults("univar-null").tolerances
+        with pytest.raises(ConfigurationError,
+                           match=r"univar-null reads no field\(s\) \['channels', 'depth'\]"):
+            ExperimentConfig(experiment="univar-null", replicates=2, trials=10, channels=3,
+                             depth=0.9, tolerances=tolerances)
+
+    def test_frozen_and_rebuilt_by_replace(self):
+        cfg = ExperimentConfig(experiment="multivar-null", trials=5)
+        with pytest.raises(FrozenInstanceError):
+            cfg.master_seed = 1
+        again = replace(cfg, master_seed=1)  # runs the same checks on a filled config
+        assert replace(again, master_seed=cfg.master_seed) == cfg
+        with pytest.raises(ConfigurationError, match="at least one unit"):
+            replace(cfg, units=0)
+        with pytest.raises(ConfigurationError, match="reads no field"):
+            replace(cfg, depth=0.5)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_constructor_and_defaults_agree(self, name):
+        # Every (experiment, field) pair, probed with a real value: both ways of
+        # building a config accept the same pairs, with the same result.
+        accepted = set()
+        for key, value in _probes(name).items():
+            try:
+                built = ExperimentConfig(experiment=name, **{key: value})
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                    ExperimentConfig.defaults(name, **{key: value})
+                continue
+            accepted.add(key)
+            via_defaults = ExperimentConfig.defaults(name, **{key: value})
+            assert built == via_defaults
+            assert harness._config_dict(built) == harness._config_dict(via_defaults)
+        assert accepted == set(_DEFAULTS[name]) | {"master_seed", "output_dir"}
+
+    def test_published_values_live_only_in_the_defaults_table(self):
+        # The dataclass leaves every experiment parameter unset.
+        parameters = set().union(*_DEFAULTS.values()) - {"tolerances"}
+        for f in fields(ExperimentConfig):
+            if f.name in parameters:
+                assert f.default is None, f.name
+
+    def test_report_config_is_the_constructed_one(self):
+        # The report carries the fields the experiment reads, filled and merged.
+        cfg = ExperimentConfig(experiment="moment-oracle", trials=2000, master_seed=5)
+        body = run_experiment(cfg).body_dict()["config"]
+        assert body == harness._config_dict(ExperimentConfig.defaults(
+            "moment-oracle", trials=2000, master_seed=5))
+        assert set(body) == {"experiment", "master_seed", "output_dir", *_DEFAULTS["moment-oracle"]}
+        assert body["tolerances"] == {k: asdict(t) for k, t in cfg.tolerances.items()}
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -217,11 +295,10 @@ class TestReports:
                 assert v["passed"] == (v["observed"] >= value) == passed, v
 
     def test_se_multiple_tolerance_needs_a_standard_error(self):
-        cfg = _small("multivar-coupled", **_GOLDEN_MULTIVAR, tolerances={
-            "detection_rate": Tolerance(3.0, "se_multiple", "no standard error here")})
         with pytest.raises(ConfigurationError,
                            match="verdict 'detection_rate' has no standard error"):
-            run_experiment(cfg)
+            _small("multivar-coupled", **_GOLDEN_MULTIVAR, tolerances={
+                "detection_rate": Tolerance(3.0, "se_multiple", "no standard error here")})
 
     def test_distance_kind_bounds_a_zero_target(self):
         # Relative to a zero target the bound is 0, so a positive KS distance fails.
@@ -391,19 +468,37 @@ class TestGoldenBodies:
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN_BODIES))
     def test_read_fields_are_the_accepted_ones(self, name):
-        # A field ExperimentConfig.defaults accepts is one the runner reads, and the
-        # reverse; output_dir is read by run_experiment, not the runner.
+        # A field the constructor accepts is one the runner reads, and the
+        # reverse; output_dir is read by run_experiment, not the runner. Each
+        # field is probed with a real value, since an unset one is always accepted.
         config = _small(name, **_GOLDEN_BODIES[name][0])
         recorder = _ReadRecorder(config)
         EXPERIMENTS[name](recorder)
         accepted = set()
-        for key in (f.name for f in fields(ExperimentConfig) if f.name != "experiment"):
+        for key, value in _probes(name).items():
             try:
-                ExperimentConfig.defaults(name, **{key: getattr(config, key)})
+                ExperimentConfig(experiment=name, **{key: value})
                 accepted.add(key)
             except ConfigurationError:
                 pass
         assert recorder.reads - {"experiment"} == accepted - {"output_dir"}
+
+
+def _probes(name):
+    """A real value of every field but ``experiment``, to set one at a time on ``name``.
+
+    A field ``name`` reads gets its own published value; any other gets the
+    published value of the first experiment that reads it.
+    """
+    probes = {"output_dir": "reports"}
+    for f in fields(ExperimentConfig):
+        for source in (name, *sorted(EXPERIMENTS)):
+            value = getattr(ExperimentConfig(experiment=source), f.name)
+            if value is not None:
+                probes[f.name] = value
+                break
+    del probes["experiment"]
+    return probes
 
 
 class _ReadRecorder:

@@ -9,7 +9,6 @@ from spikefield.errors import ConfigurationError, DomainError, SingularGramError
 from spikefield.signals import (
     LinearPhase,
     SignalMatrix,
-    TabulatedPhase,
     synthesize_oscillations,
     whiten,
 )
@@ -20,23 +19,6 @@ class TestPhaseModels:
     def test_linear_phase_values(self):
         ph = LinearPhase(frequency=1.0, window=1.0)
         assert ph.phase(0.25) == pytest.approx(math.pi / 2)
-
-    def test_tabulated_interpolation(self):
-        times = np.linspace(0, 1, 101)
-        ph = TabulatedPhase(times=times, values=2 * math.pi * times)
-        assert float(ph.phase(0.505)) == pytest.approx(2 * math.pi * 0.505, abs=1e-12)
-
-    def test_tabulated_rejects_decreasing(self):
-        with pytest.raises(DomainError):
-            TabulatedPhase(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]))
-
-    def test_eval_outside_window(self):
-        times = np.linspace(0, 1, 11)
-        ph = TabulatedPhase(times=times, values=2 * math.pi * times)
-        with pytest.raises(DomainError):
-            ph.phase(np.array([1.5]))
-        with pytest.raises(DomainError):
-            ph.phase(np.array([-0.2]))
 
 
 class TestSynthesize:
@@ -98,6 +80,17 @@ class TestSynthesize:
         # A negative or NaN concentration used to give noiseless signals.
         with pytest.raises(DomainError, match="phase_noise_kappa"):
             synthesize_oscillations([3.0], window=1.0, dt=1 / 64, phase_noise_kappa=kappa,
+                                    channels=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("window, dt", [
+        (1.0, 0.0), (1.0, -1 / 64), (1.0, math.nan), (1.0, math.inf), (math.inf, 1 / 64),
+        (math.nan, 1 / 64)], ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "inf-window",
+                                  "nan-window"])
+    def test_bad_grid_rejected(self, window, dt):
+        # dt = 0 divided by zero, and a NaN or infinite step count failed to
+        # round, each with a traceback.
+        with pytest.raises(DomainError, match="window and dt must be positive and finite"):
+            synthesize_oscillations([3.0], window=window, dt=dt, phase_noise_kappa=0.0,
                                     channels=2, rng=np.random.default_rng(0))
 
     def test_undersampling_rejected(self):

@@ -7,10 +7,9 @@ import pytest
 
 from spikefield.errors import DomainError, UndefinedEstimateError
 from spikefield.pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
-from spikefield.signals import LinearPhase, SignalMatrix, TabulatedPhase
+from spikefield.signals import LinearPhase
 from spikefield.unicoupling import (
     AsymptoticLaw,
-    estimate_coupling,
     estimate_plv,
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,
@@ -27,53 +26,6 @@ from oracles import (
 
 def _spikes(window, trials):
     return SpikeData(window=window, trains=[trials])
-
-
-class TestEstimateCoupling:
-    def test_no_spikes_is_zero(self):
-        sd = _spikes(1.0, [np.empty(0), np.empty(0)])
-        assert estimate_coupling(lambda t: np.exp(1j * t), sd) == 0j
-
-    def test_unit_integrand_counts(self):
-        sd = _spikes(1.0, [np.array([0.1, 0.2]), np.array([0.5]), np.empty(0)])
-        val = estimate_coupling(lambda t: np.ones_like(t), sd)
-        assert val == pytest.approx(3 / 3)
-
-    def test_signal_matrix_points_to_the_coupling_matrix(self):
-        sig = SignalMatrix(np.ones((2, 8), dtype=complex), dt=1 / 8)
-        for trial in (np.array([0.5]), np.empty(0)):  # a silent unit too
-            with pytest.raises(DomainError, match="build_coupling_matrix"):
-                estimate_coupling(sig, _spikes(1.0, [trial]))
-
-    def test_monte_carlo_mean_matches_event_rate(self):
-        # x = 1: the coupling mean is the expected events per trial.
-        model = VonMisesRate(20.0, 0.5, 0.0, LinearPhase(1.0, 5.0))
-        law = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
-        rng = np.random.default_rng(30)
-        n_sims, trials = 400, 20
-        vals = np.empty(n_sims)
-        for i in range(n_sims):
-            sd = simulate_poisson(model, 5.0, trials, rng)
-            vals[i] = estimate_coupling(lambda t: np.ones_like(t), sd).real
-        se = math.sqrt(law.expected_events / (trials * n_sims))
-        assert abs(vals.mean() - law.expected_events) < 3 * se
-
-    def test_monte_carlo_mean_matches_compensator(self):
-        # x = e^{i phi}: the coupling mean is int e^{i phi} lambda dt.
-        phase = LinearPhase(1.0, 5.0)
-        model = VonMisesRate(20.0, 0.5, 0.0, phase)
-        target = vonmises_plv_quadrature(0.5, 0.0, 1.0, 5.0) * (
-            20.0 * 5.0 * bessel_quadrature(0, 0.5)
-        )
-        rng = np.random.default_rng(31)
-        n_sims, trials = 400, 20
-        vals = np.empty(n_sims, dtype=complex)
-        for i in range(n_sims):
-            sd = simulate_poisson(model, 5.0, trials, rng)
-            vals[i] = estimate_coupling(phase, sd)
-        # Per-trial variance of the coupling sum is int |x|^2 lambda = Lambda(T).
-        se = math.sqrt(20.0 * 5.0 * bessel_quadrature(0, 0.5) / (trials * n_sims))
-        assert abs(vals.mean() - target) < 3 * se
 
 
 class TestEstimatePlv:
@@ -112,14 +64,6 @@ class TestPhaseWindow:
         sd = _spikes(5.0, [np.array([0.2, 0.7]), np.array([0.4])])
         with pytest.raises(DomainError, match="phase model covers 1.0 s but spikes cover 5.0 s"):
             estimate_plv(LinearPhase(1.0, 1.0), sd)
-        with pytest.raises(DomainError, match="phase model covers"):
-            estimate_coupling(LinearPhase(1.0, 1.0), sd)
-
-    def test_short_tabulated_phase_rejected(self):
-        sd = _spikes(5.0, [np.array([0.2, 0.7])])
-        phase = TabulatedPhase(np.array([0.0, 1.0]), np.array([0.0, 2 * math.pi]))
-        with pytest.raises(DomainError, match="phase model covers"):
-            estimate_plv(phase, sd)
 
     def test_rounding_slack_and_longer_phase_accepted(self):
         # The same rounding slack that evaluation times get.
