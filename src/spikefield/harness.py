@@ -40,6 +40,9 @@ from .pointproc import (
     SinusoidRate,
     SpikeData,
     VonMisesRate,
+    _check_harmonic,
+    _check_kappa,
+    _check_phase_offset,
     fourth_moment_oracle,
     simulate_poisson,
 )
@@ -296,6 +299,10 @@ def _positive_finite(x) -> bool:
     return 0.0 < x < math.inf  # NaN fails every comparison
 
 
+_MODEL_CHECKS = {"kappa": _check_kappa, "phase_offset": _check_phase_offset,
+                 "rate_harmonic": _check_harmonic, "phase_harmonic": _check_harmonic}
+
+
 def _validate(config: ExperimentConfig) -> None:
     # Surface parameter problems before any replicate runs, judging only the
     # fields the experiment reads; the others are unset.
@@ -310,8 +317,12 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError("rate0 and window must be positive, and window finite")
     if "frequency" in reads and not _positive_finite(config.frequency):
         raise ConfigurationError(f"frequency must be positive and finite, got {config.frequency}")
-    if "kappa" in reads and config.kappa < 0.0:
-        raise ConfigurationError(f"coupling strength must be >= 0, got {config.kappa}")
+    for name, check in _MODEL_CHECKS.items():  # the rate models' own checks, run early
+        if name in reads:
+            try:
+                check(getattr(config, name))
+            except DomainError as exc:
+                raise ConfigurationError(f"{name}: {exc}") from None
     if "depth" in reads and not (0.0 <= config.depth <= 1.0):
         raise ConfigurationError(
             f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"

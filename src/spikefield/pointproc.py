@@ -59,12 +59,19 @@ class VonMisesRate:
     def __post_init__(self):
         if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):
             raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise DomainError(f"modulation strength must be >= 0, got {self.kappa!r}")
+        _check_kappa(self.kappa)
         _check_phase_offset(self.phase_offset)
 
     def rate(self, t):
-        return self.rate0 * np.exp(self.kappa * np.cos(self.phase.phase(t) - self.phase_offset))
+        # rate0 * exp(kappa * cos(phi(t) - phase_offset)), evaluated in place on
+        # the fresh array phi(t), step by step in the same order (same bits).
+        x = np.asarray(self.phase.phase(t))
+        x -= self.phase_offset
+        np.cos(x, out=x)
+        x *= self.kappa
+        np.exp(x, out=x)
+        x *= self.rate0
+        return x
 
     def max_rate(self) -> float:
         return self.rate0 * math.exp(self.kappa)
@@ -85,19 +92,22 @@ class SinusoidRate:
             raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
         if not (0.0 <= self.depth <= 1.0):
             raise DomainError(f"modulation depth must lie in [0, 1], got {self.depth!r}")
-        if not (isinstance(self.harmonic, (int, np.integer)) and self.harmonic >= 1):
-            raise DomainError(f"harmonic must be a positive integer, got {self.harmonic!r}")
+        _check_harmonic(self.harmonic)
         if not (self.window > 0.0):
             raise DomainError("window must be positive")
         _check_phase_offset(self.phase_offset)
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.rate0 * (
-            1.0
-            + self.depth
-            * np.cos(2.0 * math.pi * self.harmonic * t / self.window - self.phase_offset)
-        )
+        # Evaluated in place on the fresh array 2 pi harmonic t, step by step in
+        # the order of the formula (same bits).
+        x = np.asarray(2.0 * math.pi * self.harmonic * np.asarray(t, dtype=float))
+        x /= self.window
+        x -= self.phase_offset
+        np.cos(x, out=x)
+        x *= self.depth
+        x += 1.0
+        x *= self.rate0
+        return x
 
     def max_rate(self) -> float:
         return self.rate0 * (1.0 + self.depth)
@@ -109,6 +119,16 @@ IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
 def _check_phase_offset(phase_offset) -> None:
     if not math.isfinite(phase_offset):
         raise DomainError(f"phase offset must be finite, got {phase_offset!r}")
+
+
+def _check_kappa(kappa) -> None:
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise DomainError(f"modulation strength must be >= 0, got {kappa!r}")
+
+
+def _check_harmonic(harmonic) -> None:
+    if not (isinstance(harmonic, (int, np.integer)) and harmonic >= 1):
+        raise DomainError(f"harmonic must be a positive integer, got {harmonic!r}")
 
 
 class SpikeData:
@@ -208,6 +228,11 @@ def _flat_train(times, unit, trial) -> np.ndarray:
     return arr
 
 
+# numpy's Generator.poisson refuses a mean above this (POISSON_LAM_MAX in
+# numpy/random/_common.pyx).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def simulate_poisson(
     model: IntensityModel,
     window: float,
@@ -219,6 +244,13 @@ def simulate_poisson(
     Thinning against the model's finite dominating rate: candidates arrive
     homogeneously at ``max_rate`` and are kept with probability
     rate(t)/max_rate. Exact for any bounded rate.
+
+    The candidates of all trials sit in one flat array, trial after trial,
+    and no per-candidate trial index is built: a trial's kept spikes are the
+    kept indices between its candidate bounds, so the offsets are those
+    bounds located (``searchsorted``) among the kept indices. An expected
+    candidate count per trial past numpy's Poisson limit is refused before
+    anything is drawn.
     """
     if not (0.0 < window < math.inf):
         raise DomainError(f"window must be positive and finite, got {window!r}")
@@ -227,8 +259,14 @@ def simulate_poisson(
     lam_max = model.max_rate()
     if not math.isfinite(lam_max) or lam_max <= 0.0:
         raise DomainError(f"dominating rate must be positive and finite, got {lam_max!r}")
+    expected = lam_max * window
+    if not expected <= _POISSON_LAM_MAX:
+        raise DomainError(
+            f"expected candidate count per trial {expected!r} (max_rate * window) is past "
+            f"the Poisson sampler's limit {_POISSON_LAM_MAX!r}"
+        )
 
-    counts = rng.poisson(lam_max * window, size=trials)
+    counts = rng.poisson(expected, size=trials)
     total = int(counts.sum())
     # Sorted uniform candidates per trial via the order-statistics
     # representation U_(i) = S_i / S_(n+1) with exponential spacings;
@@ -241,22 +279,31 @@ def simulate_poisson(
     denom = cum[ends] - base
     interior = np.ones(total + trials, dtype=bool)
     interior[ends] = False
-    t_cand = window * (cum[interior] - np.repeat(base, counts)) / np.repeat(denom, counts)
-    trial_of = np.repeat(np.arange(trials), counts)
+    # window * (cum - base) / denom, in place and in that order (same bits).
+    t_cand = cum[interior]
+    t_cand -= np.repeat(base, counts)
+    t_cand *= window
+    t_cand /= np.repeat(denom, counts)
+    bounds = np.zeros(trials + 1, dtype=np.int64)  # trial k's candidates: bounds[k]:bounds[k + 1]
+    np.cumsum(counts, out=bounds[1:])
 
     if isinstance(model, HomogeneousRate):
-        t_keep, trial_keep = t_cand, trial_of
+        t_keep, offsets = t_cand, bounds
     else:
-        keep = rng.uniform(0.0, 1.0, total) * lam_max < model.rate(t_cand)
-        t_keep, trial_keep = t_cand[keep], trial_of[keep]
-    offsets = np.zeros(trials + 1, dtype=np.int64)
-    np.cumsum(np.bincount(trial_keep, minlength=trials), out=offsets[1:])
+        u = rng.uniform(0.0, 1.0, total)
+        u *= lam_max
+        kept = np.flatnonzero(u < model.rate(t_cand))
+        t_keep = t_cand[kept]
+        offsets = np.searchsorted(kept, bounds)
 
     # Scan once for exact ties and repair only the affected trials, each in
-    # place on its slice of t_keep.
-    tied = (np.diff(t_keep) == 0.0) & (trial_keep[1:] == trial_keep[:-1])
-    for k in np.unique(trial_keep[1:][tied]):
-        _enforce_strict_increase(t_keep[offsets[k]:offsets[k + 1]], model, lam_max, window, rng)
+    # place on its slice of t_keep. Event i ties with event i - 1 of the same
+    # trial unless i opens its trial.
+    second = np.flatnonzero(np.diff(t_keep) == 0.0) + 1
+    if second.size:
+        trial = np.searchsorted(offsets, second, side="right") - 1
+        for k in np.unique(trial[second != offsets[trial]]):
+            _enforce_strict_increase(t_keep[offsets[k]:offsets[k + 1]], model, lam_max, window, rng)
     return SpikeData._from_flat(window, t_keep, offsets, trials)
 
 

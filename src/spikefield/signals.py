@@ -68,7 +68,7 @@ class SignalMatrix:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 2:
             raise DomainError("samples must be a (channels, times) array with >= 2 samples")
-        if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
+        if not np.isfinite(samples).all():
             raise DomainError("signal samples must be finite")
         if not (self.dt > 0.0):
             raise DomainError("dt must be positive")

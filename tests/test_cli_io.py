@@ -614,6 +614,20 @@ class TestRefusedConfigs:
         code, err = _run(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
         self._refused(code, err, f"{path}: {message}", tmp_path / "o")
 
+    def test_simulate_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
+        # Past numpy's limit its Poisson draw raises a bare "ValueError: lam value too large".
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"window": 1e300, "trials": 2}))
+        code, err = _run(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        self._refused(code, err, "expected candidate count per trial 2e+301", tmp_path / "o")
+
+    def test_experiment_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
+        # Refused by the first replicate's draw, so without the config's path.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "bias-curve", "windows": [1e300]}))
+        code, err = _run(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
+        self._refused(code, err, "expected candidate count per trial 3e+301", tmp_path / "o")
+
     @staticmethod
     def _refused(code, err, message, out):
         assert code == 1

@@ -82,12 +82,19 @@ class TestConfig:
         ("bias-curve", {"frequency": math.inf}, "frequency must be positive and finite"),
         ("univar-coupled", {"frequency": 0.0}, "frequency must be positive and finite"),
         ("moment-oracle", {"trials": 1}, "two trials for a standard error"),
+        ("univar-coupled", {"kappa": math.nan}, "kappa: modulation strength must be >= 0, got nan"),
+        ("univar-coupled", {"kappa": math.inf}, "kappa: modulation strength must be >= 0, got inf"),
+        ("univar-coupled", {"phase_offset": math.inf}, "phase_offset: phase offset must be finite"),
+        ("sinusoid-uncoupled", {"rate_harmonic": 0}, "rate_harmonic: harmonic must be a positive"),
+        ("sinusoid-uncoupled", {"phase_harmonic": 0}, "phase_harmonic: harmonic must be a positive"),
     ], ids=["no-units", "no-channels", "zero-dt", "nan-dt", "no-components", "nan-component",
-            "nan-frequency", "inf-frequency", "zero-frequency", "one-moment-trial"])
+            "nan-frequency", "inf-frequency", "zero-frequency", "one-moment-trial", "nan-kappa",
+            "inf-kappa", "inf-phase-offset", "zero-rate-harmonic", "zero-phase-harmonic"])
     def test_edge_inputs_refused_at_construction(self, name, change, message):
         # Each used to escape from inside the runner as ZeroDivisionError,
         # ValueError or OverflowError, or (one moment trial) to write a NaN
-        # standard error into the report.
+        # standard error into the report. The rate-model fields go through
+        # the rate models' own checks.
         with pytest.raises(ConfigurationError, match=message):
             ExperimentConfig(experiment=name, **change)
 

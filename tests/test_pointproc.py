@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare
 
+from spikefield import pointproc
 from spikefield.errors import DomainError
 from spikefield.pointproc import (
+    _POISSON_LAM_MAX,
     HomogeneousRate,
     SinusoidRate,
     SpikeData,
@@ -128,6 +130,40 @@ class TestSimulatePoisson:
         with pytest.raises(DomainError, match="window must be positive and finite"):
             simulate_poisson(HomogeneousRate(20.0), window, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("model, window", [
+        (HomogeneousRate(20.0), 1e300),
+        (HomogeneousRate(1e300), 1e10),  # the product overflows to inf
+        (VonMisesRate(1.0, 0.0, 0.0, LinearPhase(1.0, 1e300)), 1e300),
+        (HomogeneousRate(1.0), float(np.nextafter(_POISSON_LAM_MAX, math.inf))),
+    ], ids=["huge-window", "overflow", "vonmises", "just-past"])
+    def test_refuses_an_expected_count_past_the_poisson_limit(self, model, window):
+        # Past numpy's limit its Poisson draw raises a bare ValueError. The
+        # refusal comes before anything is drawn: this generator has no methods.
+        with pytest.raises(DomainError, match="expected candidate count per trial .* past"):
+            simulate_poisson(model, window, 2, object())
+
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_LAM_MAX)  # one scalar draw, nothing allocated
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_LAM_MAX, math.inf))
+
+    @pytest.mark.parametrize("model", [
+        HomogeneousRate(1.0), VonMisesRate(1.0, 0.0, 0.0, LinearPhase(1.0, 1.0))],
+        ids=["homogeneous", "thinned"])
+    def test_equal_times_across_a_trial_boundary_are_no_tie(self, model, monkeypatch):
+        # Trial 0 ends at 2/3 and trial 1 starts at 2/3: nothing is repaired,
+        # so the only uniforms drawn are the keep step's (kappa = 0 keeps all).
+        repaired = []
+        monkeypatch.setattr(pointproc, "_enforce_strict_increase",
+                            lambda times, *args: repaired.append(times.tolist()))
+        stream = _BoundaryStream()
+        sd = simulate_poisson(model, 1.0, 2, stream)
+        assert sd.counts().tolist() == [[2, 2]]
+        assert sd.times.tolist() == [1 / 3, 2 / 3, 2 / 3, 5 / 6]
+        assert stream.uniform_sizes == ([] if isinstance(model, HomogeneousRate) else [4])
+        assert repaired == []
+
     def test_tie_repaired_in_place(self):
         # Trial 0's first two candidates are both exactly 1/3; the repair
         # draws a replacement (0.63696...) from the first uniforms of seed 0
@@ -154,6 +190,106 @@ class _TiedStream:
 
     def uniform(self, *args, **kwargs):
         return self._rng.uniform(*args, **kwargs)
+
+
+class _BoundaryStream:
+    """Generator stub: candidate counts (2, 2), trial 0's last time equal to trial 1's first."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+        self.uniform_sizes = []
+
+    def poisson(self, lam, size):
+        return np.array([2, 2])
+
+    def standard_exponential(self, size):
+        return np.array([1.0, 1.0, 1.0, 2.0, 0.5, 0.5])
+
+    def uniform(self, low, high, size=None):
+        self.uniform_sizes.append(size)
+        return self._rng.uniform(low, high, size)
+
+
+def _reference_rate(model, t):
+    """A modulated model's rate written out of place, as one expression."""
+    if isinstance(model, VonMisesRate):
+        return model.rate0 * np.exp(model.kappa * np.cos(model.phase.phase(t) - model.phase_offset))
+    return model.rate0 * (1.0 + model.depth * np.cos(
+        2.0 * math.pi * model.harmonic * t / model.window - model.phase_offset))
+
+
+def _reference_thinning(model, window, trials, rng):
+    """Thinning with a per-candidate trial index, boolean gathers and a bincount.
+
+    The same draws in the same order as ``simulate_poisson``, without its tie
+    repair; returns the flat times, the offsets and the candidate counts.
+    """
+    lam_max = model.max_rate()
+    counts = rng.poisson(lam_max * window, size=trials)
+    total = int(counts.sum())
+    cum = np.cumsum(rng.standard_exponential(total + trials))
+    ends = np.cumsum(counts + 1) - 1
+    starts = ends - counts
+    base = np.where(starts > 0, cum[starts - 1], 0.0)
+    denom = cum[ends] - base
+    interior = np.ones(total + trials, dtype=bool)
+    interior[ends] = False
+    t_cand = window * (cum[interior] - np.repeat(base, counts)) / np.repeat(denom, counts)
+    trial_of = np.repeat(np.arange(trials), counts)
+    if isinstance(model, HomogeneousRate):
+        t_keep, trial_keep = t_cand, trial_of
+    else:
+        keep = rng.uniform(0.0, 1.0, total) * lam_max < _reference_rate(model, t_cand)
+        t_keep, trial_keep = t_cand[keep], trial_of[keep]
+    offsets = np.zeros(trials + 1, dtype=np.int64)
+    np.cumsum(np.bincount(trial_keep, minlength=trials), out=offsets[1:])
+    return t_keep, offsets, counts
+
+
+# (model, window): dense ones at the published rates, sparse ones whose
+# trials are often empty or keep none of their candidates.
+_THINNED = {
+    "homogeneous": (HomogeneousRate(20.0), 5.0),
+    "vonmises": (VonMisesRate(20.0, 0.5, 0.3, LinearPhase(1.0, 5.0)), 5.0),
+    "sinusoid": (SinusoidRate(30.0, 0.3, 3, 0.7, 5.0), 5.0),
+    "homogeneous-sparse": (HomogeneousRate(0.5), 1.0),
+    "vonmises-sparse": (VonMisesRate(0.2, 3.0, 1.1, LinearPhase(2.0, 1.0)), 1.0),
+    "sinusoid-sparse": (SinusoidRate(0.5, 1.0, 2, 0.4, 1.0), 1.0),
+}
+
+
+class TestThinningKeepsItsBits:
+    @pytest.mark.parametrize("trials", [1, 7, 500])
+    @pytest.mark.parametrize("name", sorted(_THINNED))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_trial_index_kernel(self, name, trials, seed):
+        model, window = _THINNED[name]
+        times, offsets, _ = _reference_thinning(model, window, trials, np.random.default_rng(seed))
+        sd = simulate_poisson(model, window, trials, np.random.default_rng(seed))
+        assert np.array_equal(sd.times, times)
+        assert np.array_equal(sd.offsets, offsets)
+        assert sd.offsets.dtype == np.int64
+
+    @pytest.mark.parametrize("name", [n for n in _THINNED if n.endswith("sparse")])
+    def test_sparse_models_reach_the_edge_trials(self, name):
+        # The comparison above covers trials with no candidate and, for the
+        # thinned models, trials whose candidates are all rejected.
+        model, window = _THINNED[name]
+        for seed in (0, 1, 2):
+            _, offsets, counts = _reference_thinning(model, window, 500, np.random.default_rng(seed))
+            kept = np.diff(offsets)
+            assert np.any(counts == 0)
+            if not isinstance(model, HomogeneousRate):
+                assert np.any((counts > 0) & (kept == 0))
+
+    @pytest.mark.parametrize("model", [_THINNED["vonmises"][0], _THINNED["sinusoid"][0]],
+                             ids=["vonmises", "sinusoid"])
+    def test_rate_in_place_matches_the_expression(self, model):
+        t = np.random.default_rng(3).uniform(0.0, 5.0, 10_001)
+        before = t.copy()
+        assert np.array_equal(model.rate(t), _reference_rate(model, t))
+        assert np.array_equal(t, before)  # the input is not written
+        assert float(model.rate(1.25)) == float(_reference_rate(model, np.float64(1.25)))
 
 
 _WINDOW = 2.0

@@ -55,6 +55,24 @@ class TestEstimatePlv:
         b = estimate_plv(phase, _spikes(1.0, trials[::-1]))
         assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 9])
+    def test_equals_the_complex_exp_mean_few_spikes(self, n):
+        # 1, 2, 7 and 9 phasors sit at the edges of the pairwise sum's blocks.
+        times = np.sort(np.random.default_rng(n).uniform(0.0, 5.0, n))
+        phase = LinearPhase(1.3, 5.0)
+        expected = complex(np.mean(np.exp(1j * phase.phase(times))))
+        assert estimate_plv(phase, _spikes(5.0, [times])) == expected
+
+    def test_equals_the_complex_exp_mean_at_published_scale(self):
+        # About 500 k spikes, as one univar-coupled replicate. Equality pins the
+        # host's real cos and sin to its complex exp, element by element.
+        phase = LinearPhase(1.0, 5.0)
+        sd = simulate_poisson(VonMisesRate(20.0, 0.5, 0.0, phase), 5.0, 5000,
+                              np.random.default_rng(34))
+        t = sd.unit_times(0)
+        assert t.size > 450_000
+        assert estimate_plv(phase, sd) == complex(np.mean(np.exp(1j * phase.phase(t))))
+
 
 class TestPhaseWindow:
     """A phase model must cover the spikes' window, whatever the spike times."""
