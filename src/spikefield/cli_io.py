@@ -6,6 +6,13 @@ with shortest round-trip formatting (``repr``), so serialize -> parse is
 lossless, signed zeros included, and the determinism guarantees survive
 file boundaries.
 
+Every float written into ``signals.csv``, ``esd.csv`` and ``spikes.json``
+goes through one vectorized kernel, ``_floattext.repr_lines``, which
+writes the bytes of ``repr(float(v))`` for every value, exactly: an
+integer shortest-digits path for 1e-4 <= |v| < 1e15 and ``repr`` itself
+for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
+the same document.
+
 CSV files are written in blocks of rows and read with ``numpy.loadtxt``,
 so numpy's C code does the per-field work. A malformed signal file is
 reported as ``DomainError("<path>:<line>: ...")`` with the file line of
@@ -52,15 +59,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def save_spikes(spikes: SpikeData, path) -> None:
-    doc = {
-        "t_start": 0.0,
-        "t_end": spikes.window,
-        "units": [
-            {"id": j, "trials": [t.tolist() for t in unit]}
-            for j, unit in enumerate(spikes.trains)
-        ],
-    }
-    Path(path).write_text(json.dumps(doc))
+    """Write the bytes ``json.dumps`` writes for the document
+
+    {"t_start": 0.0, "t_end": T, "units": [{"id": j, "trials": [[t, ...], ...]}, ...]}.
+    """
+    from ._floattext import repr_lines  # loaded only by the commands that write floats
+
+    blob, lengths = repr_lines(spikes.times[:, None], b"", b", ")
+    # Byte bounds of each train, each time followed by ", ".
+    bounds = np.zeros(lengths.size + 1, np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    bounds = bounds[spikes.offsets].tolist()
+    trains = [b"[" + blob[a:z - 2] + b"]" if z > a else b"[]"
+              for a, z in zip(bounds[:-1], bounds[1:])]
+    k = spikes.n_trials
+    units = [b'{"id": %d, "trials": [' % j + b", ".join(trains[j * k:(j + 1) * k]) + b"]}"
+             for j in range(spikes.n_units)]
+    head = b'{"t_start": 0.0, "t_end": ' + json.dumps(spikes.window).encode() + b', "units": ['
+    Path(path).write_bytes(head + b", ".join(units) + b"]}")
 
 
 def load_spikes(path) -> SpikeData:
@@ -91,7 +107,7 @@ def _sidecar(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-_CSV_BLOCK_ROWS = 1024  # rows formatted per write; bounds the Python floats alive at once
+_CSV_BLOCK_ROWS = 1024  # rows built and written at once; bounds the float table alive
 
 
 def _write_csv(path, header, blocks) -> None:
@@ -100,10 +116,12 @@ def _write_csv(path, header, blocks) -> None:
     Every field is ``repr`` of the float and every line ends in CRLF, as
     ``csv.writer`` writes them.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    from ._floattext import repr_lines  # loaded only by the commands that write floats
+
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for block in blocks:
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
+            fh.write(repr_lines(block, b",", b"\r\n")[0])
 
 
 def _signal_rows(signals: SignalMatrix):

@@ -43,10 +43,18 @@ from .pointproc import (
     _check_harmonic,
     _check_kappa,
     _check_phase_offset,
+    _check_rate0,
     fourth_moment_oracle,
     simulate_poisson,
 )
-from .signals import LinearPhase, _inverse_root, synthesize_oscillations
+from .signals import (
+    LinearPhase,
+    _check_phase_noise,
+    _check_sampling,
+    _inverse_root,
+    _sample_count,
+    synthesize_oscillations,
+)
 from .specfun import mp_density, mp_law
 from .unicoupling import (
     estimate_plv,
@@ -299,8 +307,9 @@ def _positive_finite(x) -> bool:
     return 0.0 < x < math.inf  # NaN fails every comparison
 
 
-_MODEL_CHECKS = {"kappa": _check_kappa, "phase_offset": _check_phase_offset,
-                 "rate_harmonic": _check_harmonic, "phase_harmonic": _check_harmonic}
+_MODEL_CHECKS = {"rate0": _check_rate0, "kappa": _check_kappa, "phase_offset": _check_phase_offset,
+                 "rate_harmonic": _check_harmonic, "phase_harmonic": _check_harmonic,
+                 "noise_kappa": _check_phase_noise}
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -317,7 +326,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError("rate0 and window must be positive, and window finite")
     if "frequency" in reads and not _positive_finite(config.frequency):
         raise ConfigurationError(f"frequency must be positive and finite, got {config.frequency}")
-    for name, check in _MODEL_CHECKS.items():  # the rate models' own checks, run early
+    for name, check in _MODEL_CHECKS.items():  # the models' own checks, run early
         if name in reads:
             try:
                 check(getattr(config, name))
@@ -371,6 +380,9 @@ def _validate(config: ExperimentConfig) -> None:
                 raise ConfigurationError(
                     f"component {j} ({f} Hz) is not an integer number of cycles over {config.window} s"
                 )
+        # The synthesis grid's own checks: the sampling rate and the sample count.
+        _check_sampling(config.components, config.dt)
+        _sample_count(config.window, config.dt, max(config.channels, len(config.components)))
 
 
 def _config_dict(config: ExperimentConfig) -> dict:

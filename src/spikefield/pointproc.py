@@ -34,8 +34,7 @@ class HomogeneousRate:
     rate0: float
 
     def __post_init__(self):
-        if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):
-            raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
+        _check_rate0(self.rate0)
 
     def rate(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.rate0)
@@ -57,8 +56,7 @@ class VonMisesRate:
     phase: LinearPhase
 
     def __post_init__(self):
-        if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):
-            raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
+        _check_rate0(self.rate0)
         _check_kappa(self.kappa)
         _check_phase_offset(self.phase_offset)
 
@@ -88,8 +86,7 @@ class SinusoidRate:
     window: float
 
     def __post_init__(self):
-        if not (self.rate0 > 0.0 and math.isfinite(self.rate0)):
-            raise DomainError(f"baseline rate must be positive and finite, got {self.rate0!r}")
+        _check_rate0(self.rate0)
         if not (0.0 <= self.depth <= 1.0):
             raise DomainError(f"modulation depth must lie in [0, 1], got {self.depth!r}")
         _check_harmonic(self.harmonic)
@@ -114,6 +111,11 @@ class SinusoidRate:
 
 
 IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
+
+
+def _check_rate0(rate0) -> None:
+    if not (rate0 > 0.0 and math.isfinite(rate0)):
+        raise DomainError(f"baseline rate must be positive and finite, got {rate0!r}")
 
 
 def _check_phase_offset(phase_offset) -> None:

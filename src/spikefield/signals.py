@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularGramError
-from .specfun import von_mises_phasor
+from .specfun import _check_concentration, von_mises_phasor
 
 __all__ = [
     "LinearPhase",
@@ -74,6 +74,18 @@ class SignalMatrix:
             raise DomainError("dt must be positive")
         self.samples = samples
 
+    @classmethod
+    def _adopt(cls, samples, dt, whitened):
+        """Wrap a complex (channels, times) array the library built from checked inputs.
+
+        No copy and no checks: synthesis and whitening of finite inputs give
+        finite samples, so only a matrix from outside (a file, a caller) pays
+        for the finiteness scan.
+        """
+        signals = cls.__new__(cls)
+        signals.samples, signals.dt, signals.whitened = samples, dt, whitened
+        return signals
+
     @property
     def n_channels(self) -> int:
         return self.samples.shape[0]
@@ -119,6 +131,47 @@ class SignalMatrix:
         return self.samples.sum(axis=1) * self.dt
 
 
+def _check_phase_noise(kappa) -> float:
+    """The phase-noise concentration synthesis accepts: finite, in [0, 1e12]."""
+    kappa = float(kappa)
+    if not (0.0 <= kappa < math.inf):  # NaN fails every comparison
+        raise DomainError(f"phase_noise_kappa must be a nonnegative finite number, got {kappa!r}")
+    return _check_concentration(kappa)  # the sampler's own bound
+
+
+def _check_sampling(components, dt) -> None:
+    """Refuse a step that undersamples the fastest component (8 samples per period)."""
+    f_max = max(components)
+    if dt > 1.0 / (8.0 * f_max):
+        raise ConfigurationError(
+            f"dt={dt} undersamples the {f_max} Hz component; need dt <= {1.0 / (8.0 * f_max):g}"
+            " (8 samples per period)"
+        )
+
+
+# numpy refuses an array of more bytes than this ("Maximum allowed size exceeded").
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _sample_count(window, dt, rows) -> int:
+    """The q samples of [0, window) at step dt, for ``rows`` complex rows.
+
+    Refuses a grid whose (rows, q) complex array numpy cannot build, before
+    anything is allocated, and a window that is not a whole number of steps.
+    """
+    q = window / dt
+    if not q * 16.0 * rows <= _MAX_BYTES:  # also refuses an overflow to inf
+        raise ConfigurationError(
+            f"window {window} at dt={dt} is {q:.3g} samples, too many for a complex array "
+            f"of {rows} rows"
+        )
+    q = int(round(q))
+    # The same relative slack as the integer-cycles rule of the experiments.
+    if q < 2 or abs(q * dt - window) > 1e-9 * window:
+        raise ConfigurationError(f"window {window} is not an integer number of dt={dt} steps")
+    return q
+
+
 def synthesize_oscillations(
     components,
     window: float,
@@ -143,33 +196,22 @@ def synthesize_oscillations(
     if not (0.0 < window < math.inf and 0.0 < dt < math.inf):
         raise DomainError(f"window and dt must be positive and finite, got {window!r} and {dt!r}")
     freqs = np.asarray(components, dtype=float)
-    if freqs.ndim != 1 or len(freqs) < 1 or np.any(freqs <= 0.0):
-        raise DomainError("components must be a nonempty list of positive frequencies")
+    if freqs.ndim != 1 or len(freqs) < 1 or not np.all((freqs > 0.0) & (freqs < math.inf)):
+        raise DomainError("components must be a nonempty list of positive finite frequencies")
     if channels < 1:
         raise DomainError("need at least one channel")
-    kappa = float(phase_noise_kappa)
-    if not (0.0 <= kappa < math.inf):  # NaN fails every comparison
-        raise DomainError(
-            f"phase_noise_kappa must be a nonnegative finite number, got {phase_noise_kappa!r}"
-        )
-    f_max = float(freqs.max())
-    if dt > 1.0 / (8.0 * f_max):
-        raise ConfigurationError(
-            f"dt={dt} undersamples the {f_max} Hz component; need dt <= {1.0 / (8.0 * f_max):g}"
-            " (8 samples per period)"
-        )
-    q = int(round(window / dt))
-    if q < 2 or abs(q * dt - window) > 0.5 * dt:
-        raise ConfigurationError(f"window {window} is not an integer number of dt={dt} steps")
+    kappa = _check_phase_noise(phase_noise_kappa)
+    _check_sampling(freqs.tolist(), dt)
+    q = _sample_count(window, dt, max(channels, len(freqs)))
 
     t = np.arange(q) * dt
     carriers = np.exp(1j * (2.0 * math.pi * freqs[:, None] * t[None, :]))
     if kappa == 0.0:
-        return SignalMatrix(carriers[np.arange(channels) % len(freqs)], dt=dt, whitened=False)
+        return SignalMatrix._adopt(carriers[np.arange(channels) % len(freqs)], dt, False)
     samples = von_mises_phasor(kappa, rng, size=(channels, q))
     for k, carrier in enumerate(carriers):
         samples[k :: len(freqs)] *= carrier
-    return SignalMatrix(samples, dt=dt, whitened=False)
+    return SignalMatrix._adopt(samples, dt, False)
 
 
 _GRAM_CONDITION_LIMIT = 1e10
@@ -181,12 +223,16 @@ def whiten(signals: SignalMatrix) -> SignalMatrix:
     Applies the inverse square root of the Gram matrix, computed through a
     Hermitian eigendecomposition. The output spans the same channel space.
     """
-    return SignalMatrix(_inverse_root(signals.gram()) @ signals.samples, dt=signals.dt,
-                        whitened=True)
+    return SignalMatrix._adopt(_inverse_root(signals.gram()) @ signals.samples, signals.dt, True)
 
 
 def _inverse_root(gram: np.ndarray) -> np.ndarray:
-    """gram^(-1/2) through a Hermitian eigendecomposition; rejects a near-singular gram."""
+    """gram^(-1/2) through a Hermitian eigendecomposition; rejects a near-singular gram.
+
+    A finite, well-conditioned gram keeps the whitened samples finite.
+    """
+    if not np.isfinite(gram).all():
+        raise DomainError("signal power overflows: the Gram matrix is not finite")
     w, v = np.linalg.eigh(gram)
     if w[-1] <= 0.0:
         raise SingularGramError("Gram matrix has no positive eigenvalue")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spikefield import _floattext
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -73,6 +74,43 @@ class TestSpikeRoundTrip:
             load_spikes(path)
 
 
+class TestSpikeFileFormat:
+    """``save_spikes`` writes the bytes ``json.dumps`` writes for the same document."""
+
+    @staticmethod
+    def _json_dumps(spikes):
+        return json.dumps({
+            "t_start": 0.0,
+            "t_end": spikes.window,
+            "units": [{"id": j, "trials": [t.tolist() for t in unit]}
+                      for j, unit in enumerate(spikes.trains)],
+        })
+
+    def test_empty_trial_and_silent_unit(self, tmp_path):
+        spikes = SpikeData(window=2.0, trains=[
+            [[0.0, 0.1, 1.5], [], [2.0]],
+            [[], [], []],
+            [[1e-5, 0.25, 1.0000000000000002], [0.3], []],
+        ])
+        save_spikes(spikes, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == self._json_dumps(spikes).encode()
+
+    def test_no_spikes_at_all(self, tmp_path):
+        spikes = SpikeData(window=1.5, trains=[[[]]])
+        save_spikes(spikes, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self._json_dumps(spikes)
+
+    def test_many_spikes_across_blocks(self, tmp_path):
+        # More times than one formatting block holds.
+        rng = np.random.default_rng(11)
+        trains = [simulate_poisson(HomogeneousRate(2000.0), 3.0, 4, rng).trains[0]
+                  for _ in range(3)]
+        spikes = SpikeData(window=3.0, trains=trains)
+        assert spikes.times.size > 2 * _floattext.BLOCK
+        save_spikes(spikes, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self._json_dumps(spikes)
+
+
 class TestSignalRoundTrip:
     def test_lossless(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -94,6 +132,15 @@ class TestSignalRoundTrip:
         (tmp_path / "signals.json").write_text(json.dumps(meta))
         with pytest.raises(DomainError, match="do not cover"):
             load_signals(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_refused(self, tmp_path, text):
+        save_signals(SignalMatrix(np.ones((1, 4), dtype=complex), dt=0.25), tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        lines[2] = lines[2].replace("1.0", text, 1)
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="signal samples must be finite"):
+            load_signals(tmp_path / "s.csv")
 
     def test_bad_value_diagnostics(self, tmp_path):
         sig = SignalMatrix(np.ones((1, 8), dtype=complex), dt=0.125)
@@ -578,8 +625,12 @@ class TestRefusedConfigs:
         ({"kind": "vonmises", "frequency": 1.0, "kappa": math.inf},
          "modulation strength must be >= 0, got inf"),
         ({"kind": "poisson"}, "unknown simulation kind 'poisson'"),
+        ({"window": 1e300}, "window 1e+300 at dt=0.015625 is 6.4e+301 samples, too many"),
+        ({"signals": {**_SIM["signals"], "dt": 0.03}},
+         "window 1.0 is not an integer number of dt=0.03 steps"),
     ], ids=["zero-dt", "nan-dt", "undersampled", "unit-model-after-signals", "no-channels",
-            "no-components", "no-units", "no-trials", "inf-window", "inf-kappa", "unknown-kind"])
+            "no-components", "no-units", "no-trials", "inf-window", "inf-kappa", "unknown-kind",
+            "huge-window", "off-grid-window"])
     def test_simulate(self, tmp_path, capsys, change, message):
         # Each signals block here is refused before any unit is drawn, and each
         # unit model after the signals are drawn; neither leaves a file behind.

@@ -87,9 +87,20 @@ class TestConfig:
         ("univar-coupled", {"phase_offset": math.inf}, "phase_offset: phase offset must be finite"),
         ("sinusoid-uncoupled", {"rate_harmonic": 0}, "rate_harmonic: harmonic must be a positive"),
         ("sinusoid-uncoupled", {"phase_harmonic": 0}, "phase_harmonic: harmonic must be a positive"),
+        ("multivar-null", {"noise_kappa": math.nan},
+         "noise_kappa: phase_noise_kappa must be a nonnegative finite number, got nan"),
+        ("multivar-coupled", {"noise_kappa": 1e13}, "noise_kappa: concentration must be in"),
+        ("multivar-null", {"dt": 0.05}, "dt=0.05 undersamples the 15.0 Hz component"),
+        ("multivar-null", {"window": 1e300},
+         r"window 1e\+300 at dt=0.0009765625 is 1.02e\+303 samples"),
+        ("univar-null", {"rate0": math.inf},
+         "rate0: baseline rate must be positive and finite, got inf"),
+        ("moment-oracle", {"rate0": math.inf}, "rate0: baseline rate must be positive and finite"),
     ], ids=["no-units", "no-channels", "zero-dt", "nan-dt", "no-components", "nan-component",
             "nan-frequency", "inf-frequency", "zero-frequency", "one-moment-trial", "nan-kappa",
-            "inf-kappa", "inf-phase-offset", "zero-rate-harmonic", "zero-phase-harmonic"])
+            "inf-kappa", "inf-phase-offset", "zero-rate-harmonic", "zero-phase-harmonic",
+            "nan-noise-kappa", "huge-noise-kappa", "undersampled",
+            "huge-window", "inf-rate0", "inf-rate0-moments"])
     def test_edge_inputs_refused_at_construction(self, name, change, message):
         # Each used to escape from inside the runner as ZeroDivisionError,
         # ValueError or OverflowError, or (one moment trial) to write a NaN

@@ -93,6 +93,35 @@ class TestSynthesize:
             synthesize_oscillations([3.0], window=window, dt=dt, phase_noise_kappa=0.0,
                                     channels=2, rng=np.random.default_rng(0))
 
+    def test_window_past_the_largest_array_rejected(self):
+        # np.arange used to raise a bare "ValueError: Maximum allowed size exceeded".
+        with pytest.raises(ConfigurationError,
+                           match=r"1e\+300 at dt=0.015625 is 6.4e\+301 samples"):
+            synthesize_oscillations([3.0], window=1e300, dt=1 / 64, phase_noise_kappa=0.0,
+                                    channels=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("window, dt", [(1.0, 0.03), (1.0, 0.7), (0.3, 0.2)])
+    def test_window_off_the_grid_rejected(self, window, dt):
+        # Half a step of slack used to let window 1.0 at dt 0.03 through as 33
+        # samples covering 0.99 s, beside spikes drawn over the whole second.
+        with pytest.raises(ConfigurationError, match="not an integer number of dt"):
+            synthesize_oscillations([0.1], window=window, dt=dt, phase_noise_kappa=0.0,
+                                    channels=1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("window, dt", [(1.0, 0.1), (0.3, 0.1), (11.0, 1 / 1024)])
+    def test_window_on_the_grid_accepted(self, window, dt):
+        sig = synthesize_oscillations([0.1], window=window, dt=dt, phase_noise_kappa=0.0,
+                                      channels=1, rng=np.random.default_rng(0))
+        assert sig.n_samples == round(window / dt)
+
+    @pytest.mark.parametrize("components", [[3.0, math.nan], [math.inf], [3.0, -1.0]])
+    def test_bad_components_rejected(self, components):
+        # A NaN or infinite frequency used to reach the samples, refused only by
+        # the finiteness scan the synthesis output no longer takes.
+        with pytest.raises(DomainError, match="positive finite frequencies"):
+            synthesize_oscillations(components, window=1.0, dt=1 / 64, phase_noise_kappa=0.0,
+                                    channels=2, rng=np.random.default_rng(0))
+
     def test_undersampling_rejected(self):
         with pytest.raises(ConfigurationError):
             synthesize_oscillations([15.0], window=1.0, dt=1 / 64, phase_noise_kappa=0.0,
@@ -133,6 +162,31 @@ class TestWhiten:
         once = whiten(mixed)
         twice = whiten(once)
         assert np.allclose(once.samples, twice.samples, atol=1e-8)
+
+
+    def test_overflowing_power_refused(self):
+        # Finite samples whose Gram overflows: the whitened output, adopted
+        # without a finiteness scan, must never carry the NaN.
+        big = SignalMatrix(np.array([[1e200, 2e200, 3e200, 4e200], [4e200, 1e200, 2e200, 3e200]],
+                                    dtype=complex), dt=0.25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="Gram matrix is not finite"):
+                whiten(big)
+
+
+class TestSignalMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_sample_refused(self, bad):
+        samples = np.ones((2, 4), dtype=complex)
+        samples[1, 2] = bad
+        with pytest.raises(DomainError, match="signal samples must be finite"):
+            SignalMatrix(samples, dt=0.25)
+
+    def test_library_outputs_are_finite(self):
+        sig = synthesize_oscillations([11.0, 12.0], window=1.0, dt=1 / 128, phase_noise_kappa=3.0,
+                                      channels=4, rng=np.random.default_rng(2))
+        for out in (sig, whiten(sig)):
+            assert out.samples.dtype == complex and np.isfinite(out.samples).all()
 
 
 class TestEvalAtSpikeTimes:
