@@ -1,7 +1,7 @@
-"""Floats as text: the bytes of ``repr(float(v))`` for a whole float64 array at once.
+"""Floats as text, both ways: ``repr`` bytes for whole float64 arrays, and floats from such CSVs.
 
-``repr_lines`` is the one path by which the CLI turns floats into text
-(``signals.csv``, ``esd.csv`` and the spike times of ``spikes.json``).
+Writing. ``repr_lines`` is the one path by which the CLI turns floats into
+text (``signals.csv``, ``esd.csv`` and the spike times of ``spikes.json``).
 Its contract: every value is written exactly as ``repr`` writes it.
 ``float_rows`` gives each value's bytes. Its fast path covers finite
 values with 1e-4 <= |v| < 1e15 (repr's fixed notation, short of 1e15)
@@ -13,11 +13,34 @@ value ``shortest`` cannot settle (an exact tie between two candidates, a
 carry into the next decade) goes through ``repr`` itself, so the output
 never differs from it.
 
-``cli_io`` imports this module where it writes floats, so the commands
-that write none do not load it.
+Reading. ``read_rows`` reads the CSV rows ``repr_lines`` writes (fields
+joined by ``,``, every line ended by CRLF) to exactly the float64 bits
+``numpy.loadtxt`` reads from them. Its grammar: whole lines, each with the
+caller's number of fields, and each field a plain decimal number,
+``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?``. Fields of the form
+``-?D.D`` (at most 16 digits before the point, 22 after and 18 in all,
+unless the part before the point is zero) take an integer path: the
+estimate float(d) / 10^f, with d the digits and f the digits after the
+point, or the float one ulp from it toward the decimal, when an exact
+integer test puts the decimal inside that float's rounding interval
+(``_settled``). That covers every field repr writes in fixed notation
+below 2^52, powers of two aside, and zeros keep their sign. The fields it
+cannot settle (exponent forms, subnormals, powers of two, longer digit
+strings) go through ``float()``, which converts such bytes with the
+``PyOS_string_to_double`` that loadtxt uses. If any line is outside the
+grammar (LF line ends, a blank line, ``nan``, a malformed row or field),
+``read_rows`` returns None and the caller reads the whole file with
+``numpy.loadtxt``, so every file it accepts and every error it reports
+stay as they were. The file is read in blocks of whole lines
+(``READ_BLOCK`` bytes), so no temporary spans the whole file.
+
+``cli_io`` imports this module where it writes or reads floats, so the
+commands that do neither do not load it.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -36,7 +59,7 @@ _EXP_MIN, _EXP_MAX = 1009, 1072
 _DECADE = np.array([len(str(2 ** (b - 1023))) - 1 if b >= 1023 else -len(str(2 ** (1023 - b)))
                     for b in range(_EXP_MIN, _EXP_MAX + 1)], dtype=np.int8)
 _NEXT_DECADE = np.array([float(f"1e{d + 1}") for d in _DECADE.tolist()])
-_POW5 = np.array([5 ** j for j in range(21)], dtype=np.uint64)
+_POW5 = np.array([5 ** j for j in range(23)], dtype=np.uint64)
 # The four ASCII digits of 0..9999 as one word each, in memory order, built
 # from the 100 digit pairs without large temporaries.
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8).reshape(100, 2)
@@ -58,6 +81,16 @@ def decade(magnitude):
     return tens
 
 
+def scaled(magnitude, j):
+    """x * 10^j as 2m * 5^j / 2^s, exactly: ``(2m, 5^j, s)`` for the bits of positive normal floats.
+
+    m is the mantissa with its implicit bit; ``j`` lies in 0..22.
+    """
+    s = 1076 - (magnitude >> _U64(52)).view(np.int64) - j
+    m2 = ((magnitude & _MANTISSA) | _U64(1 << 52)) << _U64(1)
+    return m2, _POW5.take(j), s
+
+
 def shortest(magnitude, decade):
     """Shortest round-trip digits of positive floats in the fast range, by integer arithmetic.
 
@@ -68,16 +101,12 @@ def shortest(magnitude, decade):
     next decade; the caller formats those with repr.
 
     This is the interval method of Steele & White, Gay and Ryu (Adams 2018,
-    PLDI): x * 10^j is 2m * 5^j / 2^s exactly, with m the mantissa; the
+    PLDI): x * 10^j is 2m * 5^j / 2^s exactly (``scaled``); the
     reals that read back as x fill (x - ulp/2, x + ulp/2), closed when m is
     even; the shortest digits are the multiple of the largest power of ten
     inside that interval, and among several, the one nearest x.
     """
-    j = 16 - decade
-    s = 1076 - (magnitude >> _U64(52)).view(np.int64) - j  # x * 10^j = 2m * 5^j / 2^s
-    p = _POW5.take(j)
-    mantissa = magnitude & _MANTISSA
-    m2 = (mantissa | _U64(1 << 52)) << _U64(1)
+    m2, p, s = scaled(magnitude, 16 - decade)  # x * 10^j = 2m * 5^j / 2^s, j = 16 - decade
     # The 128-bit product hi:lo = 2m * 5^j (below 2^101), from 32-bit limbs.
     a0, a1 = m2 & _LOW32, m2 >> _U64(32)
     p0, p1 = p & _LOW32, p >> _U64(32)
@@ -247,3 +276,202 @@ def repr_lines(values, sep: bytes, end: bytes):
         texts.append(rows[_PREFIX_MASKS.take(lengths, axis=0)].tobytes())
         counts.append(lengths)
     return b"".join(texts), np.concatenate(counts)
+
+
+# -- reading -----------------------------------------------------------------
+
+READ_BLOCK = 1 << 20  # bytes of whole lines parsed at once
+_PAD = 24  # bytes before each block, so that every digit window starts inside it
+# For L = 0..8: the mask of an 8-byte window's last L bytes (its high bytes, read little-endian).
+_KEEP = np.array([((1 << 64) - 1) ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)], np.uint64)
+_SEVENTY_SIXES = _U64(0x7676767676767676)
+_HIGH_BITS = _U64(0x8080808080808080)
+_ASCII_ZEROS = _U64(0x3030303030303030)
+_PAIRS_MASK = _U64(0x000000FF000000FF)
+_PAIRS_HIGH = _U64(100 + (1000000 << 32))
+_PAIRS_LOW = _U64(1 + (10000 << 32))
+_MAX_WHOLE, _MAX_FRACTION = 16, 22  # digits before and after the point; 10^22 is exact
+# 10^k as int64, wrapped past 10^18 where only discarded fields use it, and as floats.
+_POW10 = np.array([10 ** k % (1 << 64) for k in range(_MAX_FRACTION + 1)], np.uint64)
+_POW10 = _POW10.view(np.int64)
+_POW10F = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])
+# What float() and numpy.loadtxt read alike: a plain decimal number.
+_NUMBER = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def _eight_digits(words, end, count):
+    """The number in the ``count`` (0..8) bytes before each ``end``, and whether all are digits.
+
+    The SWAR parse of Lemire 2021 (Softw. Pract. Exper. 51:1700) on each
+    field's 8-byte window, with the bytes before its digits cleared. XOR
+    with '0' maps a digit byte to its value and every other byte above 9.
+    """
+    keep = _KEEP.take(count)
+    w = words[end - 8]
+    w ^= _ASCII_ZEROS
+    w &= keep
+    test = w + _SEVENTY_SIXES  # a byte above 9 sets its high bit, here or in w
+    test |= w
+    test &= _HIGH_BITS
+    ok = test == 0
+    test = w >> _U64(8)
+    w *= _U64(10)
+    w += test  # the value of each digit pair, in every other byte
+    test = w >> _U64(16)
+    test &= _PAIRS_MASK
+    test *= _PAIRS_LOW
+    w &= _PAIRS_MASK
+    w *= _PAIRS_HIGH
+    w += test
+    w >>= _U64(32)
+    return w.view(np.int64), ok
+
+
+def _short_number(block, words, end, count):
+    """The number in the ``count`` (at most 16) bytes before each ``end``, and whether all are digits.
+
+    A count of 1, the usual whole part and the usual top of a 17-digit
+    fraction, takes one byte; longer counts take ``_eight_digits`` windows.
+    """
+    value = block.take(end - 1).astype(np.int64)
+    value ^= ord("0")
+    ok = (value <= 9) | (count <= 0)
+    value[count <= 0] = 0
+    longer = np.flatnonzero(count > 1)
+    if longer.size:
+        end, count = end.take(longer), count.take(longer)
+        part, ok_part = _eight_digits(words, end, np.minimum(count, 8))
+        if (count > 8).any():
+            high, ok_high = _eight_digits(words, end - 8, np.minimum(np.maximum(count - 8, 0), 8))
+            part += high * 10 ** 8
+            ok_part &= ok_high
+        value[longer] = part
+        ok[longer] = ok_part
+    return value, ok
+
+
+def _settled(magnitude, d, fraction):
+    """Whether each float is the one nearest d * 10^-fraction, and whether it lies below it.
+
+    With x * 10^fraction = 2m * 5^f / 2^s (``scaled``, f = fraction), the
+    residual 2^s * d - 2m * 5^f is 2^s * 10^f * (decimal - x), and half an
+    ulp of x is 5^f in the same units: x is nearest when |residual| < 5^f.
+    The residual is even and 5^f odd when s >= 1, so the decimal is never a
+    tie. Both terms pass 2^64, but the residual is taken modulo 2^64: for a
+    float within k ulps of the decimal it is below 2k * 5^22 < 2^63 in
+    size, so the modular value is exact. The callers' floats lie within 3.
+    Exact for normal floats whose mantissa is not a power of two, with
+    1 <= s <= 63; the rest read False.
+    """
+    m2, p, s = scaled(magnitude, fraction)
+    fast = ((magnitude & _MANTISSA) != 0) & (s >= 1) & (s <= 63)
+    residual = d.view(np.uint64) << s.view(np.uint64)
+    residual -= m2 * p
+    residual = residual.view(np.int64)
+    p = p.view(np.int64)
+    return fast & (residual < p) & (residual > -p), residual > 0
+
+
+def _parse_block(block, columns):
+    """The (rows, columns) floats of a padded block of whole lines, or None off the grammar."""
+    newline = block == ord("\n")
+    seps = np.flatnonzero(newline | (block == ord(",")))
+    rows = np.count_nonzero(newline)
+    n = seps.size
+    if rows * columns != n or not newline.take(seps[columns - 1::columns]).all():
+        return None
+    starts = np.empty(n, np.intp)
+    starts[0] = _PAD
+    starts[1:] = seps[:-1] + 1
+    ends = seps
+    ends[columns - 1::columns] -= 1  # each line's last field ends at its CR
+    if not (block.take(ends[columns - 1::columns]) == ord("\r")).all():
+        return None
+    dots = np.flatnonzero(block == ord("."))
+    if dots.size != n or not ((dots >= starts).all() and (dots < ends).all()):
+        # A field's last point; another point fails the digit test, and a
+        # field without one gets no fraction.
+        dots, at = ends - 1, dots
+        dots[np.searchsorted(ends, at)] = at
+
+    # Digits: the whole part ending at the point; the fraction in two windows
+    # ending at the field's end and the rest before them.
+    negative = block.take(starts) == ord("-")
+    whole = dots - starts - negative
+    fraction = ends - dots - 1
+    ok = (whole >= 1) & (whole <= _MAX_WHOLE)
+    ok &= (fraction >= 1) & (fraction <= _MAX_FRACTION)
+    words = np.ndarray((block.size - 7,), "<u8", block, 0, (1,))
+    digits, ok_part = _short_number(block, words, dots, np.minimum(np.maximum(whole, 0), 16))
+    ok &= ok_part
+    part, ok_part = _eight_digits(words, ends, np.minimum(np.maximum(fraction, 0), 8))
+    ok &= ok_part
+    d, ok_part = _eight_digits(words, ends - 8, np.minimum(np.maximum(fraction - 8, 0), 8))
+    ok &= ok_part
+    d *= 10 ** 8
+    d += part
+    part, ok_part = _short_number(block, words, ends - 16, np.minimum(fraction - 16, 8))
+    ok &= ok_part
+    ok &= (whole + fraction <= 18) | ((digits == 0) & (part < 922))  # so that d < 2^63
+    part *= 10 ** 16
+    d += part
+    np.maximum(fraction, 0, out=fraction)
+    np.minimum(fraction, _MAX_FRACTION, out=fraction)
+    digits *= _POW10.take(fraction)
+    d += digits  # every digit of the field, exact where ok
+
+    # The value: the nearest float to d / 10^fraction, or one next to it.
+    magnitude = (d.astype(np.float64) / _POW10F.take(fraction)).view(np.uint64)
+    done, below = _settled(magnitude, d, fraction)
+    done &= ok
+    zero = ok & (d == 0)
+    done |= zero
+    step = np.flatnonzero(ok & ~done)
+    if step.size:
+        nearer = magnitude.take(step) - _U64(1)
+        nearer += below.take(step).astype(np.uint64) << _U64(1)
+        again, _ = _settled(nearer, d.take(step), fraction.take(step))
+        magnitude[step[again]] = nearer[again]
+        done[step[again]] = True
+    magnitude |= negative.astype(np.uint64) << _U64(63)
+    values = magnitude.view(np.float64)
+    for i in np.flatnonzero(~done).tolist():  # by float(): the bytes loadtxt would convert
+        text = block[starts[i]:ends[i]].tobytes()
+        if _NUMBER.fullmatch(text) is None:
+            return None
+        values[i] = float(text)
+    return values.reshape(rows, columns)
+
+
+def read_rows(fh, columns: int):
+    """The float64 table in the rest of a binary file, if it is in the writer's CSV format.
+
+    Returns a (rows, columns) array with the bits ``numpy.loadtxt`` reads
+    from the same lines, or None when any line is off the grammar, so that
+    the caller reads the file another way. See the module docstring. A
+    first pass counts the lines, so that the table is allocated once and
+    the blocks' temporaries never sit between parts of it.
+    """
+    start = fh.tell()
+    lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(READ_BLOCK), b""))
+    fh.seek(start)
+    table = np.empty((lines, columns))
+    filled, tail = 0, b""
+    while chunk := fh.read(READ_BLOCK):
+        end = chunk.rfind(b"\n") + 1
+        if not end:
+            tail += chunk
+            continue
+        block = np.empty(_PAD + len(tail) + end, np.uint8)
+        block[:_PAD] = 0
+        block[_PAD:_PAD + len(tail)] = np.frombuffer(tail, np.uint8)
+        block[_PAD + len(tail):] = np.frombuffer(chunk, np.uint8, end)
+        tail = chunk[end:]
+        rows = _parse_block(block, columns)
+        if rows is None or filled + len(rows) > lines:  # the file grew since it was counted
+            return None
+        table[filled:filled + len(rows)] = rows
+        filled += len(rows)
+    if tail or not filled or filled != lines:
+        return None
+    return table

@@ -13,11 +13,16 @@ integer shortest-digits path for 1e-4 <= |v| < 1e15 and ``repr`` itself
 for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
 the same document.
 
-CSV files are written in blocks of rows and read with ``numpy.loadtxt``,
-so numpy's C code does the per-field work. A malformed signal file is
-reported as ``DomainError("<path>:<line>: ...")`` with the file line of
-the first bad row (the header is line 1). Every line after the header
-must be a data row: a blank line is rejected, not skipped.
+CSV files are written in blocks of rows. ``load_signals`` reads a signal
+file in the format ``save_signals`` writes with ``_floattext.read_rows``,
+a vectorized reader that returns the bits ``numpy.loadtxt`` returns; any
+other file (LF line ends, blank lines, ``nan``, a malformed row) goes
+through ``numpy.loadtxt`` whole, so the file's own bytes choose the path.
+A malformed signal file is reported as ``DomainError("<path>:<line>:
+...")`` with the file line of the first bad row (the header is line 1).
+Every line after the header must be a data row: a blank line is
+rejected, not skipped. The sidecar's ``dt`` and ``T`` must be positive
+and finite.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
@@ -181,9 +187,26 @@ def _loadtxt_error(exc: ValueError, csv_path, columns: int) -> DomainError:
 _SIDECAR_KINDS = {"dt": "float", "T": "float", "p": "int", "whitened": "bool"}
 
 
+def _read_table(fh, csv_path, columns: int) -> np.ndarray:
+    """The rows after the header of an open signal file, by numpy.loadtxt."""
+    try:
+        with warnings.catch_warnings():
+            # A header-only file warns "no data"; the row-count check reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(_data_lines(fh, csv_path), delimiter=",", comments=None, ndmin=2)
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise _loadtxt_error(exc, csv_path, columns) from None
+
+
 def load_signals(csv_path) -> SignalMatrix:
     sidecar = _sidecar(csv_path)
     meta = _fields(_read_json(sidecar), sidecar, _SIDECAR_KINDS, required=_SIDECAR_KINDS)
+    for key in ("dt", "T"):
+        if not (math.isfinite(meta[key]) and meta[key] > 0):
+            raise DomainError(f"{sidecar}: field {key!r} must be positive and finite, "
+                              f"got {meta[key]!r}")
     dt, window, p = meta["dt"], meta["T"], meta["p"]
     columns = 1 + 2 * p
     with open(csv_path, newline="") as fh:
@@ -195,16 +218,16 @@ def load_signals(csv_path) -> SignalMatrix:
             raise DomainError(
                 f"{csv_path}: header has {n_header} columns, expected {columns} for {p} channels"
             )
-        try:
-            with warnings.catch_warnings():
-                # A header-only file warns "no data"; the row-count check reports it.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(_data_lines(fh, csv_path), delimiter=",",
-                                  comments=None, ndmin=2)
-        except DomainError:
-            raise
-        except ValueError as exc:
-            raise _loadtxt_error(exc, csv_path, columns) from None
+        data = None
+        if header.endswith("\r\n"):
+            # The rows as save_signals writes them; None for any other file.
+            from ._floattext import read_rows  # loaded only by the commands that read signals
+
+            with open(csv_path, "rb") as raw:
+                raw.readline()
+                data = read_rows(raw, columns)
+        if data is None:
+            data = _read_table(fh, csv_path, columns)
     if len(data) and data.shape[1] != columns:
         # Every row has the same wrong width, so loadtxt saw no change.
         raise DomainError(f"{csv_path}:2: expected {columns} fields, got {data.shape[1]}")

@@ -40,6 +40,7 @@ from .pointproc import (
     SinusoidRate,
     SpikeData,
     VonMisesRate,
+    _candidate_count,
     _check_harmonic,
     _check_kappa,
     _check_phase_offset,
@@ -383,6 +384,39 @@ def _validate(config: ExperimentConfig) -> None:
         # The synthesis grid's own checks: the sampling rate and the sample count.
         _check_sampling(config.components, config.dt)
         _sample_count(config.window, config.dt, max(config.channels, len(config.components)))
+    for model, window in _thinned_models(config):  # simulate_poisson's own limit
+        try:
+            _candidate_count(model.max_rate(), window)
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
+
+
+def _univar_model(config: ExperimentConfig, phase: LinearPhase):
+    if config.kappa == 0.0:
+        return HomogeneousRate(config.rate0)
+    return VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
+
+
+def _sinusoid_models(config: ExperimentConfig) -> dict:
+    """The matched and the mismatched case's rate models."""
+    return {label: SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset,
+                                config.window)
+            for label, harmonic in (("matched", config.phase_harmonic),
+                                    ("mismatched", config.rate_harmonic))}
+
+
+def _thinned_models(config: ExperimentConfig) -> list:
+    """(model, window) for every rate model the experiment's runner simulates."""
+    name = config.experiment
+    if name in ("univar-null", "univar-coupled"):
+        return [(_univar_model(config, LinearPhase(config.frequency, config.window)),
+                 config.window)]
+    if name == "sinusoid-uncoupled":
+        return [(model, config.window) for model in _sinusoid_models(config).values()]
+    if name.startswith("multivar"):
+        return [(model, config.window) for model in _multivar_unit_models(config)]
+    windows = config.windows if name == "bias-curve" else (config.window,)
+    return [(HomogeneousRate(config.rate0), window) for window in windows]
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -518,10 +552,7 @@ def _residual_histogram(z, law):
 
 def _run_univar(config: ExperimentConfig) -> dict:
     phase = LinearPhase(config.frequency, config.window)
-    if config.kappa == 0.0:
-        model = HomogeneousRate(config.rate0)
-    else:
-        model = VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
+    model = _univar_model(config, phase)
     plvs, totals = _plv_replicates(config, model, phase, config.window)
     p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
@@ -575,15 +606,10 @@ def _run_bias_curve(config: ExperimentConfig) -> dict:
 
 def _run_sinusoid(config: ExperimentConfig) -> dict:
     phase = LinearPhase(config.phase_harmonic / config.window, config.window)
-    cases = {
-        "matched": config.phase_harmonic,
-        "mismatched": config.rate_harmonic,
-    }
     parts = _parts()
-    for c_idx, (label, harmonic) in enumerate(cases.items()):
-        model = SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset, config.window)
+    for c_idx, (label, model) in enumerate(_sinusoid_models(config).items()):
         vals, _ = _plv_replicates(config, model, phase, config.window, block=c_idx)
-        laws = partial(plv_asymptotics_sinusoid, config.depth, harmonic, config.phase_harmonic,
+        laws = partial(plv_asymptotics_sinusoid, config.depth, model.harmonic, config.phase_harmonic,
                        config.phase_offset, config.rate0, config.window)
         law = _plv_case(config, parts, laws, vals, label)
         parts["targets"][f"{label}_cov"] = law.cov[0, 0]

@@ -235,6 +235,17 @@ def _flat_train(times, unit, trial) -> np.ndarray:
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
+def _candidate_count(max_rate: float, window: float) -> float:
+    """The expected thinning candidates per trial, max_rate * window, within numpy's Poisson limit."""
+    expected = max_rate * window
+    if not expected <= _POISSON_LAM_MAX:
+        raise DomainError(
+            f"expected candidate count per trial {expected!r} (max_rate * window) is past "
+            f"the Poisson sampler's limit {_POISSON_LAM_MAX!r}"
+        )
+    return expected
+
+
 def simulate_poisson(
     model: IntensityModel,
     window: float,
@@ -261,13 +272,7 @@ def simulate_poisson(
     lam_max = model.max_rate()
     if not math.isfinite(lam_max) or lam_max <= 0.0:
         raise DomainError(f"dominating rate must be positive and finite, got {lam_max!r}")
-    expected = lam_max * window
-    if not expected <= _POISSON_LAM_MAX:
-        raise DomainError(
-            f"expected candidate count per trial {expected!r} (max_rate * window) is past "
-            f"the Poisson sampler's limit {_POISSON_LAM_MAX!r}"
-        )
-
+    expected = _candidate_count(lam_max, window)
     counts = rng.poisson(expected, size=trials)
     total = int(counts.sum())
     # Sorted uniform candidates per trial via the order-statistics
@@ -292,7 +297,7 @@ def simulate_poisson(
     if isinstance(model, HomogeneousRate):
         t_keep, offsets = t_cand, bounds
     else:
-        u = rng.uniform(0.0, 1.0, total)
+        u = rng.random(total)
         u *= lam_max
         kept = np.flatnonzero(u < model.rate(t_cand))
         t_keep = t_cand[kept]

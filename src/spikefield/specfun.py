@@ -313,9 +313,9 @@ def _best_fisher(kappa: float, rng: np.random.Generator, n: int):
     filled = 0
     while filled < n:
         m = int((n - filled) * 1.6) + 8
-        u1 = rng.uniform(size=m)
-        u2 = rng.uniform(size=m)
-        u3 = rng.uniform(size=m)
+        u1 = rng.random(m)
+        u2 = rng.random(m)
+        u3 = rng.random(m)
         for start in range(0, m, _SLICE):
             if filled == n:
                 break

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spikefield import _floattext
+from spikefield import _floattext, cli_io
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -19,7 +19,7 @@ from spikefield.cli_io import (
 from spikefield.errors import DomainError
 from spikefield.multicoupling import build_coupling_matrix
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
-from spikefield.signals import SignalMatrix, synthesize_oscillations
+from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
 
 from oracles import bessel_quadrature
 
@@ -244,6 +244,65 @@ class TestSignalFileFormat:
         path = _short_file(tmp_path, "time,ch0_re\n0.0,1.0\n")
         with pytest.raises(DomainError, match="header has 2 columns, expected 3"):
             load_signals(path)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _signal_files():
+    """Signal matrices of every kind save_signals writes, by name."""
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2 ** 64, 4_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)][:3_000]
+    return {
+        "pinned": _pinned_signals(),
+        "whitened": whiten(synthesize_oscillations([4.0, 5.0], 2.0, 1 / 64, 5.0, 6, rng)),
+        "raw": synthesize_oscillations([3.0], 1.0, 1 / 128, 0.5, 3, rng),
+        "any bits": SignalMatrix(bits.view(complex).reshape(3, -1), dt=0.25),
+        "scaled": SignalMatrix(rng.standard_normal((4, 300)) * 1e9 + 1j * 1e-7, dt=1 / 300),
+        "zeros": SignalMatrix(np.zeros((2, 5), complex), dt=0.2),
+    }
+
+
+class TestSignalReader:
+    """load_signals reads every file save_signals writes without numpy.loadtxt, to its bits."""
+
+    @pytest.mark.parametrize("name", list(_signal_files()))
+    def test_written_files_skip_loadtxt(self, tmp_path, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("read by numpy.loadtxt")
+
+        sig = _signal_files()[name]
+        path = tmp_path / "signals.csv"
+        save_signals(sig, path)
+        reference = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        monkeypatch.setattr(cli_io, "_read_table", refuse)
+        back = load_signals(path)
+        assert np.array_equal(_bits(back.samples), _bits(sig.samples))
+        assert np.array_equal(_bits(back.samples.T), _bits(reference[:, 1:]))
+        assert (back.dt, back.whitened) == (sig.dt, sig.whitened)
+
+    @pytest.mark.parametrize("old, new, count", [
+        (b"\r\n", b"\n", -1),  # LF line ends
+        (b"\r\n", b"\r", 1),  # a header ended by a lone CR: its next line is a data row
+    ], ids=["lf", "cr-header"])
+    def test_other_line_ends_go_to_loadtxt(self, tmp_path, monkeypatch, old, new, count):
+        calls = []
+
+        def record(*args):
+            calls.append(args[1])
+            return read_table(*args)
+
+        sig = _signal_files()["whitened"]
+        path = tmp_path / "signals.csv"
+        save_signals(sig, path)
+        path.write_bytes(path.read_bytes().replace(old, new, count))
+        read_table = cli_io._read_table
+        monkeypatch.setattr(cli_io, "_read_table", record)
+        back = load_signals(path)
+        assert calls == [path]
+        assert np.array_equal(_bits(back.samples), _bits(sig.samples))
 
 
 class TestExperimentConfigFile:
@@ -585,8 +644,14 @@ class TestTypedFields:
         ({"T": None}, "field 'T' must be a number, got null"),
         ({"p": 2.5}, "field 'p' must be an integer, got 2.5"),
         ({"extra": 1}, "unknown field(s) ['extra']"),
+        ({"dt": math.inf}, "field 'dt' must be positive and finite, got inf"),
+        ({"T": "1e400"}, "field 'T' must be positive and finite, got inf"),
+        ({"dt": 0}, "field 'dt' must be positive and finite, got 0.0"),
+        ({"T": -1.0}, "field 'T' must be positive and finite, got -1.0"),
+        ({"dt": math.nan}, "field 'dt' must be positive and finite, got nan"),
     ], ids=["string-whitened", "int-whitened", "string-dt", "null-window", "fractional-p",
-            "unknown-field"])
+            "unknown-field", "infinite-dt", "overflowing-window", "zero-dt", "negative-window",
+            "nan-dt"])
     def test_signal_sidecar(self, tmp_path, capsys, change, message):
         sd = _sample_spikes()
         save_spikes(sd, tmp_path / "s.json")
@@ -594,7 +659,9 @@ class TestTypedFields:
         save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, rng),
                      tmp_path / "signals.csv")
         sidecar = tmp_path / "signals.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        # json.dumps writes inf as Infinity; "1e400" goes in as that literal text.
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change})
+                           .replace('"1e400"', "1e400"))
         code, err = _run(capsys, [
             "analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
             "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
@@ -673,11 +740,12 @@ class TestRefusedConfigs:
         self._refused(code, err, "expected candidate count per trial 2e+301", tmp_path / "o")
 
     def test_experiment_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
-        # Refused by the first replicate's draw, so without the config's path.
+        # Refused where the config is built, so with the config's path.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "bias-curve", "windows": [1e300]}))
         code, err = _run(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
-        self._refused(code, err, "expected candidate count per trial 3e+301", tmp_path / "o")
+        self._refused(code, err, f"{path}: expected candidate count per trial 3e+301",
+                      tmp_path / "o")
 
     @staticmethod
     def _refused(code, err, message, out):

@@ -1,6 +1,7 @@
-"""Tests for the vectorized float formatter: every value written as ``repr`` writes it."""
+"""Tests for floats as text: written as ``repr`` writes them, read as ``numpy.loadtxt`` reads them."""
 
-from decimal import Decimal
+import io
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikefield import _floattext
+from spikefield.cli_io import save_signals
+from spikefield.signals import SignalMatrix
 
 
 def _repr_bytes(values) -> bytes:
@@ -98,3 +101,176 @@ class TestFloatText:
         assert text == "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
         expected = [len(repr(v)) + (2 if j == 4 else 1) for row in rows for j, v in enumerate(row)]
         assert lengths.tolist() == expected
+
+
+def _loadtxt_rows(text: bytes):
+    """The reference: numpy.loadtxt on the same lines."""
+    return np.loadtxt(io.StringIO(text.decode(), newline=""), delimiter=",", comments=None,
+                      ndmin=2)
+
+
+def _csv(fields, columns: int) -> bytes:
+    fields = fields + ["1.5"] * (-len(fields) % columns)
+    return b"".join(",".join(fields[i:i + columns]).encode() + b"\r\n"
+                    for i in range(0, len(fields), columns))
+
+
+class _CountingNumber:
+    """Stands in for the reader's number pattern and counts the fields it is asked about."""
+
+    def __init__(self, pattern):
+        self.pattern, self.fields = pattern, 0
+
+    def fullmatch(self, text):
+        self.fields += 1
+        return self.pattern.fullmatch(text)
+
+
+def _read_like_loadtxt(fields, columns=3, monkeypatch=None):
+    """Read the fields as CSV rows with read_rows and with numpy.loadtxt; require the same bits.
+
+    Returns how many fields the reader left to float().
+    """
+    fields = list(fields)
+    text = _csv(fields, columns)
+    counter = _CountingNumber(_floattext._NUMBER)
+    if monkeypatch is not None:
+        monkeypatch.setattr(_floattext, "_NUMBER", counter)
+    got = _floattext.read_rows(io.BytesIO(text), columns)
+    assert got is not None
+    expected = _loadtxt_rows(text)
+    assert got.shape == expected.shape
+    bad = np.flatnonzero(got.view(np.uint64).ravel() != expected.view(np.uint64).ravel())
+    assert bad.size == 0, [fields[i] for i in bad[:5]]
+    return counter.fields
+
+
+def _near_ties(values):
+    """Short decimals next to the midpoints between each float and the next one up."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for a, b in zip(values.tolist(), np.nextafter(values, np.inf).tolist()):
+            mid = (Decimal(a) + Decimal(b)) / 2
+            for digits in (16, 17, 18, 19):
+                rounded = Decimal(format(mid, f".{digits - 1}e"))
+                step = Decimal(1).scaleb(rounded.adjusted() - digits + 1)
+                for k in (-1, 0, 1):
+                    text = format(rounded + k * step, "f")
+                    out.append(text if "." in text else text + ".0")
+    return out
+
+
+# Fields the reader takes whole: each as numpy.loadtxt reads it, by float() where
+# the integer test cannot settle it.
+_ODD_FIELDS = [
+    "00.5", "5.", "-0.0", "0.0", "-0.000", "0.000123456789012345678", "1e-05", "1.5e+300",
+    "-1.5e+300", "5e-324", "-5e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
+    "-.5", ".5", "+1.5", "1E5", "0000000000000000.1", "0.00000000000000000000001",
+    "123456789012345678.5", "9007199254740993.0", "9007199254740992.5", "0.1",
+    "0.30000000000000004", "1234567890123456.7", "4503599627370496.5", "1.0", "2.0",
+    "0.5", "0.25", "1024.0", "0.0001", "0.00009999999999999999", "999999999999999.9",
+    "1e15", "1e+16", "1.7976931348623157e+308", "1e400", "-1e400", "12345678901234567.5",
+    "1234567890123456.5", "-9876543210987654.25",
+    "0.1000000000000000055511151231257827021181583404541015625",
+]
+
+
+class TestReadRows:
+    """read_rows reads the writer's CSV rows to the bits numpy.loadtxt reads from them."""
+
+    @pytest.mark.parametrize("values", list(_bulk_sets().values()), ids=list(_bulk_sets()))
+    def test_bulk_sets_through_save_signals(self, values, tmp_path):
+        values = values[np.isfinite(values)]
+        q = values.size // 10
+        samples = values[:10 * q].view(complex).reshape(5, q)
+        save_signals(SignalMatrix(samples, dt=1e-3), tmp_path / "signals.csv")
+        text = (tmp_path / "signals.csv").read_bytes()
+        data = text[text.index(b"\n") + 1:]
+        got = _floattext.read_rows(io.BytesIO(data), 11)
+        assert got is not None
+        assert np.array_equal(got.view(np.uint64), _loadtxt_rows(data).view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(got[:, 1:]).view(complex).T, samples)
+
+    def test_normal_samples_take_the_integer_path(self, monkeypatch):
+        values = np.random.default_rng(5).standard_normal(60_000)
+        left = _read_like_loadtxt(map(repr, values.tolist()), 6, monkeypatch)
+        assert left <= np.count_nonzero(np.abs(values) < 1e-4)  # written with an exponent
+
+    def test_zeros_keep_their_sign_on_the_integer_path(self, monkeypatch):
+        assert _read_like_loadtxt(["0.0", "-0.0", "00.000", "-0.0000000000000000000"] * 3, 4,
+                                  monkeypatch) == 0
+
+    def test_near_ties(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        values = np.abs(rng.standard_normal(2_000)) * 10.0 ** rng.integers(-4, 15, 2_000)
+        values = np.concatenate([values, 2.0 ** np.arange(-13, 50) * 1.5])
+        fields = _near_ties(values)
+        left = _read_like_loadtxt(fields, 4, monkeypatch)
+        assert left < len(fields) / 2  # the rest went through the integer test
+
+    def test_long_significands(self):
+        rng = np.random.default_rng(12)
+        fields = []
+        for length in range(18, 26):
+            for _ in range(300):
+                digits = "".join(map(str, rng.integers(0, 10, length)))
+                point = int(rng.integers(1, 17))
+                sign = "-" if rng.random() < 0.5 else ""
+                fields += [sign + digits[:point] + "." + digits[point:], sign + "0." + digits]
+        _read_like_loadtxt(fields, 5)
+
+    def test_odd_fields(self):
+        _read_like_loadtxt(_ODD_FIELDS * 3, 3)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_floats_written_by_repr(self, values):
+        _read_like_loadtxt(map(repr, values), 3)
+
+    @given(st.lists(st.tuples(st.booleans(), st.text("0123456789", min_size=1, max_size=18),
+                              st.text("0123456789", min_size=1, max_size=24)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_any_plain_decimals(self, parts):
+        _read_like_loadtxt([("-" if neg else "") + whole + "." + fraction
+                            for neg, whole, fraction in parts], 2)
+
+    @pytest.mark.parametrize("text", [
+        b"1.0,2.0\n3.0,4.0\n",  # LF line ends
+        b"1.0,2.0\r\n\r\n3.0,4.0\r\n",  # a blank line
+        b"1.0,2.0\r\n3.0,4.0",  # no line end after the last row
+        b"1.0,2.0,3.0\r\n",  # a row too long
+        b"1.0\r\n",  # a row too short
+        b"1.0,nan\r\n", b"1.0,inf\r\n", b"1.0, 2.0\r\n", b"1.0,x\r\n", b"1.0,\r\n",
+        b"1.0,1-2.0\r\n", b"1.0,2.0\r\r\n", b"1.0,1_0.0\r\n", b"1.0,0x10\r\n",
+        b"1.0,1.2:\r\n", b"1.0,:.5\r\n", b"1.0,1./\r\n", b"1.0,.\r\n", b"1.0,-.\r\n",
+        b"1.2.3,45\r\n", b"1.0\r\n2.0,3.0,4.0\r\n",
+        b"",  # no rows at all
+    ], ids=["lf", "blank-line", "no-final-line-end", "long-row", "short-row", "nan", "inf",
+            "space", "word", "empty-field", "inner-minus", "double-cr", "underscore", "hex",
+            "colon-fraction", "colon-whole", "slash", "point", "minus-point", "two-points",
+            "rows-off-by-one", "empty"])
+    def test_anything_else_is_left_to_the_caller(self, text):
+        assert _floattext.read_rows(io.BytesIO(text), 2) is None
+
+    @pytest.mark.parametrize("change", ["shrink", "grow"])
+    def test_a_file_that_changes_after_its_lines_are_counted(self, change):
+        class Changing(io.BytesIO):
+            def seek(self, *args):  # read_rows seeks back once, after counting
+                size = len(self.getvalue())
+                if change == "shrink":
+                    self.truncate(size - len(b"3.0,4.0\r\n"))
+                else:
+                    super().seek(size)
+                    self.write(b"5.0,6.0\r\n")
+                return super().seek(*args)
+
+        assert _floattext.read_rows(Changing(b"1.0,2.0\r\n3.0,4.0\r\n"), 2) is None
+
+    def test_blocks_split_inside_a_line(self, monkeypatch):
+        monkeypatch.setattr(_floattext, "READ_BLOCK", 7)  # most blocks end mid-line
+        values = np.random.default_rng(13).standard_normal(600) * 1e3
+        text = _csv(list(map(repr, values.tolist())), 3)
+        got = _floattext.read_rows(io.BytesIO(text), 3)
+        assert np.array_equal(got.ravel(), values)

@@ -96,11 +96,20 @@ class TestConfig:
         ("univar-null", {"rate0": math.inf},
          "rate0: baseline rate must be positive and finite, got inf"),
         ("moment-oracle", {"rate0": math.inf}, "rate0: baseline rate must be positive and finite"),
+        # Past numpy's Poisson limit, max_rate * window, for the runner's own model.
+        ("univar-null", {"window": 1e300}, r"expected candidate count per trial 2e\+301"),
+        ("univar-coupled", {"window": 1e300}, r"expected candidate count per trial 3\.297\d*e\+301"),
+        ("sinusoid-uncoupled", {"window": 1e300},
+         r"expected candidate count per trial 2\.6\d*e\+301"),
+        ("moment-oracle", {"window": 1e300}, r"expected candidate count per trial 2e\+301"),
+        ("bias-curve", {"windows": (1e300,)}, r"expected candidate count per trial 3e\+301"),
     ], ids=["no-units", "no-channels", "zero-dt", "nan-dt", "no-components", "nan-component",
             "nan-frequency", "inf-frequency", "zero-frequency", "one-moment-trial", "nan-kappa",
             "inf-kappa", "inf-phase-offset", "zero-rate-harmonic", "zero-phase-harmonic",
             "nan-noise-kappa", "huge-noise-kappa", "undersampled",
-            "huge-window", "inf-rate0", "inf-rate0-moments"])
+            "huge-window", "inf-rate0", "inf-rate0-moments", "poisson-limit-univar-null",
+            "poisson-limit-univar-coupled", "poisson-limit-sinusoid", "poisson-limit-moments",
+            "poisson-limit-bias-curve"])
     def test_edge_inputs_refused_at_construction(self, name, change, message):
         # Each used to escape from inside the runner as ZeroDivisionError,
         # ValueError or OverflowError, or (one moment trial) to write a NaN

@@ -205,9 +205,9 @@ class _BoundaryStream:
     def standard_exponential(self, size):
         return np.array([1.0, 1.0, 1.0, 2.0, 0.5, 0.5])
 
-    def uniform(self, low, high, size=None):
+    def random(self, size=None):
         self.uniform_sizes.append(size)
-        return self._rng.uniform(low, high, size)
+        return self._rng.random(size)
 
 
 def _reference_rate(model, t):
@@ -269,6 +269,19 @@ class TestThinningKeepsItsBits:
         assert np.array_equal(sd.times, times)
         assert np.array_equal(sd.offsets, offsets)
         assert sd.offsets.dtype == np.int64
+
+    @pytest.mark.parametrize("name", sorted(_THINNED))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_keep_uniforms_leave_the_generator_as_uniform_does(self, name, seed):
+        # Generator.random(n) is uniform(0.0, 1.0, n) without the 0 + 1 * x
+        # pass: the same values, and the generator left in the same state.
+        model, window = _THINNED[name]
+        reference_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for trials in (1, 7, 500):
+            times, offsets, _ = _reference_thinning(model, window, trials, reference_rng)
+            sd = simulate_poisson(model, window, trials, rng)
+            assert np.array_equal(sd.times, times) and np.array_equal(sd.offsets, offsets)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("name", [n for n in _THINNED if n.endswith("sparse")])
     def test_sparse_models_reach_the_edge_trials(self, name):

@@ -291,7 +291,7 @@ def _unsliced_best_fisher(kappa, rng, n):
 
 
 class _CountingRng:
-    """A generator that counts its ``uniform`` calls."""
+    """A generator that counts its ``uniform`` and ``random`` calls."""
 
     def __init__(self, seed):
         self._rng, self.calls = np.random.default_rng(seed), 0
@@ -299,6 +299,10 @@ class _CountingRng:
     def uniform(self, *args, **kwargs):
         self.calls += 1
         return self._rng.uniform(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
 
 
 class TestBestFisherSlices:
@@ -324,3 +328,16 @@ class TestBestFisherSlices:
         assert sliced_rng.uniform() == reference_rng.uniform()
         if seed == 671:
             assert sliced_rng.calls > 6  # a second batch in at least one sampler
+
+    @pytest.mark.parametrize("kappa, seed, n", [
+        (10.0, 1, 1), (0.5, 3, 2**15), (1e3, 4, 7), (10.0, 5, 100_003), (2.0, 671, 10),
+    ])
+    def test_uniforms_leave_the_generator_as_uniform_does(self, kappa, seed, n):
+        # The core draws with Generator.random(m), the oracle with uniform(size=m):
+        # the same values, and the generator left in the same state.
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = specfun._best_fisher(kappa, rng, n)
+        expected = _unsliced_best_fisher(kappa, reference_rng, n)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
