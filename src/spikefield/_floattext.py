@@ -1,4 +1,4 @@
-"""Floats as text, both ways: ``repr`` bytes for whole float64 arrays, and floats from such CSVs.
+"""Floats as text, both ways: ``repr`` bytes for whole float64 arrays, and floats from such files.
 
 Writing. ``repr_lines`` is the one path by which the CLI turns floats into
 text (``signals.csv``, ``esd.csv`` and the spike times of ``spikes.json``).
@@ -13,11 +13,8 @@ value ``shortest`` cannot settle (an exact tie between two candidates, a
 carry into the next decade) goes through ``repr`` itself, so the output
 never differs from it.
 
-Reading. ``read_rows`` reads the CSV rows ``repr_lines`` writes (fields
-joined by ``,``, every line ended by CRLF) to exactly the float64 bits
-``numpy.loadtxt`` reads from them. Its grammar: whole lines, each with the
-caller's number of fields, and each field a plain decimal number,
-``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?``. Fields of the form
+Reading. Two readers share one field kernel, ``read_fields``, which
+reads the bytes between given starts and ends. Fields of the form
 ``-?D.D`` (at most 16 digits before the point, 22 after and 18 in all,
 unless the part before the point is zero) take an integer path: the
 estimate float(d) / 10^f, with d the digits and f the digits after the
@@ -26,13 +23,28 @@ integer test puts the decimal inside that float's rounding interval
 (``_settled``). That covers every field repr writes in fixed notation
 below 2^52, powers of two aside, and zeros keep their sign. The fields it
 cannot settle (exponent forms, subnormals, powers of two, longer digit
-strings) go through ``float()``, which converts such bytes with the
-``PyOS_string_to_double`` that loadtxt uses. If any line is outside the
-grammar (LF line ends, a blank line, ``nan``, a malformed row or field),
-``read_rows`` returns None and the caller reads the whole file with
-``numpy.loadtxt``, so every file it accepts and every error it reports
-stay as they were. The file is read in blocks of whole lines
-(``READ_BLOCK`` bytes), so no temporary spans the whole file.
+strings) must match the reader's number grammar and go through
+``float()``, which converts such bytes with the ``PyOS_string_to_double``
+that numpy.loadtxt and json.loads use. A field off that grammar, or one
+that reads as an infinity, makes the reader return None, and its caller
+then reads the whole file the old way (``numpy.loadtxt`` or
+``json.loads``), so every file it accepts and every error it reports stay
+as they were.
+
+- ``read_rows`` reads the CSV rows ``repr_lines`` writes: whole lines,
+  each with the caller's number of fields joined by ``,`` and ended by
+  CRLF, and each field loadtxt's plain decimal number,
+  ``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?`` (``_NUMBER``), to
+  the bits ``numpy.loadtxt`` reads, and returns each line's fields after
+  its first. The caller gives the row count; the table of those fields is
+  allocated once, and the file is read in blocks of whole lines
+  (``READ_BLOCK`` bytes) into one reused buffer, so no temporary spans the
+  whole file.
+- ``cli_io`` reads the spike document ``save_spikes`` writes with the same
+  kernel, to the bits ``json.loads`` reads. Its numbers follow JSON's
+  grammar with a point or an exponent,
+  ``-?(0|[1-9][0-9]*)(.[0-9]+([eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)``
+  (``JSON_FLOAT``; the caller refuses a leading zero on the integer path).
 
 ``cli_io`` imports this module where it writes or reads floats, so the
 commands that do neither do not load it.
@@ -40,6 +52,7 @@ commands that do neither do not load it.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -257,7 +270,7 @@ def repr_lines(values, sep: bytes, end: bytes):
 
     Returns the bytes of every row, one after the other, and the byte count
     of each element with the separator or end that follows it. ``sep`` and
-    ``end`` are at most two bytes.
+    ``end`` are at most eight bytes, the room a row has past the longest repr.
     """
     n_rows, n_cols = values.shape
     step = max(1, BLOCK // max(n_cols, 1))
@@ -280,7 +293,7 @@ def repr_lines(values, sep: bytes, end: bytes):
 
 # -- reading -----------------------------------------------------------------
 
-READ_BLOCK = 1 << 20  # bytes of whole lines parsed at once
+READ_BLOCK = 1 << 18  # bytes read and parsed at once; their temporaries take about 8 times that
 _PAD = 24  # bytes before each block, so that every digit window starts inside it
 # For L = 0..8: the mask of an 8-byte window's last L bytes (its high bytes, read little-endian).
 _KEEP = np.array([((1 << 64) - 1) ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)], np.uint64)
@@ -297,6 +310,8 @@ _POW10 = _POW10.view(np.int64)
 _POW10F = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])
 # What float() and numpy.loadtxt read alike: a plain decimal number.
 _NUMBER = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+# What json.loads reads as a float: a JSON number with a fraction or an exponent.
+JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
 
 def _eight_digits(words, end, count):
@@ -372,31 +387,46 @@ def _settled(magnitude, d, fraction):
     return fast & (residual < p) & (residual > -p), residual > 0
 
 
-def _parse_block(block, columns):
-    """The (rows, columns) floats of a padded block of whole lines, or None off the grammar."""
-    newline = block == ord("\n")
-    seps = np.flatnonzero(newline | (block == ord(",")))
-    rows = np.count_nonzero(newline)
-    n = seps.size
-    if rows * columns != n or not newline.take(seps[columns - 1::columns]).all():
-        return None
-    starts = np.empty(n, np.intp)
-    starts[0] = _PAD
-    starts[1:] = seps[:-1] + 1
-    ends = seps
-    ends[columns - 1::columns] -= 1  # each line's last field ends at its CR
-    if not (block.take(ends[columns - 1::columns]) == ord("\r")).all():
-        return None
-    dots = np.flatnonzero(block == ord("."))
-    if dots.size != n or not ((dots >= starts).all() and (dots < ends).all()):
-        # A field's last point; another point fails the digit test, and a
-        # field without one gets no fraction.
-        dots, at = ends - 1, dots
-        dots[np.searchsorted(ends, at)] = at
+def _points(block, starts, ends, negative):
+    """Each field's point: at start + 1 + sign where one digit precedes it, else searched.
+
+    Only the fields where that guess misses are searched, up to ``_MAX_WHOLE``
+    digits on; a field without a point there gets its end.
+    """
+    dots = starts + negative
+    dots += 1
+    at = np.flatnonzero(block.take(dots) != ord("."))
+    if at.size:
+        pos, stop = dots.take(at), ends.take(at)
+        dots[at] = stop
+        for _ in range(_MAX_WHOLE - 1):
+            pos += 1
+            live = np.flatnonzero(pos < stop)
+            at, pos, stop = at.take(live), pos.take(live), stop.take(live)
+            hit = block.take(pos) == ord(".")
+            dots[at[hit]] = pos[hit]
+            miss = ~hit
+            if not miss.any():
+                break
+            at, pos, stop = at[miss], pos[miss], stop[miss]
+    return dots
+
+
+def read_fields(block, starts, ends, number):
+    """The float64 value of each field ``block[starts[i]:ends[i]]``, or None if one is off the grammar.
+
+    The field kernel of both readers. Fields of the form -?D.D, in the digit
+    limits of the module docstring, take the integer path; every other field
+    must match ``number`` and is converted by ``float()``. Any field that does
+    not match, or that reads as an infinity, makes the result None. Each
+    field's first byte lies at least 24 bytes into ``block``, so that every
+    digit window starts inside it.
+    """
+    negative = block.take(starts) == ord("-")
+    dots = _points(block, starts, ends, negative)
 
     # Digits: the whole part ending at the point; the fraction in two windows
     # ending at the field's end and the rest before them.
-    negative = block.take(starts) == ord("-")
     whole = dots - starts - negative
     fraction = ends - dots - 1
     ok = (whole >= 1) & (whole <= _MAX_WHOLE)
@@ -435,43 +465,82 @@ def _parse_block(block, columns):
         done[step[again]] = True
     magnitude |= negative.astype(np.uint64) << _U64(63)
     values = magnitude.view(np.float64)
-    for i in np.flatnonzero(~done).tolist():  # by float(): the bytes loadtxt would convert
+    for i in np.flatnonzero(~done).tolist():  # by float(): the bytes loadtxt or json would convert
         text = block[starts[i]:ends[i]].tobytes()
-        if _NUMBER.fullmatch(text) is None:
+        if number.fullmatch(text) is None:
             return None
         values[i] = float(text)
-    return values.reshape(rows, columns)
+        if not math.isfinite(values[i]):
+            return None
+    return values
 
 
-def read_rows(fh, columns: int):
+def _lines(block, seps, kinds, columns):
+    """The fields of a padded block of whole CSV lines, or None off the grammar.
+
+    ``seps`` are the positions of the block's commas, CRs and LFs and
+    ``kinds`` those bytes; each line must hold ``columns - 1`` commas, then
+    CR LF.
+    """
+    if seps.size % (columns + 1):
+        return None
+    grid = seps.reshape(-1, columns + 1)
+    shape = np.full(columns + 1, ord(","), np.uint8)
+    shape[-2:] = (ord("\r"), ord("\n"))
+    if not ((kinds.reshape(grid.shape) == shape).all() and (grid[:, -1] == grid[:, -2] + 1).all()):
+        return None
+    ends = grid[:, :-1]  # the commas and the CR
+    starts = np.empty(ends.shape, np.intp)
+    starts[:, 1:] = ends[:, :-1]
+    starts[1:, 0] = grid[:-1, -1]
+    starts += 1
+    starts[0, 0] = _PAD
+    values = read_fields(block, starts.reshape(-1), ends.reshape(-1), _NUMBER)
+    return None if values is None else values.reshape(ends.shape)
+
+
+def read_rows(fh, rows: int, columns: int):
     """The float64 table in the rest of a binary file, if it is in the writer's CSV format.
 
-    Returns a (rows, columns) array with the bits ``numpy.loadtxt`` reads
-    from the same lines, or None when any line is off the grammar, so that
-    the caller reads the file another way. See the module docstring. A
-    first pass counts the lines, so that the table is allocated once and
-    the blocks' temporaries never sit between parts of it.
+    Returns a (rows, columns - 1) array, each line's fields after its first
+    (a signal file's time column, checked and dropped), with the bits
+    ``numpy.loadtxt`` reads from the same lines; or None when the rest of
+    the file is not ``rows`` such lines of finite numbers, so that the
+    caller reads it another way. See the module docstring. The table is
+    allocated once, and each block of lines is read into one reused buffer
+    and written into the table once.
     """
     start = fh.tell()
-    lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(READ_BLOCK), b""))
+    size = fh.seek(0, 2) - start
     fh.seek(start)
-    table = np.empty((lines, columns))
-    filled, tail = 0, b""
-    while chunk := fh.read(READ_BLOCK):
-        end = chunk.rfind(b"\n") + 1
-        if not end:
-            tail += chunk
+    if not 1 <= rows <= size // (2 * columns + 1):  # a line holds at least that many bytes
+        return None
+    table = np.empty((rows, columns - 1))
+    buf = np.full(_PAD + READ_BLOCK, ord("0"), np.uint8)  # a pad of '0's, which no scan stops at
+    filled = kept = 0  # rows in the table; bytes of a partial line after the pad
+    while got := fh.readinto(memoryview(buf)[_PAD + kept:]):
+        block = buf[:_PAD + kept + got]
+        # Commas, CRs and LFs, and any other byte below '-' but an exponent's '+'.
+        seps = np.flatnonzero(block < ord("-"))
+        kinds = block.take(seps)
+        plus = kinds == ord("+")
+        if plus.any():
+            seps, kinds = seps[~plus], kinds[~plus]
+        lines = np.flatnonzero(kinds == ord("\n"))
+        if not lines.size:  # no whole line yet: read on, into a larger buffer when full
+            kept = block.size - _PAD
+            if block.size == buf.size:
+                buf = np.concatenate([buf, np.full(buf.size - _PAD, ord("0"), np.uint8)])
             continue
-        block = np.empty(_PAD + len(tail) + end, np.uint8)
-        block[:_PAD] = 0
-        block[_PAD:_PAD + len(tail)] = np.frombuffer(tail, np.uint8)
-        block[_PAD + len(tail):] = np.frombuffer(chunk, np.uint8, end)
-        tail = chunk[end:]
-        rows = _parse_block(block, columns)
-        if rows is None or filled + len(rows) > lines:  # the file grew since it was counted
+        last = lines[-1] + 1
+        end = seps[last - 1] + 1
+        values = _lines(block[:end], seps[:last], kinds[:last], columns)
+        if values is None or filled + len(values) > rows:
             return None
-        table[filled:filled + len(rows)] = rows
-        filled += len(rows)
-    if tail or not filled or filled != lines:
+        table[filled:filled + len(values)] = values[:, 1:]
+        filled += len(values)
+        kept = block.size - end
+        buf[_PAD:_PAD + kept] = buf[end:block.size]
+    if kept or filled != rows:
         return None
     return table

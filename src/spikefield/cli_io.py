@@ -11,18 +11,29 @@ goes through one vectorized kernel, ``_floattext.repr_lines``, which
 writes the bytes of ``repr(float(v))`` for every value, exactly: an
 integer shortest-digits path for 1e-4 <= |v| < 1e15 and ``repr`` itself
 for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
-the same document.
+the same document, and ``analyze`` writes the entry lists of
+``coupling.json`` the same way.
 
-CSV files are written in blocks of rows. ``load_signals`` reads a signal
-file in the format ``save_signals`` writes with ``_floattext.read_rows``,
-a vectorized reader that returns the bits ``numpy.loadtxt`` returns; any
-other file (LF line ends, blank lines, ``nan``, a malformed row) goes
-through ``numpy.loadtxt`` whole, so the file's own bytes choose the path.
+CSV files are written in blocks of rows. Each input is read once,
+straight into the arrays the analysis uses, and the file's own bytes
+choose the path. ``load_signals`` reads a signal file
+in the format ``save_signals`` writes with ``_floattext.read_rows``, a
+vectorized reader that returns the bits ``numpy.loadtxt`` returns, into a
+(q, 2p) table of the sample columns that the samples view without a copy;
+any other file (LF line ends, blank lines, ``nan``, a malformed row, a row
+count other than the sidecar's) goes through ``numpy.loadtxt`` whole.
+``load_spikes`` reads the document ``save_spikes`` writes with the same
+field kernel into flat times and offsets; any other document goes through
+``json.loads`` whole. Either way every accepted file and every error stay
+as they were.
+
 A malformed signal file is reported as ``DomainError("<path>:<line>:
 ...")`` with the file line of the first bad row (the header is line 1).
 Every line after the header must be a data row: a blank line is
 rejected, not skipped. The sidecar's ``dt`` and ``T`` must be positive
-and finite.
+and finite, and ``p`` at least 1. The rows must cover ``T``: a file of
+q rows is accepted when |q * dt - T| <= dt / 2, and the fast reader
+expects q = round(T / dt) rows.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -85,7 +96,102 @@ def save_spikes(spikes: SpikeData, path) -> None:
     Path(path).write_bytes(head + b", ".join(units) + b"]}")
 
 
+_SPIKES_HEAD = re.compile(rb'\{"t_start": 0\.0, "t_end": ([^,]*), "units": \[')
+_UNIT_HEAD = re.compile(rb'\{"id": (?:0|[1-9][0-9]*), "trials": \[')
+
+
+def _spike_arrays(data: bytes):
+    """``(window, times, offsets, n_trials)`` of the exact document ``save_spikes`` writes, or None.
+
+    The units are walked one by one; the trains and their times are found
+    with whole-document array scans, and every time is read by the field
+    kernel of ``_floattext`` to the bits ``json.loads`` reads. Anything else
+    (other spacing or keys, an int or a non-finite time, no unit or trial,
+    trials of unequal count, trailing bytes) gives None. Like the json path,
+    it does not read the ids.
+    """
+    from ._floattext import JSON_FLOAT, read_fields  # loaded only by the commands that read floats
+
+    head = _SPIKES_HEAD.match(data)
+    if head is None or JSON_FLOAT.fullmatch(head[1]) is None or not data.endswith(b"]}"):
+        return None
+    lists, closes = [head.end() - 1], []  # the brackets that hold no train
+    at = head.end()
+    while True:  # each unit: its head, then its trains up to the first "]}"
+        unit = _UNIT_HEAD.match(data, at)
+        if unit is None:
+            return None
+        lists.append(unit.end() - 1)
+        closes.append(data.find(b"]}", unit.end()))
+        at = closes[-1] + 2
+        if closes[-1] < 0 or not data.startswith(b", ", at):
+            break
+        at += 2
+    if closes[-1] < 0 or at != len(data) - 2:
+        return None
+    first, last = np.array(lists[1:]) + 1, np.array(closes) - 1  # where each unit's trains begin, end
+    closes.append(len(data) - 2)
+
+    doc = np.frombuffer(data, np.uint8)
+    opens = np.flatnonzero(doc == ord("["))
+    opens = np.delete(opens, np.searchsorted(opens, lists))
+    ends = np.flatnonzero(doc == ord("]"))
+    ends = np.delete(ends, np.searchsorted(ends, closes))
+    n_units = len(first)
+    n_trials = opens.size // n_units
+    if not (n_trials and opens.size == ends.size == n_trials * n_units):
+        return None
+    # Each unit's trains, "[...]" joined by ", ", from its first bracket to its last.
+    grid_opens, grid_ends = opens.reshape(n_units, n_trials), ends.reshape(n_units, n_trials)
+    between = grid_ends[:, :-1]
+    if not ((grid_opens[:, 0] == first).all() and (grid_ends[:, -1] == last).all()
+            and (grid_opens[:, 1:] == between + 3).all() and (doc.take(between + 1) == ord(",")).all()
+            and (doc.take(between + 2) == ord(" ")).all()):
+        return None
+
+    # The times: fields ended by a comma inside a train, or by a non-empty train's "]".
+    commas = np.flatnonzero(doc == ord(","))
+    train = np.searchsorted(opens, commas) - 1
+    inside = (train >= 0) & (commas < ends.take(train))
+    commas, train = commas[inside], train[inside]
+    if not (doc.take(commas + 1) == ord(" ")).all():
+        return None
+    full = ends > opens + 1
+    counts = np.bincount(train, minlength=opens.size) + full
+    offsets = np.zeros(opens.size + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    last_field = np.zeros(offsets[-1], bool)
+    last_field[offsets[1:][full] - 1] = True
+    field_ends = np.empty(offsets[-1], np.intp)
+    field_ends[last_field] = ends[full]
+    field_ends[~last_field] = commas
+    starts = np.empty_like(field_ends)
+    starts[1:] = field_ends[:-1] + 2
+    starts[offsets[:-1][full]] = opens[full] + 1
+    digit = starts + (doc.take(starts) == ord("-"))
+    if ((doc.take(digit) == ord("0")) & ((doc.take(digit + 1) ^ ord("0")) <= 9)).any():
+        return None  # a leading zero, which JSON refuses
+    times = read_fields(doc, starts, field_ends, JSON_FLOAT)
+    if times is None:
+        return None
+    return float(head[1]), times, offsets, n_trials
+
+
 def load_spikes(path) -> SpikeData:
+    """Read a spike file into a SpikeData.
+
+    The document ``save_spikes`` writes is read by ``_spike_arrays``; any
+    other file goes through ``json.loads`` whole, to the same result or error.
+    """
+    try:
+        arrays = _spike_arrays(Path(path).read_bytes())
+    except OSError:  # reported by _read_json
+        arrays = None
+    if arrays is not None:
+        try:
+            return SpikeData._from_events(*arrays)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
     doc = _read_json(path)
     for key in ("t_start", "t_end", "units"):
         if key not in doc:
@@ -200,6 +306,15 @@ def _read_table(fh, csv_path, columns: int) -> np.ndarray:
         raise _loadtxt_error(exc, csv_path, columns) from None
 
 
+def _row_count(dt: float, window: float) -> int:
+    """The row count q a sidecar implies, |q * dt - T| <= dt / 2, or 0 if q = round(T / dt) misses."""
+    ratio = window / dt
+    if not ratio < 2.0 ** 53:  # past that, no file holds the rows
+        return 0
+    q = round(ratio)
+    return q if abs(q * dt - window) <= 0.5 * dt else 0
+
+
 def load_signals(csv_path) -> SignalMatrix:
     sidecar = _sidecar(csv_path)
     meta = _fields(_read_json(sidecar), sidecar, _SIDECAR_KINDS, required=_SIDECAR_KINDS)
@@ -207,6 +322,8 @@ def load_signals(csv_path) -> SignalMatrix:
         if not (math.isfinite(meta[key]) and meta[key] > 0):
             raise DomainError(f"{sidecar}: field {key!r} must be positive and finite, "
                               f"got {meta[key]!r}")
+    if meta["p"] < 1:
+        raise DomainError(f"{sidecar}: field 'p' must be at least 1, got {meta['p']}")
     dt, window, p = meta["dt"], meta["T"], meta["p"]
     columns = 1 + 2 * p
     with open(csv_path, newline="") as fh:
@@ -218,16 +335,20 @@ def load_signals(csv_path) -> SignalMatrix:
             raise DomainError(
                 f"{csv_path}: header has {n_header} columns, expected {columns} for {p} channels"
             )
-        data = None
-        if header.endswith("\r\n"):
-            # The rows as save_signals writes them; None for any other file.
+        rows = _row_count(dt, window)
+        if header.endswith("\r\n") and rows >= 2:
+            # The rows as save_signals writes them, their sample columns only;
+            # None for any other file.
             from ._floattext import read_rows  # loaded only by the commands that read signals
 
             with open(csv_path, "rb") as raw:
                 raw.readline()
-                data = read_rows(raw, columns)
-        if data is None:
-            data = _read_table(fh, csv_path, columns)
+                table = read_rows(raw, rows, columns)
+            if table is not None:
+                # Finite values, viewed as (p, q) complex in the layout of the
+                # other path: every bit, signed zeros included.
+                return SignalMatrix._adopt(table.view(complex).T, dt, meta["whitened"])
+        data = _read_table(fh, csv_path, columns)
     if len(data) and data.shape[1] != columns:
         # Every row has the same wrong width, so loadtxt saw no change.
         raise DomainError(f"{csv_path}:2: expected {columns} fields, got {data.shape[1]}")
@@ -417,6 +538,15 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
 _OPTION_KINDS = {"kappa": "float", "phase_offset": "float"}
 
 
+def _json_matrix(values) -> str:
+    """``json.dumps(values.tolist())`` of a 2-D float64 array, its finite values by repr_lines."""
+    if not (values.size and np.isfinite(values).all()):
+        return json.dumps(values.tolist())
+    from ._floattext import repr_lines  # loaded only by the commands that write floats
+
+    return "[[" + repr_lines(values, b", ", b"], [")[0][:-4].decode() + "]]"
+
+
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
@@ -473,14 +603,16 @@ def _cmd_analyze(args) -> int:
         if not signals.whitened:
             signals = whiten(signals)
         raw = build_coupling_matrix(signals, spikes)
-        texts["coupling.json"] = json.dumps({
-            "channels": raw.n_channels,
-            "units": raw.n_units,
-            "trials": raw.trials,
-            "window": raw.window,
-            "entries_re": raw.entries.real.tolist(),
-            "entries_im": raw.entries.imag.tolist(),
-        }, sort_keys=True)
+        parts = {
+            "channels": json.dumps(raw.n_channels),
+            "units": json.dumps(raw.n_units),
+            "trials": json.dumps(raw.trials),
+            "window": json.dumps(raw.window),
+            "entries_re": _json_matrix(raw.entries.real),
+            "entries_im": _json_matrix(raw.entries.imag),
+        }
+        # The bytes of json.dumps(..., sort_keys=True) on the same values.
+        texts["coupling.json"] = "{" + ", ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "}"
         report = spectrum(normalize(raw, spikes))
         texts["spectrum.json"] = json.dumps({
             "eigenvalues": report.eigenvalues.tolist(),

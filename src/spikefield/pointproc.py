@@ -154,10 +154,7 @@ class SpikeData:
     __slots__ = ("window", "times", "offsets", "n_trials")
 
     def __init__(self, window, trains):
-        real = isinstance(window, numbers.Real) and not isinstance(window, bool)
-        if not (real and 0.0 < window < math.inf):
-            raise DomainError(f"window must be positive and finite, got {window!r}")
-        window = float(window)
+        window = _checked_window(window)
         if not len(trains):
             raise DomainError("need at least one unit")
         n_trials = len(trains[0])
@@ -170,19 +167,19 @@ class SpikeData:
         offsets = np.zeros(len(flat) + 1, dtype=np.int64)
         np.cumsum([t.size for t in flat], out=offsets[1:])
         t = np.concatenate(flat, dtype=np.float64)
-        outside = ~((t >= 0.0) & (t <= window))
-        unordered = np.zeros(t.size, dtype=bool)  # event i does not follow event i - 1
-        unordered[1:] = t[1:] <= t[:-1]
-        starts = offsets[:-1]
-        unordered[starts[starts < t.size]] = False  # a trial's first event follows nothing
-        bad = np.flatnonzero(outside | unordered)
-        if bad.size:
-            j = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-            where = f"unit {j // n_trials} trial {j % n_trials}"
-            if outside[offsets[j]:offsets[j + 1]].any():
-                raise DomainError(f"{where}: event time outside [0, {window}]")
-            raise DomainError(f"{where}: event times not strictly increasing")
+        _check_events(window, t, offsets, n_trials)
         self._bind(window, t, offsets, n_trials)
+
+    @classmethod
+    def _from_events(cls, window, times, offsets, n_trials):
+        """Adopt flat float64 times and int64 offsets after the constructor's window and event checks.
+
+        Raises the constructor's errors; no copy. The caller vouches for the
+        shape: n_trials >= 1 and n_units * n_trials + 1 offsets from 0.
+        """
+        window = _checked_window(window)
+        _check_events(window, times, offsets, n_trials)
+        return cls._from_flat(window, times, offsets, n_trials)
 
     @classmethod
     def _from_flat(cls, window, times, offsets, n_trials):
@@ -216,6 +213,32 @@ class SpikeData:
         """All event times of one unit pooled across trials: a read-only view."""
         u = range(self.n_units)[unit]
         return self.times[self.offsets[u * self.n_trials]:self.offsets[(u + 1) * self.n_trials]]
+
+
+def _checked_window(window) -> float:
+    real = isinstance(window, numbers.Real) and not isinstance(window, bool)
+    if not (real and 0.0 < window < math.inf):
+        raise DomainError(f"window must be positive and finite, got {window!r}")
+    return float(window)
+
+
+def _check_events(window, t, offsets, n_trials) -> None:
+    """Refuse flat trains with an event outside [0, window] or out of order, naming the first.
+
+    One vectorised pass over all events; NaN lies outside the window.
+    """
+    outside = ~((t >= 0.0) & (t <= window))
+    unordered = np.zeros(t.size, dtype=bool)  # event i does not follow event i - 1
+    unordered[1:] = t[1:] <= t[:-1]
+    starts = offsets[:-1]
+    unordered[starts[starts < t.size]] = False  # a trial's first event follows nothing
+    bad = np.flatnonzero(outside | unordered)
+    if bad.size:
+        j = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        where = f"unit {j // n_trials} trial {j % n_trials}"
+        if outside[offsets[j]:offsets[j + 1]].any():
+            raise DomainError(f"{where}: event time outside [0, {window}]")
+        raise DomainError(f"{where}: event times not strictly increasing")
 
 
 def _flat_train(times, unit, trial) -> np.ndarray:

@@ -3,10 +3,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import spikefield
 from spikefield import _floattext, cli_io
 from spikefield.cli_io import (
     load_experiment_config,
@@ -262,6 +270,12 @@ def _signal_files():
         "any bits": SignalMatrix(bits.view(complex).reshape(3, -1), dt=0.25),
         "scaled": SignalMatrix(rng.standard_normal((4, 300)) * 1e9 + 1j * 1e-7, dt=1 / 300),
         "zeros": SignalMatrix(np.zeros((2, 5), complex), dt=0.2),
+        # Fields whose point is not the second byte after the sign: "e+" exponents,
+        # whole parts of 2 to 16 digits, and no point at all.
+        "wide": SignalMatrix(np.array([
+            [1.5e300 - 2e16j, 12.5 - 123456.75j, 1e-5 + 5e-324j, 1e22 - 9999999999999998j],
+            [-7e15 + 1e100j, 99.25 + 10.0j, -3e-7 - 2.5e-310j, 1234567890.125 + 0j],
+        ]), dt=0.25),
     }
 
 
@@ -303,6 +317,163 @@ class TestSignalReader:
         back = load_signals(path)
         assert calls == [path]
         assert np.array_equal(_bits(back.samples), _bits(sig.samples))
+
+    @pytest.mark.parametrize("rows", [55, 56])
+    def test_rows_that_round_t_over_dt_but_miss_t(self, tmp_path, rows):
+        # round(T / dt) is 56 here, yet 56 * dt misses T by more than dt / 2: only 55
+        # rows cover T, on either path.
+        sig = SignalMatrix(np.ones((1, rows), complex), dt=1.1)
+        path = tmp_path / "signals.csv"
+        save_signals(sig, path)
+        (tmp_path / "signals.json").write_text(json.dumps(
+            {"dt": 1.1, "T": 61.050000000000004, "p": 1, "whitened": False}))
+        if rows == 56:
+            with pytest.raises(DomainError, match="56 rows at dt=1.1 do not cover"):
+                load_signals(path)
+        else:
+            assert np.array_equal(load_signals(path).samples, sig.samples)
+
+    def test_peak_memory_is_the_samples_and_one_block(self, tmp_path, monkeypatch):
+        # The reader writes each block's sample columns into the one table the
+        # samples view. Bound: the samples plus one block's temporaries, at most
+        # 12 bytes per byte of READ_BLOCK (the buffer, its separators, and the
+        # field kernel's arrays of one entry per field of 18 or more bytes).
+        monkeypatch.setattr(_floattext, "READ_BLOCK", 1 << 16)
+        sig = synthesize_oscillations([11.0, 13.0], 8.0, 1 / 1024, 5.0, 8,
+                                      np.random.default_rng(3))
+        path = tmp_path / "signals.csv"
+        save_signals(sig, path)
+        assert path.stat().st_size > 30 * _floattext.READ_BLOCK  # many blocks
+        load_signals(path)  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            back = load_signals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.samples, sig.samples)
+        assert peak < back.samples.nbytes + 12 * _floattext.READ_BLOCK
+
+
+def _spike_outcome(path):
+    """load_spikes's result as (window, n_trials, time bits, offsets), or its error text."""
+    try:
+        spikes = load_spikes(path)
+    except DomainError as exc:
+        return str(exc)
+    return spikes.window, spikes.n_trials, _bits(spikes.times).tolist(), spikes.offsets.tolist()
+
+
+def _by_json(path):
+    """The same, with the spike reader refusing every document, so json.loads reads it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_io, "_spike_arrays", lambda data: None)
+        return _spike_outcome(path)
+
+
+def _spike_sets():
+    rng = np.random.default_rng(31)
+    many = [simulate_poisson(HomogeneousRate(2000.0), 3.0, 4, rng).trains[0] for _ in range(3)]
+    wide = np.sort(rng.uniform(0.0, 1e3, 500))
+    return {
+        "sampled": _sample_spikes(),
+        "empty trains": SpikeData(2.0, [[[0.0, 0.1, 1.5], [], [2.0]], [[], [], []],
+                                        [[1e-5, 0.25, 1.0000000000000002], [0.3], []]]),
+        "one unit, one trial": SpikeData(1.0, [[[0.5]]]),
+        "no spikes": SpikeData(1.5, [[[]]]),
+        "exponent forms, 0 and T": SpikeData(2.0, [[[-0.0, 1e-300, 1e-7, 5e-05, 9.99e-05, 1e-4,
+                                                     1.0, 2.0]], [[0.0, 2.0]]]),
+        "whole parts of 1 to 16 digits": SpikeData(1e17, [[list(wide), [12.5, 1e15, 1e16,
+                                                                         5.5e16, 1e17]]]),
+        "many": SpikeData(3.0, many),
+    }
+
+
+_SPIKE_DOC = ('{"t_start": 0.0, "t_end": 2.0, "units": [{"id": 0, "trials": [[0.5, 1.25], []]}, '
+              '{"id": 1, "trials": [[0.125], [1.5, 1.75]]}]}')
+
+
+class TestSpikeReader:
+    """load_spikes reads what save_spikes writes without json.loads, to the bits json.loads gives."""
+
+    @pytest.mark.parametrize("name", list(_spike_sets()))
+    def test_written_files_skip_json(self, tmp_path, monkeypatch, name):
+        spikes = _spike_sets()[name]
+        path = tmp_path / "spikes.json"
+        save_spikes(spikes, path)
+        expected = _by_json(path)
+
+        def refuse(*args):
+            raise AssertionError("read by json.loads")
+
+        monkeypatch.setattr(cli_io, "_read_json", refuse)
+        assert _spike_outcome(path) == expected
+        assert expected[2] == _bits(spikes.times).tolist()
+
+    @given(st.lists(st.lists(st.lists(st.floats(0.0, 10.0), max_size=6), min_size=2, max_size=2),
+                    min_size=1, max_size=3),
+           st.sampled_from([10.0, 1e-3, 12345.678]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_written_file(self, tmp_path, units, scale):
+        trains = [[sorted(set(t * scale / 10.0 for t in trial)) for trial in unit]
+                  for unit in units]
+        path = tmp_path / "spikes.json"
+        save_spikes(SpikeData(scale, trains), path)
+        assert cli_io._spike_arrays(path.read_bytes()) is not None
+        assert _spike_outcome(path) == _by_json(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (", ", ","),  # other spacing
+        ("]]}]}", "]]}]}\n"),  # a trailing line end, which json.loads skips
+        ("]]}]}", "]]}]} x"),  # trailing bytes
+        ('{"t_start": 0.0, "t_end": 2.0,', '{"t_end": 2.0, "t_start": 0.0,'),  # reordered keys
+        ('"t_end": 2.0', '"t_end": 2'),
+        ('"t_start": 0.0', '"t_start": 0'),
+        ('"t_start": 0.0', '"t_start": 1.0'),
+        ("[0.5, 1.25]", "[0, 1]"),  # int times
+        ("1.25", "Infinity"), ("1.25", "NaN"), ("1.25", "1e400"),
+        ('"id": 1', '"id": 7'), ('"id": 1', '"id": 01'), ('"id": 1', '"id": -1'),
+        ("0.125", "00.125"), ("1.25", "01.25"), ("1.25", "-01.25"),  # leading zeros
+        ("1.25", "+1.25"), ("1.25", ".25"), ("1.25", "1."), ("1.25", "1.25e"),
+        ("[0.5, 1.25]", "[1.25, 0.5]"),  # an unsorted train
+        ("1.25", "2.5"), ("1.25", "-0.0"), ("1.25", "1.25E-1"), ("1.25", "1.2e+0"),
+        ('"t_end": 2.0', '"t_end": -1.0'), ('"t_end": 2.0', '"t_end": 1e400'),
+        ('"t_end": 2.0', '"t_end": 0.0'), ('"t_end": 2.0', '"t_end": 2.5e-1'),
+        ("[[0.125], [1.5, 1.75]]", "[[0.125]]"),  # unequal trial counts
+        ("[[0.125], [1.5, 1.75]]", "[[0.125], [1.5, 1.75], []]"),
+        ("[[0.5, 1.25], []]", "[]"), ("[[0.125], [1.5, 1.75]]", "[]"),
+        ("[0.5, 1.25]", "[[0.5], 1.25]"), ("[0.5, 1.25]", "[0.5 , 1.25]"),
+        ("[]]}", "[ ]]}"), ("1.25], [", "1.25],  ["), ("[0.5, 1.25]", '["0.5", 1.25]'),
+        ('{"id": 1, ', '{"id": 1, "x": 2, '), ('"units": [', '"x": 1, "units": ['),
+        ('"id": 0, ', ""),
+        ("]}]}", "]}, ]}"), ("]]}]}", "]]}x]}"), ("]]}]}", "]]}]x"), ("1.25], [", "1.25],x["),
+        ("1.25], [", "1.25]x ["), ("1.25], [", "1.25], x["), ("1.75]]}", "1.75]x]}"),
+        ("[0.5, 1.25]", "[0.5,11.25]"), ('"trials": [[0.125]', '"trials": [x[0.125]'),
+    ])
+    def test_other_documents_as_json_reads_them(self, tmp_path, old, new):
+        assert old in _SPIKE_DOC
+        path = tmp_path / "spikes.json"
+        path.write_text(_SPIKE_DOC.replace(old, new, 1))
+        assert _spike_outcome(path) == _by_json(path)
+
+    def test_the_base_document_is_the_writers(self, tmp_path):
+        path = tmp_path / "spikes.json"
+        path.write_text(_SPIKE_DOC)
+        assert cli_io._spike_arrays(path.read_bytes()) is not None
+        save_spikes(load_spikes(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == _SPIKE_DOC
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Both commands import cli_io at start-up; scipy is loaded only where an
+    # experiment's verdict needs it.
+    code = ("import sys, spikefield.cli_io; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(spikefield.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExperimentConfigFile:
@@ -649,9 +820,11 @@ class TestTypedFields:
         ({"dt": 0}, "field 'dt' must be positive and finite, got 0.0"),
         ({"T": -1.0}, "field 'T' must be positive and finite, got -1.0"),
         ({"dt": math.nan}, "field 'dt' must be positive and finite, got nan"),
+        ({"p": 0}, "field 'p' must be at least 1, got 0"),
+        ({"p": -1}, "field 'p' must be at least 1, got -1"),
     ], ids=["string-whitened", "int-whitened", "string-dt", "null-window", "fractional-p",
             "unknown-field", "infinite-dt", "overflowing-window", "zero-dt", "negative-window",
-            "nan-dt"])
+            "nan-dt", "zero-p", "negative-p"])
     def test_signal_sidecar(self, tmp_path, capsys, change, message):
         sd = _sample_spikes()
         save_spikes(sd, tmp_path / "s.json")
@@ -777,6 +950,19 @@ _CLI_BYTES = {
         "3db02c550f1e9178dee8a638f2e3132a50d73af29ee63aa4ef323f9b39ea9f64",
 }
 
+# The same configuration with "whiten": false: the files analyze writes after
+# whitening the loaded samples itself.
+_UNWHITENED_BYTES = {
+    "data/signals.json":
+        "11ef643fe2d98ad1d901e3ee2cec4c2ec300b3d4bc50019b7be37af14a140093",
+    "analysis/coupling.json":
+        "9d5ff3d215474d9ccd4c5d985d15265e9900177e4392de712b78a113b5321a88",
+    "analysis/spectrum.json":
+        "3f2ffb324248c8fd9104bc83137145aff988d5c13ff892e8680539db88f5056a",
+    "analysis/esd.csv":
+        "68b0b8fe8dc472cbedaf5179044eaa11abe5e539963dd77891128f602aea87f1",
+}
+
 
 class TestCliOutputBytes:
     def test_simulate_then_analyze_bytes_pinned(self, tmp_path):
@@ -797,3 +983,21 @@ class TestCliOutputBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in _CLI_BYTES}
         assert digests == _CLI_BYTES
+
+    def test_analyze_of_an_unwhitened_file_bytes_pinned(self, tmp_path):
+        # "whiten": false, so analyze whitens: its Gram reads the loaded samples
+        # in their memory layout, and a layout change would move these bits.
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({
+            "kind": "vonmises", "window": 1.0, "trials": 3, "units": 4, "rate0": 20.0,
+            "kappa": 0.8,
+            "signals": {"components": [3.0, 4.0], "channels": 6, "dt": 1 / 64,
+                        "noise_kappa": 5.0, "whiten": False},
+        }))
+        data, analysis = tmp_path / "data", tmp_path / "analysis"
+        assert main(["simulate", "--config", str(sim), "--seed", "7", "--out", str(data)]) == 0
+        assert main(["analyze", "--spikes", str(data / "spikes.json"),
+                     "--signals", str(data / "signals.csv"), "--out", str(analysis)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in _UNWHITENED_BYTES}
+        assert digests == _UNWHITENED_BYTES
