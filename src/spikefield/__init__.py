@@ -15,6 +15,7 @@ from .multicoupling import (
     ks_statistic,
     normalize,
     spectrum,
+    whitened_coupling,
 )
 from .pointproc import (
     HomogeneousRate,

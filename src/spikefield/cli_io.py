@@ -14,6 +14,12 @@ for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
 the same document, and ``analyze`` writes the entry lists of
 ``coupling.json`` the same way.
 
+``analyze --signals`` takes the coupling matrix from
+``multicoupling.whitened_coupling``, as the multivariate experiments do.
+A file marked ``"whitened": true`` is taken as it is, and ``coupling.json``
+holds its samples' matrix; for an unwhitened file it holds G^(-1/2) times
+that matrix, G the Gram of the samples' piecewise-linear interpolant.
+
 CSV files are written in blocks of rows. Each input is read once,
 straight into the arrays the analysis uses, and the file's own bytes
 choose the path. ``load_signals`` reads a signal file
@@ -55,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .harness import ExperimentConfig, Tolerance, run_experiment
-from .multicoupling import build_coupling_matrix, normalize, spectrum
+from .multicoupling import normalize, spectrum, whitened_coupling
 from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
 from .signals import LinearPhase, SignalMatrix, synthesize_oscillations, whiten
 from .specfun import mp_density
@@ -302,6 +308,8 @@ def _read_table(fh, csv_path, columns: int) -> np.ndarray:
             return np.loadtxt(_data_lines(fh, csv_path), delimiter=",", comments=None, ndmin=2)
     except DomainError:
         raise
+    except UnicodeDecodeError:  # a ValueError too
+        raise _not_utf8(csv_path) from None
     except ValueError as exc:
         raise _loadtxt_error(exc, csv_path, columns) from None
 
@@ -326,8 +334,11 @@ def load_signals(csv_path) -> SignalMatrix:
         raise DomainError(f"{sidecar}: field 'p' must be at least 1, got {meta['p']}")
     dt, window, p = meta["dt"], meta["T"], meta["p"]
     columns = 1 + 2 * p
-    with open(csv_path, newline="") as fh:
-        header = fh.readline()
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        try:
+            header = fh.readline()  # decodes the whole first buffer, rows included
+        except UnicodeDecodeError:
+            raise _not_utf8(csv_path) from None
         if not header:
             raise DomainError(f"{csv_path}: empty file")
         n_header = len(header.rstrip("\r\n").split(","))
@@ -361,11 +372,24 @@ def load_signals(csv_path) -> SignalMatrix:
     return SignalMatrix(samples, dt=dt, whitened=meta["whitened"])
 
 
+def _not_utf8(path) -> DomainError:
+    """The error for a file that is not UTF-8 text, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode()
+            except UnicodeDecodeError as exc:
+                return DomainError(f"{path}:{lineno}: byte {line[exc.start]:#04x} is not UTF-8")
+    return DomainError(f"{path}: not UTF-8 text")  # the file changed since it was read
+
+
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -599,10 +623,7 @@ def _cmd_analyze(args) -> int:
         texts["univariate.json"] = json.dumps(doc, indent=2, sort_keys=True)
 
     if args.signals is not None:
-        signals = load_signals(args.signals)
-        if not signals.whitened:
-            signals = whiten(signals)
-        raw = build_coupling_matrix(signals, spikes)
+        raw = whitened_coupling(load_signals(args.signals), spikes)
         parts = {
             "channels": json.dumps(raw.n_channels),
             "units": json.dumps(raw.n_units),

@@ -15,7 +15,9 @@ replicates, verdicts and plot data. The PLV experiments draw their
 replicates from ``_plv_replicates`` (replicate i of block b uses seed
 index ``b * replicates + i``) and judge each case against its asymptotic
 law with ``_plv_case``: the univariate experiments are one unprefixed
-case, the sinusoid experiment a matched and a mismatched one. Every verdict comes from ``_judge``, where the named
+case, the sinusoid experiment a matched and a mismatched one. A
+multivariate replicate's spectrum is that of ``whitened_coupling`` of the
+raw signals, as in ``analyze``. Every verdict comes from ``_judge``, where the named
 tolerance's kind alone decides the rule: a ``min_rate`` floor on the observed
 value, or else a bound on its distance from the target (a multiple of the
 standard error, a fraction of the target, or an absolute value).
@@ -27,14 +29,14 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .multicoupling import build_coupling_matrix, ks_statistic, normalize, spectrum
+from .multicoupling import ks_statistic, normalize, spectrum, whitened_coupling
 from .pointproc import (
     HomogeneousRate,
     SinusoidRate,
@@ -52,7 +54,6 @@ from .signals import (
     LinearPhase,
     _check_phase_noise,
     _check_sampling,
-    _inverse_root,
     _sample_count,
     synthesize_oscillations,
 )
@@ -631,31 +632,6 @@ def _multivar_unit_models(config: ExperimentConfig):
     return models
 
 
-def _whiten_interpolant(signals):
-    """The channel map that makes the piecewise-linear interpolant of the raw channels orthonormal.
-
-    The spectral limit theorem constrains the integrand the spike sums
-    actually see, and interpolating i.i.d. phase noise loses a third of its
-    power between samples, so whitening the sample Gram A0 alone falls
-    short. The interpolant Gram over the periodic grid is
-    G = (2/3) A0 + (1/6)(B + B^H) with B the lag-one cross-Gram. A0 keeps
-    ``whiten``'s near-singular check. Returns the p x p map G^(-1/2) and
-    max|A0^(-1/2) G A0^(-1/2) - I|, how far sample-Gram whitening alone would
-    leave the interpolant from orthonormal. The coupling sum and the signal
-    integral are linear in the samples, so the caller applies the map to the
-    coupling matrix built from the raw signals instead of to the samples.
-    """
-    x = signals.samples
-    a0 = signals.gram()
-    a0_inv_root = _inverse_root(a0)
-    shifted = np.roll(x, -1, axis=1)
-    b = (x @ np.conjugate(shifted, out=shifted).T) / x.shape[1]
-    del shifted
-    gram = (2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0
-    deviation = float(np.max(np.abs(a0_inv_root @ gram @ a0_inv_root - np.eye(len(gram)))))
-    return _inverse_root(gram), deviation
-
-
 def _run_multivar(config: ExperimentConfig) -> dict:
     models = _multivar_unit_models(config)
     law = mp_law(config.channels / config.units)
@@ -665,7 +641,6 @@ def _run_multivar(config: ExperimentConfig) -> dict:
     top_eigs = np.empty(config.replicates)
     n_sig = np.empty(config.replicates, dtype=int)
     traces = np.empty(config.replicates)
-    integrand_dev = np.empty(config.replicates)
     pooled = []
     for i in range(config.replicates):
         rng = np.random.default_rng(replicate_seed(config.master_seed, i))
@@ -673,15 +648,11 @@ def _run_multivar(config: ExperimentConfig) -> dict:
             config.components, config.window, config.dt,
             config.noise_kappa, config.channels, rng,
         )
-        root, integrand_dev[i] = _whiten_interpolant(raw_signals)
         unit_trains = [
             simulate_poisson(m, config.window, config.trials, rng).trains[0] for m in models
         ]
         sd = SpikeData(window=config.window, trains=unit_trains)
-        # Whitened in coupling space: (root X) @ W.T / K = root (X @ W.T / K).
-        raw = build_coupling_matrix(raw_signals, sd)
-        white = replace(raw, entries=root @ raw.entries, signal_integral=root @ raw.signal_integral)
-        rep = spectrum(normalize(white, sd))
+        rep = spectrum(normalize(whitened_coupling(raw_signals, sd), sd))
         ks_vals[i] = rep.ks_distance
         top_eigs[i] = rep.eigenvalues[0]
         n_sig[i] = rep.n_significant
@@ -698,9 +669,6 @@ def _run_multivar(config: ExperimentConfig) -> dict:
         "detection_rate": float(np.mean(top_eigs > upper)),
         "edge_fp_rate": float(np.mean(top_eigs > upper * 1.05)),
         "mean_n_significant": float(n_sig.mean()),
-        # How far sample-Gram whitening alone would leave the interpolated
-        # integrand from orthonormal; the harness whitens the interpolant.
-        "mean_integrand_gram_deviation": float(integrand_dev.mean()),
     }
 
     if config.experiment == "multivar-null":

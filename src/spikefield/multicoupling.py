@@ -6,29 +6,32 @@ computed as one product, samples @ W.T / K: row j of the real
 summed onto the sample grid, so no per-spike channel vector is formed, and
 the complex samples enter as their stacked real and imaginary parts, so the
 product is one real GEMM. The sum is linear in the samples: a channel map M
-applied to the samples gives M @ entries and M @ signal_integral. The
-normalized matrix compensates every column by its unit's estimated rate
-and scales so that, absent coupling, entries have unit variance. The
-eigenvalues of (1/n) Y Y^H are then compared against the Marchenko-Pastur
-law, with significance declared above the upper support edge.
+applied to the samples gives M @ entries and M @ signal_integral, so
+``whitened_coupling`` whitens the interpolant of raw signals in coupling
+space. The normalized matrix compensates every column by its unit's
+estimated rate and scales so that, absent coupling, entries have unit
+variance. The eigenvalues of (1/n) Y Y^H are then compared against the
+Marchenko-Pastur law, with significance declared above the upper support
+edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .pointproc import SpikeData
-from .signals import SignalMatrix
+from .signals import SignalMatrix, _interpolant_root
 from .specfun import MpLaw, mp_cdf, mp_law
 
 __all__ = [
     "CouplingMatrix",
     "SpectrumReport",
     "build_coupling_matrix",
+    "whitened_coupling",
     "normalize",
     "spectrum",
     "ks_statistic",
@@ -111,6 +114,18 @@ def build_coupling_matrix(signals: SignalMatrix, spikes: SpikeData) -> CouplingM
         normalized=False,
         signal_integral=signals.integral(),
     )
+
+
+def whitened_coupling(signals: SignalMatrix, spikes: SpikeData) -> CouplingMatrix:
+    """``build_coupling_matrix`` with the interpolant whitened, unless ``signals.whitened``.
+
+    G^(-1/2) of the raw samples is applied to ``entries`` and ``signal_integral``.
+    """
+    if signals.whitened:
+        return build_coupling_matrix(signals, spikes)
+    root = _interpolant_root(signals)
+    raw = build_coupling_matrix(signals, spikes)
+    return replace(raw, entries=root @ raw.entries, signal_integral=root @ raw.signal_integral)
 
 
 def normalize(raw: CouplingMatrix, spikes: SpikeData) -> CouplingMatrix:

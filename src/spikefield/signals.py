@@ -218,12 +218,28 @@ _GRAM_CONDITION_LIMIT = 1e10
 
 
 def whiten(signals: SignalMatrix) -> SignalMatrix:
-    """Transform channels so the time-average Gram matrix is the identity.
+    """Transform channels so the time-average sample Gram matrix is the identity.
 
-    Applies the inverse square root of the Gram matrix, computed through a
-    Hermitian eigendecomposition. The output spans the same channel space.
+    Used for ``simulate``'s ``"whiten": true`` file; the inverse square root
+    comes from a Hermitian eigendecomposition. Spans the same channel space.
     """
     return SignalMatrix._adopt(_inverse_root(signals.gram()) @ signals.samples, signals.dt, True)
+
+
+def _interpolant_root(signals: SignalMatrix) -> np.ndarray:
+    """G^(-1/2), the channel map that makes the piecewise-linear interpolant orthonormal.
+
+    The spike sums see the interpolant, and interpolating i.i.d. phase noise
+    loses a third of its power between samples, so whitening the sample Gram
+    A0 alone falls short. G = (2/3) A0 + (1/6)(B + B^H) over the periodic
+    grid, B the lag-one cross-Gram.
+    """
+    x = signals.samples
+    a0 = signals.gram()
+    shifted = np.roll(x, -1, axis=1)
+    b = (x @ np.conjugate(shifted, out=shifted).T) / x.shape[1]
+    del shifted
+    return _inverse_root((2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0)
 
 
 def _inverse_root(gram: np.ndarray) -> np.ndarray:

@@ -71,3 +71,27 @@ def vonmises_plv_quadrature(kappa: float, phase_offset: float, frequency: float,
     num_im, _ = quad(lambda t: np.sin(2 * np.pi * frequency * t) * lam(t), 0, window, limit=400)
     den, _ = quad(lam, 0, window, limit=400)
     return complex(num_re, num_im) / den
+
+
+def interpolant_gram(x):
+    """(2/3) A0 + (1/6)(B + B^H) over the periodic grid, B the lag-one cross-Gram."""
+    q = x.shape[1]
+    a0 = (x @ x.conj().T) / q
+    b = (x @ np.roll(x, -1, axis=1).conj().T) / q
+    return (2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0
+
+
+def _apply_inverse_root(gram, x):
+    w, v = np.linalg.eigh(gram)
+    return (v * w**-0.5) @ v.conj().T @ x
+
+
+def two_step_whitening(x):
+    """Whiten the (p, q) samples twice: their sample Gram, then the interpolant of the result.
+
+    Returns the twice-whitened samples and max|G - I|, how far the
+    interpolant Gram G of the sample-whitened samples is from the identity.
+    """
+    x = _apply_inverse_root((x @ x.conj().T) / x.shape[1], x)
+    gram = interpolant_gram(x)
+    return _apply_inverse_root(gram, x), float(np.max(np.abs(gram - np.eye(len(gram)))))

@@ -25,11 +25,11 @@ from spikefield.cli_io import (
     save_spikes,
 )
 from spikefield.errors import DomainError
-from spikefield.multicoupling import build_coupling_matrix
+from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
 
-from oracles import bessel_quadrature
+from oracles import bessel_quadrature, two_step_whitening
 
 
 def _sample_spikes(units=2, trials=3, seed=0):
@@ -537,6 +537,21 @@ class TestCliSimulateAnalyze:
         assert len(uni["units"]) == 2
         assert 0.0 <= uni["units"][0]["p_null"] <= 1.0
 
+    def test_analyze_of_unwhitened_signals_matches_the_two_step_oracle(self, tmp_path):
+        # analyze whitens an unwhitened file as the multivariate experiments
+        # do, for the interpolant: its spectrum is that of the samples whitened
+        # explicitly, first their sample Gram and then their interpolant.
+        raw = synthesize_oscillations([3.0, 4.0], 2.0, 1 / 64, 5.0, 6, np.random.default_rng(4))
+        sd = _sample_spikes(units=8, trials=3, seed=6)
+        save_signals(raw, tmp_path / "signals.csv")
+        save_spikes(sd, tmp_path / "s.json")
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"),
+                     "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")]) == 0
+        got = json.loads((tmp_path / "o" / "spectrum.json").read_text())["eigenvalues"]
+        white = SignalMatrix(two_step_whitening(raw.samples)[0], dt=raw.dt, whitened=True)
+        expected = spectrum(normalize(build_coupling_matrix(white, sd), sd)).eigenvalues
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected[0])
+
     def test_analyze_phase_totals_per_unit(self, tmp_path):
         trains = _sample_spikes(units=4, trials=3, seed=3).trains
         trains[2] = [np.empty(0) for _ in range(3)]  # a silent unit
@@ -847,7 +862,7 @@ _MULTIVAR = {"experiment": "multivar-null", "replicates": 2, "channels": 4, "uni
 
 
 class TestRefusedConfigs:
-    """A refused config exits 1 with one ``error:`` line and writes nothing."""
+    """A refused config or input file exits 1 with one ``error:`` line and writes nothing."""
 
     @pytest.mark.parametrize("change, message", [
         ({"signals": {**_SIM["signals"], "dt": 0.0}},
@@ -920,6 +935,30 @@ class TestRefusedConfigs:
         self._refused(code, err, f"{path}: expected candidate count per trial 3e+301",
                       tmp_path / "o")
 
+    @pytest.mark.parametrize("name, line, old, new", [
+        ("s.json", 1, b"{", b'{"extra": "\xff", '),
+        ("signals.json", 1, b"{", b'{"extra": "\xff", '),
+        ("signals.csv", 1, b"ch0_im", b"ch0_\xff"),
+        ("signals.csv", 2, b",", b",\xff"),
+        ("signals.csv", 200, b",", b",\xff"),
+    ], ids=["spikes-field", "sidecar", "header", "row", "row-past-the-first-buffer"])
+    def test_analyze_refuses_a_byte_that_is_not_utf8(self, tmp_path, capsys, name, line, old,
+                                                      new):
+        # The text reads decode a whole buffer at once, so a bad byte on row 2
+        # surfaces in the header read and one on row 200 in numpy's reader.
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        rng = np.random.default_rng(2)
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 128, 5.0, 1, rng),
+                     tmp_path / "signals.csv")
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        path.write_bytes(b"\n".join(lines))
+        code, err = _run(capsys, [
+            "analyze", "--spikes", str(tmp_path / "s.json"),
+            "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
+        self._refused(code, err, f"{path}:{line}: byte 0xff is not UTF-8", tmp_path / "o")
+
     @staticmethod
     def _refused(code, err, message, out):
         assert code == 1
@@ -951,16 +990,16 @@ _CLI_BYTES = {
 }
 
 # The same configuration with "whiten": false: the files analyze writes after
-# whitening the loaded samples itself.
+# whitening the interpolant of the loaded samples itself, in coupling space.
 _UNWHITENED_BYTES = {
     "data/signals.json":
         "11ef643fe2d98ad1d901e3ee2cec4c2ec300b3d4bc50019b7be37af14a140093",
     "analysis/coupling.json":
-        "9d5ff3d215474d9ccd4c5d985d15265e9900177e4392de712b78a113b5321a88",
+        "d21f13f81bf8ab83ef5fb21cbb4f15875ab044e5e05cf0441e79bf6888188127",
     "analysis/spectrum.json":
-        "3f2ffb324248c8fd9104bc83137145aff988d5c13ff892e8680539db88f5056a",
+        "7893959b3efb803286c3c356e814d70ad6028d9560f4fcda6bd94944369801a6",
     "analysis/esd.csv":
-        "68b0b8fe8dc472cbedaf5179044eaa11abe5e539963dd77891128f602aea87f1",
+        "71ba3802fd2f36ab5205ef9ed03995883ff670a7e4acb8fbdff0aa11ca16a6e4",
 }
 
 
@@ -985,8 +1024,8 @@ class TestCliOutputBytes:
         assert digests == _CLI_BYTES
 
     def test_analyze_of_an_unwhitened_file_bytes_pinned(self, tmp_path):
-        # "whiten": false, so analyze whitens: its Gram reads the loaded samples
-        # in their memory layout, and a layout change would move these bits.
+        # "whiten": false, so analyze whitens: its interpolant Gram reads the loaded
+        # samples in their memory layout, and a layout change would move these bits.
         sim = tmp_path / "sim.json"
         sim.write_text(json.dumps({
             "kind": "vonmises", "window": 1.0, "trials": 3, "units": 4, "rate0": 20.0,

@@ -17,14 +17,15 @@ from spikefield.harness import (
     EXPERIMENTS,
     ExperimentConfig,
     Tolerance,
-    _whiten_interpolant,
     replicate_seed,
     run_experiment,
 )
-from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
+from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum, whitened_coupling
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
-from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
+from spikefield.signals import SignalMatrix, _interpolant_root, synthesize_oscillations, whiten
 from spikefield.unicoupling import plv_asymptotics_vonmises
+
+from oracles import interpolant_gram, two_step_whitening
 
 
 class TestReplicateSeed:
@@ -362,55 +363,44 @@ class TestReports:
         assert rep.targets["cov_re"] == law().cov[0, 0] > corrected[0, 0]  # paper form kept beside
 
 
-def _interpolant_gram(x):
-    """(2/3) A0 + (1/6)(B + B^H) over the periodic grid, B the lag-one cross-Gram."""
-    q = x.shape[1]
-    a0 = (x @ x.conj().T) / q
-    b = (x @ np.roll(x, -1, axis=1).conj().T) / q
-    return (2.0 / 3.0) * a0 + (b + b.conj().T) / 6.0
-
-
-def _two_step_whitening(raw):
-    """Oracle: whiten the sample Gram, then orthonormalize the interpolant of the result."""
-    x = whiten(raw).samples
-    gram = _interpolant_gram(x)
-    deviation = float(np.max(np.abs(gram - np.eye(len(gram)))))
-    w, v = np.linalg.eigh(gram)
-    return (v * w**-0.5) @ v.conj().T @ x, deviation
-
-
 class TestInterpolantWhitening:
     @pytest.fixture(scope="class")
     def raw(self):
         return synthesize_oscillations((3.0, 4.0, 5.0), 4.0, 1 / 128, 10.0, 24,
                                        np.random.default_rng(17))
 
-    def test_interpolant_gram_is_identity(self, raw):
-        root, _ = _whiten_interpolant(raw)
-        assert root.shape == (24, 24)
-        assert np.max(np.abs(root @ _interpolant_gram(raw.samples) @ root - np.eye(24))) < 1e-12
-
-    def test_deviation_keeps_its_two_step_meaning(self, raw):
-        _, deviation = _whiten_interpolant(raw)
-        _, expected = _two_step_whitening(raw)
-        assert deviation > 0.1  # i.i.d. phase noise at kappa = 10 is far from band-limited
-        assert deviation == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_spectrum_matches_two_step_path(self, raw):
-        # The map applied to the coupling matrix of the raw signals, as the
-        # harness does, against the explicitly whitened samples' spectrum.
+    @pytest.fixture(scope="class")
+    def sd(self):
         rng = np.random.default_rng(5)
         trains = [simulate_poisson(HomogeneousRate(20.0), 4.0, 5, rng).trains[0]
                   for _ in range(20)]
-        sd = SpikeData(window=4.0, trains=trains)
-        root, _ = _whiten_interpolant(raw)
-        coupling = build_coupling_matrix(raw, sd)
-        coupling_space = replace(coupling, entries=root @ coupling.entries,
-                                 signal_integral=root @ coupling.signal_integral)
-        two_step = SignalMatrix(_two_step_whitening(raw)[0], dt=raw.dt, whitened=True)
+        return SpikeData(window=4.0, trains=trains)
+
+    def test_interpolant_gram_is_identity(self, raw):
+        root = _interpolant_root(raw)
+        assert root.shape == (24, 24)
+        assert np.max(np.abs(root @ interpolant_gram(raw.samples) @ root - np.eye(24))) < 1e-12
+
+    def test_sample_gram_whitening_alone_falls_short(self, raw):
+        # Why the interpolant is whitened: i.i.d. phase noise at kappa = 10 is
+        # far from band-limited, so whitening the sample Gram alone leaves the
+        # interpolant Gram well off the identity.
+        _, deviation = two_step_whitening(raw.samples)
+        assert deviation > 0.1
+
+    def test_spectrum_matches_two_step_path(self, raw, sd):
+        # The root applied to the coupling matrix of the raw signals, against
+        # the explicitly twice-whitened samples' spectrum.
+        two_step = SignalMatrix(two_step_whitening(raw.samples)[0], dt=raw.dt, whitened=True)
         eig = [spectrum(normalize(c, sd)).eigenvalues
-               for c in (coupling_space, build_coupling_matrix(two_step, sd))]
+               for c in (whitened_coupling(raw, sd), build_coupling_matrix(two_step, sd))]
         np.testing.assert_allclose(eig[0], eig[1], rtol=1e-12, atol=1e-12 * eig[1][0])
+
+    def test_whitened_signals_are_taken_as_they_are(self, raw, sd):
+        white = whiten(raw)
+        got, expected = whitened_coupling(white, sd), build_coupling_matrix(white, sd)
+        assert got.entries.tobytes() == expected.entries.tobytes()
+        assert got.signal_integral.tobytes() == expected.signal_integral.tobytes()
 
     def test_duplicated_noiseless_components_singular(self):
         cfg = _small("multivar-null", replicates=2, channels=4, units=4, components=(3.0, 3.0),
@@ -459,11 +449,11 @@ _GOLDEN_BODIES = {
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
-        "0dc69d25efaeb4454def9283369e5d7bba0130e5705065b7cd776ecda2d6ab4e",
+        "717ed86e6e6f331a5ed1cbfaef2625682cabdda6c6b0fe0d97e751bfe71d3ee8",
     ),
     "multivar-coupled": (
         _GOLDEN_MULTIVAR,
-        "9a4dc9760bc6d12a0245962b41e600c26d4c60b288b494f9c67234a230bb33bb",
+        "e8612f99ec53b443a79623ae91042657e896c264a5a7675a8e9ce901f77aa058",
     ),
     "moment-oracle": (
         dict(trials=5000),

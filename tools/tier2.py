@@ -9,8 +9,9 @@ time, and exits 1 if any verdict FAILs (2 on an unknown name). The
 ``spikefield experiment`` command keeps exit 0 on a FAIL verdict, so this
 is the command that gates on them. Serial, the full set takes several
 minutes. OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says
-otherwise, so the report bodies, and the verdict lines with them, are
-bit-reproducible from one host to another.
+otherwise, so on one machine the report bodies, and the verdict lines with
+them, are bit-reproducible from run to run. Another host may still differ
+in the last bits, since its CPU kernels may differ.
 """
 
 from __future__ import annotations
