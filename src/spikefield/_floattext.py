@@ -21,30 +21,36 @@ estimate float(d) / 10^f, with d the digits and f the digits after the
 point, or the float one ulp from it toward the decimal, when an exact
 integer test puts the decimal inside that float's rounding interval
 (``_settled``). That covers every field repr writes in fixed notation
-below 2^52, powers of two aside, and zeros keep their sign. The fields it
-cannot settle (exponent forms, subnormals, powers of two, longer digit
-strings) must match the reader's number grammar and go through
-``float()``, which converts such bytes with the ``PyOS_string_to_double``
-that numpy.loadtxt and json.loads use. A field off that grammar, or one
-that reads as an infinity, makes the reader return None, and its caller
-then reads the whole file the old way (``numpy.loadtxt`` or
-``json.loads``), so every file it accepts and every error it reports stay
-as they were.
+below 2^52, powers of two aside, and zeros keep their sign. The kernel
+leaves every other field (exponent forms, subnormals, powers of two,
+longer digit strings, anything off the form) to its caller, which checks
+it against its own grammar and converts it with ``float()``: that is the
+``PyOS_string_to_double`` which numpy.loadtxt and json.loads use.
 
-- ``read_rows`` reads the CSV rows ``repr_lines`` writes: whole lines,
-  each with the caller's number of fields joined by ``,`` and ended by
-  CRLF, and each field loadtxt's plain decimal number,
-  ``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?`` (``_NUMBER``), to
-  the bits ``numpy.loadtxt`` reads, and returns each line's fields after
-  its first. The caller gives the row count; the table of those fields is
-  allocated once, and the file is read in blocks of whole lines
-  (``READ_BLOCK`` bytes) into one reused buffer, so no temporary spans the
-  whole file.
+- ``read_rows`` is the one reader of a ``signals.csv`` body, and reads
+  the bits ``numpy.loadtxt(delimiter=",", comments=None)`` reads from
+  the same lines. Its grammar: a line ends at LF, at CRLF or at a lone
+  CR, and the last line end is optional; the fields of a line are
+  separated by ``,`` and there are as many as the caller says. A field
+  off the integer path is decoded as UTF-8 and stripped of Unicode
+  whitespace, as loadtxt strips it, and must then match ``_NUMBER``:
+  loadtxt's plain decimal number,
+  ``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?``, or a signed
+  ``nan``, ``inf`` or ``infinity`` in any case (so ``1_0`` and ``0x10``
+  are refused). The reader raises ``BadLine`` for the first line off
+  this grammar in file order, with its bytes and its bad field if it has
+  one; every line is checked. It reports whether the fields it keeps are
+  finite, and leaves that rule to its caller. The table is allocated
+  once, at the caller's capacity, and the file is read in blocks of whole
+  lines (``READ_BLOCK`` bytes) into one reused buffer, so no temporary
+  spans the whole file.
 - ``cli_io`` reads the spike document ``save_spikes`` writes with the same
   kernel, to the bits ``json.loads`` reads. Its numbers follow JSON's
   grammar with a point or an exponent,
   ``-?(0|[1-9][0-9]*)(.[0-9]+([eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)``
   (``JSON_FLOAT``; the caller refuses a leading zero on the integer path).
+  A field off it, or one that reads as an infinity, sends the document
+  to ``json.loads`` whole.
 
 ``cli_io`` imports this module where it writes or reads floats, so the
 commands that do neither do not load it.
@@ -52,7 +58,6 @@ commands that do neither do not load it.
 
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
@@ -295,6 +300,7 @@ def repr_lines(values, sep: bytes, end: bytes):
 
 READ_BLOCK = 1 << 18  # bytes read and parsed at once; their temporaries take about 8 times that
 _PAD = 24  # bytes before each block, so that every digit window starts inside it
+_TAIL = 8  # bytes after the read area: a field's first guess at its point may look 2 past its end
 # For L = 0..8: the mask of an 8-byte window's last L bytes (its high bytes, read little-endian).
 _KEEP = np.array([((1 << 64) - 1) ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)], np.uint64)
 _SEVENTY_SIXES = _U64(0x7676767676767676)
@@ -308,8 +314,10 @@ _MAX_WHOLE, _MAX_FRACTION = 16, 22  # digits before and after the point; 10^22 i
 _POW10 = np.array([10 ** k % (1 << 64) for k in range(_MAX_FRACTION + 1)], np.uint64)
 _POW10 = _POW10.view(np.int64)
 _POW10F = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])
-# What float() and numpy.loadtxt read alike: a plain decimal number.
-_NUMBER = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+# What numpy.loadtxt reads as a float once a field is stripped, and float() alike: a
+# plain decimal number, or a signed nan, inf or infinity in any case.
+_NUMBER = re.compile(r"[-+]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|nan|inf(?:inity)?)",
+                     re.ASCII | re.IGNORECASE)
 # What json.loads reads as a float: a JSON number with a fraction or an exponent.
 JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
@@ -412,15 +420,16 @@ def _points(block, starts, ends, negative):
     return dots
 
 
-def read_fields(block, starts, ends, number):
-    """The float64 value of each field ``block[starts[i]:ends[i]]``, or None if one is off the grammar.
+def read_fields(block, starts, ends):
+    """The float64 value of each field ``block[starts[i]:ends[i]]`` on the integer path.
 
     The field kernel of both readers. Fields of the form -?D.D, in the digit
-    limits of the module docstring, take the integer path; every other field
-    must match ``number`` and is converted by ``float()``. Any field that does
-    not match, or that reads as an infinity, makes the result None. Each
-    field's first byte lies at least 24 bytes into ``block``, so that every
-    digit window starts inside it.
+    limits of the module docstring, take the integer path. Returns
+    ``(values, left)``: ``left`` holds, in order, the indices of every other
+    field, whose values the caller converts by its own grammar. Each field's
+    first byte lies at least 24 bytes into ``block``, so that every digit
+    window starts inside it, and ``block`` holds at least two bytes past
+    each field's end.
     """
     negative = block.take(starts) == ord("-")
     dots = _points(block, starts, ends, negative)
@@ -464,83 +473,113 @@ def read_fields(block, starts, ends, number):
         magnitude[step[again]] = nearer[again]
         done[step[again]] = True
     magnitude |= negative.astype(np.uint64) << _U64(63)
-    values = magnitude.view(np.float64)
-    for i in np.flatnonzero(~done).tolist():  # by float(): the bytes loadtxt or json would convert
-        text = block[starts[i]:ends[i]].tobytes()
-        if number.fullmatch(text) is None:
-            return None
-        values[i] = float(text)
-        if not math.isfinite(values[i]):
-            return None
-    return values
+    return magnitude.view(np.float64), np.flatnonzero(~done)
 
 
-def _lines(block, seps, kinds, columns):
-    """The fields of a padded block of whole CSV lines, or None off the grammar.
+_CR, _LF, _COMMA = ord("\r"), ord("\n"), ord(",")
 
-    ``seps`` are the positions of the block's commas, CRs and LFs and
-    ``kinds`` those bytes; each line must hold ``columns - 1`` commas, then
-    CR LF.
+
+class BadLine(ValueError):
+    """The first line ``read_rows`` refuses.
+
+    Its args: the line's index among the lines read, its bytes without the
+    line end, and its bad field's index, or None when its field count is
+    what is wrong.
     """
-    if seps.size % (columns + 1):
-        return None
-    grid = seps.reshape(-1, columns + 1)
-    shape = np.full(columns + 1, ord(","), np.uint8)
-    shape[-2:] = (ord("\r"), ord("\n"))
-    if not ((kinds.reshape(grid.shape) == shape).all() and (grid[:, -1] == grid[:, -2] + 1).all()):
-        return None
-    ends = grid[:, :-1]  # the commas and the CR
-    starts = np.empty(ends.shape, np.intp)
-    starts[:, 1:] = ends[:, :-1]
-    starts[1:, 0] = grid[:-1, -1]
-    starts += 1
-    starts[0, 0] = _PAD
-    values = read_fields(block, starts.reshape(-1), ends.reshape(-1), _NUMBER)
-    return None if values is None else values.reshape(ends.shape)
 
 
-def read_rows(fh, rows: int, columns: int):
-    """The float64 table in the rest of a binary file, if it is in the writer's CSV format.
+def _lines(buf, seps, ends_at, columns, first):
+    """The fields of the whole lines at the start of a padded buffer, as a (lines, columns) table.
 
-    Returns a (rows, columns - 1) array, each line's fields after its first
-    (a signal file's time column, checked and dropped), with the bits
-    ``numpy.loadtxt`` reads from the same lines; or None when the rest of
-    the file is not ``rows`` such lines of finite numbers, so that the
-    caller reads it another way. See the module docstring. The table is
-    allocated once, and each block of lines is read into one reused buffer
-    and written into the table once.
+    ``seps`` are the positions of the lines' commas, CRs and LFs, and
+    ``ends_at`` the indices of the CRs and LFs among them; the last one
+    ends the last line. A CR followed by an LF ends one line. Returns the
+    table, where the next line starts, and whether every field after each
+    line's first is finite. Raises ``BadLine`` for the first line whose
+    field count is not ``columns`` or whose field is off the grammar, its
+    index counted from ``first``.
     """
-    start = fh.tell()
-    size = fh.seek(0, 2) - start
-    fh.seek(start)
-    if not 1 <= rows <= size // (2 * columns + 1):  # a line holds at least that many bytes
-        return None
-    table = np.empty((rows, columns - 1))
-    buf = np.full(_PAD + READ_BLOCK, ord("0"), np.uint8)  # a pad of '0's, which no scan stops at
-    filled = kept = 0  # rows in the table; bytes of a partial line after the pad
-    while got := fh.readinto(memoryview(buf)[_PAD + kept:]):
-        block = buf[:_PAD + kept + got]
-        # Commas, CRs and LFs, and any other byte below '-' but an exponent's '+'.
+    at = seps.take(ends_at)  # each line end's first byte
+    ending = buf.take(at)
+    lf = (ending == _LF) & (buf.take(at - 1) == _CR)
+    if lf.any():  # the LF of a CR LF ends no field
+        seps = np.delete(seps, ends_at[lf])
+        ends_at = (ends_at - np.cumsum(lf))[~lf]
+        at, ending = at[~lf], ending[~lf]
+    nxt = at + 1 + ((ending == _CR) & (buf.take(at + 1) == _LF))  # where each next line starts
+
+    def bad(line, field=None):
+        return BadLine(first + line, buf[nxt[line - 1] if line else _PAD:at[line]].tobytes(), field)
+
+    # Up to the first line of another width, line i ends at entry (i + 1) * columns - 1.
+    wrong = np.flatnonzero(ends_at != np.arange(columns - 1, columns * ends_at.size, columns))
+    n = int(wrong[0]) if wrong.size else ends_at.size  # the lines before the first of another width
+    ends = seps[:n * columns]
+    starts = np.empty_like(ends)
+    starts[:1] = _PAD
+    starts[1:] = ends[:-1] + 1
+    starts[columns::columns] = nxt[:max(n - 1, 0)]  # each later line's first field
+    values, left = read_fields(buf, starts, ends)
+    for i in left.tolist():  # the fields the integer path left, as numpy.loadtxt reads them
+        try:
+            field = buf[starts[i]:ends[i]].tobytes().decode().strip()
+        except UnicodeDecodeError:
+            field = ""
+        if _NUMBER.fullmatch(field) is None:
+            raise bad(*divmod(i, columns))
+        values[i] = float(field)
+    if wrong.size:
+        raise bad(n)
+    finite = np.isfinite(values.take(left[left % columns > 0])).all()  # the fields kept
+    return values.reshape(n, columns), int(nxt[-1]), bool(finite)
+
+
+def read_rows(fh, capacity: int, columns: int):
+    """Read the CSV lines in the rest of a binary file, each of ``columns`` fields.
+
+    Returns ``(table, count, finite)``: a (capacity, columns - 1) float64
+    table whose leading rows hold each line's fields after its first (a
+    signal file's time column, read and dropped), with the bits
+    ``numpy.loadtxt`` reads from them; the number of lines, which may exceed
+    the capacity (the rows past it are read and checked, not kept); and
+    whether every kept field is finite. Raises ``BadLine`` for the first
+    line off the grammar of the module docstring. The table is allocated
+    once, and each block of lines is read into one reused buffer and
+    written into the table once.
+    """
+    table = np.empty((capacity, columns - 1))
+    # A pad of '0's, which no scan stops at, before the bytes read; a spare tail after them.
+    buf = np.full(_PAD + READ_BLOCK + _TAIL, ord("0"), np.uint8)
+    count = kept = 0  # lines read; bytes of a partial line after the pad
+    finite = True
+    while True:
+        size = _PAD + kept
+        got = fh.readinto(memoryview(buf)[size:buf.size - _TAIL])
+        if not got:
+            if not kept:
+                return table, count, finite
+            buf[size] = _LF  # the last line's end, which a file may omit
+            got = 1
+        size += got
+        block = buf[:size]
+        # Commas, CRs and LFs end a field; the other bytes below '-' ('+', space,
+        # tab and the other control bytes) belong to one.
         seps = np.flatnonzero(block < ord("-"))
         kinds = block.take(seps)
-        plus = kinds == ord("+")
-        if plus.any():
-            seps, kinds = seps[~plus], kinds[~plus]
-        lines = np.flatnonzero(kinds == ord("\n"))
-        if not lines.size:  # no whole line yet: read on, into a larger buffer when full
-            kept = block.size - _PAD
-            if block.size == buf.size:
-                buf = np.concatenate([buf, np.full(buf.size - _PAD, ord("0"), np.uint8)])
+        separates = (kinds == _COMMA) | (kinds == _LF) | (kinds == _CR)
+        if not separates.all():
+            seps, kinds = seps[separates], kinds[separates]
+        ends_at = np.flatnonzero(kinds != _COMMA)
+        if ends_at.size and seps[ends_at[-1]] == size - 1 and kinds[ends_at[-1]] == _CR:
+            ends_at = ends_at[:-1]  # a CR in the last byte read may begin a CR LF
+        if not ends_at.size:  # no whole line yet: read on, into a larger buffer when full
+            kept = size - _PAD
+            if size == buf.size - _TAIL:
+                buf = np.concatenate([buf, np.full(buf.size, ord("0"), np.uint8)])
             continue
-        last = lines[-1] + 1
-        end = seps[last - 1] + 1
-        values = _lines(block[:end], seps[:last], kinds[:last], columns)
-        if values is None or filled + len(values) > rows:
-            return None
-        table[filled:filled + len(values)] = values[:, 1:]
-        filled += len(values)
-        kept = block.size - end
-        buf[_PAD:_PAD + kept] = buf[end:block.size]
-    if kept or filled != rows:
-        return None
-    return table
+        values, start, ok = _lines(buf, seps[:ends_at[-1] + 1], ends_at, columns, count)
+        table[count:count + len(values)] = values[:max(capacity - count, 0), 1:]
+        count += len(values)
+        finite = finite and ok
+        kept = size - start
+        buf[_PAD:_PAD + kept] = buf[start:size]

@@ -21,25 +21,24 @@ holds its samples' matrix; for an unwhitened file it holds G^(-1/2) times
 that matrix, G the Gram of the samples' piecewise-linear interpolant.
 
 CSV files are written in blocks of rows. Each input is read once,
-straight into the arrays the analysis uses, and the file's own bytes
-choose the path. ``load_signals`` reads a signal file
-in the format ``save_signals`` writes with ``_floattext.read_rows``, a
-vectorized reader that returns the bits ``numpy.loadtxt`` returns, into a
-(q, 2p) table of the sample columns that the samples view without a copy;
-any other file (LF line ends, blank lines, ``nan``, a malformed row, a row
-count other than the sidecar's) goes through ``numpy.loadtxt`` whole.
-``load_spikes`` reads the document ``save_spikes`` writes with the same
-field kernel into flat times and offsets; any other document goes through
-``json.loads`` whole. Either way every accepted file and every error stay
-as they were.
+straight into the arrays the analysis uses. ``load_signals`` reads every
+signal file with ``_floattext.read_rows``, one vectorized reader, into a
+(q, 2p) table of the sample columns that the samples view without a copy.
+It takes every file ``numpy.loadtxt(delimiter=",")`` takes, to the same
+bits: LF, CRLF or lone-CR line ends, the last one optional, and fields
+padded with Unicode whitespace, signed or in exponent form. ``load_spikes``
+reads the document ``save_spikes`` writes with the same field kernel into
+flat times and offsets; any other document goes through ``json.loads``
+whole, to the same result or error.
 
 A malformed signal file is reported as ``DomainError("<path>:<line>:
-...")`` with the file line of the first bad row (the header is line 1).
-Every line after the header must be a data row: a blank line is
-rejected, not skipped. The sidecar's ``dt`` and ``T`` must be positive
-and finite, and ``p`` at least 1. The rows must cover ``T``: a file of
-q rows is accepted when |q * dt - T| <= dt / 2, and the fast reader
-expects q = round(T / dt) rows.
+...")`` naming its first bad line in file order (the header is line 1):
+a byte that is not UTF-8, a blank line (rejected, not skipped), a line of
+the wrong field count, or a field that is not a number. Every line is
+checked before the row count: a file of q rows is accepted when
+|q * dt - T| <= dt / 2. The time column is read and dropped; the samples
+must be finite. The sidecar's ``dt`` and ``T`` must be positive and
+finite, and ``p`` at least 1.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -53,7 +52,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -177,9 +175,12 @@ def _spike_arrays(data: bytes):
     digit = starts + (doc.take(starts) == ord("-"))
     if ((doc.take(digit) == ord("0")) & ((doc.take(digit + 1) ^ ord("0")) <= 9)).any():
         return None  # a leading zero, which JSON refuses
-    times = read_fields(doc, starts, field_ends, JSON_FLOAT)
-    if times is None:
-        return None
+    times, left = read_fields(doc, starts, field_ends)
+    for i in left.tolist():  # by float(), the bytes json.loads would convert
+        text = data[starts[i]:field_ends[i]]
+        if JSON_FLOAT.fullmatch(text) is None or not math.isfinite(value := float(text)):
+            return None
+        times[i] = value
     return float(head[1]), times, offsets, n_trials
 
 
@@ -267,60 +268,15 @@ def save_signals(signals: SignalMatrix, csv_path) -> None:
     _sidecar(csv_path).write_text(json.dumps(meta))
 
 
-def _data_lines(fh, csv_path):
-    """Yield the lines after the header, rejecting a blank one by its file line."""
-    for lineno, line in enumerate(fh, start=2):
-        if line.isspace():
-            raise DomainError(f"{csv_path}:{lineno}: blank line")
-        yield line
-
-
-def _loadtxt_error(exc: ValueError, csv_path, columns: int) -> DomainError:
-    """Turn numpy.loadtxt's row-numbered ValueError into a file-line DomainError.
-
-    numpy counts data rows from 0 in a conversion error ("at row 3, column
-    2") and from 1 in a width error ("changed from 5 to 4 at row 7"). A
-    width error blames the row where the width changed, so a wrong width
-    on the first row is reported there instead.
-    """
-    msg = str(exc)
-    width = re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", msg)
-    if width is not None:
-        first, later, row = map(int, width.groups())
-        lineno, got = (2, first) if first != columns else (row + 1, later)
-        return DomainError(f"{csv_path}:{lineno}: expected {columns} fields, got {got}")
-    value = re.search(r"(.*) at row (\d+), column (\d+)", msg)
-    if value is not None:
-        reason, row, column = value.groups()
-        return DomainError(f"{csv_path}:{int(row) + 2}: field {column}: {reason}")
-    return DomainError(f"{csv_path}: {msg}")
-
-
 _SIDECAR_KINDS = {"dt": "float", "T": "float", "p": "int", "whitened": "bool"}
+_HEADER = re.compile(rb"([^\r\n]*)(?:\r\n?|\n)?")  # the first line, then its line end
 
 
-def _read_table(fh, csv_path, columns: int) -> np.ndarray:
-    """The rows after the header of an open signal file, by numpy.loadtxt."""
-    try:
-        with warnings.catch_warnings():
-            # A header-only file warns "no data"; the row-count check reports it.
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(_data_lines(fh, csv_path), delimiter=",", comments=None, ndmin=2)
-    except DomainError:
-        raise
-    except UnicodeDecodeError:  # a ValueError too
-        raise _not_utf8(csv_path) from None
-    except ValueError as exc:
-        raise _loadtxt_error(exc, csv_path, columns) from None
-
-
-def _row_count(dt: float, window: float) -> int:
-    """The row count q a sidecar implies, |q * dt - T| <= dt / 2, or 0 if q = round(T / dt) misses."""
-    ratio = window / dt
-    if not ratio < 2.0 ** 53:  # past that, no file holds the rows
-        return 0
-    q = round(ratio)
-    return q if abs(q * dt - window) <= 0.5 * dt else 0
+def _row_capacity(dt: float, window: float, most: int) -> int:
+    """The largest row count q <= most that covers T, |q * dt - T| <= dt / 2, or 0 if none does."""
+    q = round(min(window / dt, most + 1))  # past most + 1, no such q fits
+    return max((k for k in (q - 1, q, q + 1) if 0 <= k <= most and abs(k * dt - window) <= 0.5 * dt),
+               default=0)
 
 
 def load_signals(csv_path) -> SignalMatrix:
@@ -334,42 +290,59 @@ def load_signals(csv_path) -> SignalMatrix:
         raise DomainError(f"{sidecar}: field 'p' must be at least 1, got {meta['p']}")
     dt, window, p = meta["dt"], meta["T"], meta["p"]
     columns = 1 + 2 * p
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    from ._floattext import BadLine, read_rows  # loaded only by the commands that read signals
+
+    with open(csv_path, "rb") as fh:
+        first = fh.readline(1 << 16)
+        # Read on until the header's line end is known: an LF, or a CR with a byte after it.
+        while not (first.endswith(b"\n") or b"\r" in first[:-1]) and (part := fh.readline(1 << 16)):
+            first += part
+        head = _HEADER.match(first)
+        if not head[0]:
+            raise DomainError(f"{csv_path}: empty file")
         try:
-            header = fh.readline()  # decodes the whole first buffer, rows included
+            n_header = head[1].decode().count(",") + 1
         except UnicodeDecodeError:
             raise _not_utf8(csv_path) from None
-        if not header:
-            raise DomainError(f"{csv_path}: empty file")
-        n_header = len(header.rstrip("\r\n").split(","))
         if n_header != columns:
             raise DomainError(
                 f"{csv_path}: header has {n_header} columns, expected {columns} for {p} channels"
             )
-        rows = _row_count(dt, window)
-        if header.endswith("\r\n") and rows >= 2:
-            # The rows as save_signals writes them, their sample columns only;
-            # None for any other file.
-            from ._floattext import read_rows  # loaded only by the commands that read signals
-
-            with open(csv_path, "rb") as raw:
-                raw.readline()
-                table = read_rows(raw, rows, columns)
-            if table is not None:
-                # Finite values, viewed as (p, q) complex in the layout of the
-                # other path: every bit, signed zeros included.
-                return SignalMatrix._adopt(table.view(complex).T, dt, meta["whitened"])
-        data = _read_table(fh, csv_path, columns)
-    if len(data) and data.shape[1] != columns:
-        # Every row has the same wrong width, so loadtxt saw no change.
-        raise DomainError(f"{csv_path}:2: expected {columns} fields, got {data.shape[1]}")
-    if abs(len(data) * dt - window) > 0.5 * dt:
-        raise DomainError(
-            f"{csv_path}: {len(data)} rows at dt={dt} do not cover T={window}"
-        )
+        # A line holds at least 2 * columns - 1 bytes and a line end, but the last may have none.
+        most = (fh.seek(0, 2) - head.end() + 1) // (2 * columns)
+        fh.seek(head.end())
+        try:
+            table, rows, finite = read_rows(fh, _row_capacity(dt, window, most), columns)
+        except BadLine as bad:
+            raise _bad_line(csv_path, bad, columns) from None
+    if abs(rows * dt - window) > 0.5 * dt:
+        raise DomainError(f"{csv_path}: {rows} rows at dt={dt} do not cover T={window}")
     # Viewing each re/im pair as one complex keeps every bit, signed zeros included.
-    samples = np.ascontiguousarray(data[:, 1:]).view(complex).T
+    samples = table[:rows].view(complex).T
+    if finite and rows >= 2:
+        return SignalMatrix._adopt(samples, dt, meta["whitened"])
+    # Refused with the constructor's message: too few samples, or one not finite.
     return SignalMatrix(samples, dt=dt, whitened=meta["whitened"])
+
+
+def _bad_byte(where, line: bytes, exc: UnicodeDecodeError) -> DomainError:
+    return DomainError(f"{where}: byte {line[exc.start]:#04x} is not UTF-8")
+
+
+def _bad_line(csv_path, bad, columns: int) -> DomainError:
+    """The error for the first line of a signal file's body that ``read_rows`` refuses."""
+    index, text, field = bad.args
+    where = f"{csv_path}:{index + 2}"  # the header is line 1
+    try:
+        line = text.decode()
+    except UnicodeDecodeError as exc:
+        return _bad_byte(where, text, exc)
+    if not line.strip():
+        return DomainError(f"{where}: blank line")
+    if field is None:
+        return DomainError(f"{where}: expected {columns} fields, got {line.count(',') + 1}")
+    value = repr(line.split(",")[field])[:100]  # as numpy.loadtxt reports it
+    return DomainError(f"{where}: field {field + 1}: could not convert string {value} to float64")
 
 
 def _not_utf8(path) -> DomainError:
@@ -379,7 +352,7 @@ def _not_utf8(path) -> DomainError:
             try:
                 line.decode()
             except UnicodeDecodeError as exc:
-                return DomainError(f"{path}:{lineno}: byte {line[exc.start]:#04x} is not UTF-8")
+                return _bad_byte(f"{path}:{lineno}", line, exc)
     return DomainError(f"{path}: not UTF-8 text")  # the file changed since it was read
 
 

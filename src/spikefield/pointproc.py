@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .signals import LinearPhase
+from .specfun import _MAX_ARGUMENT
 
 __all__ = [
     "HomogeneousRate",
@@ -126,6 +127,8 @@ def _check_phase_offset(phase_offset) -> None:
 def _check_kappa(kappa) -> None:
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise DomainError(f"modulation strength must be >= 0, got {kappa!r}")
+    if kappa > _MAX_ARGUMENT:  # past it, exp(kappa) and bessel_i overflow
+        raise DomainError(f"modulation strength must be at most {_MAX_ARGUMENT}, got {kappa!r}")
 
 
 def _check_harmonic(harmonic) -> None:

@@ -33,8 +33,12 @@ class LinearPhase:
     window: float
 
     def __post_init__(self):
-        if not (self.frequency > 0.0) or not (self.window > 0.0):
-            raise DomainError("frequency and window must be positive")
+        if not (0.0 < self.frequency < math.inf and 0.0 < self.window < math.inf):
+            raise DomainError(f"frequency and window must be positive and finite, "
+                              f"got {self.frequency!r} and {self.window!r}")
+        if not math.isfinite(2.0 * math.pi * self.frequency * self.window):
+            raise DomainError(f"the phase 2*pi*f*T overflows at frequency {self.frequency!r} "
+                              f"and window {self.window!r}")
 
     def phase(self, t):
         return 2.0 * math.pi * self.frequency * np.asarray(t, dtype=float)
@@ -79,8 +83,9 @@ class SignalMatrix:
         """Wrap a complex (channels, times) array the library built from checked inputs.
 
         No copy and no checks: synthesis and whitening of finite inputs give
-        finite samples, so only a matrix from outside (a file, a caller) pays
-        for the finiteness scan.
+        finite samples, and ``load_signals`` adopts a file's samples after
+        the reader's own finiteness rule, so only a matrix from a caller
+        pays for the finiteness scan.
         """
         signals = cls.__new__(cls)
         signals.samples, signals.dt, signals.whitened = samples, dt, whitened

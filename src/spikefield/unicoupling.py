@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .pointproc import IntensityModel, SpikeData, _check_phase_offset
+from .pointproc import IntensityModel, SpikeData, _check_kappa, _check_phase_offset
 from .signals import LinearPhase, _time_tolerance
 from .specfun import bessel_i
 
@@ -115,8 +115,7 @@ def plv_asymptotics_vonmises(
     large trial counts follows the corrected value whenever the limit is
     nonzero.
     """
-    if kappa < 0.0:
-        raise DomainError(f"modulation strength must be >= 0, got {kappa!r}")
+    _check_kappa(kappa)
     if not (rate0 > 0.0 and window > 0.0):
         raise DomainError("rate and window must be positive")
     _check_phase_offset(phase_offset)

@@ -6,6 +6,9 @@ brute-force enumeration instead of closed forms. Quadrature tolerances are
 held two orders below the tightest assertion that consumes them.
 """
 
+import re
+import warnings
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -95,3 +98,51 @@ def two_step_whitening(x):
     x = _apply_inverse_root((x @ x.conj().T) / x.shape[1], x)
     gram = interpolant_gram(x)
     return _apply_inverse_root(gram, x), float(np.max(np.abs(gram - np.eye(len(gram)))))
+
+
+class _BlankLine(Exception):
+    def __init__(self, index):
+        self.index = index
+
+
+def loadtxt_rows(body: bytes, columns: int):
+    """numpy.loadtxt's reading of the lines of a signal file after its header.
+
+    Returns its float table, or ``(index, message)`` for the line it refuses
+    (counted from 0) with the message ``load_signals`` writes for it. The
+    lines are split at LF, CRLF and lone CR, as a text file opened with
+    ``newline=""`` splits them; a line that is not UTF-8 is refused first,
+    and a blank line when numpy.loadtxt reaches it.
+    """
+    lines = body.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        try:
+            line.decode()
+        except UnicodeDecodeError as exc:
+            return i, f"byte {line[exc.start]:#04x} is not UTF-8"
+
+    def texts():
+        for i, line in enumerate(lines):
+            if line.decode().isspace():
+                raise _BlankLine(i)
+            yield line.decode()
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data" for an empty body
+            table = np.loadtxt(texts(), delimiter=",", comments=None, ndmin=2)
+    except _BlankLine as blank:
+        return blank.index, "blank line"
+    except ValueError as exc:
+        # Rows count from 0 in a conversion error and from 1 in a width error,
+        # which blames the row where the width changed from the first row's.
+        width = re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", str(exc))
+        if width is not None:
+            first, later, row = map(int, width.groups())
+            return (0, f"expected {columns} fields, got {first}") if first != columns else \
+                (row - 1, f"expected {columns} fields, got {later}")
+        value = re.search(r"(.*) at row (\d+), column (\d+)", str(exc))
+        return int(value[2]), f"field {value[3]}: {value[1]}"
+    if len(table) and table.shape[1] != columns:
+        return 0, f"expected {columns} fields, got {table.shape[1]}"
+    return table

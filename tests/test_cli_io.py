@@ -29,7 +29,7 @@ from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
 
-from oracles import bessel_quadrature, two_step_whitening
+from oracles import bessel_quadrature, loadtxt_rows, two_step_whitening
 
 
 def _sample_spikes(units=2, trials=3, seed=0):
@@ -141,7 +141,7 @@ class TestSignalRoundTrip:
         with pytest.raises(DomainError, match="do not cover"):
             load_signals(path)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_sample_refused(self, tmp_path, text):
         save_signals(SignalMatrix(np.ones((1, 4), dtype=complex), dt=0.25), tmp_path / "s.csv")
         lines = (tmp_path / "s.csv").read_text().splitlines()
@@ -174,9 +174,9 @@ def _pinned_signals():
 
 
 def _short_file(tmp_path, text):
-    """A one-channel, four-sample signal file whose CSV body is ``text``."""
+    """A one-channel, four-sample signal file whose CSV text (str or bytes) is ``text``."""
     save_signals(SignalMatrix(np.ones((1, 4), dtype=complex), dt=0.25), tmp_path / "signals.csv")
-    (tmp_path / "signals.csv").write_text(text)
+    (tmp_path / "signals.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
     return tmp_path / "signals.csv"
 
 
@@ -279,44 +279,82 @@ def _signal_files():
     }
 
 
+# Bodies of a one-channel, four-row signal file in forms save_signals does not
+# write: each is read to numpy.loadtxt's bits, or refused on the line it names.
+_ODD_BODIES = {
+    "lf": b"0.0,1.0,0.0\n0.25,-2.5,1e-05\n0.5,1.5e+300,-0.0\n0.75,0.1,3.0\n",
+    "cr": b"0.0,1.0,0.0\r0.25,-2.5,1e-05\r0.5,1.5e+300,-0.0\r0.75,0.1,3.0\r",
+    "mixed-line-ends": b"0.0,1.0,0.0\n0.25,-2.5,1e-05\r\n0.5,1.5e+300,-0.0\r0.75,0.1,3.0\r\n",
+    "no-final-line-end": b"0.0,1.0,0.0\r\n0.25,-2.5,1e-05\r\n0.5,1.5,-0.0\r\n0.75,0.1,3.0",
+    "padding": b" 0.0 ,\t1.0\t, 0.0\n0.25 , -2.5,1e-05 \n0.5,  1.5 ,-0.0\n0.75,0.1,3.0  \n",
+    "nbsp": b"0.0,\xc2\xa01.0,0.0\xc2\xa0\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "vertical-tab-and-form-feed": b"0.0,\x0b1.0,0.0\x0c\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "separator-controls": b"\x1c0.0,1.0\x1f,0.0\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "unicode-spaces": b"0.0,\xe3\x80\x801.0,0.0\xe2\x80\xa8\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "signs-and-exponents": b"+0.0,+1.5,-.5\n0.25,5.,1E5\n0.5,.5e-3,1e+22\n0.75,00.5,-0\n",
+    "non-finite-times": b"nan,1.0,0.0\n-Infinity,1.0,0.0\n+iNF,1.0,0.0\n-1e400,1.0,0.0\n",
+    "long-digits": b"0.0,0.1000000000000000055511151231257827021181583404541015625,1.0\n"
+                   b"0.25,123456789012345678901234567890.5,0.0\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "blank-line": b"0.0,1.0,0.0\n\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "whitespace-line": b"0.0,1.0,0.0\r\n \t\r\n0.25,-2.5,1e-05\r\n0.5,1.5,-0.0\r\n0.75,0.1,3.0\r\n",
+    "nbsp-line": b"0.0,1.0,0.0\n0.25,-2.5,1e-05\n\xc2\xa0\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "cr-cr-lf": b"0.0,1.0,0.0\r\r\n0.25,-2.5,1e-05\r\n0.5,1.5,-0.0\r\n0.75,0.1,3.0\r\n",
+    "byte-between-cr-and-lf": b"0.0,1.0,0.0\r5\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "short-first-row": b"0.0,1.0\n0.25,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "short-row": b"0.0,1.0,0.0\n0.25,-2.5\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "trailing-comma": b"0.0,1.0,0.0\n0.25,-2.5,1e-05,\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "not-utf8": b"0.0,1.0,0.0\n0.25,\xff2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "nul-line": b"0.0,1.0,0.0\n0.25,-2.5,1e-05\n\x00\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    "junk-time": b"0.0,1.0,0.0\n1.2.3,-2.5,1e-05\n0.5,1.5,-0.0\n0.75,0.1,3.0\n",
+    **{name: b"0.0,1.0,0.0\n0.25,-2.5,1e-05\n0.5,1.5,%s\n0.75,0.1,3.0\n" % field for name, field in [
+        ("word", b"x"), ("empty-field", b""), ("underscore", b"1_0"), ("hex", b"0x10"),
+        ("inner-minus", b"1-2.0"), ("two-points", b"1.2.3"), ("nul", b"\x00"), ("bare-exponent", b"1e"),
+        ("nan-payload", b"nan(1)"), ("quoted", b'"2"'), ("non-ascii", b"\xc3\xa9"),
+        ("inner-space", b"1 2"), ("lone-sign", b"-"), ("lone-point", b"."), ("long-junk", b"y" * 200),
+        # Bytes next to the digits, which the integer path's digit test must refuse.
+        ("colon-fraction", b"1.2:"), ("colon-whole", b":.5"), ("slash", b"1./"), ("minus-point", b"-."),
+    ]},
+}
+
+
 class TestSignalReader:
-    """load_signals reads every file save_signals writes without numpy.loadtxt, to its bits."""
+    """load_signals reads every signal file with one reader, to numpy.loadtxt's bits or refusal."""
 
     @pytest.mark.parametrize("name", list(_signal_files()))
     def test_written_files_skip_loadtxt(self, tmp_path, monkeypatch, name):
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("read by numpy.loadtxt")
 
         sig = _signal_files()[name]
         path = tmp_path / "signals.csv"
         save_signals(sig, path)
         reference = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        monkeypatch.setattr(cli_io, "_read_table", refuse)
+        monkeypatch.setattr(np, "loadtxt", refuse)
         back = load_signals(path)
         assert np.array_equal(_bits(back.samples), _bits(sig.samples))
         assert np.array_equal(_bits(back.samples.T), _bits(reference[:, 1:]))
         assert (back.dt, back.whitened) == (sig.dt, sig.whitened)
 
-    @pytest.mark.parametrize("old, new, count", [
-        (b"\r\n", b"\n", -1),  # LF line ends
-        (b"\r\n", b"\r", 1),  # a header ended by a lone CR: its next line is a data row
-    ], ids=["lf", "cr-header"])
-    def test_other_line_ends_go_to_loadtxt(self, tmp_path, monkeypatch, old, new, count):
-        calls = []
-
-        def record(*args):
-            calls.append(args[1])
-            return read_table(*args)
-
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+    def test_any_header_line_end(self, tmp_path, end):
+        # A header ended by a lone CR is followed by a data row, ended by CRLF here.
         sig = _signal_files()["whitened"]
         path = tmp_path / "signals.csv"
         save_signals(sig, path)
-        path.write_bytes(path.read_bytes().replace(old, new, count))
-        read_table = cli_io._read_table
-        monkeypatch.setattr(cli_io, "_read_table", record)
-        back = load_signals(path)
-        assert calls == [path]
-        assert np.array_equal(_bits(back.samples), _bits(sig.samples))
+        path.write_bytes(path.read_bytes().replace(b"\r\n", end, 1))
+        assert np.array_equal(_bits(load_signals(path).samples), _bits(sig.samples))
+
+    @pytest.mark.parametrize("body", list(_ODD_BODIES.values()), ids=list(_ODD_BODIES))
+    def test_odd_inputs_read_as_loadtxt_reads_them(self, tmp_path, body):
+        expected = loadtxt_rows(body, 3)
+        path = _short_file(tmp_path, b"time,ch0_re,ch0_im\r\n" + body)
+        if isinstance(expected, tuple):
+            line, message = expected
+            with pytest.raises(DomainError) as refused:
+                load_signals(path)
+            assert str(refused.value) == f"{path}:{line + 2}: {message}"
+        else:
+            assert np.array_equal(_bits(load_signals(path).samples.T), _bits(expected[:, 1:]))
 
     @pytest.mark.parametrize("rows", [55, 56])
     def test_rows_that_round_t_over_dt_but_miss_t(self, tmp_path, rows):
@@ -333,16 +371,19 @@ class TestSignalReader:
         else:
             assert np.array_equal(load_signals(path).samples, sig.samples)
 
-    def test_peak_memory_is_the_samples_and_one_block(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_peak_memory_is_the_samples_and_one_block(self, tmp_path, monkeypatch, end):
         # The reader writes each block's sample columns into the one table the
-        # samples view. Bound: the samples plus one block's temporaries, at most
-        # 12 bytes per byte of READ_BLOCK (the buffer, its separators, and the
-        # field kernel's arrays of one entry per field of 18 or more bytes).
+        # samples view, whatever the line ends. Bound: the samples plus one
+        # block's temporaries, at most 12 bytes per byte of READ_BLOCK (the
+        # buffer, its separators, and the field kernel's arrays of one entry
+        # per field of 18 or more bytes).
         monkeypatch.setattr(_floattext, "READ_BLOCK", 1 << 16)
         sig = synthesize_oscillations([11.0, 13.0], 8.0, 1 / 1024, 5.0, 8,
                                       np.random.default_rng(3))
         path = tmp_path / "signals.csv"
         save_signals(sig, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", end))
         assert path.stat().st_size > 30 * _floattext.READ_BLOCK  # many blocks
         load_signals(path)  # imports and first-call caches
         tracemalloc.start()
@@ -883,9 +924,13 @@ class TestRefusedConfigs:
         ({"window": 1e300}, "window 1e+300 at dt=0.015625 is 6.4e+301 samples, too many"),
         ({"signals": {**_SIM["signals"], "dt": 0.03}},
          "window 1.0 is not an integer number of dt=0.03 steps"),
+        ({"kind": "vonmises", "frequency": 1e308, "kappa": 0.5},
+         "the phase 2*pi*f*T overflows at frequency 1e+308 and window 1.0"),
+        ({"kind": "vonmises", "frequency": 1.0, "kappa": 710.0},
+         "modulation strength must be at most 700.0, got 710.0"),
     ], ids=["zero-dt", "nan-dt", "undersampled", "unit-model-after-signals", "no-channels",
             "no-components", "no-units", "no-trials", "inf-window", "inf-kappa", "unknown-kind",
-            "huge-window", "off-grid-window"])
+            "huge-window", "off-grid-window", "overflowing-phase", "huge-kappa"])
     def test_simulate(self, tmp_path, capsys, change, message):
         # Each signals block here is refused before any unit is drawn, and each
         # unit model after the signals are drawn; neither leaves a file behind.
@@ -910,15 +955,35 @@ class TestRefusedConfigs:
         ({"experiment": "moment-oracle", "replicates": None, "trials": 1},
          "moment-oracle needs at least two trials"),
         ({"experiment": "bias-curve", "trials": 10, "windows": []}, "bias-curve needs windows"),
+        ({"frequency": 1e308}, "window must hold an integer number of cycles, got f*T=inf"),
+        ({"experiment": "univar-coupled", "kappa": 710.0},
+         "kappa: modulation strength must be at most 700.0, got 710.0"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
-            "one-moment-trial", "no-windows"])
+            "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         doc = {k: v for k, v in {**_EXPERIMENT, **change}.items() if v is not None}
         path.write_text(json.dumps(doc))
         code, err = _run(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
         self._refused(code, err, f"{path}: {message}", tmp_path / "o")
+
+    @pytest.mark.parametrize("phase, options, message", [
+        ("linear:inf", None, "frequency and window must be positive and finite, got inf and 2.0"),
+        ("linear:1e308", None, "the phase 2*pi*f*T overflows at frequency 1e+308 and window 2.0"),
+        ("linear:1", {"kappa": 701.0}, "modulation strength must be at most 700.0, got 701.0"),
+    ], ids=["inf-frequency", "overflowing-phase", "huge-kappa"])
+    def test_analyze(self, tmp_path, capsys, phase, options, message):
+        # The phases used to write NaN and Infinity, which are not JSON, into
+        # univariate.json; the kappa raised OverflowError in bessel_i.
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        argv = ["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", phase,
+                "--out", str(tmp_path / "o")]
+        if options is not None:
+            (tmp_path / "opt.json").write_text(json.dumps(options))
+            argv += ["--config", str(tmp_path / "opt.json")]
+        code, err = _run(capsys, argv)
+        self._refused(code, err, message, tmp_path / "o")
 
     def test_simulate_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
         # Past numpy's limit its Poisson draw raises a bare "ValueError: lam value too large".
@@ -944,8 +1009,8 @@ class TestRefusedConfigs:
     ], ids=["spikes-field", "sidecar", "header", "row", "row-past-the-first-buffer"])
     def test_analyze_refuses_a_byte_that_is_not_utf8(self, tmp_path, capsys, name, line, old,
                                                       new):
-        # The text reads decode a whole buffer at once, so a bad byte on row 2
-        # surfaces in the header read and one on row 200 in numpy's reader.
+        # The header is decoded alone, and each row is decoded where the reader
+        # refuses it, so a bad byte is named on its own line.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
         rng = np.random.default_rng(2)
         save_signals(synthesize_oscillations([4.0], 2.0, 1 / 128, 5.0, 1, rng),

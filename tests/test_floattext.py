@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikefield import _floattext
+from spikefield import _floattext, cli_io
 from spikefield.cli_io import save_signals
 from spikefield.signals import SignalMatrix
+
+from oracles import loadtxt_rows
 
 
 def _repr_bytes(values) -> bytes:
@@ -103,12 +105,6 @@ class TestFloatText:
         assert lengths.tolist() == expected
 
 
-def _loadtxt_rows(text: bytes):
-    """The reference: numpy.loadtxt on the same lines."""
-    return np.loadtxt(io.StringIO(text.decode(), newline=""), delimiter=",", comments=None,
-                      ndmin=2)
-
-
 def _csv(fields, columns: int) -> bytes:
     """CRLF lines of ``columns`` fields, each line after a time field, as in a signal file."""
     fields = fields + ["1.5"] * (-len(fields) % columns)
@@ -137,10 +133,9 @@ def _read_like_loadtxt(fields, columns=3, monkeypatch=None):
     counter = _CountingNumber(_floattext._NUMBER)
     if monkeypatch is not None:
         monkeypatch.setattr(_floattext, "_NUMBER", counter)
-    got = _floattext.read_rows(io.BytesIO(text), text.count(b"\n"), columns + 1)
-    assert got is not None
-    expected = _loadtxt_rows(text)[:, 1:]
-    assert got.shape == expected.shape
+    got, count, finite = _floattext.read_rows(io.BytesIO(text), text.count(b"\n"), columns + 1)
+    expected = loadtxt_rows(text, columns + 1)[:, 1:]
+    assert (got.shape, count, finite) == (expected.shape, len(expected), True)
     bad = np.flatnonzero(got.view(np.uint64).ravel() != expected.view(np.uint64).ravel())
     assert bad.size == 0, [fields[i] for i in bad[:5]]
     return counter.fields
@@ -177,6 +172,22 @@ _ODD_FIELDS = [
 ]
 
 
+# Fields of a CSV line: numbers as repr writes them and in other forms,
+# padded with Unicode whitespace or not, nan and infinities, and junk.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(v).encode()),
+    st.sampled_from([b"+1.5", b".5", b"5.", b"1E5", b"-0.0", b"00.5", b"-.5e-3", b"1e400"]),
+)
+_SPECIAL = st.sampled_from([b"nan", b"-inf", b"Infinity", b"+NaN", b"iNf"])
+_JUNK = st.sampled_from([b"", b"x", b"1e", b"1_0", b"0x10", b".", b"-", b"1.2.3", b"1 2", b"\x00",
+                         b"\xc3\xa9", b"\xff", b"nan(1)", b'"2"', b"--1"])
+_PADDING = st.sampled_from([b"", b"", b"", b" ", b"\t", b"\xc2\xa0", b"\x0b", b"\x1c", b"\xe3\x80\x80"])
+_FIELD = st.tuples(_PADDING, st.one_of(_NUMBERS, _NUMBERS, _SPECIAL, _JUNK), _PADDING).map(b"".join)
+_LINES = st.one_of(st.lists(_FIELD, min_size=3, max_size=3), st.lists(_FIELD, max_size=5),
+                   st.just([b""]), st.just([b" \t"])).map(b",".join)
+_ENDS = st.sampled_from([b"\r\n", b"\n", b"\r"])
+
+
 class TestReadRows:
     """read_rows reads the writer's CSV rows to the bits numpy.loadtxt reads from them."""
 
@@ -188,9 +199,9 @@ class TestReadRows:
         save_signals(SignalMatrix(samples, dt=1e-3), tmp_path / "signals.csv")
         text = (tmp_path / "signals.csv").read_bytes()
         data = text[text.index(b"\n") + 1:]
-        got = _floattext.read_rows(io.BytesIO(data), q, 11)
-        assert got is not None
-        assert np.array_equal(got.view(np.uint64), _loadtxt_rows(data)[:, 1:].view(np.uint64))
+        got, count, finite = _floattext.read_rows(io.BytesIO(data), q, 11)
+        assert (count, finite) == (q, True)
+        assert np.array_equal(got.view(np.uint64), loadtxt_rows(data, 11)[:, 1:].view(np.uint64))
         assert np.array_equal(got.view(complex).T, samples)
 
     def test_normal_samples_take_the_integer_path(self, monkeypatch):
@@ -237,29 +248,42 @@ class TestReadRows:
         _read_like_loadtxt([("-" if neg else "") + whole + "." + fraction
                             for neg, whole, fraction in parts], 2)
 
-    @pytest.mark.parametrize("text", [
-        b"1.0,2.0\n3.0,4.0\n",  # LF line ends
-        b"1.0,2.0\r\n\r\n3.0,4.0\r\n",  # a blank line
-        b"1.0,2.0\r\n3.0,4.0",  # no line end after the last row
-        b"1.0,2.0,3.0\r\n",  # a row too long
-        b"1.0\r\n",  # a row too short
-        b"1.0,nan\r\n", b"1.0,inf\r\n", b"1.0, 2.0\r\n", b"1.0,x\r\n", b"1.0,\r\n",
-        b"1.0,1-2.0\r\n", b"1.0,2.0\r\r\n", b"1.0,1_0.0\r\n", b"1.0,0x10\r\n",
-        b"1.0,1.2:\r\n", b"1.0,:.5\r\n", b"1.0,1./\r\n", b"1.0,.\r\n", b"1.0,-.\r\n",
-        b"1.2.3,45\r\n", b"1.0\r\n2.0,3.0,4.0\r\n", b"1.0,2.0\r\n\x00\r\n",
-        b"1.0,1e400\r\n", b"-1e400,1.0\r\n", b"1.0,2.0\r\n3.0,4.0\n\r\n", b"1.0,2.0\r5\n",
-        b"",  # no rows at all
-    ], ids=["lf", "blank-line", "no-final-line-end", "long-row", "short-row", "nan", "inf",
-            "space", "word", "empty-field", "inner-minus", "double-cr", "underscore", "hex",
-            "colon-fraction", "colon-whole", "slash", "point", "minus-point", "two-points",
-            "rows-off-by-one", "nul-line", "overflow", "negative-overflow", "lf-then-crlf",
-            "byte-between-cr-and-lf", "empty"])
-    def test_anything_else_is_left_to_the_caller(self, text):
-        assert _floattext.read_rows(io.BytesIO(text), max(text.count(b"\n"), 1), 2) is None
+    @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 10 ** 6])
+    def test_capacity_keeps_the_leading_rows(self, capacity):
+        # Every line is read and counted; the table keeps the first ``capacity`` of them.
+        got, count, finite = _floattext.read_rows(io.BytesIO(b"1.0,2.0\r\n3.0,4.0\r\n"), capacity, 2)
+        assert (got.shape, count, finite) == ((capacity, 1), 2, True)
+        assert got[:2, 0].tolist() == [2.0, 4.0][:capacity]
 
-    @pytest.mark.parametrize("rows", [0, 1, 3, 10 ** 6, 2 ** 62])  # the last, no array could hold
-    def test_a_row_count_other_than_the_files(self, rows):
-        assert _floattext.read_rows(io.BytesIO(b"1.0,2.0\r\n3.0,4.0\r\n"), rows, 2) is None
+    @given(st.lists(st.tuples(_LINES, _ENDS), max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_reads_as_loadtxt_reads_it(self, lines, final_end):
+        # The bits numpy.loadtxt reads, or a refusal of the first line off the
+        # grammar: loadtxt reads the lines before it, and refuses the text that
+        # ends with it on that line, with the same message past the first line
+        # (on the first, loadtxt converts the fields before it counts them). A
+        # refused text is one loadtxt refuses too.
+        body = b"".join(line + end for line, end in lines)
+        if lines and not final_end:
+            body = body[:-len(lines[-1][1])]
+        expected = loadtxt_rows(body, 3)
+        try:
+            got, count, finite = _floattext.read_rows(io.BytesIO(body), 8, 3)
+        except _floattext.BadLine as bad:
+            assert isinstance(expected, tuple)
+            line, text, _ = bad.args
+            through = body.splitlines(keepends=True)[:line + 1]
+            assert text == through[-1].rstrip(b"\r\n")
+            index, message = loadtxt_rows(b"".join(through), 3)
+            assert index == line
+            if index:
+                assert str(cli_io._bad_line("s.csv", bad, 3)) == f"s.csv:{index + 2}: {message}"
+        else:
+            assert not isinstance(expected, tuple), expected
+            assert count == len(expected)
+            if count:
+                assert np.array_equal(got[:count].view(np.uint64), expected[:, 1:].view(np.uint64))
+                assert finite == bool(np.isfinite(expected[:, 1:]).all())
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_blocks_split_inside_a_line(self, monkeypatch, block):
@@ -267,8 +291,8 @@ class TestReadRows:
         monkeypatch.setattr(_floattext, "READ_BLOCK", block)
         values = np.random.default_rng(13).standard_normal(600) * 1e3
         text = _csv(list(map(repr, values.tolist())), 3)
-        got = _floattext.read_rows(io.BytesIO(text), 200, 4)
-        assert np.array_equal(got.ravel(), values)
+        got, count, _ = _floattext.read_rows(io.BytesIO(text), 200, 4)
+        assert count == 200 and np.array_equal(got.ravel(), values)
 
     @pytest.mark.parametrize("fields", [
         ["1.5e+300", "-2.5e+16", "1e+22"],  # an exponent's '+' sits inside its field

@@ -54,6 +54,12 @@ class TestIntensityModels:
         with pytest.raises(DomainError):
             SinusoidRate(30.0, 0.3, 0, 0.0, 1.0)
 
+    def test_rejects_kappa_past_the_range_of_exp(self):
+        # max_rate() = rate0 * exp(kappa) raised OverflowError at 710.
+        assert VonMisesRate(20.0, 700.0, 0.0, LinearPhase(1.0, 5.0)).max_rate() < math.inf
+        with pytest.raises(DomainError, match="modulation strength must be at most 700.0, got 710.0"):
+            VonMisesRate(20.0, 710.0, 0.0, LinearPhase(1.0, 5.0))
+
     @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
     def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
         with pytest.raises(DomainError, match="phase offset must be finite"):

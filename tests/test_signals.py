@@ -20,6 +20,19 @@ class TestPhaseModels:
         ph = LinearPhase(frequency=1.0, window=1.0)
         assert ph.phase(0.25) == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize("frequency, window, message", [
+        (0.0, 1.0, "positive and finite, got 0.0 and 1.0"),
+        (math.inf, 1.0, "positive and finite, got inf and 1.0"),
+        (math.nan, 1.0, "positive and finite, got nan and 1.0"),
+        (1.0, math.inf, "positive and finite, got 1.0 and inf"),
+        (1e308, 2.0, r"the phase 2\*pi\*f\*T overflows at frequency 1e\+308 and window 2.0"),
+        (1e154, 1e154, r"the phase 2\*pi\*f\*T overflows"),
+    ], ids=["zero", "inf", "nan", "inf-window", "overflowing", "overflowing-product"])
+    def test_linear_phase_refuses_a_phase_that_is_not_finite(self, frequency, window, message):
+        # Each used to give NaN phases: NaN PLVs, or rates that thinned away every spike.
+        with pytest.raises(DomainError, match=message):
+            LinearPhase(frequency, window)
+
 
 class TestSynthesize:
     def test_single_clean_component(self):

@@ -119,6 +119,14 @@ class TestVonMisesLaw:
         with pytest.raises(DomainError):
             plv_asymptotics_vonmises(-0.5, 0.0, 20.0, 5.0)
 
+    @pytest.mark.parametrize("kappa, message", [
+        (math.nan, "must be >= 0, got nan"), (math.inf, "must be >= 0, got inf"),
+        (700.5, "must be at most 700.0, got 700.5"),  # I_k(kappa) overflowed past 700
+    ], ids=["nan", "inf", "past-700"])
+    def test_rejects_kappa_as_the_rate_model_does(self, kappa, message):
+        with pytest.raises(DomainError, match=f"modulation strength {message}"):
+            plv_asymptotics_vonmises(kappa, 0.0, 20.0, 5.0)
+
     @pytest.mark.parametrize("offset", [math.inf, math.nan])
     def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
         with pytest.raises(DomainError, match="phase offset must be finite"):
