@@ -40,6 +40,10 @@ checked before the row count: a file of q rows is accepted when
 must be finite. The sidecar's ``dt`` and ``T`` must be positive and
 finite, and ``p`` at least 1.
 
+The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
+Mises law, which holds over whole cycles only: it is refused when f*T of
+the phase over the spikes' window is more than 1e-9 from an integer.
+
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
 experiment report does not change the exit code.
@@ -61,7 +65,14 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .harness import ExperimentConfig, Tolerance, run_experiment
 from .multicoupling import normalize, spectrum, whitened_coupling
 from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
-from .signals import LinearPhase, SignalMatrix, synthesize_oscillations, whiten
+from .signals import (
+    LinearPhase,
+    SignalMatrix,
+    _check_whole_cycles,
+    _check_window,
+    synthesize_oscillations,
+    whiten,
+)
 from .specfun import mp_density
 from .unicoupling import estimate_plv, plv_asymptotics_vonmises, plv_null_test
 
@@ -283,9 +294,7 @@ def load_signals(csv_path) -> SignalMatrix:
     sidecar = _sidecar(csv_path)
     meta = _fields(_read_json(sidecar), sidecar, _SIDECAR_KINDS, required=_SIDECAR_KINDS)
     for key in ("dt", "T"):
-        if not (math.isfinite(meta[key]) and meta[key] > 0):
-            raise DomainError(f"{sidecar}: field {key!r} must be positive and finite, "
-                              f"got {meta[key]!r}")
+        _check_window(meta[key], f"{sidecar}: field {key!r}")
     if meta["p"] < 1:
         raise DomainError(f"{sidecar}: field 'p' must be at least 1, got {meta['p']}")
     dt, window, p = meta["dt"], meta["T"], meta["p"]
@@ -536,9 +545,7 @@ _OPTION_KINDS = {"kappa": "float", "phase_offset": "float"}
 
 
 def _json_matrix(values) -> str:
-    """``json.dumps(values.tolist())`` of a 2-D float64 array, its finite values by repr_lines."""
-    if not (values.size and np.isfinite(values).all()):
-        return json.dumps(values.tolist())
+    """``json.dumps(values.tolist())`` of a nonempty 2-D array of finite float64 values."""
     from ._floattext import repr_lines  # loaded only by the commands that write floats
 
     return "[[" + repr_lines(values, b", ", b"], [")[0][:-4].decode() + "]]"
@@ -559,6 +566,8 @@ def _cmd_analyze(args) -> int:
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
+        if "kappa" in options:  # the von Mises law holds over whole cycles only
+            _check_whole_cycles(phase)
         totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):

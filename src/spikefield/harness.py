@@ -9,8 +9,11 @@ bytes apart from the runtime field.
 
 All experiments share one skeleton. ``run_experiment`` calls the
 experiment's runner from ``EXPERIMENTS`` on a config that is valid from
-construction, and builds the one ``ExperimentReport`` (experiment, config,
-master seed, runtime); a runner returns only its targets, aggregates,
+construction: the config is checked by building what its runner builds
+(phases, rate models, the synthesis grid, ``simulate_poisson``'s bounds),
+so each parameter rule is the check of the module that owns it. It then
+builds the one ``ExperimentReport`` (experiment, config, master seed,
+runtime); a runner returns only its targets, aggregates,
 replicates, verdicts and plot data. The PLV experiments draw their
 replicates from ``_plv_replicates`` (replicate i of block b uses seed
 index ``b * replicates + i``) and judge each case against its asymptotic
@@ -42,21 +45,12 @@ from .pointproc import (
     SinusoidRate,
     SpikeData,
     VonMisesRate,
-    _candidate_count,
-    _check_harmonic,
-    _check_kappa,
     _check_phase_offset,
-    _check_rate0,
+    _thinning_bound,
     fourth_moment_oracle,
     simulate_poisson,
 )
-from .signals import (
-    LinearPhase,
-    _check_phase_noise,
-    _check_sampling,
-    _sample_count,
-    synthesize_oscillations,
-)
+from .signals import LinearPhase, _check_grid, _check_whole_cycles, synthesize_oscillations
 from .specfun import mp_density, mp_law
 from .unicoupling import (
     estimate_plv,
@@ -113,7 +107,11 @@ class ExperimentConfig:
     A field the experiment does not read stays unset, and setting one is
     refused, as are a tolerance name it does not judge and every parameter
     out of its domain. All of it is checked here, before any replicate
-    runs, and the config is frozen, so it stays valid.
+    runs, and the config is frozen, so it stays valid. Only the harness's
+    own rules are written here (replicates, trials, units, tolerance kinds,
+    bias-curve windows, the sinusoid harmonic pairing); every other field
+    goes through the check of the model, phase, synthesis grid or sampler
+    that the runner builds from it.
     """
 
     experiment: str
@@ -303,54 +301,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _positive_finite(x) -> bool:
-    return 0.0 < x < math.inf  # NaN fails every comparison
-
-
-_MODEL_CHECKS = {"rate0": _check_rate0, "kappa": _check_kappa, "phase_offset": _check_phase_offset,
-                 "rate_harmonic": _check_harmonic, "phase_harmonic": _check_harmonic,
-                 "noise_kappa": _check_phase_noise}
-
-
 def _validate(config: ExperimentConfig) -> None:
-    # Surface parameter problems before any replicate runs, judging only the
-    # fields the experiment reads; the others are unset.
+    # The harness's own rules. Every other field the experiment reads is
+    # checked by building what its runner builds, before any replicate runs.
     reads = _DEFAULTS[config.experiment]
+    multivar = config.experiment.startswith("multivar")
     if "replicates" in reads and config.replicates < 2:
         raise ConfigurationError("need at least two replicates")
     if config.trials < 1:
         raise ConfigurationError("need at least one trial per replicate")
     if config.experiment == "moment-oracle" and config.trials < 2:
         raise ConfigurationError("moment-oracle needs at least two trials for a standard error")
-    if not (config.rate0 > 0.0 and ("window" not in reads or _positive_finite(config.window))):
-        raise ConfigurationError("rate0 and window must be positive, and window finite")
-    if "frequency" in reads and not _positive_finite(config.frequency):
-        raise ConfigurationError(f"frequency must be positive and finite, got {config.frequency}")
-    for name, check in _MODEL_CHECKS.items():  # the models' own checks, run early
-        if name in reads:
-            try:
-                check(getattr(config, name))
-            except DomainError as exc:
-                raise ConfigurationError(f"{name}: {exc}") from None
-    if "depth" in reads and not (0.0 <= config.depth <= 1.0):
-        raise ConfigurationError(
-            f"modulation depth must satisfy 0 <= depth <= 1, got {config.depth}"
-        )
+    if multivar and config.units < 1:
+        raise ConfigurationError(f"need at least one unit, got {config.units}")
     defaults = reads["tolerances"]
     for name, tol in config.tolerances.items():
         # Exactly the verdicts whose default bound is se_multiple carry a standard error.
         if tol.kind == "se_multiple" and defaults[name].kind != "se_multiple":
             raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
-    if config.experiment == "bias-curve":
-        windows = list(config.windows)
-        if not (windows and all(map(_positive_finite, windows))):
-            raise ConfigurationError(f"bias-curve needs windows, all positive and finite: {windows}")
-    if config.experiment in ("univar-null", "univar-coupled"):
-        cycles = config.frequency * config.window
-        if not math.isfinite(cycles) or abs(cycles - round(cycles)) > 1e-9:
-            raise ConfigurationError(
-                f"window must hold an integer number of cycles, got f*T={cycles}"
-            )
+    if config.experiment == "bias-curve" and not config.windows:
+        raise ConfigurationError("bias-curve needs windows, got none")
     if config.experiment == "sinusoid-uncoupled":
         # The matched case (rate harmonic == phase harmonic) runs alongside the
         # mismatched one, whose rate harmonic comes from the config.
@@ -363,34 +333,29 @@ def _validate(config: ExperimentConfig) -> None:
                 "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
                 "not covered by the closed form; pick another harmonic"
             )
-    if config.experiment.startswith("multivar"):
-        if config.units < 1 or config.channels < 1:
-            raise ConfigurationError(
-                f"need at least one unit and one channel, got {config.units} and {config.channels}"
-            )
-        if not _positive_finite(config.dt):
-            raise ConfigurationError(f"dt must be positive and finite, got {config.dt}")
-        if not (config.components and all(map(_positive_finite, config.components))):
-            raise ConfigurationError(
-                f"components must be positive and finite frequencies, got {list(config.components)}"
-            )
-        for j, f in enumerate(config.components):
-            cycles = f * config.window
-            if not math.isfinite(cycles) or abs(cycles - round(cycles)) > 1e-9:
-                raise ConfigurationError(
-                    f"component {j} ({f} Hz) is not an integer number of cycles over {config.window} s"
-                )
-        # The synthesis grid's own checks: the sampling rate and the sample count.
-        _check_sampling(config.components, config.dt)
-        _sample_count(config.window, config.dt, max(config.channels, len(config.components)))
-    try:  # the phase model's own rules, and simulate_poisson's limit
+    try:
+        if config.experiment.startswith("univar"):  # the law holds over whole cycles
+            _check_whole_cycles(LinearPhase(config.frequency, config.window))
+        if multivar:
+            _check_grid(config.components, config.window, config.dt, config.noise_kappa,
+                        config.channels)
+            for f in config.components:  # so does the MP test, for every component
+                _check_whole_cycles(LinearPhase(f, config.window))
+        if "phase_offset" in reads:  # at kappa = 0 only the univariate law reads it
+            _check_phase_offset(config.phase_offset)
         for model, window in _thinned_models(config):
-            _candidate_count(model.max_rate(), window)
+            _thinning_bound(model, window)  # simulate_poisson's own rules
+        if config.experiment == "bias-curve":
+            for window in config.windows:
+                LinearPhase(config.frequency, window)
+        if config.experiment == "sinusoid-uncoupled":
+            LinearPhase(config.phase_harmonic / config.window, config.window)
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from None
 
 
-def _univar_model(config: ExperimentConfig, phase: LinearPhase):
+def _unit_model(config: ExperimentConfig, phase: LinearPhase):
+    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0."""
     if config.kappa == 0.0:
         return HomogeneousRate(config.rate0)
     return VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
@@ -408,7 +373,7 @@ def _thinned_models(config: ExperimentConfig) -> list:
     """(model, window) for every rate model the experiment's runner simulates."""
     name = config.experiment
     if name in ("univar-null", "univar-coupled"):
-        return [(_univar_model(config, LinearPhase(config.frequency, config.window)),
+        return [(_unit_model(config, LinearPhase(config.frequency, config.window)),
                  config.window)]
     if name == "sinusoid-uncoupled":
         return [(model, config.window) for model in _sinusoid_models(config).values()]
@@ -564,7 +529,7 @@ def _residual_histogram(z, law):
 
 def _run_univar(config: ExperimentConfig) -> dict:
     phase = LinearPhase(config.frequency, config.window)
-    model = _univar_model(config, phase)
+    model = _unit_model(config, phase)
     plvs, totals = _plv_replicates(config, model, phase, config.window)
     p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
@@ -628,19 +593,10 @@ def _run_sinusoid(config: ExperimentConfig) -> dict:
     return parts
 
 
-def _multivar_unit_models(config: ExperimentConfig):
-    comp = list(config.components)
-    models = []
-    for j in range(config.units):
-        if config.kappa == 0.0:
-            models.append(HomogeneousRate(config.rate0))
-        else:
-            f = comp[j % len(comp)]
-            models.append(
-                VonMisesRate(config.rate0, config.kappa, config.phase_offset,
-                             LinearPhase(f, config.window))
-            )
-    return models
+def _multivar_unit_models(config: ExperimentConfig) -> list:
+    comp = config.components
+    return [_unit_model(config, LinearPhase(comp[j % len(comp)], config.window))
+            for j in range(config.units)]
 
 
 def _run_multivar(config: ExperimentConfig) -> dict:

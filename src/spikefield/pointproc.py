@@ -7,14 +7,13 @@ which is exact for any bounded rate function: no time-discretization bias.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
-from .signals import LinearPhase
+from .signals import LinearPhase, _check_window
 from .specfun import _MAX_ARGUMENT
 
 __all__ = [
@@ -88,11 +87,9 @@ class SinusoidRate:
 
     def __post_init__(self):
         _check_rate0(self.rate0)
-        if not (0.0 <= self.depth <= 1.0):
-            raise DomainError(f"modulation depth must lie in [0, 1], got {self.depth!r}")
+        _check_depth(self.depth)
         _check_harmonic(self.harmonic)
-        if not (self.window > 0.0):
-            raise DomainError("window must be positive")
+        _check_window(self.window)
         _check_phase_offset(self.phase_offset)
 
     def rate(self, t):
@@ -131,6 +128,11 @@ def _check_kappa(kappa) -> None:
         raise DomainError(f"modulation strength must be at most {_MAX_ARGUMENT}, got {kappa!r}")
 
 
+def _check_depth(depth) -> None:
+    if not (0.0 <= depth <= 1.0):  # NaN fails every comparison
+        raise DomainError(f"modulation depth must lie in [0, 1], got {depth!r}")
+
+
 def _check_harmonic(harmonic) -> None:
     if not (isinstance(harmonic, (int, np.integer)) and harmonic >= 1):
         raise DomainError(f"harmonic must be a positive integer, got {harmonic!r}")
@@ -157,7 +159,7 @@ class SpikeData:
     __slots__ = ("window", "times", "offsets", "n_trials")
 
     def __init__(self, window, trains):
-        window = _checked_window(window)
+        window = _check_window(window)
         if not len(trains):
             raise DomainError("need at least one unit")
         n_trials = len(trains[0])
@@ -180,7 +182,7 @@ class SpikeData:
         Raises the constructor's errors; no copy. The caller vouches for the
         shape: n_trials >= 1 and n_units * n_trials + 1 offsets from 0.
         """
-        window = _checked_window(window)
+        window = _check_window(window)
         _check_events(window, times, offsets, n_trials)
         return cls._from_flat(window, times, offsets, n_trials)
 
@@ -216,13 +218,6 @@ class SpikeData:
         """All event times of one unit pooled across trials: a read-only view."""
         u = range(self.n_units)[unit]
         return self.times[self.offsets[u * self.n_trials]:self.offsets[(u + 1) * self.n_trials]]
-
-
-def _checked_window(window) -> float:
-    real = isinstance(window, numbers.Real) and not isinstance(window, bool)
-    if not (real and 0.0 < window < math.inf):
-        raise DomainError(f"window must be positive and finite, got {window!r}")
-    return float(window)
 
 
 def _check_events(window, t, offsets, n_trials) -> None:
@@ -261,15 +256,24 @@ def _flat_train(times, unit, trial) -> np.ndarray:
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
-def _candidate_count(max_rate: float, window: float) -> float:
-    """The expected thinning candidates per trial, max_rate * window, within numpy's Poisson limit."""
-    expected = max_rate * window
+def _thinning_bound(model: IntensityModel, window) -> tuple:
+    """``simulate_poisson``'s rules for a model and a window: (max_rate, max_rate * window).
+
+    The window is positive and finite, the dominating rate positive and
+    finite, and the expected candidate count per trial within numpy's
+    Poisson limit.
+    """
+    _check_window(window)
+    lam_max = model.max_rate()
+    if not math.isfinite(lam_max) or lam_max <= 0.0:
+        raise DomainError(f"dominating rate must be positive and finite, got {lam_max!r}")
+    expected = lam_max * window
     if not expected <= _POISSON_LAM_MAX:
         raise DomainError(
             f"expected candidate count per trial {expected!r} (max_rate * window) is past "
             f"the Poisson sampler's limit {_POISSON_LAM_MAX!r}"
         )
-    return expected
+    return lam_max, expected
 
 
 def simulate_poisson(
@@ -291,14 +295,9 @@ def simulate_poisson(
     candidate count per trial past numpy's Poisson limit is refused before
     anything is drawn.
     """
-    if not (0.0 < window < math.inf):
-        raise DomainError(f"window must be positive and finite, got {window!r}")
+    lam_max, expected = _thinning_bound(model, window)
     if trials < 1:
         raise DomainError("need at least one trial")
-    lam_max = model.max_rate()
-    if not math.isfinite(lam_max) or lam_max <= 0.0:
-        raise DomainError(f"dominating rate must be positive and finite, got {lam_max!r}")
-    expected = _candidate_count(lam_max, window)
     counts = rng.poisson(expected, size=trials)
     total = int(counts.sum())
     # Sorted uniform candidates per trial via the order-statistics
@@ -367,8 +366,7 @@ def fourth_moment_oracle(a, b, c, d, rate, horizon: float):
 
     Each of ``a, b, c, d, rate`` is a callable of time or a constant.
     """
-    if not (horizon > 0.0):
-        raise DomainError("horizon must be positive")
+    _check_window(horizon, "horizon")
     grid = np.linspace(0.0, horizon, 8193)
     va, vb, vc, vd, vr = (
         np.asarray(f(grid), dtype=float) if callable(f) else np.full_like(grid, float(f))

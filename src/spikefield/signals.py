@@ -10,6 +10,7 @@ subinterval when interpolating).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,36 @@ class LinearPhase:
     window: float
 
     def __post_init__(self):
-        if not (0.0 < self.frequency < math.inf and 0.0 < self.window < math.inf):
-            raise DomainError(f"frequency and window must be positive and finite, "
-                              f"got {self.frequency!r} and {self.window!r}")
+        if not (0.0 < self.frequency < math.inf):
+            raise DomainError(f"frequency must be positive and finite, got {self.frequency!r}")
+        _check_window(self.window)
         if not math.isfinite(2.0 * math.pi * self.frequency * self.window):
             raise DomainError(f"the phase 2*pi*f*T overflows at frequency {self.frequency!r} "
                               f"and window {self.window!r}")
 
     def phase(self, t):
         return 2.0 * math.pi * self.frequency * np.asarray(t, dtype=float)
+
+
+def _check_window(window, name="window") -> float:
+    """A window, or another span of time, as a float: a real number, positive and finite."""
+    real = isinstance(window, numbers.Real) and not isinstance(window, bool)
+    if not (real and 0.0 < window < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {window!r}")
+    return float(window)
+
+
+def _check_whole_cycles(phase: LinearPhase) -> None:
+    """Refuse a phase whose window is not a whole number of its cycles, to 1e-9 of a cycle.
+
+    The closed-form PLV laws and the multivariate experiments hold over
+    whole cycles only. f*T is finite: ``LinearPhase`` refuses a phase that
+    overflows.
+    """
+    cycles = phase.frequency * phase.window
+    if abs(cycles - round(cycles)) > 1e-9:
+        raise DomainError(f"window {phase.window} s must hold an integer number of cycles of "
+                          f"{phase.frequency} Hz, got f*T={cycles}")
 
 
 def _time_tolerance(window: float) -> float:
@@ -74,8 +96,7 @@ class SignalMatrix:
             raise DomainError("samples must be a (channels, times) array with >= 2 samples")
         if not np.isfinite(samples).all():
             raise DomainError("signal samples must be finite")
-        if not (self.dt > 0.0):
-            raise DomainError("dt must be positive")
+        _check_window(self.dt, "dt")
         self.samples = samples
 
     @classmethod
@@ -136,34 +157,38 @@ class SignalMatrix:
         return self.samples.sum(axis=1) * self.dt
 
 
-def _check_phase_noise(kappa) -> float:
-    """The phase-noise concentration synthesis accepts: finite, in [0, 1e12]."""
-    kappa = float(kappa)
+# numpy refuses an array of more bytes than this ("Maximum allowed size exceeded").
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _check_grid(components, window, dt, phase_noise_kappa, channels):
+    """The synthesis grid's rules; returns the frequencies, the concentration and q.
+
+    ``components`` is a nonempty list of positive finite frequencies, each
+    sampled at least 8 times per period by ``dt``; there is at least one
+    channel; the phase-noise concentration is finite and within the
+    sampler's [0, 1e12]. The window is a whole number q >= 2 of steps, to
+    1e-9 of the window, whose (rows, q) complex array numpy can build, which
+    is checked before anything is allocated.
+    """
+    window, dt = _check_window(window), _check_window(dt, "dt")
+    freqs = np.asarray(components, dtype=float)
+    if freqs.ndim != 1 or len(freqs) < 1 or not np.all((freqs > 0.0) & (freqs < math.inf)):
+        raise DomainError(f"components must be a nonempty list of positive finite frequencies, "
+                          f"got {components!r}")
+    if channels < 1:
+        raise DomainError(f"need at least one channel, got {channels}")
+    kappa = float(phase_noise_kappa)
     if not (0.0 <= kappa < math.inf):  # NaN fails every comparison
         raise DomainError(f"phase_noise_kappa must be a nonnegative finite number, got {kappa!r}")
-    return _check_concentration(kappa)  # the sampler's own bound
-
-
-def _check_sampling(components, dt) -> None:
-    """Refuse a step that undersamples the fastest component (8 samples per period)."""
-    f_max = max(components)
+    kappa = _check_concentration(kappa)  # the sampler's own bound
+    f_max = float(freqs.max())
     if dt > 1.0 / (8.0 * f_max):
         raise ConfigurationError(
             f"dt={dt} undersamples the {f_max} Hz component; need dt <= {1.0 / (8.0 * f_max):g}"
             " (8 samples per period)"
         )
-
-
-# numpy refuses an array of more bytes than this ("Maximum allowed size exceeded").
-_MAX_BYTES = np.iinfo(np.intp).max
-
-
-def _sample_count(window, dt, rows) -> int:
-    """The q samples of [0, window) at step dt, for ``rows`` complex rows.
-
-    Refuses a grid whose (rows, q) complex array numpy cannot build, before
-    anything is allocated, and a window that is not a whole number of steps.
-    """
+    rows = max(channels, len(freqs))
     q = window / dt
     if not q * 16.0 * rows <= _MAX_BYTES:  # also refuses an overflow to inf
         raise ConfigurationError(
@@ -171,10 +196,9 @@ def _sample_count(window, dt, rows) -> int:
             f"of {rows} rows"
         )
     q = int(round(q))
-    # The same relative slack as the integer-cycles rule of the experiments.
     if q < 2 or abs(q * dt - window) > 1e-9 * window:
         raise ConfigurationError(f"window {window} is not an integer number of dt={dt} steps")
-    return q
+    return freqs, kappa, q
 
 
 def synthesize_oscillations(
@@ -198,16 +222,7 @@ def synthesize_oscillations(
     into the channels' noise phasors (``von_mises_phasor``), which take the
     same draws as ``von_mises_sample(0, kappa, rng, (channels, q))``.
     """
-    if not (0.0 < window < math.inf and 0.0 < dt < math.inf):
-        raise DomainError(f"window and dt must be positive and finite, got {window!r} and {dt!r}")
-    freqs = np.asarray(components, dtype=float)
-    if freqs.ndim != 1 or len(freqs) < 1 or not np.all((freqs > 0.0) & (freqs < math.inf)):
-        raise DomainError("components must be a nonempty list of positive finite frequencies")
-    if channels < 1:
-        raise DomainError("need at least one channel")
-    kappa = _check_phase_noise(phase_noise_kappa)
-    _check_sampling(freqs.tolist(), dt)
-    q = _sample_count(window, dt, max(channels, len(freqs)))
+    freqs, kappa, q = _check_grid(components, window, dt, phase_noise_kappa, channels)
 
     t = np.arange(q) * dt
     carriers = np.exp(1j * (2.0 * math.pi * freqs[:, None] * t[None, :]))

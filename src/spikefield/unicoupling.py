@@ -16,8 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .pointproc import IntensityModel, SpikeData, _check_kappa, _check_phase_offset
-from .signals import LinearPhase, _time_tolerance
+from .pointproc import (
+    IntensityModel,
+    SpikeData,
+    _check_depth,
+    _check_harmonic,
+    _check_kappa,
+    _check_phase_offset,
+    _check_rate0,
+)
+from .signals import LinearPhase, _check_window, _time_tolerance
 from .specfun import bessel_i
 
 __all__ = [
@@ -116,13 +124,16 @@ def plv_asymptotics_vonmises(
     nonzero.
     """
     _check_kappa(kappa)
-    if not (rate0 > 0.0 and window > 0.0):
-        raise DomainError("rate and window must be positive")
+    _check_rate0(rate0)
+    _check_window(window)
     _check_phase_offset(phase_offset)
     i0, i1, i2 = (bessel_i(k, kappa) for k in (0, 1, 2))
-    scale = 1.0 / (2.0 * rate0 * window * i0 * i0)
-    cov = np.diag([(i0 + i2) * scale, (i0 - i2) * scale])
     expected = rate0 * window * i0
+    if math.isfinite(2.0 * expected * i0):
+        spread = np.array([i0 + i2, i0 - i2]) * (1.0 / (2.0 * expected * i0))
+    else:  # I0^2 overflows past kappa ~ 355: divide by I0 first
+        spread = np.array([1.0 + i2 / i0, 1.0 - i2 / i0]) / (2.0 * expected)
+    cov = np.diag(spread)
     if ratio_correction:
         cov = cov - np.diag([(i1 / i0) ** 2 / expected, 0.0])
     return AsymptoticLaw(
@@ -155,12 +166,11 @@ def plv_asymptotics_sinusoid(
     (depth/2)^2 / expected_events and the law is reported in the frame
     rotated by exp(-i phase_offset).
     """
-    if not (0.0 <= depth <= 1.0):
-        raise DomainError(f"modulation depth must lie in [0, 1], got {depth!r}")
-    if rate_harmonic < 1 or phase_harmonic < 1:
-        raise DomainError("harmonics must be positive integers")
-    if not (rate0 > 0.0 and window > 0.0):
-        raise DomainError("rate and window must be positive")
+    _check_depth(depth)
+    _check_harmonic(rate_harmonic)
+    _check_harmonic(phase_harmonic)
+    _check_rate0(rate0)
+    _check_window(window)
     _check_phase_offset(phase_offset)
     matched = rate_harmonic == phase_harmonic
     limit = 0.5 * depth * np.exp(1j * phase_offset) if matched else 0j
@@ -190,8 +200,7 @@ def plv_limit_numeric(phase: LinearPhase, model: IntensityModel, window: float) 
     oscillation cycle; relative accuracy is far below 1e-8 for the smooth
     rates in this package.
     """
-    if not (window > 0.0):
-        raise DomainError("window must be positive")
+    _check_window(window)
     cycles = abs(float(phase.phase(window)) - float(phase.phase(0.0))) / (2.0 * math.pi)
     segments = min(8192, max(4, 2 * int(math.ceil(cycles))))
     edges = np.linspace(0.0, window, segments + 1)

@@ -771,6 +771,25 @@ class TestCliSimulateAnalyze:
         assert unit["z_re"] == pytest.approx(z.real / math.sqrt(var_re), rel=1e-9)
         assert unit["z_im"] == pytest.approx(z.imag / math.sqrt(var_im), rel=1e-9)
 
+    @pytest.mark.parametrize("kappa", [400.0, 700.0])
+    def test_analyze_law_fields_finite_at_large_kappa(self, tmp_path, kappa):
+        # Past kappa ~ 355 the law's I0^2 overflowed: z_re was NaN and z_im -Infinity.
+        save_spikes(_sample_spikes(units=1, seed=5), tmp_path / "s.json")
+        (tmp_path / "opt.json").write_text(json.dumps({"kappa": kappa}))
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:2",
+                     "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")]) == 0
+        (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+        assert all(math.isfinite(unit[key]) for key in ("z_re", "z_im", "law_limit_re"))
+
+    def test_analyze_phase_of_partial_cycles_needs_no_kappa(self, tmp_path):
+        # 1.3 Hz over the 2 s window is 2.6 cycles: the PLV is still estimated,
+        # and only the kappa option, whose law needs whole cycles, is refused.
+        save_spikes(_sample_spikes(units=1), tmp_path / "s.json")
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1.3",
+                     "--out", str(tmp_path / "o")]) == 0
+        (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+        assert "plv_re" in unit and "z_re" not in unit
+
 
 def _run(capsys, argv):
     """Run the CLI; return its exit code and stderr."""
@@ -906,10 +925,8 @@ class TestRefusedConfigs:
     """A refused config or input file exits 1 with one ``error:`` line and writes nothing."""
 
     @pytest.mark.parametrize("change, message", [
-        ({"signals": {**_SIM["signals"], "dt": 0.0}},
-         "window and dt must be positive and finite, got 1.0 and 0.0"),
-        ({"signals": {**_SIM["signals"], "dt": math.nan}},
-         "window and dt must be positive and finite, got 1.0 and nan"),
+        ({"signals": {**_SIM["signals"], "dt": 0.0}}, "dt must be positive and finite, got 0.0"),
+        ({"signals": {**_SIM["signals"], "dt": math.nan}}, "dt must be positive and finite, got nan"),
         ({"signals": {"components": [11.0], "channels": 2, "dt": 0.05}},
          "dt=0.05 undersamples the 11.0 Hz component"),
         ({"kind": "sinusoid", "depth": 1.5}, "modulation depth must lie in [0, 1], got 1.5"),
@@ -917,7 +934,7 @@ class TestRefusedConfigs:
         ({"signals": {**_SIM["signals"], "components": []}}, "components must be a nonempty list"),
         ({"units": 0}, "need at least one unit"),
         ({"trials": 0}, "need at least one trial"),
-        ({"window": math.inf}, "window and dt must be positive and finite, got inf and 0.015625"),
+        ({"window": math.inf}, "window must be positive and finite, got inf"),
         ({"kind": "vonmises", "frequency": 1.0, "kappa": math.inf},
          "modulation strength must be >= 0, got inf"),
         ({"kind": "poisson"}, "unknown simulation kind 'poisson'"),
@@ -940,24 +957,24 @@ class TestRefusedConfigs:
         self._refused(code, err, message, tmp_path / "o")
 
     @pytest.mark.parametrize("change, message", [
-        ({**_MULTIVAR, "units": 0}, "need at least one unit and one channel, got 0 and 4"),
+        ({**_MULTIVAR, "units": 0}, "need at least one unit, got 0"),
         ({**_MULTIVAR, "dt": 0.0}, "dt must be positive and finite, got 0.0"),
         ({**_MULTIVAR, "dt": math.nan}, "dt must be positive and finite, got nan"),
         ({**_MULTIVAR, "experiment": "multivar-coupled", "components": []},
-         "components must be positive and finite frequencies, got []"),
+         "components must be a nonempty list of positive finite frequencies, got ()"),
         ({"frequency": math.nan}, "frequency must be positive and finite, got nan"),
         ({"channels": 3, "depth": 0.9}, "univar-null reads no field(s) ['channels', 'depth']"),
         ({"experiment": "no-such-thing"}, "unknown experiment 'no-such-thing'"),
         ({"replicates": 1}, "need at least two replicates"),
-        ({"window": math.inf}, "rate0 and window must be positive, and window finite"),
+        ({"window": math.inf}, "window must be positive and finite, got inf"),
         ({"experiment": "sinusoid-uncoupled", "rate_harmonic": 2},
          "rate_harmonic = 2 * phase_harmonic"),
         ({"experiment": "moment-oracle", "replicates": None, "trials": 1},
          "moment-oracle needs at least two trials"),
         ({"experiment": "bias-curve", "trials": 10, "windows": []}, "bias-curve needs windows"),
-        ({"frequency": 1e308}, "window must hold an integer number of cycles, got f*T=inf"),
+        ({"frequency": 1e308}, "the phase 2*pi*f*T overflows at frequency 1e+308 and window 5.0"),
         ({"experiment": "univar-coupled", "kappa": 710.0},
-         "kappa: modulation strength must be at most 700.0, got 710.0"),
+         "modulation strength must be at most 700.0, got 710.0"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa"])
@@ -969,13 +986,16 @@ class TestRefusedConfigs:
         self._refused(code, err, f"{path}: {message}", tmp_path / "o")
 
     @pytest.mark.parametrize("phase, options, message", [
-        ("linear:inf", None, "frequency and window must be positive and finite, got inf and 2.0"),
+        ("linear:inf", None, "frequency must be positive and finite, got inf"),
         ("linear:1e308", None, "the phase 2*pi*f*T overflows at frequency 1e+308 and window 2.0"),
         ("linear:1", {"kappa": 701.0}, "modulation strength must be at most 700.0, got 701.0"),
-    ], ids=["inf-frequency", "overflowing-phase", "huge-kappa"])
+        ("linear:1.3", {"kappa": 0.5},
+         "window 2.0 s must hold an integer number of cycles of 1.3 Hz, got f*T=2.6"),
+    ], ids=["inf-frequency", "overflowing-phase", "huge-kappa", "partial-cycles-kappa"])
     def test_analyze(self, tmp_path, capsys, phase, options, message):
         # The phases used to write NaN and Infinity, which are not JSON, into
-        # univariate.json; the kappa raised OverflowError in bessel_i.
+        # univariate.json; the kappa raised OverflowError in bessel_i; the
+        # whole-cycles law was applied to 2.6 cycles.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
         argv = ["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", phase,
                 "--out", str(tmp_path / "o")]

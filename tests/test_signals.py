@@ -21,10 +21,10 @@ class TestPhaseModels:
         assert ph.phase(0.25) == pytest.approx(math.pi / 2)
 
     @pytest.mark.parametrize("frequency, window, message", [
-        (0.0, 1.0, "positive and finite, got 0.0 and 1.0"),
-        (math.inf, 1.0, "positive and finite, got inf and 1.0"),
-        (math.nan, 1.0, "positive and finite, got nan and 1.0"),
-        (1.0, math.inf, "positive and finite, got 1.0 and inf"),
+        (0.0, 1.0, "frequency must be positive and finite, got 0.0"),
+        (math.inf, 1.0, "frequency must be positive and finite, got inf"),
+        (math.nan, 1.0, "frequency must be positive and finite, got nan"),
+        (1.0, math.inf, "window must be positive and finite, got inf"),
         (1e308, 2.0, r"the phase 2\*pi\*f\*T overflows at frequency 1e\+308 and window 2.0"),
         (1e154, 1e154, r"the phase 2\*pi\*f\*T overflows"),
     ], ids=["zero", "inf", "nan", "inf-window", "overflowing", "overflowing-product"])
@@ -95,14 +95,18 @@ class TestSynthesize:
             synthesize_oscillations([3.0], window=1.0, dt=1 / 64, phase_noise_kappa=kappa,
                                     channels=2, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("window, dt", [
-        (1.0, 0.0), (1.0, -1 / 64), (1.0, math.nan), (1.0, math.inf), (math.inf, 1 / 64),
-        (math.nan, 1 / 64)], ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "inf-window",
-                                  "nan-window"])
-    def test_bad_grid_rejected(self, window, dt):
+    @pytest.mark.parametrize("window, dt, message", [
+        (1.0, 0.0, "dt must be positive and finite, got 0.0"),
+        (1.0, -1 / 64, "dt must be positive and finite, got -0.015625"),
+        (1.0, math.nan, "dt must be positive and finite, got nan"),
+        (1.0, math.inf, "dt must be positive and finite, got inf"),
+        (math.inf, 1 / 64, "window must be positive and finite, got inf"),
+        (math.nan, 1 / 64, "window must be positive and finite, got nan"),
+    ], ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "inf-window", "nan-window"])
+    def test_bad_grid_rejected(self, window, dt, message):
         # dt = 0 divided by zero, and a NaN or infinite step count failed to
         # round, each with a traceback.
-        with pytest.raises(DomainError, match="window and dt must be positive and finite"):
+        with pytest.raises(DomainError, match=message):
             synthesize_oscillations([3.0], window=window, dt=dt, phase_noise_kappa=0.0,
                                     channels=2, rng=np.random.default_rng(0))
 

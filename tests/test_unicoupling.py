@@ -132,6 +132,21 @@ class TestVonMisesLaw:
         with pytest.raises(DomainError, match="phase offset must be finite"):
             plv_asymptotics_vonmises(0.5, offset, 20.0, 5.0)
 
+    @pytest.mark.parametrize("kappa", [400.0, 700.0])
+    def test_large_kappa_covariance_is_finite_and_psd(self, kappa):
+        # Past kappa ~ 355, I0^2 overflowed: the covariance collapsed to 0 and
+        # the ratio-corrected Re variance went negative.
+        from scipy.special import ive
+
+        r1, r2 = ive(1, kappa) / ive(0, kappa), ive(2, kappa) / ive(0, kappa)
+        for corrected, want in ((False, (1 + r2, 1 - r2)), (True, (1 + r2 - 2 * r1**2, 1 - r2))):
+            law = plv_asymptotics_vonmises(kappa, 0.0, 20.0, 5.0, ratio_correction=corrected)
+            assert np.isfinite(law.cov).all() and (law.cov.diagonal() > 0.0).all()
+            # cov = diag(want) / (2 rate0 T I0), and expected_events = rate0 T I0.
+            scaled = 2.0 * law.expected_events * law.cov.diagonal()
+            assert scaled == pytest.approx(want, rel=1e-6)
+            assert law.limit.real == pytest.approx(r1, rel=1e-12)
+
     def test_ratio_correction_shifts_re_variance_only(self):
         base = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
         corr = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0, ratio_correction=True)
