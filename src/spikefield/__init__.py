@@ -32,7 +32,7 @@ from .signals import (
     synthesize_oscillations,
     whiten,
 )
-from .specfun import MpLaw, bessel_i, mp_cdf, mp_density, mp_law, von_mises_phasor, von_mises_sample
+from .specfun import MpLaw, mp_cdf, mp_density, mp_law, von_mises_phasor, von_mises_sample
 from .unicoupling import (
     AsymptoticLaw,
     estimate_plv,

@@ -109,7 +109,8 @@ class ExperimentConfig:
     out of its domain. All of it is checked here, before any replicate
     runs, and the config is frozen, so it stays valid. Only the harness's
     own rules are written here (replicates, trials, units, tolerance kinds,
-    bias-curve windows, the sinusoid harmonic pairing); every other field
+    bias-curve windows, the sinusoid harmonic pairing, multivar-null's zero
+    kappa); every other field
     goes through the check of the model, phase, synthesis grid or sampler
     that the runner builds from it.
     """
@@ -314,6 +315,9 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError("moment-oracle needs at least two trials for a standard error")
     if multivar and config.units < 1:
         raise ConfigurationError(f"need at least one unit, got {config.units}")
+    if config.experiment == "multivar-null" and config.kappa != 0.0:
+        raise ConfigurationError(f"multivar-null needs kappa = 0 (uncoupled units), got "
+                                 f"{config.kappa!r}; coupled units are multivar-coupled")
     defaults = reads["tolerances"]
     for name, tol in config.tolerances.items():
         # Exactly the verdicts whose default bound is se_multiple carry a standard error.

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DomainError
 from .signals import LinearPhase, _check_window
-from .specfun import _MAX_ARGUMENT
 
 __all__ = [
     "HomogeneousRate",
@@ -121,10 +120,15 @@ def _check_phase_offset(phase_offset) -> None:
         raise DomainError(f"phase offset must be finite, got {phase_offset!r}")
 
 
+# VonMisesRate's dominating rate rate0 * exp(kappa) overflows double just
+# above kappa = 709; stay clear of it.
+_MAX_ARGUMENT = 700.0
+
+
 def _check_kappa(kappa) -> None:
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise DomainError(f"modulation strength must be >= 0, got {kappa!r}")
-    if kappa > _MAX_ARGUMENT:  # past it, exp(kappa) and bessel_i overflow
+    if kappa > _MAX_ARGUMENT:
         raise DomainError(f"modulation strength must be at most {_MAX_ARGUMENT}, got {kappa!r}")
 
 

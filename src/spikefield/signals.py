@@ -166,10 +166,10 @@ def _check_grid(components, window, dt, phase_noise_kappa, channels):
 
     ``components`` is a nonempty list of positive finite frequencies, each
     sampled at least 8 times per period by ``dt``; there is at least one
-    channel; the phase-noise concentration is finite and within the
-    sampler's [0, 1e12]. The window is a whole number q >= 2 of steps, to
-    1e-9 of the window, whose (rows, q) complex array numpy can build, which
-    is checked before anything is allocated.
+    channel; the phase-noise concentration is within the sampler's
+    [0, 1e12]. The window is a whole number q >= 2 of steps, to 1e-9 of the
+    window, whose (rows, q) complex array numpy can build, which is checked
+    before anything is allocated.
     """
     window, dt = _check_window(window), _check_window(dt, "dt")
     freqs = np.asarray(components, dtype=float)
@@ -178,10 +178,7 @@ def _check_grid(components, window, dt, phase_noise_kappa, channels):
                           f"got {components!r}")
     if channels < 1:
         raise DomainError(f"need at least one channel, got {channels}")
-    kappa = float(phase_noise_kappa)
-    if not (0.0 <= kappa < math.inf):  # NaN fails every comparison
-        raise DomainError(f"phase_noise_kappa must be a nonnegative finite number, got {kappa!r}")
-    kappa = _check_concentration(kappa)  # the sampler's own bound
+    kappa = _check_concentration(phase_noise_kappa, "phase_noise_kappa")
     f_max = float(freqs.max())
     if dt > 1.0 / (8.0 * f_max):
         raise ConfigurationError(

@@ -1,10 +1,8 @@
-"""Special functions: modified Bessel I_k, the Marchenko-Pastur law, von Mises sampling.
+"""Special functions: the Marchenko-Pastur law and von Mises sampling.
 
-Self-contained numerics for the statistical machinery in the rest of the
-package. ``bessel_i`` switches from the ascending power series to the
-large-argument asymptotic expansion at x = 15; both branches are validated
-against adaptive quadrature of the integral representation in the test
-suite, which is kept independent of this module. The two von Mises
+Self-contained numerics for the multivariate test and the phase noise.
+The MP CDF is validated against adaptive quadrature of the density in the
+test suite, which is kept independent of this module. The two von Mises
 samplers share one Best-Fisher rejection core, which yields cos(theta) and
 a sign per draw: ``von_mises_sample`` turns them into angles and
 ``von_mises_phasor`` into unit phasors exp(i theta), from the same stream.
@@ -20,105 +18,8 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "bessel_i", "MpLaw", "mp_law", "mp_density", "mp_cdf", "von_mises_sample", "von_mises_phasor",
+    "MpLaw", "mp_law", "mp_density", "mp_cdf", "von_mises_sample", "von_mises_phasor",
 ]
-
-# Above this the ascending series needs enough terms that the asymptotic
-# expansion is both cheaper and at least as accurate (truncation error
-# ~exp(-2x) at optimal order).
-_SERIES_SWITCH = 15.0
-# exp(x) overflows double just above 709; stay clear of it.
-_MAX_ARGUMENT = 700.0
-
-
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind, integer order.
-
-    Parameters
-    ----------
-    order : int
-        Nonnegative integer order.
-    x : float
-        Nonnegative argument, at most 700.
-
-    Returns
-    -------
-    float
-        I_order(x), relative error <= 1e-10 over the supported range.
-    """
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {order!r}")
-    x = float(x)
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x!r}")
-    if x > _MAX_ARGUMENT:
-        raise OverflowError(f"argument {x} exceeds {_MAX_ARGUMENT}; exp(x) would overflow")
-    if x <= _SERIES_SWITCH:
-        return _series(order, x)
-    if order <= 1:
-        return _asymptotic(order, x)
-    return _miller(order, x)
-
-
-def _series(order: int, x: float) -> float:
-    # Ascending series: all terms positive, so no cancellation at any x.
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    # log(x) - log(2) rather than log(0.5*x): halving a subnormal x can
-    # underflow to zero.
-    half = 0.5 * x
-    t = math.exp(order * (math.log(x) - math.log(2.0)) - math.lgamma(order + 1))
-    total = t
-    j = 0
-    while t > total * 1e-18:
-        j += 1
-        t *= half * half / (j * (j + order))
-        total += t
-    return total
-
-
-def _asymptotic(order: int, x: float) -> float:
-    # I_k(x) ~ exp(x)/sqrt(2 pi x) * sum_m (-1)^m a_m(k) / x^m, truncated at
-    # the smallest term. For x > 15 that truncation error is ~exp(-2x).
-    mu = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    m = 0
-    while True:
-        m += 1
-        factor = -(mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        nxt = term * factor
-        if abs(nxt) >= abs(term):  # series started diverging
-            break
-        term = nxt
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.exp(x) * total / math.sqrt(2.0 * math.pi * x)
-
-
-def _miller(order: int, x: float) -> float:
-    # Downward (Miller) recurrence normalized against the asymptotic I_0,
-    # stable for every order. Start high enough that I_start/I_order is
-    # negligible: I_m(x)/I_0(x) ~ exp(-m^2/(2x)) for m << x.
-    start = order + int(math.sqrt(82.0 * x)) + 10
-    above = 0.0
-    here = 1e-30
-    at_order = 0.0
-    for j in range(start, 0, -1):
-        below = above + (2.0 * j / x) * here
-        above = here
-        here = below
-        if j - 1 == order:
-            at_order = here
-        if abs(here) > 1e250:
-            scale = 1e-250
-            here *= scale
-            above *= scale
-            at_order *= scale
-    # at_order/here = I_order/I_0 is in [0, 1]; scale by I_0 last so the
-    # intermediate never overflows even at x near 700.
-    return (at_order / here) * _asymptotic(0, x)
 
 
 @dataclass(frozen=True)
@@ -274,12 +175,11 @@ def von_mises_phasor(kappa: float, rng: np.random.Generator, size=None):
 _MAX_CONCENTRATION = 1e12
 
 
-def _check_concentration(kappa) -> float:
+def _check_concentration(kappa, name="concentration") -> float:
+    """A von Mises concentration, as a float in the sampler's [0, 1e12]."""
     kappa = float(kappa)
     if not (0.0 <= kappa <= _MAX_CONCENTRATION):  # NaN fails every comparison
-        raise DomainError(
-            f"concentration must be in [0, {_MAX_CONCENTRATION:g}], got {kappa!r}"
-        )
+        raise DomainError(f"{name} must be in [0, {_MAX_CONCENTRATION:g}], got {kappa!r}")
     return kappa
 
 

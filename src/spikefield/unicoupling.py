@@ -26,7 +26,6 @@ from .pointproc import (
     _check_rate0,
 )
 from .signals import LinearPhase, _check_window, _time_tolerance
-from .specfun import bessel_i
 
 __all__ = [
     "AsymptoticLaw",
@@ -122,22 +121,36 @@ def plv_asymptotics_vonmises(
     the limit direction by |limit|^2 / expected_events; Monte Carlo at
     large trial counts follows the corrected value whenever the limit is
     nonzero.
+
+    It is computed in the ratios r1 = I1/I0 and r2 = I2/I0 of the
+    exponentially scaled ``scipy.special.ive``, finite at every kappa the
+    rate model accepts (I0^2 overflows past kappa ~ 355): the limit is
+    exp(i phase_offset) r1, the covariance diag(1 + r2, 1 - r2) /
+    (2 expected_events), with expected_events = rate0 window I0. The
+    recurrence form 1 - r2 = 2 r1 / kappa would avoid the cancellation in
+    1 - r2 near kappa = 700, but ive(1, kappa) underflows to 0 at subnormal
+    kappa, where that form gives an Im variance of 0 instead of
+    1 / (2 expected_events). scipy is imported only for kappa > 0, so
+    that a process with no coupled law pays no import; at kappa = 0,
+    I0 = 1 and r1 = r2 = 0.
     """
     _check_kappa(kappa)
     _check_rate0(rate0)
     _check_window(window)
     _check_phase_offset(phase_offset)
-    i0, i1, i2 = (bessel_i(k, kappa) for k in (0, 1, 2))
+    if kappa == 0.0:
+        i0, r1, r2 = 1.0, 0.0, 0.0
+    else:
+        from scipy.special import ive  # exp(-kappa) I_k(kappa)
+
+        e0, e1, e2 = ive((0, 1, 2), kappa).tolist()
+        i0, r1, r2 = e0 * math.exp(kappa), e1 / e0, e2 / e0
     expected = rate0 * window * i0
-    if math.isfinite(2.0 * expected * i0):
-        spread = np.array([i0 + i2, i0 - i2]) * (1.0 / (2.0 * expected * i0))
-    else:  # I0^2 overflows past kappa ~ 355: divide by I0 first
-        spread = np.array([1.0 + i2 / i0, 1.0 - i2 / i0]) / (2.0 * expected)
-    cov = np.diag(spread)
+    cov = np.diag([1.0 + r2, 1.0 - r2]) / (2.0 * expected)
     if ratio_correction:
-        cov = cov - np.diag([(i1 / i0) ** 2 / expected, 0.0])
+        cov[0, 0] -= r1 * r1 / expected
     return AsymptoticLaw(
-        limit=np.exp(1j * phase_offset) * (i1 / i0),
+        limit=np.exp(1j * phase_offset) * r1,
         cov=cov,
         expected_events=expected,
         rotation=phase_offset,

@@ -2,6 +2,7 @@
 
 Everything here is deliberately implemented by a different route than the
 library code it checks: adaptive quadrature instead of series expansions,
+multiprecision arithmetic instead of double-precision library calls,
 brute-force enumeration instead of closed forms. Quadrature tolerances are
 held two orders below the tightest assertion that consumes them.
 """
@@ -9,6 +10,7 @@ held two orders below the tightest assertion that consumes them.
 import re
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -24,6 +26,27 @@ def bessel_quadrature(order: int, x: float) -> float:
         limit=200,
     )
     return val / np.pi
+
+
+def vonmises_law_mp(kappa: float, rate0: float, window: float) -> dict:
+    """The von Mises PLV law from mpmath's I_0, I_1, I_2 at 50 digits, rounded once to floats.
+
+    |limit| = I1/I0, expected count rate0 T I0, Re and Im variances
+    (I0 +/- I2) / (2 rate0 T I0^2), and the ratio-corrected Re variance,
+    which subtracts |limit|^2 / expected.
+    """
+    with mpmath.workdps(50):
+        i0, i1, i2 = (mpmath.besseli(n, mpmath.mpf(kappa)) for n in (0, 1, 2))
+        expected = mpmath.mpf(rate0) * mpmath.mpf(window) * i0
+        var_re = (i0 + i2) / (2 * expected * i0)
+        law = {
+            "limit": i1 / i0,
+            "expected_events": expected,
+            "var_re": var_re,
+            "var_im": (i0 - i2) / (2 * expected * i0),
+            "var_re_corrected": var_re - (i1 / i0) ** 2 / expected,
+        }
+        return {name: float(value) for name, value in law.items()}
 
 
 def mp_mass_quadrature(law) -> float:

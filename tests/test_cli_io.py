@@ -517,6 +517,21 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+
+def test_analyze_phase_without_kappa_loads_no_scipy(tmp_path):
+    # Only a kappa option evaluates the von Mises law, whose Bessel ratios
+    # come from scipy.special; the PLV and its null test need no scipy.
+    save_spikes(_sample_spikes(), tmp_path / "s.json")
+    argv = ["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+            "--out", str(tmp_path / "o")]
+    code = (f"import sys; from spikefield.cli_io import main; assert main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(spikefield.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 class TestExperimentConfigFile:
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -649,7 +664,8 @@ class TestCliSimulateAnalyze:
         )
         code = main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: phase_noise_kappa must be")
+        assert capsys.readouterr().err.startswith(
+            "error: phase_noise_kappa must be in [0, 1e+12], got ")
         assert not (tmp_path / "o" / "signals.csv").exists()
 
     @pytest.mark.parametrize("kind", ["sinusoid", "vonmises"])
@@ -975,9 +991,13 @@ class TestRefusedConfigs:
         ({"frequency": 1e308}, "the phase 2*pi*f*T overflows at frequency 1e+308 and window 5.0"),
         ({"experiment": "univar-coupled", "kappa": 710.0},
          "modulation strength must be at most 700.0, got 710.0"),
+        ({**_MULTIVAR, "kappa": 0.5},
+         "multivar-null needs kappa = 0 (uncoupled units), got 0.5; "
+         "coupled units are multivar-coupled"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
-            "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa"])
+            "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
+            "multivar-null-kappa"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         doc = {k: v for k, v in {**_EXPERIMENT, **change}.items() if v is not None}
@@ -994,8 +1014,8 @@ class TestRefusedConfigs:
     ], ids=["inf-frequency", "overflowing-phase", "huge-kappa", "partial-cycles-kappa"])
     def test_analyze(self, tmp_path, capsys, phase, options, message):
         # The phases used to write NaN and Infinity, which are not JSON, into
-        # univariate.json; the kappa raised OverflowError in bessel_i; the
-        # whole-cycles law was applied to 2.6 cycles.
+        # univariate.json; a kappa past the rate model's cap raised a bare
+        # OverflowError; the whole-cycles law was applied to 2.6 cycles.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
         argv = ["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", phase,
                 "--out", str(tmp_path / "o")]
@@ -1056,7 +1076,9 @@ class TestRefusedConfigs:
 # a tiny configuration (p = 6, n = 4, K = 3, T = 1 s, dt = 1/64, kappa = 0.8).
 # Any change to a number or to a file's formatting moves one of them; a change
 # that does so on purpose re-pins here and says so. univariate.json carries the
-# law fields of the kappa option, z_re against the ratio-corrected variance.
+# law fields of the kappa option, z_re against the ratio-corrected variance;
+# it was re-pinned when the law took its Bessel ratios from scipy.special.ive,
+# which moved law_limit_re and the z fields by ulps.
 _CLI_BYTES = {
     "data/spikes.json":
         "f444bf845040717b62e4f182a09a3bb2d8ba6f3606bf70a6a5317597826b546e",
@@ -1071,7 +1093,7 @@ _CLI_BYTES = {
     "analysis/esd.csv":
         "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
     "analysis/univariate.json":
-        "3db02c550f1e9178dee8a638f2e3132a50d73af29ee63aa4ef323f9b39ea9f64",
+        "3b6fd2036b4476565714dcc9ddee59bcbc608c0ca6a0e728b5d31d36ac80eb66",
 }
 
 # The same configuration with "whiten": false: the files analyze writes after

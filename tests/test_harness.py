@@ -77,6 +77,15 @@ class TestConfig:
             with pytest.raises(ConfigurationError, match="window must be positive and finite, got inf"):
                 ExperimentConfig(experiment=name, window=math.inf)
 
+    @pytest.mark.parametrize("kappa", [0.5, math.nan])
+    def test_multivar_null_refuses_coupled_units(self, kappa):
+        # A nonzero kappa built von Mises units without a phase offset, which
+        # escaped as a bare TypeError.
+        with pytest.raises(ConfigurationError,
+                           match=f"multivar-null needs kappa = 0 .*got {kappa}; "
+                                 "coupled units are multivar-coupled"):
+            ExperimentConfig(experiment="multivar-null", kappa=kappa)
+
     @pytest.mark.parametrize("name, change, message", [
         ("multivar-null", {"units": 0}, "at least one unit"),
         ("multivar-coupled", {"channels": 0}, "one channel"),
@@ -100,8 +109,9 @@ class TestConfig:
         ("sinusoid-uncoupled", {"rate_harmonic": 0}, "harmonic must be a positive integer, got 0"),
         ("sinusoid-uncoupled", {"phase_harmonic": 0}, "harmonic must be a positive integer, got 0"),
         ("multivar-null", {"noise_kappa": math.nan},
-         "phase_noise_kappa must be a nonnegative finite number, got nan"),
-        ("multivar-coupled", {"noise_kappa": 1e13}, r"concentration must be in \[0, 1e\+12\], got 1"),
+         r"phase_noise_kappa must be in \[0, 1e\+12\], got nan"),
+        ("multivar-coupled", {"noise_kappa": 1e13},
+         r"phase_noise_kappa must be in \[0, 1e\+12\], got 10000000000000.0"),
         ("multivar-null", {"dt": 0.05}, "dt=0.05 undersamples the 15.0 Hz component"),
         ("multivar-null", {"window": 1e300},
          r"window 1e\+300 at dt=0.0009765625 is 1.02e\+303 samples"),
@@ -449,10 +459,12 @@ class TestNormalKS:
             expected = kstest(x, "norm", args=(0.0, sd)).statistic
             assert harness._normal_ks(x, sd) == expected
 
-    def test_univar_null_loads_no_scipy_stats(self):
-        # Its gaussian_ks verdict takes the normal CDF from scipy.special alone.
+    @pytest.mark.parametrize("name", ["univar-null", "univar-coupled"])
+    def test_univar_loads_no_scipy_stats(self, name):
+        # The gaussian_ks verdict takes the normal CDF, and the coupled law its
+        # Bessel ratios, from scipy.special alone.
         code = ("import sys; from spikefield.harness import ExperimentConfig, run_experiment; "
-                "run_experiment(ExperimentConfig.defaults('univar-null', replicates=3, trials=20)); "
+                f"run_experiment(ExperimentConfig.defaults({name!r}, replicates=3, trials=20)); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         env = {**os.environ, "PYTHONPATH": str(Path(spikefield.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -474,9 +486,10 @@ _GOLDEN_BODIES = {
     ),
     "univar-coupled": (
         dict(replicates=12, trials=200),
-        # Re-pinned when univar-coupled gained its gaussian_ks verdict, judged
-        # against the ratio-corrected law; nothing else in the body moved.
-        "94b88b68ad7ca27a1c84de77d3ab4e97858d79aaec18a73be5eb58338b4a460e",
+        # Re-pinned when the law took its Bessel ratios from scipy.special.ive:
+        # the limit, the ratio-corrected variance and the statistics judged
+        # against them moved by ulps (at most 9e-15 relative); nothing else did.
+        "7b875b9eb67993a29ebe04b922fdf0fa4468cde460275b81f131ea51a8cb9002",
     ),
     "bias-curve": (
         dict(replicates=20),

@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefield import specfun
 from spikefield.errors import DomainError
 from spikefield.specfun import (
-    bessel_i,
     mp_cdf,
     mp_density,
     mp_law,
@@ -19,69 +18,6 @@ from spikefield.specfun import (
 )
 
 from oracles import bessel_quadrature, mp_cdf_quadrature, mp_mass_quadrature
-
-
-class TestBesselI:
-    def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
-        assert bessel_i(5, 0.0) == 0.0
-
-    def test_ratio_at_half(self):
-        # Frozen from the quadrature oracle: I1(0.5)/I0(0.5).
-        ratio = bessel_i(1, 0.5) / bessel_i(0, 0.5)
-        assert ratio == pytest.approx(0.24249961258080197, abs=1e-10)
-
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("x", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 14.9, 15.1, 17.0, 20.0])
-    def test_against_quadrature(self, order, x):
-        expected = bessel_quadrature(order, x)
-        assert bessel_i(order, x) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("x", [16.0, 50.0, 200.0, 700.0])
-    def test_large_argument_recurrence_consistency(self, x):
-        # I_{k-1} - I_{k+1} = (2k/x) I_k ties the Miller branch to the
-        # asymptotic branch without overflowing quadrature.
-        lhs = bessel_i(0, x) - bessel_i(2, x)
-        rhs = (2.0 / x) * bessel_i(1, x)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_higher_order_against_quadrature(self):
-        for order in (3, 6):
-            for x in (0.5, 8.0, 18.0):
-                assert bessel_i(order, x) == pytest.approx(
-                    bessel_quadrature(order, x), rel=1e-9
-                )
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(DomainError):
-            bessel_i(0, -1.0)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(DomainError):
-            bessel_i(-1, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i(1.5, 1.0)
-
-    def test_rejects_overflow_range(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0, 701.0)
-
-    @given(x=st.floats(min_value=0.1, max_value=20.0))
-    @settings(max_examples=60, deadline=None)
-    def test_three_term_recurrence(self, x):
-        lhs = bessel_i(0, x) - bessel_i(2, x)
-        rhs = (2.0 / x) * bessel_i(1, x)
-        assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-300)
-
-    @given(x=st.floats(min_value=0.0, max_value=100.0))
-    @example(x=5e-324)  # smallest subnormal: 0.5*x underflows to zero
-    @example(x=2.2250738585072014e-308)  # smallest normal
-    @settings(max_examples=60, deadline=None)
-    def test_order_monotonicity(self, x):
-        i0, i1, i2 = bessel_i(0, x), bessel_i(1, x), bessel_i(2, x)
-        assert i0 >= 1.0
-        assert i0 >= i1 >= i2 >= 0.0
 
 
 class TestMpLaw:
@@ -182,7 +118,7 @@ class TestVonMisesSample:
         n = 100_000
         rng = np.random.default_rng(int(kappa * 100))
         draws = von_mises_sample(0.0, kappa, rng, size=n)
-        i0, i1, i2 = (bessel_i(k, kappa) for k in (0, 1, 2))
+        i0, i1, i2 = (bessel_quadrature(k, kappa) for k in (0, 1, 2))
         target = i1 / i0
         # Var(Re mean of e^{i theta}) = (1 + I2/I0 - 2 R^2) / (2n)
         se = math.sqrt(max(1e-12, (1.0 + i2 / i0 - 2.0 * target**2) / (2.0 * n)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikefield.errors import DomainError, UndefinedEstimateError
 from spikefield.pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
@@ -20,6 +22,7 @@ from spikefield.unicoupling import (
 from oracles import (
     bessel_quadrature,
     partial_cycle_plv,
+    vonmises_law_mp,
     vonmises_plv_quadrature,
 )
 
@@ -121,7 +124,7 @@ class TestVonMisesLaw:
 
     @pytest.mark.parametrize("kappa, message", [
         (math.nan, "must be >= 0, got nan"), (math.inf, "must be >= 0, got inf"),
-        (700.5, "must be at most 700.0, got 700.5"),  # I_k(kappa) overflowed past 700
+        (700.5, "must be at most 700.0, got 700.5"),  # the rate model's exp(kappa) cap
     ], ids=["nan", "inf", "past-700"])
     def test_rejects_kappa_as_the_rate_model_does(self, kappa, message):
         with pytest.raises(DomainError, match=f"modulation strength {message}"):
@@ -132,20 +135,34 @@ class TestVonMisesLaw:
         with pytest.raises(DomainError, match="phase offset must be finite"):
             plv_asymptotics_vonmises(0.5, offset, 20.0, 5.0)
 
-    @pytest.mark.parametrize("kappa", [400.0, 700.0])
-    def test_large_kappa_covariance_is_finite_and_psd(self, kappa):
-        # Past kappa ~ 355, I0^2 overflowed: the covariance collapsed to 0 and
-        # the ratio-corrected Re variance went negative.
-        from scipy.special import ive
-
-        r1, r2 = ive(1, kappa) / ive(0, kappa), ive(2, kappa) / ive(0, kappa)
-        for corrected, want in ((False, (1 + r2, 1 - r2)), (True, (1 + r2 - 2 * r1**2, 1 - r2))):
-            law = plv_asymptotics_vonmises(kappa, 0.0, 20.0, 5.0, ratio_correction=corrected)
-            assert np.isfinite(law.cov).all() and (law.cov.diagonal() > 0.0).all()
-            # cov = diag(want) / (2 rate0 T I0), and expected_events = rate0 T I0.
-            scaled = 2.0 * law.expected_events * law.cov.diagonal()
-            assert scaled == pytest.approx(want, rel=1e-6)
-            assert law.limit.real == pytest.approx(r1, rel=1e-12)
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e-300, 1e-8, 0.15, 0.5, 0.8, 10.0, 355.0,
+                                       400.0, 700.0])
+    def test_against_multiprecision_bessel(self, kappa):
+        # From the subnormal floor to the rate model's cap. Past kappa ~ 355
+        # I0^2 overflows, which once collapsed the covariance to 0.
+        rate0, window, offset = 23.0, 3.0, 0.3
+        want = vonmises_law_mp(kappa, rate0, window)
+        law = plv_asymptotics_vonmises(kappa, offset, rate0, window)
+        corrected = plv_asymptotics_vonmises(kappa, offset, rate0, window, ratio_correction=True)
+        limit = abs(law.limit * np.exp(-1j * offset))
+        if kappa >= 1e-300:
+            assert limit == pytest.approx(want["limit"], rel=1e-13, abs=0.0)
+        else:  # I1/I0 = kappa/2 rounds to 0 or to the smallest subnormal
+            assert abs(limit - want["limit"]) <= 5e-324
+        assert law.expected_events == pytest.approx(want["expected_events"], rel=1e-14, abs=0.0)
+        assert law.cov[0, 0] == pytest.approx(want["var_re"], rel=1e-14, abs=0.0)
+        # 1 - I2/I0 cancels as kappa grows: 2.9e-3 at kappa = 700.
+        assert law.cov[1, 1] == pytest.approx(want["var_im"], rel=5e-13, abs=0.0)
+        # So does 1 + I2/I0 - 2 (I1/I0)^2 in the corrected Re variance.
+        assert (abs(corrected.cov[0, 0] - want["var_re_corrected"])
+                <= 1e-14 / want["expected_events"])
+        assert corrected.cov[1, 1] == law.cov[1, 1] and corrected.limit == law.limit
+        for cov in (law.cov, corrected.cov):
+            assert cov[0, 1] == cov[1, 0] == 0.0 and (cov.diagonal() > 0.0).all()
+        if kappa == 0.0:  # the uncoupled law, to the bit
+            exact = 1.0 / (2.0 * rate0 * window)
+            assert law.limit == 0.0 and law.expected_events == rate0 * window
+            assert law.cov.tolist() == corrected.cov.tolist() == [[exact, 0.0], [0.0, exact]]
 
     def test_ratio_correction_shifts_re_variance_only(self):
         base = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
@@ -174,6 +191,60 @@ class TestVonMisesLaw:
         se = corr.cov[0, 0] * math.sqrt(2.0 / n_sims)
         assert abs(var_re - corr.cov[0, 0]) < 3 * se
         assert var_re < base.cov[0, 0]
+
+
+def _bessel_from_law(x):
+    """I0(x), I1(x)/I0(x) and I2(x)/I0(x) as the von Mises law carries them.
+
+    At rate0 = T = 1 and offset 0: expected_events = I0, limit = I1/I0, and
+    cov = diag(1 + I2/I0, 1 - I2/I0) / (2 I0).
+    """
+    law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+    i0 = law.expected_events
+    return i0, law.limit.real, (law.cov[0, 0] - law.cov[1, 1]) * i0
+
+
+class TestLawBesselValues:
+    """The law's modified Bessel values, against the quadrature oracle and I_k identities."""
+
+    def test_at_zero(self):
+        assert _bessel_from_law(0.0) == (1.0, 0.0, 0.0)
+
+    def test_ratio_at_half(self):
+        # Frozen from the quadrature oracle: I1(0.5)/I0(0.5).
+        assert _bessel_from_law(0.5)[1] == pytest.approx(0.24249961258080197, abs=1e-10)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("x", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 14.9, 15.1, 17.0, 20.0])
+    def test_against_quadrature(self, order, x):
+        i0, r1, r2 = _bessel_from_law(x)
+        value = i0 * (1.0, r1, r2)[order]
+        assert value == pytest.approx(bessel_quadrature(order, x), rel=1e-10)
+
+    @pytest.mark.parametrize("x", [16.0, 50.0, 200.0, 700.0])
+    def test_large_argument_recurrence_consistency(self, x):
+        # I0 - I2 = (2/x) I1, past the reach of the quadrature oracle. The
+        # law's 1 - I2/I0 is its Im variance times 2 I0.
+        law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+        lhs = 2.0 * law.expected_events * law.cov[1, 1]
+        assert lhs == pytest.approx((2.0 / x) * law.limit.real, rel=1e-9)
+
+    @given(x=st.floats(min_value=0.1, max_value=20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_three_term_recurrence(self, x):
+        law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+        lhs = 2.0 * law.expected_events * law.cov[1, 1]
+        rhs = (2.0 / x) * law.limit.real
+        assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-300)
+
+    @given(x=st.floats(min_value=0.0, max_value=100.0))
+    @example(x=5e-324)  # smallest subnormal: I1/I0 = x/2 rounds to 0 or 5e-324
+    @example(x=2.2250738585072014e-308)  # smallest normal
+    @settings(max_examples=60, deadline=None)
+    def test_order_monotonicity(self, x):
+        i0, r1, r2 = _bessel_from_law(x)
+        assert i0 >= 1.0
+        assert 1.0 >= r1 >= r2 >= 0.0
 
 
 class TestSinusoidLaw:
