@@ -13,44 +13,35 @@ value ``shortest`` cannot settle (an exact tie between two candidates, a
 carry into the next decade) goes through ``repr`` itself, so the output
 never differs from it.
 
-Reading. Two readers share one field kernel, ``read_fields``, which
-reads the bytes between given starts and ends. Fields of the form
-``-?D.D`` (at most 16 digits before the point, 22 after and 18 in all,
-unless the part before the point is zero) take an integer path: the
-estimate float(d) / 10^f, with d the digits and f the digits after the
-point, or the float one ulp from it toward the decimal, when an exact
-integer test puts the decimal inside that float's rounding interval
-(``_settled``). That covers every field repr writes in fixed notation
-below 2^52, powers of two aside, and zeros keep their sign. The kernel
-leaves every other field (exponent forms, subnormals, powers of two,
-longer digit strings, anything off the form) to its caller, which checks
-it against its own grammar and converts it with ``float()``: that is the
-``PyOS_string_to_double`` which numpy.loadtxt and json.loads use.
+Reading. ``read_rows`` is the one reader of a ``signals.csv`` body, and
+reads the bits ``numpy.loadtxt(delimiter=",", comments=None)`` reads from
+the same lines. Its field kernel, ``read_fields``, reads the bytes between
+given starts and ends. Fields of the form ``-?D.D`` (at most 16 digits
+before the point, 22 after and 18 in all, unless the part before the point
+is zero) take an integer path: the estimate float(d) / 10^f, with d the
+digits and f the digits after the point, or the float one ulp from it
+toward the decimal, when an exact integer test puts the decimal inside
+that float's rounding interval (``_settled``). That covers every field
+repr writes in fixed notation below 2^52, powers of two aside, and zeros
+keep their sign. The kernel leaves every other field (exponent forms,
+subnormals, powers of two, longer digit strings, anything off the form)
+to ``_lines``, which converts it with ``float()``: that is the
+``PyOS_string_to_double`` which numpy.loadtxt uses.
 
-- ``read_rows`` is the one reader of a ``signals.csv`` body, and reads
-  the bits ``numpy.loadtxt(delimiter=",", comments=None)`` reads from
-  the same lines. Its grammar: a line ends at LF, at CRLF or at a lone
-  CR, and the last line end is optional; the fields of a line are
-  separated by ``,`` and there are as many as the caller says. A field
-  off the integer path is decoded as UTF-8 and stripped of Unicode
-  whitespace, as loadtxt strips it, and must then match ``_NUMBER``:
-  loadtxt's plain decimal number,
-  ``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?``, or a signed
-  ``nan``, ``inf`` or ``infinity`` in any case (so ``1_0`` and ``0x10``
-  are refused). The reader raises ``BadLine`` for the first line off
-  this grammar in file order, with its bytes and its bad field if it has
-  one; every line is checked. It reports whether the fields it keeps are
-  finite, and leaves that rule to its caller. The table is allocated
-  once, at the caller's capacity, and the file is read in blocks of whole
-  lines (``READ_BLOCK`` bytes) into one reused buffer, so no temporary
-  spans the whole file.
-- ``cli_io`` reads the spike document ``save_spikes`` writes with the same
-  kernel, to the bits ``json.loads`` reads. Its numbers follow JSON's
-  grammar with a point or an exponent,
-  ``-?(0|[1-9][0-9]*)(.[0-9]+([eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)``
-  (``JSON_FLOAT``; the caller refuses a leading zero on the integer path).
-  A field off it, or one that reads as an infinity, sends the document
-  to ``json.loads`` whole.
+The reader's grammar: a line ends at LF, at CRLF or at a lone CR, and the
+last line end is optional; the fields of a line are separated by ``,``
+and there are as many as the caller says. A field off the integer path is
+decoded as UTF-8 and stripped of Unicode whitespace, as loadtxt strips
+it, and must then match ``_NUMBER``: loadtxt's plain decimal number,
+``[-+]?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?``, or a signed ``nan``,
+``inf`` or ``infinity`` in any case (so ``1_0`` and ``0x10`` are
+refused). The reader raises ``BadLine`` for the first line off this
+grammar in file order, with its bytes and its bad field if it has one;
+every line is checked. It reports whether the fields it keeps are finite,
+and leaves that rule to its caller. The table is allocated once, at the
+caller's capacity, and the file is read in blocks of whole lines
+(``READ_BLOCK`` bytes) into one reused buffer, so no temporary spans the
+whole file.
 
 ``cli_io`` imports this module where it writes or reads floats, so the
 commands that do neither do not load it.
@@ -318,8 +309,6 @@ _POW10F = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])
 # plain decimal number, or a signed nan, inf or infinity in any case.
 _NUMBER = re.compile(r"[-+]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|nan|inf(?:inity)?)",
                      re.ASCII | re.IGNORECASE)
-# What json.loads reads as a float: a JSON number with a fraction or an exponent.
-JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
 
 def _eight_digits(words, end, count):
@@ -423,10 +412,10 @@ def _points(block, starts, ends, negative):
 def read_fields(block, starts, ends):
     """The float64 value of each field ``block[starts[i]:ends[i]]`` on the integer path.
 
-    The field kernel of both readers. Fields of the form -?D.D, in the digit
-    limits of the module docstring, take the integer path. Returns
-    ``(values, left)``: ``left`` holds, in order, the indices of every other
-    field, whose values the caller converts by its own grammar. Each field's
+    The field kernel of ``read_rows``; its one caller is ``_lines``. Fields
+    of the form -?D.D, in the digit limits of the module docstring, take
+    the integer path. Returns ``(values, left)``: ``left`` holds, in order,
+    the indices of every other field, which the caller converts. Each field's
     first byte lies at least 24 bytes into ``block``, so that every digit
     window starts inside it, and ``block`` holds at least two bytes past
     each field's end.

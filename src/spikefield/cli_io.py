@@ -20,16 +20,17 @@ A file marked ``"whitened": true`` is taken as it is, and ``coupling.json``
 holds its samples' matrix; for an unwhitened file it holds G^(-1/2) times
 that matrix, G the Gram of the samples' piecewise-linear interpolant.
 
-CSV files are written in blocks of rows. Each input is read once,
+CSV files are written in blocks of rows. Each signal file is read once,
 straight into the arrays the analysis uses. ``load_signals`` reads every
 signal file with ``_floattext.read_rows``, one vectorized reader, into a
 (q, 2p) table of the sample columns that the samples view without a copy.
 It takes every file ``numpy.loadtxt(delimiter=",")`` takes, to the same
 bits: LF, CRLF or lone-CR line ends, the last one optional, and fields
 padded with Unicode whitespace, signed or in exponent form. ``load_spikes``
-reads the document ``save_spikes`` writes with the same field kernel into
-flat times and offsets; any other document goes through ``json.loads``
-whole, to the same result or error.
+reads every spike file one way: ``json.loads``, the checks of its fields
+(``t_start`` 0, ``t_end``, a list ``units`` of objects with a list
+``trials``), then the ``SpikeData`` constructor, which checks the window
+and every train.
 
 A malformed signal file is reported as ``DomainError("<path>:<line>:
 ...")`` naming its first bad line in file order (the header is line 1):
@@ -40,9 +41,18 @@ checked before the row count: a file of q rows is accepted when
 must be finite. The sidecar's ``dt`` and ``T`` must be positive and
 finite, and ``p`` at least 1.
 
+Every JSON input (spikes, sidecar, the simulate and experiment configs and
+the analyze options) is read by ``_read_json``, which reports as
+``DomainError("<path>...")`` a file that cannot be read or is not UTF-8, a
+syntax error with its line and column, a document nested too deeply for
+the parser and an integer of more digits than ``int()`` converts.
+
 The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
 Mises law, which holds over whole cycles only: it is refused when f*T of
-the phase over the spikes' window is more than 1e-9 from an integer.
+the phase over the spikes' window is more than 1e-9 from an integer. The
+law's baseline rate is the estimated mean rate over I0(kappa), the mean of
+the von Mises rate over whole cycles, so its expected count per trial is
+the estimated one.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -53,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import fields, replace
@@ -111,105 +120,18 @@ def save_spikes(spikes: SpikeData, path) -> None:
     Path(path).write_bytes(head + b", ".join(units) + b"]}")
 
 
-_SPIKES_HEAD = re.compile(rb'\{"t_start": 0\.0, "t_end": ([^,]*), "units": \[')
-_UNIT_HEAD = re.compile(rb'\{"id": (?:0|[1-9][0-9]*), "trials": \[')
-
-
-def _spike_arrays(data: bytes):
-    """``(window, times, offsets, n_trials)`` of the exact document ``save_spikes`` writes, or None.
-
-    The units are walked one by one; the trains and their times are found
-    with whole-document array scans, and every time is read by the field
-    kernel of ``_floattext`` to the bits ``json.loads`` reads. Anything else
-    (other spacing or keys, an int or a non-finite time, no unit or trial,
-    trials of unequal count, trailing bytes) gives None. Like the json path,
-    it does not read the ids.
-    """
-    from ._floattext import JSON_FLOAT, read_fields  # loaded only by the commands that read floats
-
-    head = _SPIKES_HEAD.match(data)
-    if head is None or JSON_FLOAT.fullmatch(head[1]) is None or not data.endswith(b"]}"):
-        return None
-    lists, closes = [head.end() - 1], []  # the brackets that hold no train
-    at = head.end()
-    while True:  # each unit: its head, then its trains up to the first "]}"
-        unit = _UNIT_HEAD.match(data, at)
-        if unit is None:
-            return None
-        lists.append(unit.end() - 1)
-        closes.append(data.find(b"]}", unit.end()))
-        at = closes[-1] + 2
-        if closes[-1] < 0 or not data.startswith(b", ", at):
-            break
-        at += 2
-    if closes[-1] < 0 or at != len(data) - 2:
-        return None
-    first, last = np.array(lists[1:]) + 1, np.array(closes) - 1  # where each unit's trains begin, end
-    closes.append(len(data) - 2)
-
-    doc = np.frombuffer(data, np.uint8)
-    opens = np.flatnonzero(doc == ord("["))
-    opens = np.delete(opens, np.searchsorted(opens, lists))
-    ends = np.flatnonzero(doc == ord("]"))
-    ends = np.delete(ends, np.searchsorted(ends, closes))
-    n_units = len(first)
-    n_trials = opens.size // n_units
-    if not (n_trials and opens.size == ends.size == n_trials * n_units):
-        return None
-    # Each unit's trains, "[...]" joined by ", ", from its first bracket to its last.
-    grid_opens, grid_ends = opens.reshape(n_units, n_trials), ends.reshape(n_units, n_trials)
-    between = grid_ends[:, :-1]
-    if not ((grid_opens[:, 0] == first).all() and (grid_ends[:, -1] == last).all()
-            and (grid_opens[:, 1:] == between + 3).all() and (doc.take(between + 1) == ord(",")).all()
-            and (doc.take(between + 2) == ord(" ")).all()):
-        return None
-
-    # The times: fields ended by a comma inside a train, or by a non-empty train's "]".
-    commas = np.flatnonzero(doc == ord(","))
-    train = np.searchsorted(opens, commas) - 1
-    inside = (train >= 0) & (commas < ends.take(train))
-    commas, train = commas[inside], train[inside]
-    if not (doc.take(commas + 1) == ord(" ")).all():
-        return None
-    full = ends > opens + 1
-    counts = np.bincount(train, minlength=opens.size) + full
-    offsets = np.zeros(opens.size + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    last_field = np.zeros(offsets[-1], bool)
-    last_field[offsets[1:][full] - 1] = True
-    field_ends = np.empty(offsets[-1], np.intp)
-    field_ends[last_field] = ends[full]
-    field_ends[~last_field] = commas
-    starts = np.empty_like(field_ends)
-    starts[1:] = field_ends[:-1] + 2
-    starts[offsets[:-1][full]] = opens[full] + 1
-    digit = starts + (doc.take(starts) == ord("-"))
-    if ((doc.take(digit) == ord("0")) & ((doc.take(digit + 1) ^ ord("0")) <= 9)).any():
-        return None  # a leading zero, which JSON refuses
-    times, left = read_fields(doc, starts, field_ends)
-    for i in left.tolist():  # by float(), the bytes json.loads would convert
-        text = data[starts[i]:field_ends[i]]
-        if JSON_FLOAT.fullmatch(text) is None or not math.isfinite(value := float(text)):
-            return None
-        times[i] = value
-    return float(head[1]), times, offsets, n_trials
-
-
 def load_spikes(path) -> SpikeData:
-    """Read a spike file into a SpikeData.
+    """Read a spike file into a SpikeData: ``json.loads``, then the constructor.
 
-    The document ``save_spikes`` writes is read by ``_spike_arrays``; any
-    other file goes through ``json.loads`` whole, to the same result or error.
+    The file must hold a JSON object with ``t_start`` 0, ``t_end`` and a
+    list ``units``, each unit an object with a list ``trials`` of trains;
+    other keys and the ids are not read. ``SpikeData(t_end, trains)`` then
+    checks the window, the equal trial counts and every train. Each refusal
+    is a DomainError that names the path, as are the errors of
+    ``_read_json``: a file that cannot be read or is not UTF-8, a JSON
+    syntax error, a document nested too deeply for the parser, or an
+    integer of more digits than Python converts.
     """
-    try:
-        arrays = _spike_arrays(Path(path).read_bytes())
-    except OSError:  # reported by _read_json
-        arrays = None
-    if arrays is not None:
-        try:
-            return SpikeData._from_events(*arrays)
-        except DomainError as exc:
-            raise DomainError(f"{path}: {exc}") from None
     doc = _read_json(path)
     for key in ("t_start", "t_end", "units"):
         if key not in doc:
@@ -376,6 +298,10 @@ def _read_json(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise DomainError(f"{path}: {str(exc).partition(';')[0]}") from None
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -568,6 +494,9 @@ def _cmd_analyze(args) -> int:
         phase = _parse_phase_flag(args.phase, spikes.window)
         if "kappa" in options:  # the von Mises law holds over whole cycles only
             _check_whole_cycles(phase)
+            # The rate's mean over whole cycles is rate0 I0(kappa), and I0 is the
+            # law's expected count at rate0 = T = 1.
+            i0 = plv_asymptotics_vonmises(options["kappa"], 0.0, 1.0, 1.0).expected_events
         totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
@@ -588,9 +517,10 @@ def _cmd_analyze(args) -> int:
                     "null_cov_re": null_law.cov[0, 0],
                 })
                 if "kappa" in options:
-                    # The ratio-corrected law, as the harness judges the same residual.
+                    # The ratio-corrected law, as the harness judges the same residual,
+                    # at the baseline rate whose mean is rate_hat.
                     law = plv_asymptotics_vonmises(
-                        options["kappa"], options.get("phase_offset", 0.0), rate_hat,
+                        options["kappa"], options.get("phase_offset", 0.0), rate_hat / i0,
                         spikes.window, ratio_correction=True,
                     )
                     z = law.rotated_residuals(np.array([plv]), spikes.n_trials)[0]

@@ -180,19 +180,12 @@ class SpikeData:
         self._bind(window, t, offsets, n_trials)
 
     @classmethod
-    def _from_events(cls, window, times, offsets, n_trials):
-        """Adopt flat float64 times and int64 offsets after the constructor's window and event checks.
-
-        Raises the constructor's errors; no copy. The caller vouches for the
-        shape: n_trials >= 1 and n_units * n_trials + 1 offsets from 0.
-        """
-        window = _check_window(window)
-        _check_events(window, times, offsets, n_trials)
-        return cls._from_flat(window, times, offsets, n_trials)
-
-    @classmethod
     def _from_flat(cls, window, times, offsets, n_trials):
-        """Adopt flat arrays that already meet the constructor's checks (no copy, no checks)."""
+        """Adopt flat arrays that already meet the constructor's checks (no copy, no checks).
+
+        For ``simulate_poisson``, whose draws meet them by construction; the
+        trains of a file, and every other input, go through the constructor.
+        """
         spikes = cls.__new__(cls)
         spikes._bind(window, times, offsets, n_trials)
         return spikes

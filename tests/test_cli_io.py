@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikefield
-from spikefield import _floattext, cli_io
+from spikefield import _floattext
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -405,13 +405,6 @@ def _spike_outcome(path):
     return spikes.window, spikes.n_trials, _bits(spikes.times).tolist(), spikes.offsets.tolist()
 
 
-def _by_json(path):
-    """The same, with the spike reader refusing every document, so json.loads reads it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli_io, "_spike_arrays", lambda data: None)
-        return _spike_outcome(path)
-
-
 def _spike_sets():
     rng = np.random.default_rng(31)
     many = [simulate_poisson(HomogeneousRate(2000.0), 3.0, 4, rng).trains[0] for _ in range(3)]
@@ -434,22 +427,24 @@ _SPIKE_DOC = ('{"t_start": 0.0, "t_end": 2.0, "units": [{"id": 0, "trials": [[0.
               '{"id": 1, "trials": [[0.125], [1.5, 1.75]]}]}')
 
 
+def _read_as(window, n_trials, times, offsets):
+    """A spike file's expected outcome, in the form of ``_spike_outcome``."""
+    return window, n_trials, _bits(np.array(times, dtype=float)).tolist(), offsets
+
+
+_BASE = _read_as(2.0, 2, [0.5, 1.25, 0.125, 1.5, 1.75], [0, 2, 2, 3, 5])  # _SPIKE_DOC as read
+
+
 class TestSpikeReader:
-    """load_spikes reads what save_spikes writes without json.loads, to the bits json.loads gives."""
+    """load_spikes reads every spike file through json.loads and the SpikeData constructor."""
 
     @pytest.mark.parametrize("name", list(_spike_sets()))
-    def test_written_files_skip_json(self, tmp_path, monkeypatch, name):
+    def test_written_files_read_back(self, tmp_path, name):
         spikes = _spike_sets()[name]
         path = tmp_path / "spikes.json"
         save_spikes(spikes, path)
-        expected = _by_json(path)
-
-        def refuse(*args):
-            raise AssertionError("read by json.loads")
-
-        monkeypatch.setattr(cli_io, "_read_json", refuse)
-        assert _spike_outcome(path) == expected
-        assert expected[2] == _bits(spikes.times).tolist()
+        assert _spike_outcome(path) == _read_as(spikes.window, spikes.n_trials, spikes.times,
+                                                spikes.offsets.tolist())
 
     @given(st.lists(st.lists(st.lists(st.floats(0.0, 10.0), max_size=6), min_size=2, max_size=2),
                     min_size=1, max_size=3),
@@ -459,49 +454,80 @@ class TestSpikeReader:
     def test_any_written_file(self, tmp_path, units, scale):
         trains = [[sorted(set(t * scale / 10.0 for t in trial)) for trial in unit]
                   for unit in units]
+        spikes = SpikeData(scale, trains)
         path = tmp_path / "spikes.json"
-        save_spikes(SpikeData(scale, trains), path)
-        assert cli_io._spike_arrays(path.read_bytes()) is not None
-        assert _spike_outcome(path) == _by_json(path)
+        save_spikes(spikes, path)
+        assert _spike_outcome(path) == _read_as(scale, 2, spikes.times, spikes.offsets.tolist())
 
-    @pytest.mark.parametrize("old, new", [
-        (", ", ","),  # other spacing
-        ("]]}]}", "]]}]}\n"),  # a trailing line end, which json.loads skips
-        ("]]}]}", "]]}]} x"),  # trailing bytes
-        ('{"t_start": 0.0, "t_end": 2.0,', '{"t_end": 2.0, "t_start": 0.0,'),  # reordered keys
-        ('"t_end": 2.0', '"t_end": 2'),
-        ('"t_start": 0.0', '"t_start": 0'),
-        ('"t_start": 0.0', '"t_start": 1.0'),
-        ("[0.5, 1.25]", "[0, 1]"),  # int times
-        ("1.25", "Infinity"), ("1.25", "NaN"), ("1.25", "1e400"),
-        ('"id": 1', '"id": 7'), ('"id": 1', '"id": 01'), ('"id": 1', '"id": -1'),
-        ("0.125", "00.125"), ("1.25", "01.25"), ("1.25", "-01.25"),  # leading zeros
-        ("1.25", "+1.25"), ("1.25", ".25"), ("1.25", "1."), ("1.25", "1.25e"),
-        ("[0.5, 1.25]", "[1.25, 0.5]"),  # an unsorted train
-        ("1.25", "2.5"), ("1.25", "-0.0"), ("1.25", "1.25E-1"), ("1.25", "1.2e+0"),
-        ('"t_end": 2.0', '"t_end": -1.0'), ('"t_end": 2.0', '"t_end": 1e400'),
-        ('"t_end": 2.0', '"t_end": 0.0'), ('"t_end": 2.0', '"t_end": 2.5e-1'),
-        ("[[0.125], [1.5, 1.75]]", "[[0.125]]"),  # unequal trial counts
-        ("[[0.125], [1.5, 1.75]]", "[[0.125], [1.5, 1.75], []]"),
-        ("[[0.5, 1.25], []]", "[]"), ("[[0.125], [1.5, 1.75]]", "[]"),
-        ("[0.5, 1.25]", "[[0.5], 1.25]"), ("[0.5, 1.25]", "[0.5 , 1.25]"),
-        ("[]]}", "[ ]]}"), ("1.25], [", "1.25],  ["), ("[0.5, 1.25]", '["0.5", 1.25]'),
-        ('{"id": 1, ', '{"id": 1, "x": 2, '), ('"units": [', '"x": 1, "units": ['),
-        ('"id": 0, ', ""),
-        ("]}]}", "]}, ]}"), ("]]}]}", "]]}x]}"), ("]]}]}", "]]}]x"), ("1.25], [", "1.25],x["),
-        ("1.25], [", "1.25]x ["), ("1.25], [", "1.25], x["), ("1.75]]}", "1.75]x]}"),
-        ("[0.5, 1.25]", "[0.5,11.25]"), ('"trials": [[0.125]', '"trials": [x[0.125]'),
+    # Each edit of _SPIKE_DOC, and what load_spikes gives for it: the spikes
+    # read, or the error that follows the path.
+    @pytest.mark.parametrize("old, new, outcome", [
+        (", ", ",", _BASE),  # other spacing
+        ("]]}]}", "]]}]}\n", _BASE),  # a trailing line end, which json.loads skips
+        ("]]}]}", "]]}]} x", ":1:128: Extra data"),  # trailing bytes
+        ('{"t_start": 0.0, "t_end": 2.0,', '{"t_end": 2.0, "t_start": 0.0,', _BASE),  # reordered
+        ('"t_end": 2.0', '"t_end": 2', _BASE),
+        ('"t_start": 0.0', '"t_start": 0', _BASE),
+        ('"t_start": 0.0', '"t_start": 1.0', ": field 't_start' must be 0, got 1.0"),
+        ("[0.5, 1.25]", "[0, 1]", _read_as(2.0, 2, [0.0, 1.0, 0.125, 1.5, 1.75], [0, 2, 2, 3, 5])),
+        ("1.25", "Infinity", ": unit 0 trial 0: event time outside [0, 2.0]"),
+        ("1.25", "NaN", ": unit 0 trial 0: event time outside [0, 2.0]"),
+        ("1.25", "1e400", ": unit 0 trial 0: event time outside [0, 2.0]"),
+        ('"id": 1', '"id": 7', _BASE),
+        ('"id": 1', '"id": 01', ":1:90: Expecting ',' delimiter"),
+        ('"id": 1', '"id": -1', _BASE),
+        ("0.125", "00.125", ":1:105: Expecting ',' delimiter"),  # leading zeros
+        ("1.25", "01.25", ":1:70: Expecting ',' delimiter"),
+        ("1.25", "-01.25", ":1:71: Expecting ',' delimiter"),
+        ("1.25", "+1.25", ":1:69: Expecting value"),
+        ("1.25", ".25", ":1:69: Expecting value"),
+        ("1.25", "1.", ":1:70: Expecting ',' delimiter"),
+        ("1.25", "1.25e", ":1:73: Expecting ',' delimiter"),
+        ("[0.5, 1.25]", "[1.25, 0.5]", ": unit 0 trial 0: event times not strictly increasing"),
+        ("1.25", "2.5", ": unit 0 trial 0: event time outside [0, 2.0]"),
+        ("1.25", "-0.0", ": unit 0 trial 0: event times not strictly increasing"),
+        ("1.25", "1.25E-1", ": unit 0 trial 0: event times not strictly increasing"),
+        ("1.25", "1.2e+0", _read_as(2.0, 2, [0.5, 1.2, 0.125, 1.5, 1.75], [0, 2, 2, 3, 5])),
+        ('"t_end": 2.0', '"t_end": -1.0', ": window must be positive and finite, got -1.0"),
+        ('"t_end": 2.0', '"t_end": 1e400', ": window must be positive and finite, got inf"),
+        ('"t_end": 2.0', '"t_end": 0.0', ": window must be positive and finite, got 0.0"),
+        ('"t_end": 2.0', '"t_end": 2.5e-1', ": unit 0 trial 0: event time outside [0, 0.25]"),
+        ("[[0.125], [1.5, 1.75]]", "[[0.125]]", ": unit 1 has 1 trials, unit 0 has 2"),
+        ("[[0.125], [1.5, 1.75]]", "[[0.125], [1.5, 1.75], []]",
+         ": unit 1 has 3 trials, unit 0 has 2"),
+        ("[[0.5, 1.25], []]", "[]", ": unit 1 has 2 trials, unit 0 has 0"),
+        ("[[0.125], [1.5, 1.75]]", "[]", ": unit 1 has 0 trials, unit 0 has 2"),
+        ("[0.5, 1.25]", "[[0.5], 1.25]",
+         ": unit 0 trial 0: event times must be one flat list of numbers"),
+        ("[0.5, 1.25]", "[0.5 , 1.25]", _BASE),
+        ("[]]}", "[ ]]}", _BASE),
+        ("1.25], [", "1.25],  [", _BASE),
+        ("[0.5, 1.25]", '["0.5", 1.25]',
+         ": unit 0 trial 0: event times must be one flat list of numbers"),
+        ('{"id": 1, ', '{"id": 1, "x": 2, ', _BASE),
+        ('"units": [', '"x": 1, "units": [', _BASE),
+        ('"id": 0, ', "", _BASE),
+        ("]}]}", "]}, ]}", ":1:127: Expecting value"),
+        ("]]}]}", "]]}x]}", ":1:125: Expecting ',' delimiter"),
+        ("]]}]}", "]]}]x", ":1:126: Expecting ',' delimiter"),
+        ("1.25], [", "1.25],x[", ":1:75: Expecting value"),
+        ("1.25], [", "1.25]x [", ":1:74: Expecting ',' delimiter"),
+        ("1.25], [", "1.25], x[", ":1:76: Expecting value"),
+        ("1.75]]}", "1.75]x]}", ":1:123: Expecting ',' delimiter"),
+        ("[0.5, 1.25]", "[0.5,11.25]", ": unit 0 trial 0: event time outside [0, 2.0]"),
+        ('"trials": [[0.125]', '"trials": [x[0.125]', ":1:103: Expecting value"),
     ])
-    def test_other_documents_as_json_reads_them(self, tmp_path, old, new):
+    def test_edited_documents(self, tmp_path, old, new, outcome):
         assert old in _SPIKE_DOC
         path = tmp_path / "spikes.json"
         path.write_text(_SPIKE_DOC.replace(old, new, 1))
-        assert _spike_outcome(path) == _by_json(path)
+        expected = f"{path}{outcome}" if isinstance(outcome, str) else outcome
+        assert _spike_outcome(path) == expected
 
     def test_the_base_document_is_the_writers(self, tmp_path):
         path = tmp_path / "spikes.json"
         path.write_text(_SPIKE_DOC)
-        assert cli_io._spike_arrays(path.read_bytes()) is not None
+        assert _spike_outcome(path) == _BASE
         save_spikes(load_spikes(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_text() == _SPIKE_DOC
 
@@ -776,16 +802,35 @@ class TestCliSimulateAnalyze:
 
         times = sd.unit_times(0)
         plv = np.mean(np.exp(2j * math.pi * freq * times))
-        rate_t = times.size / trials  # estimated rate times window
+        # The expected count per trial is the estimated one: the law's baseline
+        # rate0 is the estimated mean rate over I0(kappa).
+        expected = times.size / trials
         i0, i1, i2 = (bessel_quadrature(k, kappa) for k in range(3))
         limit = np.exp(1j * offset) * i1 / i0
         z = np.exp(-1j * offset) * math.sqrt(trials) * (plv - limit)
-        var_re = (i0 + i2) / (2 * rate_t * i0**2) - (i1 / i0) ** 2 / (rate_t * i0)
-        var_im = (i0 - i2) / (2 * rate_t * i0**2)
+        var_re = (i0 + i2) / (2 * expected * i0) - (i1 / i0) ** 2 / expected
+        var_im = (i0 - i2) / (2 * expected * i0)
         assert unit["law_limit_re"] == pytest.approx(limit.real, rel=1e-10)
         assert unit["law_limit_im"] == pytest.approx(limit.imag, rel=1e-10)
         assert unit["z_re"] == pytest.approx(z.real / math.sqrt(var_re), rel=1e-9)
         assert unit["z_im"] == pytest.approx(z.imag / math.sqrt(var_im), rel=1e-9)
+
+    def test_analyze_z_fields_are_standard_on_von_mises_units(self, tmp_path):
+        # Each unit is an independent replicate of the law's model, so its z_re
+        # and z_im scatter with unit variance. With the mean rate taken as the
+        # law's baseline rate0 they scattered with sd sqrt(I0(2)) = 1.51.
+        sim = {"kind": "vonmises", "window": 2.0, "trials": 20, "units": 400, "rate0": 20.0,
+               "kappa": 2.0, "frequency": 5.0}
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        (tmp_path / "opt.json").write_text(json.dumps({"kappa": 2.0}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "7",
+                     "--out", str(tmp_path / "d")]) == 0
+        assert main(["analyze", "--spikes", str(tmp_path / "d" / "spikes.json"),
+                     "--phase", "linear:5", "--config", str(tmp_path / "opt.json"),
+                     "--out", str(tmp_path / "o")]) == 0
+        units = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+        for key in ("z_re", "z_im"):
+            assert np.std([unit[key] for unit in units]) == pytest.approx(1.0, abs=0.15)
 
     @pytest.mark.parametrize("kappa", [400.0, 700.0])
     def test_analyze_law_fields_finite_at_large_kappa(self, tmp_path, kappa):
@@ -1064,6 +1109,34 @@ class TestRefusedConfigs:
             "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
         self._refused(code, err, f"{path}:{line}: byte 0xff is not UTF-8", tmp_path / "o")
 
+    _DEEP, _HUGE = "[" * 100_000, "1" * 5000  # past the parser's nesting and int() digit limits
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("s.json", '{"t_start": 0.0, "t_end": 2.0, "units": [{"id": 0, "trials": [' + _DEEP,
+         "JSON nested too deeply to read"),
+        ("s.json", '{"t_start": 0.0, "t_end": ' + _HUGE + ', "units": []}', "Exceeds the limit ("),
+        ("signals.json", '{"dt": 0.0078125, "T": ' + _DEEP, "JSON nested too deeply to read"),
+        ("signals.json", '{"dt": 0.0078125, "T": 2.0, "p": ' + _HUGE + ', "whitened": false}',
+         "Exceeds the limit ("),
+        ("cfg.json", '{"experiment": "univar-null", "tolerances": {"var_re": ' + _DEEP,
+         "JSON nested too deeply to read"),
+        ("cfg.json", '{"experiment": "univar-null", "trials": ' + _HUGE + "}", "Exceeds the limit ("),
+    ], ids=["spikes-deep", "spikes-huge-int", "sidecar-deep", "sidecar-huge-int",
+            "experiment-deep", "experiment-huge-int"])
+    def test_json_past_the_parser_limits(self, tmp_path, capsys, name, text, message):
+        # json.loads raises RecursionError and ValueError here, not JSONDecodeError;
+        # both escaped main with a traceback.
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        save_signals(synthesize_oscillations([4.0], 2.0, 1 / 128, 5.0, 1, np.random.default_rng(2)),
+                     tmp_path / "signals.csv")
+        path = tmp_path / name
+        path.write_text(text)
+        argv = (["experiment", "--config", str(path)] if name == "cfg.json" else
+                ["analyze", "--spikes", str(tmp_path / "s.json"),
+                 "--signals", str(tmp_path / "signals.csv")])
+        code, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
+        self._refused(code, err, f"{path}: {message}", tmp_path / "o")
+
     @staticmethod
     def _refused(code, err, message, out):
         assert code == 1
@@ -1078,7 +1151,9 @@ class TestRefusedConfigs:
 # that does so on purpose re-pins here and says so. univariate.json carries the
 # law fields of the kappa option, z_re against the ratio-corrected variance;
 # it was re-pinned when the law took its Bessel ratios from scipy.special.ive,
-# which moved law_limit_re and the z fields by ulps.
+# which moved law_limit_re and the z fields by ulps, and again when the law's
+# baseline rate became the mean rate over I0(kappa), which scaled the z fields
+# by 1/sqrt(I0(0.8)).
 _CLI_BYTES = {
     "data/spikes.json":
         "f444bf845040717b62e4f182a09a3bb2d8ba6f3606bf70a6a5317597826b546e",
@@ -1093,7 +1168,7 @@ _CLI_BYTES = {
     "analysis/esd.csv":
         "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
     "analysis/univariate.json":
-        "3b6fd2036b4476565714dcc9ddee59bcbc608c0ca6a0e728b5d31d36ac80eb66",
+        "661608893f24751be9b0b79b64af99d36d1f978a65574b1a29deef08109a30dd",
 }
 
 # The same configuration with "whiten": false: the files analyze writes after
