@@ -339,29 +339,6 @@ def _eight_digits(words, end, count):
     return w.view(np.int64), ok
 
 
-def _short_number(block, words, end, count):
-    """The number in the ``count`` (at most 16) bytes before each ``end``, and whether all are digits.
-
-    A count of 1, the usual whole part and the usual top of a 17-digit
-    fraction, takes one byte; longer counts take ``_eight_digits`` windows.
-    """
-    value = block.take(end - 1).astype(np.int64)
-    value ^= ord("0")
-    ok = (value <= 9) | (count <= 0)
-    value[count <= 0] = 0
-    longer = np.flatnonzero(count > 1)
-    if longer.size:
-        end, count = end.take(longer), count.take(longer)
-        part, ok_part = _eight_digits(words, end, np.minimum(count, 8))
-        if (count > 8).any():
-            high, ok_high = _eight_digits(words, end - 8, np.minimum(np.maximum(count - 8, 0), 8))
-            part += high * 10 ** 8
-            ok_part &= ok_high
-        value[longer] = part
-        ok[longer] = ok_part
-    return value, ok
-
-
 def _settled(magnitude, d, fraction):
     """Whether each float is the one nearest d * 10^-fraction, and whether it lies below it.
 
@@ -423,22 +400,30 @@ def read_fields(block, starts, ends):
     negative = block.take(starts) == ord("-")
     dots = _points(block, starts, ends, negative)
 
-    # Digits: the whole part ending at the point; the fraction in two windows
-    # ending at the field's end and the rest before them.
+    # Digits, in 8-byte windows: the whole part ending at the point, in one
+    # window and a second where it is longer; the fraction in two windows
+    # ending at the field's end and a third for the rest before them.
     whole = dots - starts - negative
     fraction = ends - dots - 1
     ok = (whole >= 1) & (whole <= _MAX_WHOLE)
     ok &= (fraction >= 1) & (fraction <= _MAX_FRACTION)
     words = np.ndarray((block.size - 7,), "<u8", block, 0, (1,))
-    digits, ok_part = _short_number(block, words, dots, np.minimum(np.maximum(whole, 0), 16))
+    count = np.clip(whole, 0, _MAX_WHOLE)
+    digits, ok_part = _eight_digits(words, dots, np.minimum(count, 8))
     ok &= ok_part
-    part, ok_part = _eight_digits(words, ends, np.minimum(np.maximum(fraction, 0), 8))
+    longer = np.flatnonzero(count > 8)
+    if longer.size:
+        part, ok_part = _eight_digits(words, dots.take(longer) - 8, count.take(longer) - 8)
+        part *= 10 ** 8
+        digits[longer] += part
+        ok[longer] &= ok_part
+    part, ok_part = _eight_digits(words, ends, np.clip(fraction, 0, 8))
     ok &= ok_part
-    d, ok_part = _eight_digits(words, ends - 8, np.minimum(np.maximum(fraction - 8, 0), 8))
+    d, ok_part = _eight_digits(words, ends - 8, np.clip(fraction - 8, 0, 8))
     ok &= ok_part
     d *= 10 ** 8
     d += part
-    part, ok_part = _short_number(block, words, ends - 16, np.minimum(fraction - 16, 8))
+    part, ok_part = _eight_digits(words, ends - 16, np.clip(fraction - 16, 0, 8))
     ok &= ok_part
     ok &= (whole + fraction <= 18) | ((digits == 0) & (part < 922))  # so that d < 2^63
     part *= 10 ** 16

@@ -50,9 +50,12 @@ the parser and an integer of more digits than ``int()`` converts.
 The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
 Mises law, which holds over whole cycles only: it is refused when f*T of
 the phase over the spikes' window is more than 1e-9 from an integer. The
-law's baseline rate is the estimated mean rate over I0(kappa), the mean of
-the von Mises rate over whole cycles, so its expected count per trial is
-the estimated one.
+law is built once per file, at rate0 = T = 1, where its expected count
+per trial is I0(kappa). Every entry of its covariance scales as
+1/(expected count), so each unit's z fields take that covariance times
+I0(kappa)/(rate_hat*T), with rate_hat*T the unit's estimated count per
+trial. No baseline rate is formed, so none rounds to zero at a large
+kappa and a small mean rate.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
@@ -492,11 +495,13 @@ def _cmd_analyze(args) -> int:
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
+        law = None
         if "kappa" in options:  # the von Mises law holds over whole cycles only
             _check_whole_cycles(phase)
-            # The rate's mean over whole cycles is rate0 I0(kappa), and I0 is the
-            # law's expected count at rate0 = T = 1.
-            i0 = plv_asymptotics_vonmises(options["kappa"], 0.0, 1.0, 1.0).expected_events
+            # The ratio-corrected law, as the harness judges the same residual, at
+            # rate0 = T = 1, where its expected count per trial is I0(kappa).
+            law = plv_asymptotics_vonmises(options["kappa"], options.get("phase_offset", 0.0),
+                                           1.0, 1.0, ratio_correction=True)
         totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
@@ -516,19 +521,16 @@ def _cmd_analyze(args) -> int:
                     "estimated_rate": rate_hat,
                     "null_cov_re": null_law.cov[0, 0],
                 })
-                if "kappa" in options:
-                    # The ratio-corrected law, as the harness judges the same residual,
-                    # at the baseline rate whose mean is rate_hat.
-                    law = plv_asymptotics_vonmises(
-                        options["kappa"], options.get("phase_offset", 0.0), rate_hat / i0,
-                        spikes.window, ratio_correction=True,
-                    )
+                if law is not None:
+                    # Its covariance scales as 1 / (expected count): here the
+                    # unit's estimated count per trial, rate_hat * T.
+                    var = law.cov.diagonal() * law.expected_events / (total / spikes.n_trials)
                     z = law.rotated_residuals(np.array([plv]), spikes.n_trials)[0]
                     entry.update({
                         "law_limit_re": law.limit.real,
                         "law_limit_im": law.limit.imag,
-                        "z_re": z.real / np.sqrt(law.cov[0, 0]),
-                        "z_im": z.imag / np.sqrt(law.cov[1, 1]),
+                        "z_re": z.real / np.sqrt(var[0]),
+                        "z_im": z.imag / np.sqrt(var[1]),
                     })
             units.append(entry)
         doc = {"frequency": phase.frequency, "window": spikes.window, "units": units}

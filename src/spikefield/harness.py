@@ -7,23 +7,27 @@ hard-coded numbers), and emits named PASS/FAIL verdicts. Reports are
 deterministic for a fixed configuration: rerunning reproduces the same
 bytes apart from the runtime field.
 
-All experiments share one skeleton. ``run_experiment`` calls the
-experiment's runner from ``EXPERIMENTS`` on a config that is valid from
-construction: the config is checked by building what its runner builds
-(phases, rate models, the synthesis grid, ``simulate_poisson``'s bounds),
-so each parameter rule is the check of the module that owns it. It then
-builds the one ``ExperimentReport`` (experiment, config, master seed,
-runtime); a runner returns only its targets, aggregates,
-replicates, verdicts and plot data. The PLV experiments draw their
-replicates from ``_plv_replicates`` (replicate i of block b uses seed
-index ``b * replicates + i``) and judge each case against its asymptotic
-law with ``_plv_case``: the univariate experiments are one unprefixed
-case, the sinusoid experiment a matched and a mismatched one. A
-multivariate replicate's spectrum is that of ``whitened_coupling`` of the
-raw signals, as in ``analyze``. Every verdict comes from ``_judge``, where the named
-tolerance's kind alone decides the rule: a ``min_rate`` floor on the observed
-value, or else a bound on its distance from the target (a multiple of the
-standard error, a fraction of the target, or an absolute value).
+Each experiment is declared once, as its entry in ``EXPERIMENTS``: its
+published parameters and tolerances, its build and its runner. The build
+makes everything the runner simulates (phases, rate models, the synthesis
+grid) and checks it, ``simulate_poisson``'s bounds included, so each
+parameter rule is the check of the module that owns it; it also holds the
+experiment's own rules. A config is valid from construction: the
+constructor checks the rules every experiment shares and runs the build,
+before any replicate. ``run_experiment`` runs the same build and hands
+what it made to the runner, then builds the one ``ExperimentReport``
+(experiment, config, master seed, runtime); a runner returns only its
+targets, aggregates, replicates, verdicts and plot data. The PLV
+experiments draw their replicates from ``_plv_replicates`` (replicate i
+of block b uses seed index ``b * replicates + i``) and judge each case
+against its asymptotic law with ``_plv_case``: the univariate experiments
+are one unprefixed case, the sinusoid experiment a matched and a
+mismatched one. A multivariate replicate's spectrum is that of
+``whitened_coupling`` of the raw signals, as in ``analyze``. Every verdict
+comes from ``_judge``, where the named tolerance's kind alone decides the
+rule: a ``min_rate`` floor on the observed value, or else a bound on its
+distance from the target (a multiple of the standard error, a fraction of
+the target, or an absolute value).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import csv
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -95,7 +100,7 @@ class ExperimentConfig:
 
     Build it with the experiment's name and the fields to change. Every
     parameter left unset (None) that the experiment reads is filled from
-    its entry in ``_DEFAULTS``, the one copy of the published simulation
+    its entry in ``EXPERIMENTS``, the one copy of the published simulation
     tables: univariate runs use f = 1 Hz, T = 5 s, rate 20 Hz, K = 5000
     trials; the bias sweep uses K = 10, rate 30 Hz over sub-cycle windows;
     multivariate runs use five oscillatory components at 11-15 Hz over
@@ -107,12 +112,12 @@ class ExperimentConfig:
     A field the experiment does not read stays unset, and setting one is
     refused, as are a tolerance name it does not judge and every parameter
     out of its domain. All of it is checked here, before any replicate
-    runs, and the config is frozen, so it stays valid. Only the harness's
-    own rules are written here (replicates, trials, units, tolerance kinds,
-    bias-curve windows, the sinusoid harmonic pairing, multivar-null's zero
-    kappa); every other field
-    goes through the check of the model, phase, synthesis grid or sampler
-    that the runner builds from it.
+    runs, and the config is frozen, so it stays valid. The rules every
+    experiment shares are written here (replicates, trials, tolerance
+    kinds, a finite phase offset); then the experiment's build runs, the
+    one its runner simulates from, which holds the experiment's own rules
+    and sends every other field through the check of the model, phase,
+    synthesis grid or sampler it builds.
     """
 
     experiment: str
@@ -137,26 +142,26 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _DEFAULTS:
+        if self.experiment not in EXPERIMENTS:
             raise DomainError(
-                f"unknown experiment {self.experiment!r}; expected one of {sorted(_DEFAULTS)}"
+                f"unknown experiment {self.experiment!r}; expected one of {sorted(EXPERIMENTS)}"
             )
-        published = dict(_DEFAULTS[self.experiment])
-        tolerances = published.pop("tolerances")
-        unknown = set(self.tolerances) - set(tolerances)
+        experiment = EXPERIMENTS[self.experiment]
+        unknown = set(self.tolerances) - set(experiment.tolerances)
         if unknown:
             raise ConfigurationError(f"{self.experiment} judges no tolerance(s) {sorted(unknown)}; "
-                                     f"it judges {sorted(tolerances)}")
-        unread = {f.name for f in fields(self) if getattr(self, f.name) is not None} - set(published)
-        unread -= {"experiment", "master_seed", "output_dir", "tolerances"}
+                                     f"it judges {sorted(experiment.tolerances)}")
+        unread = {f.name for f in fields(self) if getattr(self, f.name) is not None}
+        unread -= experiment.accepted
         if unread:
             raise ConfigurationError(f"{self.experiment} reads no field(s) {sorted(unread)}; "
-                                     f"it reads {sorted(published)}, master_seed and output_dir")
-        for name, value in published.items():
+                                     f"it reads {sorted(experiment.parameters)}, master_seed "
+                                     f"and output_dir")
+        for name, value in experiment.parameters.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        object.__setattr__(self, "tolerances", {**tolerances, **self.tolerances})
-        _validate(self)
+        object.__setattr__(self, "tolerances", {**experiment.tolerances, **self.tolerances})
+        _validate(self, experiment)
 
     @classmethod
     def defaults(cls, experiment: str, **overrides) -> "ExperimentConfig":
@@ -164,68 +169,27 @@ class ExperimentConfig:
         return cls(experiment=experiment, **overrides)
 
 
-_SE3 = Tolerance(3.0, "se_multiple", "three standard errors (CLT)")
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment, declared once: its build and runner, its published parameters and bounds.
 
-_UNIVAR = dict(rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0,
-               phase_offset=0.0)
-_MULTIVAR = dict(rate0=20.0, window=11.0, trials=10, replicates=100, units=90, channels=100,
-                 components=(11.0, 12.0, 13.0, 14.0, 15.0), noise_kappa=10.0, dt=1.0 / 1024.0)
+    ``build(config)`` makes everything the runner simulates, checks it, and
+    holds the experiment's own rules; it raises ``DomainError`` for a
+    config out of its domain. ``run(config, built)`` simulates from what
+    the build returned and returns the report's parts. ``parameters`` holds
+    the published value of exactly the fields the runner reads besides the
+    seed, and ``tolerances`` the published bound of every verdict it judges.
+    """
 
-# Each entry lists exactly the parameters its runner reads, besides the seed.
-_DEFAULTS = {
-    "univar-null": dict(
-        _UNIVAR, kappa=0.0,
-        tolerances={
-            "mean_limit": _SE3,
-            "variance": Tolerance(0.05, "relative", "scaled-residual variance vs 1/(2 rate0 T)"),
-            "offdiag": _SE3,
-            "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs predicted normal"),
-            "null_fp_rate": Tolerance(0.01, "absolute", "false-positive rate at p<0.05, Monte Carlo calibration"),
-        },
-    ),
-    "univar-coupled": dict(
-        _UNIVAR, kappa=0.5,
-        tolerances={
-            "mean_limit": _SE3,
-            "variance": Tolerance(0.10, "relative", "rotated residual covariance vs Bessel closed form"),
-            "offdiag": _SE3,
-            "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs ratio-corrected normal"),
-        },
-    ),
-    "bias-curve": dict(
-        rate0=30.0, trials=10, replicates=500, frequency=1.0, windows=(0.5, 0.75, 1.0),
-        tolerances={"mean_limit": _SE3},
-    ),
-    "sinusoid-uncoupled": dict(
-        rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,
-        rate_harmonic=3, phase_harmonic=1, phase_offset=0.0,
-        tolerances={
-            "mean_limit": _SE3,
-            "variance": Tolerance(0.10, "relative", "isotropic covariance 1/(2 rate0 T)"),
-            "offdiag": _SE3,
-        },
-    ),
-    "multivar-null": dict(
-        _MULTIVAR, kappa=0.0,
-        tolerances={
-            "mean_ks": Tolerance(0.08, "absolute", "per-run KS to MP, Monte Carlo calibration"),
-            "pooled_ks": Tolerance(0.05, "absolute", "pooled-ESD KS to MP, Monte Carlo calibration"),
-            "top_eigenvalue": Tolerance(0.15, "relative", "mean top eigenvalue vs MP upper edge"),
-            "edge_fp_rate": Tolerance(0.10, "absolute", "runs with top eigenvalue above 1.05x edge"),
-            "trace": Tolerance(0.10, "relative", "trace normalization sanity"),
-        },
-    ),
-    "multivar-coupled": dict(
-        _MULTIVAR, kappa=0.15, phase_offset=0.0,
-        tolerances={
-            "detection_rate": Tolerance(0.95, "min_rate", "runs whose top eigenvalue exceeds the MP edge"),
-        },
-    ),
-    "moment-oracle": dict(
-        rate0=20.0, window=1.0, trials=100000,
-        tolerances={"moment": _SE3},
-    ),
-}
+    build: Callable
+    run: Callable
+    parameters: dict
+    tolerances: dict
+
+    @property
+    def accepted(self) -> set:
+        """Every field a config of this experiment may set, and its report holds."""
+        return {"experiment", "master_seed", "output_dir", "tolerances", *self.parameters}
 
 
 @dataclass
@@ -289,7 +253,8 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run a named experiment and return (and optionally write) its report."""
     started = time.perf_counter()
-    parts = EXPERIMENTS[config.experiment](config)
+    experiment = EXPERIMENTS[config.experiment]
+    parts = experiment.run(config, experiment.build(config))
     report = ExperimentReport(
         experiment=config.experiment,
         config=_config_dict(config),
@@ -302,94 +267,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _validate(config: ExperimentConfig) -> None:
-    # The harness's own rules. Every other field the experiment reads is
-    # checked by building what its runner builds, before any replicate runs.
-    reads = _DEFAULTS[config.experiment]
-    multivar = config.experiment.startswith("multivar")
-    if "replicates" in reads and config.replicates < 2:
+def _validate(config: ExperimentConfig, experiment: _Experiment) -> None:
+    # The rules every experiment shares. The experiment's own rules, and the
+    # check of every other field it reads, are its build: the one its runner
+    # simulates from, run here before any replicate.
+    if "replicates" in experiment.parameters and config.replicates < 2:
         raise ConfigurationError("need at least two replicates")
     if config.trials < 1:
         raise ConfigurationError("need at least one trial per replicate")
-    if config.experiment == "moment-oracle" and config.trials < 2:
-        raise ConfigurationError("moment-oracle needs at least two trials for a standard error")
-    if multivar and config.units < 1:
-        raise ConfigurationError(f"need at least one unit, got {config.units}")
-    if config.experiment == "multivar-null" and config.kappa != 0.0:
-        raise ConfigurationError(f"multivar-null needs kappa = 0 (uncoupled units), got "
-                                 f"{config.kappa!r}; coupled units are multivar-coupled")
-    defaults = reads["tolerances"]
     for name, tol in config.tolerances.items():
         # Exactly the verdicts whose default bound is se_multiple carry a standard error.
-        if tol.kind == "se_multiple" and defaults[name].kind != "se_multiple":
+        if tol.kind == "se_multiple" and experiment.tolerances[name].kind != "se_multiple":
             raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
-    if config.experiment == "bias-curve" and not config.windows:
-        raise ConfigurationError("bias-curve needs windows, got none")
-    if config.experiment == "sinusoid-uncoupled":
-        # The matched case (rate harmonic == phase harmonic) runs alongside the
-        # mismatched one, whose rate harmonic comes from the config.
-        if config.rate_harmonic == config.phase_harmonic:
-            raise ConfigurationError(
-                "rate_harmonic must differ from phase_harmonic; the matched case is run alongside"
-            )
-        if config.rate_harmonic == 2 * config.phase_harmonic:
-            raise ConfigurationError(
-                "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
-                "not covered by the closed form; pick another harmonic"
-            )
     try:
-        if config.experiment.startswith("univar"):  # the law holds over whole cycles
-            _check_whole_cycles(LinearPhase(config.frequency, config.window))
-        if multivar:
-            _check_grid(config.components, config.window, config.dt, config.noise_kappa,
-                        config.channels)
-            for f in config.components:  # so does the MP test, for every component
-                _check_whole_cycles(LinearPhase(f, config.window))
-        if "phase_offset" in reads:  # at kappa = 0 only the univariate law reads it
+        # At kappa = 0 no model reads the phase offset; the univariate law does.
+        if "phase_offset" in experiment.parameters:
             _check_phase_offset(config.phase_offset)
-        for model, window in _thinned_models(config):
-            _thinning_bound(model, window)  # simulate_poisson's own rules
-        if config.experiment == "bias-curve":
-            for window in config.windows:
-                LinearPhase(config.frequency, window)
-        if config.experiment == "sinusoid-uncoupled":
-            LinearPhase(config.phase_harmonic / config.window, config.window)
+        experiment.build(config)
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from None
 
 
-def _unit_model(config: ExperimentConfig, phase: LinearPhase):
-    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0."""
-    if config.kappa == 0.0:
-        return HomogeneousRate(config.rate0)
-    return VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
-
-
-def _sinusoid_models(config: ExperimentConfig) -> dict:
-    """The matched and the mismatched case's rate models."""
-    return {label: SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset,
-                                config.window)
-            for label, harmonic in (("matched", config.phase_harmonic),
-                                    ("mismatched", config.rate_harmonic))}
-
-
-def _thinned_models(config: ExperimentConfig) -> list:
-    """(model, window) for every rate model the experiment's runner simulates."""
-    name = config.experiment
-    if name in ("univar-null", "univar-coupled"):
-        return [(_unit_model(config, LinearPhase(config.frequency, config.window)),
-                 config.window)]
-    if name == "sinusoid-uncoupled":
-        return [(model, config.window) for model in _sinusoid_models(config).values()]
-    if name.startswith("multivar"):
-        return [(model, config.window) for model in _multivar_unit_models(config)]
-    windows = config.windows if name == "bias-curve" else (config.window,)
-    return [(HomogeneousRate(config.rate0), window) for window in windows]
-
-
 def _config_dict(config: ExperimentConfig) -> dict:
     """The fields the experiment reads, with its name, seed and output directory."""
-    accepted = {"experiment", "master_seed", "output_dir", *_DEFAULTS[config.experiment]}
+    accepted = EXPERIMENTS[config.experiment].accepted
     return {k: v for k, v in asdict(config).items() if k in accepted}
 
 
@@ -531,9 +432,30 @@ def _residual_histogram(z, law):
     return rows
 
 
-def _run_univar(config: ExperimentConfig) -> dict:
-    phase = LinearPhase(config.frequency, config.window)
+def _whole_cycles(frequency, window) -> LinearPhase:
+    """The phase at ``frequency`` over ``window``, which must hold whole cycles of it."""
+    phase = LinearPhase(frequency, window)
+    _check_whole_cycles(phase)
+    return phase
+
+
+def _unit_model(config: ExperimentConfig, phase: LinearPhase):
+    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0."""
+    if config.kappa == 0.0:
+        return HomogeneousRate(config.rate0)
+    return VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
+
+
+def _build_univar(config: ExperimentConfig) -> tuple:
+    """The unit's phase, over whole cycles as the law needs, and its rate model."""
+    phase = _whole_cycles(config.frequency, config.window)
     model = _unit_model(config, phase)
+    _thinning_bound(model, config.window)
+    return phase, model
+
+
+def _run_univar(config: ExperimentConfig, built: tuple) -> dict:
+    phase, model = built
     plvs, totals = _plv_replicates(config, model, phase, config.window)
     p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
@@ -554,11 +476,20 @@ def _run_univar(config: ExperimentConfig) -> dict:
     return parts
 
 
-def _run_bias_curve(config: ExperimentConfig) -> dict:
+def _build_bias_curve(config: ExperimentConfig) -> tuple:
+    """The homogeneous rate model and the phase over each window."""
+    if not config.windows:
+        raise ConfigurationError("bias-curve needs windows, got none")
     model = HomogeneousRate(config.rate0)
+    for window in config.windows:
+        _thinning_bound(model, window)
+    return model, [LinearPhase(config.frequency, window) for window in config.windows]
+
+
+def _run_bias_curve(config: ExperimentConfig, built: tuple) -> dict:
+    model, phases = built
     parts, rows = _parts(), []
-    for w_idx, window in enumerate(config.windows):
-        phase = LinearPhase(config.frequency, window)
+    for w_idx, (window, phase) in enumerate(zip(config.windows, phases)):
         limit = plv_limit_numeric(phase, model, window)
         vals, _ = _plv_replicates(config, model, phase, window, block=w_idx)
         mean = vals.mean()
@@ -585,10 +516,34 @@ def _run_bias_curve(config: ExperimentConfig) -> dict:
     return parts
 
 
-def _run_sinusoid(config: ExperimentConfig) -> dict:
-    phase = LinearPhase(config.phase_harmonic / config.window, config.window)
+def _build_sinusoid(config: ExperimentConfig) -> tuple:
+    """The phase, and the rate models of the matched and the mismatched case.
+
+    The matched case (rate harmonic == phase harmonic) runs alongside the
+    mismatched one, whose rate harmonic comes from the config.
+    """
+    if config.rate_harmonic == config.phase_harmonic:
+        raise ConfigurationError(
+            "rate_harmonic must differ from phase_harmonic; the matched case is run alongside"
+        )
+    if config.rate_harmonic == 2 * config.phase_harmonic:
+        raise ConfigurationError(
+            "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
+            "not covered by the closed form; pick another harmonic"
+        )
+    models = {label: SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset,
+                                  config.window)
+              for label, harmonic in (("matched", config.phase_harmonic),
+                                      ("mismatched", config.rate_harmonic))}
+    for model in models.values():
+        _thinning_bound(model, config.window)
+    return LinearPhase(config.phase_harmonic / config.window, config.window), models
+
+
+def _run_sinusoid(config: ExperimentConfig, built: tuple) -> dict:
+    phase, models = built
     parts = _parts()
-    for c_idx, (label, model) in enumerate(_sinusoid_models(config).items()):
+    for c_idx, (label, model) in enumerate(models.items()):
         vals, _ = _plv_replicates(config, model, phase, config.window, block=c_idx)
         laws = partial(plv_asymptotics_sinusoid, config.depth, model.harmonic, config.phase_harmonic,
                        config.phase_offset, config.rate0, config.window)
@@ -597,14 +552,26 @@ def _run_sinusoid(config: ExperimentConfig) -> dict:
     return parts
 
 
-def _multivar_unit_models(config: ExperimentConfig) -> list:
-    comp = config.components
-    return [_unit_model(config, LinearPhase(comp[j % len(comp)], config.window))
-            for j in range(config.units)]
+def _build_multivar(config: ExperimentConfig) -> list:
+    """Each unit's rate model, unit j locked to component j mod len(components).
+
+    The synthesis grid is checked, and every component holds whole cycles,
+    as the MP test needs.
+    """
+    if config.units < 1:
+        raise ConfigurationError(f"need at least one unit, got {config.units}")
+    if config.experiment == "multivar-null" and config.kappa != 0.0:
+        raise ConfigurationError(f"multivar-null needs kappa = 0 (uncoupled units), got "
+                                 f"{config.kappa!r}; coupled units are multivar-coupled")
+    _check_grid(config.components, config.window, config.dt, config.noise_kappa, config.channels)
+    phases = [_whole_cycles(f, config.window) for f in config.components]
+    models = [_unit_model(config, phases[j % len(phases)]) for j in range(config.units)]
+    for model in models:
+        _thinning_bound(model, config.window)
+    return models
 
 
-def _run_multivar(config: ExperimentConfig) -> dict:
-    models = _multivar_unit_models(config)
+def _run_multivar(config: ExperimentConfig, models: list) -> dict:
     law = mp_law(config.channels / config.units)
     upper = law.upper_edge
 
@@ -700,9 +667,16 @@ _MOMENT_SETS = {
 }
 
 
-def _run_moment_oracle(config: ExperimentConfig) -> dict:
-    # "trials" is the Monte Carlo sample size per integrand set here.
+def _build_moment_oracle(config: ExperimentConfig) -> HomogeneousRate:
+    """The homogeneous rate model; "trials" is the sample size of each integrand set."""
+    if config.trials < 2:
+        raise ConfigurationError("moment-oracle needs at least two trials for a standard error")
     model = HomogeneousRate(config.rate0)
+    _thinning_bound(model, config.window)
+    return model
+
+
+def _run_moment_oracle(config: ExperimentConfig, model: HomogeneousRate) -> dict:
     window = config.window
     grid = np.linspace(0.0, window, 4097)
     parts, rows = _parts(), []
@@ -730,12 +704,53 @@ def _run_moment_oracle(config: ExperimentConfig) -> dict:
     return parts
 
 
+_SE3 = Tolerance(3.0, "se_multiple", "three standard errors (CLT)")
+
+_UNIVAR = dict(rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0,
+               phase_offset=0.0)
+_MULTIVAR = dict(rate0=20.0, window=11.0, trials=10, replicates=100, units=90, channels=100,
+                 components=(11.0, 12.0, 13.0, 14.0, 15.0), noise_kappa=10.0, dt=1.0 / 1024.0)
+
+# Each experiment, declared once: its build and runner, its published
+# parameters (exactly those the runner reads, besides the seed) and bounds.
 EXPERIMENTS = {
-    "univar-null": _run_univar,
-    "univar-coupled": _run_univar,
-    "bias-curve": _run_bias_curve,
-    "sinusoid-uncoupled": _run_sinusoid,
-    "multivar-null": _run_multivar,
-    "multivar-coupled": _run_multivar,
-    "moment-oracle": _run_moment_oracle,
+    "univar-null": _Experiment(_build_univar, _run_univar, dict(_UNIVAR, kappa=0.0), {
+        "mean_limit": _SE3,
+        "variance": Tolerance(0.05, "relative", "scaled-residual variance vs 1/(2 rate0 T)"),
+        "offdiag": _SE3,
+        "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs predicted normal"),
+        "null_fp_rate": Tolerance(0.01, "absolute", "false-positive rate at p<0.05, Monte Carlo calibration"),
+    }),
+    "univar-coupled": _Experiment(_build_univar, _run_univar, dict(_UNIVAR, kappa=0.5), {
+        "mean_limit": _SE3,
+        "variance": Tolerance(0.10, "relative", "rotated residual covariance vs Bessel closed form"),
+        "offdiag": _SE3,
+        "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs ratio-corrected normal"),
+    }),
+    "bias-curve": _Experiment(
+        _build_bias_curve, _run_bias_curve,
+        dict(rate0=30.0, trials=10, replicates=500, frequency=1.0, windows=(0.5, 0.75, 1.0)),
+        {"mean_limit": _SE3}),
+    "sinusoid-uncoupled": _Experiment(
+        _build_sinusoid, _run_sinusoid,
+        dict(rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,
+             rate_harmonic=3, phase_harmonic=1, phase_offset=0.0), {
+            "mean_limit": _SE3,
+            "variance": Tolerance(0.10, "relative", "isotropic covariance 1/(2 rate0 T)"),
+            "offdiag": _SE3,
+        }),
+    "multivar-null": _Experiment(_build_multivar, _run_multivar, dict(_MULTIVAR, kappa=0.0), {
+        "mean_ks": Tolerance(0.08, "absolute", "per-run KS to MP, Monte Carlo calibration"),
+        "pooled_ks": Tolerance(0.05, "absolute", "pooled-ESD KS to MP, Monte Carlo calibration"),
+        "top_eigenvalue": Tolerance(0.15, "relative", "mean top eigenvalue vs MP upper edge"),
+        "edge_fp_rate": Tolerance(0.10, "absolute", "runs with top eigenvalue above 1.05x edge"),
+        "trace": Tolerance(0.10, "relative", "trace normalization sanity"),
+    }),
+    "multivar-coupled": _Experiment(
+        _build_multivar, _run_multivar, dict(_MULTIVAR, kappa=0.15, phase_offset=0.0), {
+            "detection_rate": Tolerance(0.95, "min_rate", "runs whose top eigenvalue exceeds the MP edge"),
+        }),
+    "moment-oracle": _Experiment(
+        _build_moment_oracle, _run_moment_oracle, dict(rate0=20.0, window=1.0, trials=100000),
+        {"moment": _SE3}),
 }

@@ -144,7 +144,8 @@ def plv_asymptotics_vonmises(
         from scipy.special import ive  # exp(-kappa) I_k(kappa)
 
         e0, e1, e2 = ive((0, 1, 2), kappa).tolist()
-        i0, r1, r2 = e0 * math.exp(kappa), e1 / e0, e2 / e0
+        # I0 >= 1, but e0 * e^kappa rounds to 1 - 2^-53 for kappa from about 6e-17 to 3e-8.
+        i0, r1, r2 = max(1.0, e0 * math.exp(kappa)), e1 / e0, e2 / e0
     expected = rate0 * window * i0
     cov = np.diag([1.0 + r2, 1.0 - r2]) / (2.0 * expected)
     if ratio_correction:

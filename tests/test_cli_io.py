@@ -723,6 +723,18 @@ class TestCliSimulateAnalyze:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "o" / "spectrum.json").exists()
 
+    def test_analyze_checks_the_law_once_however_silent_the_units(self, tmp_path, capsys):
+        # The law is built once per file, before the units: an offset that is not
+        # finite was ignored when no unit had a spike to judge.
+        doc = {"t_start": 0.0, "t_end": 1.0, "units": [{"id": 0, "trials": [[]]}]}
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        (tmp_path / "opt.json").write_text(json.dumps({"kappa": 1.0, "phase_offset": math.inf}))
+        code = main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+                     "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: phase offset must be finite, got inf")
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_refuses_a_silent_unit_before_writing(self, tmp_path, capsys):
         # The coupling matrix cannot be normalized, so neither mode writes its output.
         trains = _sample_spikes().trains
@@ -841,6 +853,28 @@ class TestCliSimulateAnalyze:
                      "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")]) == 0
         (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
         assert all(math.isfinite(unit[key]) for key in ("z_re", "z_im", "law_limit_re"))
+
+    @pytest.mark.parametrize("t_end", [1e20, 1e22])
+    def test_analyze_law_fields_at_large_kappa_and_tiny_rate(self, tmp_path, t_end):
+        # One spike over a long window. A baseline rate of rate_hat / I0(700)
+        # was subnormal at t_end = 1e20, which moved z_re by 0.9 %, and zero at
+        # 1e22, which exited 1 with "baseline rate must be positive and finite,
+        # got 0.0".
+        from scipy.special import ive
+
+        doc = {"t_start": 0.0, "t_end": t_end, "units": [{"id": 0, "trials": [[t_end / 2]]}]}
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        (tmp_path / "opt.json").write_text(json.dumps({"kappa": 700.0}))
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
+                     "--config", str(tmp_path / "opt.json"), "--out", str(tmp_path / "o")]) == 0
+        (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+        assert all(math.isfinite(unit[key]) for key in ("z_re", "z_im", "law_limit_re"))
+        # The ratio-corrected variances at an expected count of one spike per trial.
+        e0, e1, e2 = ive((0, 1, 2), 700.0)
+        r1, r2 = e1 / e0, e2 / e0
+        var_re, var_im = (1 + r2) / 2 - r1 * r1, (1 - r2) / 2
+        assert unit["z_re"] == pytest.approx((unit["plv_re"] - r1) / math.sqrt(var_re), rel=1e-6)
+        assert unit["z_im"] == pytest.approx(unit["plv_im"] / math.sqrt(var_im), rel=1e-9)
 
     def test_analyze_phase_of_partial_cycles_needs_no_kappa(self, tmp_path):
         # 1.3 Hz over the 2 s window is 2.6 cycles: the PLV is still estimated,
@@ -1153,7 +1187,8 @@ class TestRefusedConfigs:
 # it was re-pinned when the law took its Bessel ratios from scipy.special.ive,
 # which moved law_limit_re and the z fields by ulps, and again when the law's
 # baseline rate became the mean rate over I0(kappa), which scaled the z fields
-# by 1/sqrt(I0(0.8)).
+# by 1/sqrt(I0(0.8)), and again when the law was built once per file and its
+# covariance scaled to each unit's count, which moved unit 0's z_re by one ulp.
 _CLI_BYTES = {
     "data/spikes.json":
         "f444bf845040717b62e4f182a09a3bb2d8ba6f3606bf70a6a5317597826b546e",
@@ -1168,7 +1203,7 @@ _CLI_BYTES = {
     "analysis/esd.csv":
         "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
     "analysis/univariate.json":
-        "661608893f24751be9b0b79b64af99d36d1f978a65574b1a29deef08109a30dd",
+        "aa2184cd452b7fc42211cbcb588d2c1cb2639be3e4d0f8fff6e2e3bba4f87cc7",
 }
 
 # The same configuration with "whiten": false: the files analyze writes after

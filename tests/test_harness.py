@@ -18,7 +18,6 @@ import spikefield
 from spikefield import harness
 from spikefield.errors import ConfigurationError, DomainError, SingularGramError
 from spikefield.harness import (
-    _DEFAULTS,
     EXPERIMENTS,
     ExperimentConfig,
     Tolerance,
@@ -174,7 +173,7 @@ class TestConfig:
         # the config judges every verdict, and refuses a name it does not judge.
         cfg = ExperimentConfig(experiment="univar-null", replicates=2, trials=10,
                                tolerances=tolerances)
-        published = _DEFAULTS["univar-null"]["tolerances"]
+        published = EXPERIMENTS["univar-null"].tolerances
         assert cfg.tolerances == {**published, **tolerances}
         assert list(cfg.tolerances) == list(published)
         with pytest.raises(ConfigurationError, match=r"univar-null judges no tolerance\(s\) \['moment'\]"):
@@ -228,11 +227,12 @@ class TestConfig:
             via_defaults = ExperimentConfig.defaults(name, **{key: value})
             assert built == via_defaults
             assert harness._config_dict(built) == harness._config_dict(via_defaults)
-        assert accepted == set(_DEFAULTS[name]) | {"master_seed", "output_dir"}
+        assert accepted == set(EXPERIMENTS[name].parameters) | {"tolerances", "master_seed",
+                                                                 "output_dir"}
 
     def test_published_values_live_only_in_the_defaults_table(self):
         # The dataclass leaves every experiment parameter unset.
-        parameters = set().union(*_DEFAULTS.values()) - {"tolerances"}
+        parameters = set().union(*(e.parameters for e in EXPERIMENTS.values()))
         for f in fields(ExperimentConfig):
             if f.name in parameters:
                 assert f.default is None, f.name
@@ -243,8 +243,28 @@ class TestConfig:
         body = run_experiment(cfg).body_dict()["config"]
         assert body == harness._config_dict(ExperimentConfig.defaults(
             "moment-oracle", trials=2000, master_seed=5))
-        assert set(body) == {"experiment", "master_seed", "output_dir", *_DEFAULTS["moment-oracle"]}
+        assert set(body) == {"experiment", "master_seed", "output_dir", "tolerances",
+                             *EXPERIMENTS["moment-oracle"].parameters}
         assert body["tolerances"] == {k: asdict(t) for k, t in cfg.tolerances.items()}
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_check_runs_the_runners_build(self, monkeypatch, name):
+        # The constructor's check is the build the runner simulates from: what
+        # that build refuses, the constructor refuses with the same message,
+        # and nothing is drawn.
+        message = f"{name}'s build refuses this config"
+
+        def refuse(config):
+            raise DomainError(message)
+
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setitem(harness.EXPERIMENTS, name, replace(EXPERIMENTS[name], build=refuse))
+        monkeypatch.setattr(harness, "simulate_poisson", no_replicates)
+        with pytest.raises(ConfigurationError) as refused:
+            ExperimentConfig(experiment=name)
+        assert str(refused.value) == message
 
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
@@ -542,7 +562,8 @@ class TestGoldenBodies:
         # field is probed with a real value, since an unset one is always accepted.
         config = _small(name, **_GOLDEN_BODIES[name][0])
         recorder = _ReadRecorder(config)
-        EXPERIMENTS[name](recorder)
+        experiment = EXPERIMENTS[name]
+        experiment.run(recorder, experiment.build(recorder))
         accepted = set()
         for key, value in _probes(name).items():
             try:

@@ -240,6 +240,7 @@ class TestLawBesselValues:
     @given(x=st.floats(min_value=0.0, max_value=100.0))
     @example(x=5e-324)  # smallest subnormal: I1/I0 = x/2 rounds to 0 or 5e-324
     @example(x=2.2250738585072014e-308)  # smallest normal
+    @example(x=1e-8)  # ive(0, x) * e^x rounds to 1 - 2^-53 here
     @settings(max_examples=60, deadline=None)
     def test_order_monotonicity(self, x):
         i0, r1, r2 = _bessel_from_law(x)
