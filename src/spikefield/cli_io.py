@@ -57,6 +57,35 @@ I0(kappa)/(rate_hat*T), with rate_hat*T the unit's estimated count per
 trial. No baseline rate is formed, so none rounds to zero at a large
 kappa and a small mean rate.
 
+Simulation configs. ``simulate --config`` reads one JSON object. Every
+kind reads the common keys: ``window`` T and ``trials`` K (both required),
+``units`` (default 1), ``kind`` (default "homogeneous") and an optional
+``signals`` block of ``components`` and ``dt`` (both required),
+``channels`` (default 1), ``noise_kappa`` (default 0, no phase noise) and
+``whiten`` (default false). Each kind reads its own unit keys, with these
+defaults, and refuses the keys it does not read:
+
+    homogeneous   rate0 20
+    vonmises      rate0 20, kappa 0, phase_offset 0, frequency (none)
+    sinusoid      rate0 20, depth 0.3, harmonic 1, phase_offset 0
+
+A vonmises unit is locked to ``frequency`` or, with none given, unit j to
+component j mod len(components) of the signals block. At kappa = 0 it is
+uncoupled and drawn as a homogeneous unit, which spends no thinning
+uniforms; its phase_offset is checked but no model reads it. One
+generator, numpy's ``default_rng(--seed)`` with a seed >= 0, draws
+everything in this order: the signals' phase noise, then unit 0, 1, ...,
+each unit all its trials at once (Poisson counts, exponential spacings,
+then thinning uniforms unless the unit is homogeneous). An experiment's
+replicate i draws the same things in the same order from
+``default_rng(replicate_seed(master_seed, i))``. So with an experiment's
+parameters (a univariate one as one vonmises unit at its frequency, a
+multivariate one as vonmises units over its components, multivar-null's
+at kappa 0) and ``--seed replicate_seed(master_seed, i)``, ``simulate``
+writes replicate i's draws, and ``analyze`` gives replicate i's
+statistics: ``--phase`` its PLV, p-value and spike total, ``--signals``
+its spectrum.
+
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 rejected parameters), 2 numerical error. A FAIL verdict inside an
 experiment report does not change the exit code.
@@ -76,7 +105,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, NumericalError
 from .harness import ExperimentConfig, Tolerance, run_experiment
 from .multicoupling import normalize, spectrum, whitened_coupling
-from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate, simulate_poisson
+from .pointproc import (HomogeneousRate, SinusoidRate, SpikeData, _check_phase_offset,
+                        _locked_rate, _simulate_units)
 from .signals import (
     LinearPhase,
     SignalMatrix,
@@ -386,66 +416,68 @@ def load_experiment_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _SIM_KINDS = {
-    "kind": "str", "window": "float", "trials": "int", "units": "int", "rate0": "float",
-    "kappa": "float", "phase_offset": "float", "frequency": "float", "depth": "float",
-    "harmonic": "int", "signals": "dict",
+    "kind": "str", "window": "float", "trials": "int", "units": "int", "signals": "dict",
+    "rate0": "float", "kappa": "float", "phase_offset": "float", "frequency": "float",
+    "depth": "float", "harmonic": "int",
 }
+_SIM_COMMON = ("kind", "window", "trials", "units", "signals")  # read by every kind
 _SIGNAL_KINDS = {
     "components": "tuple", "channels": "int", "dt": "float", "noise_kappa": "float",
     "whiten": "bool",
 }
 
 
-def _build_unit_model(sim: dict, unit_index: int):
-    kind = sim.get("kind", "homogeneous")
-    rate0 = sim.get("rate0", 20.0)
-    window = sim["window"]
-    if kind == "homogeneous":
-        return HomogeneousRate(rate0)
-    if kind == "vonmises":
-        if "frequency" in sim:
-            freq = sim["frequency"]
-        else:
-            comps = sim.get("signals", {}).get("components")
-            if not comps:
-                raise DomainError(
-                    "vonmises simulation needs 'frequency' or a signals block with 'components'"
-                )
-            freq = comps[unit_index % len(comps)]
-        return VonMisesRate(
-            rate0, sim.get("kappa", 0.0), sim.get("phase_offset", 0.0), LinearPhase(freq, window),
-        )
-    if kind == "sinusoid":
-        return SinusoidRate(
-            rate0, sim.get("depth", 0.3), sim.get("harmonic", 1), sim.get("phase_offset", 0.0),
-            window,
-        )
-    raise DomainError(f"unknown simulation kind {kind!r}")
+def _vonmises_models(window, components, rate0, kappa, phase_offset, frequency):
+    """One model per locking frequency: ``frequency``, else each signal component."""
+    frequencies = components if frequency is None else (frequency,)
+    if not frequencies:
+        raise DomainError("vonmises simulation needs 'frequency' or a signals block with 'components'")
+    _check_phase_offset(phase_offset)  # checked as the harness does: at kappa = 0 no model reads it
+    return [_locked_rate(rate0, kappa, phase_offset, LinearPhase(f, window)) for f in frequencies]
+
+
+# Each simulation kind, declared once: the unit keys it reads, with their
+# defaults, and the builder of its models from them, called as
+# build(window, components, **keys). Unit j takes model j mod len(models).
+_SIMULATIONS = {
+    "homogeneous": ({"rate0": 20.0}, lambda window, components, **keys: [HomogeneousRate(**keys)]),
+    "vonmises": ({"rate0": 20.0, "kappa": 0.0, "phase_offset": 0.0, "frequency": None},
+                 _vonmises_models),
+    "sinusoid": ({"rate0": 20.0, "depth": 0.3, "harmonic": 1, "phase_offset": 0.0},
+                 lambda window, components, **keys: [SinusoidRate(window=window, **keys)]),
+}
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {args.seed}")
     sim = _fields(_read_json(args.config), args.config, _SIM_KINDS, required=("window", "trials"))
     if "signals" in sim:
         sim["signals"] = _fields(sim["signals"], f"{args.config}: signals", _SIGNAL_KINDS,
                                  required=("components", "dt"))
+    kind = sim.get("kind", "homogeneous")
+    if kind not in _SIMULATIONS:
+        raise DomainError(f"unknown simulation kind {kind!r}; expected one of {sorted(_SIMULATIONS)}")
+    defaults, build = _SIMULATIONS[kind]
+    unread = set(sim) - set(_SIM_COMMON) - set(defaults)
+    if unread:
+        raise DomainError(f"{args.config}: {kind} simulation reads no field(s) {sorted(unread)}; "
+                          f"it reads {sorted([*_SIM_COMMON, *defaults])}")
     rng = np.random.default_rng(args.seed)
     window, trials = sim["window"], sim["trials"]
 
     # Everything is drawn, signals first, before anything is written.
-    signals = None
-    if "signals" in sim:
-        block = sim["signals"]
+    signals, block = None, sim.get("signals", {})
+    if block:
         signals = synthesize_oscillations(
             block["components"], window, block["dt"], block.get("noise_kappa", 0.0),
             block.get("channels", 1), rng,
         )
         if block.get("whiten", False):
             signals = whiten(signals)
-    trains = [
-        simulate_poisson(_build_unit_model(sim, j), window, trials, rng).trains[0]
-        for j in range(sim.get("units", 1))
-    ]
-    spikes = SpikeData(window=window, trains=trains)
+    models = build(window, block.get("components", ()),
+                   **{key: sim.get(key, value) for key, value in defaults.items()})
+    spikes = _simulate_units(models, sim.get("units", 1), window, trials, rng)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -594,9 +626,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="simulate spike trains and signals to files")
+    doc = __doc__ or ""  # python -OO strips the docstring that holds the config schema
+    p_sim = sub.add_parser("simulate", help="simulate spike trains and signals to files",
+                           description=doc[doc.find("Simulation configs."):doc.find("\n\nExit codes")],
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed, at least 0 (default 0)")
     p_sim.add_argument("--out", required=True, help="output directory")
 
     p_an = sub.add_parser("analyze", help="estimate coupling from data files")

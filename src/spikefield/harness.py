@@ -22,8 +22,13 @@ experiments draw their replicates from ``_plv_replicates`` (replicate i
 of block b uses seed index ``b * replicates + i``) and judge each case
 against its asymptotic law with ``_plv_case``: the univariate experiments
 are one unprefixed case, the sinusoid experiment a matched and a
-mismatched one. A multivariate replicate's spectrum is that of
-``whitened_coupling`` of the raw signals, as in ``analyze``. Every verdict
+mismatched one. A multivariate replicate draws its signals, then its
+units, and its spectrum is that of ``whitened_coupling`` of the raw
+signals, as in ``analyze``. The rule for a unit locked to a phase (von
+Mises, or homogeneous at kappa = 0) and the draw of many units from one
+generator live in ``pointproc`` (``_locked_rate``, ``_simulate_units``),
+where ``simulate`` takes them too, so ``simulate`` at a replicate's seed
+writes that replicate's draws. Every verdict
 comes from ``_judge``, where the named tolerance's kind alone decides the
 rule: a ``min_rate`` floor on the observed value, or else a bound on its
 distance from the target (a multiple of the standard error, a fraction of
@@ -48,9 +53,9 @@ from .multicoupling import ks_statistic, normalize, spectrum, whitened_coupling
 from .pointproc import (
     HomogeneousRate,
     SinusoidRate,
-    SpikeData,
-    VonMisesRate,
     _check_phase_offset,
+    _locked_rate,
+    _simulate_units,
     _thinning_bound,
     fourth_moment_oracle,
     simulate_poisson,
@@ -439,17 +444,10 @@ def _whole_cycles(frequency, window) -> LinearPhase:
     return phase
 
 
-def _unit_model(config: ExperimentConfig, phase: LinearPhase):
-    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0."""
-    if config.kappa == 0.0:
-        return HomogeneousRate(config.rate0)
-    return VonMisesRate(config.rate0, config.kappa, config.phase_offset, phase)
-
-
 def _build_univar(config: ExperimentConfig) -> tuple:
     """The unit's phase, over whole cycles as the law needs, and its rate model."""
     phase = _whole_cycles(config.frequency, config.window)
-    model = _unit_model(config, phase)
+    model = _locked_rate(config.rate0, config.kappa, config.phase_offset, phase)
     _thinning_bound(model, config.window)
     return phase, model
 
@@ -553,19 +551,27 @@ def _run_sinusoid(config: ExperimentConfig, built: tuple) -> dict:
 
 
 def _build_multivar(config: ExperimentConfig) -> list:
-    """Each unit's rate model, unit j locked to component j mod len(components).
+    """One rate model per component; unit j takes component j mod len(components)'s.
 
     The synthesis grid is checked, and every component holds whole cycles,
-    as the MP test needs.
+    as the MP test needs. Without phase noise channel c is carrier c mod
+    len(components), so the channels' carriers must differ, or the Gram
+    matrix is singular.
     """
     if config.units < 1:
         raise ConfigurationError(f"need at least one unit, got {config.units}")
     if config.experiment == "multivar-null" and config.kappa != 0.0:
         raise ConfigurationError(f"multivar-null needs kappa = 0 (uncoupled units), got "
                                  f"{config.kappa!r}; coupled units are multivar-coupled")
+    # multivar-null's uncoupled units read no offset, and it has none.
+    offset = config.phase_offset if config.experiment == "multivar-coupled" else None
     _check_grid(config.components, config.window, config.dt, config.noise_kappa, config.channels)
+    if config.noise_kappa == 0.0 and len(set(config.components[:config.channels])) < config.channels:
+        raise ConfigurationError(
+            f"noise_kappa = 0 leaves {config.channels} channels over components "
+            f"{config.components!r} with a repeated carrier: a singular Gram matrix")
     phases = [_whole_cycles(f, config.window) for f in config.components]
-    models = [_unit_model(config, phases[j % len(phases)]) for j in range(config.units)]
+    models = [_locked_rate(config.rate0, config.kappa, offset, phase) for phase in phases]
     for model in models:
         _thinning_bound(model, config.window)
     return models
@@ -586,10 +592,7 @@ def _run_multivar(config: ExperimentConfig, models: list) -> dict:
             config.components, config.window, config.dt,
             config.noise_kappa, config.channels, rng,
         )
-        unit_trains = [
-            simulate_poisson(m, config.window, config.trials, rng).trains[0] for m in models
-        ]
-        sd = SpikeData(window=config.window, trains=unit_trains)
+        sd = _simulate_units(models, config.units, config.window, config.trials, rng)
         rep = spectrum(normalize(whitened_coupling(raw_signals, sd), sd))
         ks_vals[i] = rep.ks_distance
         top_eigs[i] = rep.eigenvalues[0]

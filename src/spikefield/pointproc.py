@@ -110,6 +110,17 @@ class SinusoidRate:
 IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
 
 
+def _locked_rate(rate0, kappa, phase_offset, phase: LinearPhase):
+    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0.
+
+    An uncoupled unit (kappa = 0) is drawn as a homogeneous one, which
+    spends no thinning uniforms; it reads neither the offset nor the phase.
+    """
+    if kappa == 0.0:
+        return HomogeneousRate(rate0)
+    return VonMisesRate(rate0, kappa, phase_offset, phase)
+
+
 def _check_rate0(rate0) -> None:
     if not (rate0 > 0.0 and math.isfinite(rate0)):
         raise DomainError(f"baseline rate must be positive and finite, got {rate0!r}")
@@ -183,8 +194,9 @@ class SpikeData:
     def _from_flat(cls, window, times, offsets, n_trials):
         """Adopt flat arrays that already meet the constructor's checks (no copy, no checks).
 
-        For ``simulate_poisson``, whose draws meet them by construction; the
-        trains of a file, and every other input, go through the constructor.
+        For ``simulate_poisson`` and ``_simulate_units``, whose draws meet them
+        by construction; the trains of a file, and every other input, go
+        through the constructor.
         """
         spikes = cls.__new__(cls)
         spikes._bind(window, times, offsets, n_trials)
@@ -334,6 +346,22 @@ def simulate_poisson(
         for k in np.unique(trial[second != offsets[trial]]):
             _enforce_strict_increase(t_keep[offsets[k]:offsets[k + 1]], model, lam_max, window, rng)
     return SpikeData._from_flat(window, t_keep, offsets, trials)
+
+
+def _simulate_units(models, units, window, trials, rng) -> SpikeData:
+    """Draw ``units`` units in turn from one generator and join them into one SpikeData.
+
+    Unit j is ``simulate_poisson(models[j % len(models)], window, trials,
+    rng)``, drawn after unit j - 1; its flat times and trial bounds are
+    appended to those of the units before it.
+    """
+    if units < 1:
+        raise DomainError("need at least one unit")
+    drawn = [simulate_poisson(models[j % len(models)], window, trials, rng) for j in range(units)]
+    offsets = np.zeros(units * trials + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(unit.offsets) for unit in drawn]), out=offsets[1:])
+    times = np.concatenate([unit.times for unit in drawn])
+    return SpikeData._from_flat(_check_window(window), times, offsets, trials)
 
 
 def _enforce_strict_increase(times, model, lam_max, window, rng):

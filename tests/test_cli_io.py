@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikefield
-from spikefield import _floattext
+from spikefield import _floattext, cli_io
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -25,6 +25,7 @@ from spikefield.cli_io import (
     save_spikes,
 )
 from spikefield.errors import DomainError
+from spikefield.harness import ExperimentConfig, replicate_seed, run_experiment
 from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
@@ -586,6 +587,10 @@ class TestExperimentConfigFile:
         assert cfg.tolerances["gaussian_ks"].value == 0.03  # others intact
 
 
+_MULTIVAR_SMALL = dict(replicates=2, channels=20, units=18, components=(3.0, 4.0), window=2.0,
+                       dt=1 / 256, trials=5)
+
+
 class TestCliSimulateAnalyze:
     def test_round_trip_coupling_bit_exact(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
@@ -697,10 +702,11 @@ class TestCliSimulateAnalyze:
     @pytest.mark.parametrize("kind", ["sinusoid", "vonmises"])
     def test_simulate_rejects_a_phase_offset_that_is_not_finite(self, tmp_path, capsys, kind):
         # JSON reads Infinity; a sinusoid rate at an infinite offset used to
-        # thin away every spike and exit 0.
+        # thin away every spike and exit 0. A sinusoid reads no frequency or kappa.
+        locking = {"frequency": 2.0, "kappa": 0.5} if kind == "vonmises" else {}
         sim_cfg = tmp_path / "sim.json"
-        sim_cfg.write_text(json.dumps({"kind": kind, "window": 1.0, "trials": 3, "frequency": 2.0,
-                                       "kappa": 0.5, "phase_offset": math.inf}))
+        sim_cfg.write_text(json.dumps({"kind": kind, "window": 1.0, "trials": 3,
+                                       "phase_offset": math.inf, **locking}))
         code = main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: phase offset must be finite, got inf")
@@ -759,6 +765,88 @@ class TestCliSimulateAnalyze:
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}: verdict 'detection_rate' has no standard error")
+
+    @pytest.mark.parametrize("kind, reads", [
+        ("homogeneous", {"rate0"}),
+        ("vonmises", {"rate0", "kappa", "phase_offset", "frequency"}),
+        ("sinusoid", {"rate0", "depth", "harmonic", "phase_offset"}),
+    ])
+    def test_each_kind_accepts_exactly_the_unit_keys_it_reads(self, tmp_path, capsys, kind, reads):
+        # Each unit key alone, away from its default: a key the kind reads moves
+        # the spikes it draws, and any other is refused. The von Mises units are
+        # coupled here, so that their frequency and offset reach the model.
+        base = {"kind": kind, "window": 1.0, "trials": 3, "units": 2,
+                **({"frequency": 1.0, "kappa": 0.5} if kind == "vonmises" else {})}
+        probes = {"rate0": 30.0, "kappa": 0.7, "phase_offset": 0.4, "frequency": 2.0, "depth": 0.6,
+                  "harmonic": 2}
+
+        def spikes(name, doc):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            code = main(["simulate", "--config", str(tmp_path / f"{name}.json"), "--seed", "3",
+                         "--out", str(tmp_path / name)])
+            return (tmp_path / name / "spikes.json").read_bytes() if code == 0 else None
+
+        reference, accepted = spikes("base", base), set()
+        for key, value in probes.items():
+            drawn = spikes(key, {**base, key: value})
+            if drawn is None:
+                assert f"{kind} simulation reads no field(s) ['{key}']" in capsys.readouterr().err
+            else:
+                assert drawn != reference, key
+                accepted.add(key)
+        assert accepted == reads == set(cli_io._SIMULATIONS[kind][0])
+
+    def test_simulate_help_states_each_kinds_unit_keys_and_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if line.split()[:1] and line.split()[0] in cli_io._SIMULATIONS}
+        for kind, (defaults, _) in cli_io._SIMULATIONS.items():
+            for key, value in defaults.items():
+                assert f"{key} {'(none)' if value is None else format(value, 'g')}" in lines[kind]
+
+    # Small configs of the experiments simulate can replay: replicate i of each
+    # is drawn by simulate at replicate_seed(master_seed, i).
+    _REPLICATE_CASES = {
+        "univar-null": dict(replicates=2, trials=50),
+        "univar-coupled": dict(replicates=2, trials=50),
+        "multivar-null": _MULTIVAR_SMALL,
+        "multivar-coupled": _MULTIVAR_SMALL,
+    }
+
+    @pytest.mark.parametrize("name", sorted(_REPLICATE_CASES))
+    def test_simulate_then_analyze_is_replicate_i(self, tmp_path, name):
+        # A vonmises unit at kappa = 0 used to spend thinning uniforms that the
+        # harness's homogeneous unit does not draw, so the nulls' files held
+        # other draws than their replicates.
+        i, c = 1, ExperimentConfig(name, **self._REPLICATE_CASES[name])
+        replicates = run_experiment(c).replicates
+        sim = {"kind": "vonmises", "window": c.window, "trials": c.trials, "rate0": c.rate0,
+               "kappa": c.kappa}
+        if c.phase_offset is not None:
+            sim["phase_offset"] = c.phase_offset
+        if name.startswith("univar"):
+            sim["frequency"] = c.frequency
+            flags = ["--phase", f"linear:{c.frequency!r}"]
+        else:
+            sim.update(units=c.units, signals={"components": list(c.components), "dt": c.dt,
+                                               "channels": c.channels, "noise_kappa": c.noise_kappa})
+            flags = ["--signals", str(tmp_path / "d" / "signals.csv")]
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--seed", str(replicate_seed(c.master_seed, i)), "--out", str(tmp_path / "d")]) == 0
+        assert main(["analyze", "--spikes", str(tmp_path / "d" / "spikes.json"), *flags,
+                     "--out", str(tmp_path / "o")]) == 0
+        if name.startswith("univar"):
+            (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+            for key in ("plv_re", "plv_im", "p_null", "total_spikes"):
+                assert unit[key] == replicates[key][i], key
+        else:
+            spec = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+            eigs = np.asarray(spec["eigenvalues"])
+            got = [eigs[0], spec["ks_distance"], eigs.sum() / eigs.size]
+            expected = [replicates[key][i] for key in ("top_eigenvalue", "ks", "trace_over_p")]
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_simulate_deterministic(self, tmp_path):
         sim_cfg = tmp_path / "sim.json"
@@ -1103,6 +1191,35 @@ class TestRefusedConfigs:
             argv += ["--config", str(tmp_path / "opt.json")]
         code, err = _run(capsys, argv)
         self._refused(code, err, message, tmp_path / "o")
+
+    @pytest.mark.parametrize("change, unread, reads", [
+        ({"kappa": 0.5, "depth": 0.3, "harmonic": 4, "frequency": 3.0, "phase_offset": 1.0},
+         ["depth", "frequency", "harmonic", "kappa", "phase_offset"], ["rate0"]),
+        ({"kind": "sinusoid", "kappa": 0.5, "frequency": 2.0}, ["frequency", "kappa"],
+         ["depth", "harmonic", "phase_offset", "rate0"]),
+        ({"kind": "vonmises", "kappa": 0.5, "depth": 0.3, "harmonic": 2}, ["depth", "harmonic"],
+         ["frequency", "kappa", "phase_offset", "rate0"]),
+        ({"kind": "vonmises", "depth": 0.3}, ["depth"],
+         ["frequency", "kappa", "phase_offset", "rate0"]),
+    ], ids=["homogeneous", "sinusoid", "vonmises", "vonmises-uncoupled"])
+    def test_simulate_refuses_a_key_its_kind_does_not_read(self, tmp_path, capsys, change, unread,
+                                                           reads):
+        # Each was accepted and ignored, exit 0.
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**_SIM, **change}))
+        code, err = _run(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        kind = change.get("kind", "homogeneous")
+        common = ["kind", "signals", "trials", "units", "window"]
+        self._refused(code, err, f"{path}: {kind} simulation reads no field(s) {unread}; "
+                                 f"it reads {sorted(common + reads)}", tmp_path / "o")
+
+    def test_simulate_refuses_a_negative_seed(self, tmp_path, capsys):
+        # numpy's default_rng raised a bare "ValueError: expected non-negative integer".
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(_SIM))
+        code, err = _run(capsys, ["simulate", "--config", str(path), "--seed", "-1",
+                                  "--out", str(tmp_path / "o")])
+        self._refused(code, err, "seed must be a non-negative integer, got -1", tmp_path / "o")
 
     def test_simulate_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
         # Past numpy's limit its Poisson draw raises a bare "ValueError: lam value too large".

@@ -112,6 +112,11 @@ class TestConfig:
         ("multivar-coupled", {"noise_kappa": 1e13},
          r"phase_noise_kappa must be in \[0, 1e\+12\], got 10000000000000.0"),
         ("multivar-null", {"dt": 0.05}, "dt=0.05 undersamples the 15.0 Hz component"),
+        # Without phase noise, channel c is carrier c mod len(components).
+        ("multivar-null", {"noise_kappa": 0.0, "channels": 20, "components": (3.0, 4.0)},
+         r"noise_kappa = 0 leaves 20 channels over components \(3.0, 4.0\) with a repeated"),
+        ("multivar-coupled", {"noise_kappa": 0.0, "channels": 2, "components": (3.0, 3.0, 4.0)},
+         r"noise_kappa = 0 leaves 2 channels over components \(3.0, 3.0, 4.0\) with a repeated"),
         ("multivar-null", {"window": 1e300},
          r"window 1e\+300 at dt=0.0009765625 is 1.02e\+303 samples"),
         ("univar-null", {"rate0": math.inf}, "baseline rate must be positive and finite, got inf"),
@@ -128,7 +133,8 @@ class TestConfig:
             "inf-kappa", "huge-kappa", "overflowing-cycles", "overflowing-phase",
             "overflowing-component-cycles", "inf-phase-offset", "zero-rate-harmonic",
             "zero-phase-harmonic",
-            "nan-noise-kappa", "huge-noise-kappa", "undersampled",
+            "nan-noise-kappa", "huge-noise-kappa", "undersampled", "noiseless-channels-repeat",
+            "noiseless-components-repeat",
             "huge-window", "inf-rate0", "inf-rate0-moments", "poisson-limit-univar-null",
             "poisson-limit-univar-coupled", "poisson-limit-sinusoid", "poisson-limit-moments",
             "poisson-limit-bias-curve"])
@@ -445,8 +451,11 @@ class TestInterpolantWhitening:
         assert got.signal_integral.tobytes() == expected.signal_integral.tobytes()
 
     def test_duplicated_noiseless_components_singular(self):
+        # Phase noise this concentrated (spread about 3e-6 rad) leaves the four
+        # channels of one carrier nearly equal, which no build check sees: the run
+        # refuses their Gram.
         cfg = _small("multivar-null", replicates=2, channels=4, units=4, components=(3.0, 3.0),
-                     noise_kappa=0.0, window=2.0, dt=1 / 256, trials=2)
+                     noise_kappa=1e11, window=2.0, dt=1 / 256, trials=2)
         with pytest.raises(SingularGramError, match="near-null"):
             run_experiment(cfg)
 

@@ -17,6 +17,8 @@ from spikefield.pointproc import (
     SinusoidRate,
     SpikeData,
     VonMisesRate,
+    _locked_rate,
+    _simulate_units,
     fourth_moment_oracle,
     simulate_poisson,
 )
@@ -310,6 +312,34 @@ class TestThinningKeepsItsBits:
         assert np.array_equal(model.rate(t), _reference_rate(model, t))
         assert np.array_equal(t, before)  # the input is not written
         assert float(model.rate(1.25)) == float(_reference_rate(model, np.float64(1.25)))
+
+
+class TestUnitsDrawnInTurn:
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("units", [1, 3, 5])
+    def test_the_units_of_the_constructor_on_their_trains(self, units, trials):
+        # The reference draws each unit alone, in turn from one generator, and
+        # builds the SpikeData from their trains; unit j takes model j mod 2.
+        models = [_THINNED["vonmises-sparse"][0], _THINNED["sinusoid-sparse"][0]]
+        rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        sd = _simulate_units(models, units, 1.0, trials, rng)
+        trains = [simulate_poisson(models[j % 2], 1.0, trials, reference_rng).trains[0]
+                  for j in range(units)]
+        reference = SpikeData(window=1.0, trains=trains)
+        assert np.array_equal(sd.times, reference.times)
+        assert np.array_equal(sd.offsets, reference.offsets) and sd.offsets.dtype == np.int64
+        assert (sd.window, sd.n_trials, sd.n_units) == (1.0, trials, units)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert not (sd.times.flags.writeable or sd.offsets.flags.writeable)
+
+    @pytest.mark.parametrize("units", [0, -2])
+    def test_no_units_refused(self, units):
+        with pytest.raises(DomainError, match="need at least one unit"):
+            _simulate_units([HomogeneousRate(20.0)], units, 1.0, 2, np.random.default_rng(0))
+
+
+def test_an_uncoupled_locked_unit_is_homogeneous_and_reads_no_offset():
+    assert _locked_rate(20.0, 0.0, None, LinearPhase(1.0, 2.0)) == HomogeneousRate(20.0)
 
 
 _WINDOW = 2.0

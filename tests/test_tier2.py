@@ -1,6 +1,8 @@
 """Tests for the tier-2 verify command, tools/tier2.py."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +52,22 @@ def test_any_fail_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] moment-oracle/" in out
     assert "bias-curve: PASS in" in out
+
+
+def test_status_line_carries_the_reports_body_digest(capsys, monkeypatch):
+    run, reports = tier2.run_experiment, []
+
+    def recorded(config):
+        reports.append(run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(tier2, "run_experiment", recorded)
+    assert tier2.main(["moment-oracle"]) == 0
+    (report,) = reports
+    digest = hashlib.sha256(json.dumps(report.body_dict(), sort_keys=True).encode()).hexdigest()
+    status = capsys.readouterr().out.splitlines()[-1]
+    assert status.startswith("moment-oracle: PASS in ")
+    assert status.endswith(f" s; body sha256 {digest}")
 
 
 # Loads tools/tier2.py in a fresh interpreter and prints OPENBLAS_NUM_THREADS as

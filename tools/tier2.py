@@ -5,7 +5,12 @@
 With no names it runs every entry of ``spikefield.harness.EXPERIMENTS``
 in turn, default seed and all. It prints each verdict line as the
 experiment finishes, then one status line per experiment with its wall
-time, and exits 1 if any verdict FAILs (2 on an unknown name). The
+time and its report body's digest, and exits 1 if any verdict FAILs (2 on
+an unknown name). The digest is the sha256 of
+``json.dumps(report.body_dict(), sort_keys=True)``, the one the golden-body
+tests pin, so two runs (two thread settings, two hosts) that drew the same
+numbers print the same digests, and a diff of their logs shows which
+experiments did not. The
 ``spikefield experiment`` command keeps exit 0 on a FAIL verdict, so this
 is the command that gates on them. Serial, the full set takes several
 minutes. OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says
@@ -16,6 +21,8 @@ in the last bits, since its CPU kernels may differ.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import sys
 import time
@@ -43,7 +50,8 @@ def main(argv=None) -> int:
             print(line, flush=True)
         failed = sum(not v["passed"] for v in report.verdicts)
         status = "PASS" if report.all_passed else f"FAIL ({failed} of {len(report.verdicts)} verdicts)"
-        statuses.append(f"{name}: {status} in {report.runtime_seconds:.1f} s")
+        digest = hashlib.sha256(json.dumps(report.body_dict(), sort_keys=True).encode()).hexdigest()
+        statuses.append(f"{name}: {status} in {report.runtime_seconds:.1f} s; body sha256 {digest}")
         print(statuses[-1], flush=True)
         all_passed = all_passed and report.all_passed
     print(f"--- tier-2: {len(names)} experiment(s) in {time.perf_counter() - started:.1f} s")
