@@ -57,6 +57,14 @@ I0(kappa)/(rate_hat*T), with rate_hat*T the unit's estimated count per
 trial. No baseline rate is formed, so none rounds to zero at a large
 kappa and a small mean rate.
 
+Experiment configs. ``experiment --config`` reads one JSON object: the
+``experiment``'s name, ``master_seed`` and the parameters its runner
+reads, each defaulting to the experiment's published value. The bounds
+its verdicts are judged by live only in ``harness.EXPERIMENTS``, and the
+report is written only where ``--out`` says, so a config holds neither.
+The report body depends on the config alone, whatever directory it is
+written to.
+
 Simulation configs. ``simulate --config`` reads one JSON object. Every
 kind reads the common keys: ``window`` T and ``trials`` K (both required),
 ``units`` (default 1), ``kind`` (default "homogeneous") and an optional
@@ -87,7 +95,8 @@ statistics: ``--phase`` its PLV, p-value and spike total, ``--signals``
 its spectrum.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
-rejected parameters), 2 numerical error. A FAIL verdict inside an
+rejected parameters, an ``--out`` that is not a directory, arrays too
+large for memory), 2 numerical error. A FAIL verdict inside an
 experiment report does not change the exit code.
 """
 
@@ -102,8 +111,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError
-from .harness import ExperimentConfig, Tolerance, run_experiment
+from .errors import DomainError, NumericalError
+from .harness import ExperimentConfig, run_experiment
 from .multicoupling import normalize, spectrum, whitened_coupling
 from .pointproc import (HomogeneousRate, SinusoidRate, SpikeData, _check_phase_offset,
                         _locked_rate, _simulate_units)
@@ -169,7 +178,7 @@ def load_spikes(path) -> SpikeData:
     for key in ("t_start", "t_end", "units"):
         if key not in doc:
             raise DomainError(f"{path}: missing required field {key!r}")
-    if doc["t_start"] != 0.0:
+    if not _is_number(doc["t_start"]) or doc["t_start"] != 0.0:
         raise DomainError(f"{path}: field 't_start' must be 0, got {doc['t_start']!r}")
     if not isinstance(doc["units"], list):
         raise DomainError(f"{path}: field 'units' must be a list")
@@ -346,13 +355,12 @@ def _is_number(value) -> bool:
 
 # The JSON value each field kind accepts, what it reads as, and how an error
 # names it. Kinds are spelled as the Python annotations of the fields they
-# feed, so ExperimentConfig's and Tolerance's annotations serve directly.
+# feed, so ExperimentConfig's annotations serve directly.
 _KINDS = {
     "float": (_is_number, float, "a number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
     "str": (lambda v: isinstance(v, str), str, "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), lambda v: v, "a string or null"),
     "tuple": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
               lambda v: tuple(map(float, v)), "a list of numbers"),
     "dict": (lambda v: isinstance(v, dict), dict, "an object"),
@@ -391,22 +399,13 @@ def _fields(doc: dict, where, kinds: dict, required=()) -> dict:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
-_TOLERANCE_KINDS = {f.name: f.type for f in fields(Tolerance)}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse an ExperimentConfig from a JSON file, rejecting unknown or mistyped fields."""
     doc = _fields(_read_json(path), path, _CONFIG_KINDS, required=("experiment",))
-    tolerances = {}
-    for name, spec in doc.pop("tolerances", {}).items():
-        where = f"{path}: tolerance {name!r}"
-        try:
-            tolerances[name] = Tolerance(**_fields(spec, where, _TOLERANCE_KINDS,
-                                                   required=_TOLERANCE_KINDS))
-        except ConfigurationError as exc:
-            raise DomainError(f"{where}: {exc}") from None
     try:
-        return ExperimentConfig(tolerances=tolerances, **doc)
+        return ExperimentConfig(**doc)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
 
@@ -607,15 +606,22 @@ def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
     report = run_experiment(config)
+    if args.out is not None:
+        report.write(args.out)
     for line in report.summary_lines():
         print(line)
     status = "all criteria PASS" if report.all_passed else "some criteria FAIL (see report)"
-    where = f"; report in {config.output_dir}" if config.output_dir else ""
+    where = f"; report in {args.out}" if args.out else ""
     print(f"{report.experiment}: {status}{where}")
     return 0
+
+
+def _check_out(path) -> None:
+    """Refuse an ``--out`` that is, or lies under, an existing file that is not a directory."""
+    where = next((p for p in (Path(path), *Path(path).parents) if p.exists()), Path(path))
+    if not where.is_dir():
+        raise DomainError(f"--out {path}: {where} is not a directory")
 
 
 def main(argv=None) -> int:
@@ -644,17 +650,19 @@ def main(argv=None) -> int:
     p_ex = sub.add_parser("experiment", help="run a named Monte Carlo experiment")
     p_ex.add_argument("--config", required=True, help="experiment config JSON")
     p_ex.add_argument("--seed", type=int, help="override the master seed")
-    p_ex.add_argument("--out", help="override the output directory")
+    p_ex.add_argument("--out", help="output directory of report.json and the plot CSVs")
 
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:  # before anything is drawn
+            _check_out(args.out)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_experiment(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, MemoryError) as exc:  # numpy's MemoryError names the array it missed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

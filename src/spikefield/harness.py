@@ -8,31 +8,35 @@ deterministic for a fixed configuration: rerunning reproduces the same
 bytes apart from the runtime field.
 
 Each experiment is declared once, as its entry in ``EXPERIMENTS``: its
-published parameters and tolerances, its build and its runner. The build
-makes everything the runner simulates (phases, rate models, the synthesis
-grid) and checks it, ``simulate_poisson``'s bounds included, so each
-parameter rule is the check of the module that owns it; it also holds the
-experiment's own rules. A config is valid from construction: the
-constructor checks the rules every experiment shares and runs the build,
-before any replicate. ``run_experiment`` runs the same build and hands
-what it made to the runner, then builds the one ``ExperimentReport``
-(experiment, config, master seed, runtime); a runner returns only its
-targets, aggregates, replicates, verdicts and plot data. The PLV
-experiments draw their replicates from ``_plv_replicates`` (replicate i
-of block b uses seed index ``b * replicates + i``) and judge each case
-against its asymptotic law with ``_plv_case``: the univariate experiments
-are one unprefixed case, the sinusoid experiment a matched and a
-mismatched one. A multivariate replicate draws its signals, then its
-units, and its spectrum is that of ``whitened_coupling`` of the raw
-signals, as in ``analyze``. The rule for a unit locked to a phase (von
-Mises, or homogeneous at kappa = 0) and the draw of many units from one
-generator live in ``pointproc`` (``_locked_rate``, ``_simulate_units``),
-where ``simulate`` takes them too, so ``simulate`` at a replicate's seed
-writes that replicate's draws. Every verdict
-comes from ``_judge``, where the named tolerance's kind alone decides the
-rule: a ``min_rate`` floor on the observed value, or else a bound on its
-distance from the target (a multiple of the standard error, a fraction of
-the target, or an absolute value).
+published parameters and tolerances, its build and its runner. Those
+tolerances are the only copy of its bounds: a config holds none, and every
+verdict reads the entry. The build makes everything the runner simulates
+(phases, rate models, the synthesis grid) and checks it,
+``simulate_poisson``'s bounds included, so each parameter rule is the
+check of the module that owns it; it also holds the experiment's own
+rules. A config is valid from construction: the constructor checks the
+rules every experiment shares and runs the build, before any replicate.
+``run_experiment`` runs the same build and hands what it made to the
+runner, then builds the one ``ExperimentReport`` (experiment, config,
+master seed, runtime); a runner returns only its targets, aggregates,
+replicates, verdicts and plot data. Nothing here writes to disk:
+``ExperimentReport.write`` writes a report where it is told, as
+``spikefield experiment --out`` does, so the report body depends on the
+config alone. The PLV experiments draw their replicates from
+``_plv_replicates`` (replicate i of block b uses seed index
+``b * replicates + i``) and judge each case against its asymptotic law
+with ``_plv_case``: the univariate experiments are one unprefixed case,
+the sinusoid experiment a matched and a mismatched one. A multivariate
+replicate draws its signals, then its units, and its spectrum is that of
+``whitened_coupling`` of the raw signals, as in ``analyze``. The rule for
+a unit locked to a phase (von Mises, or homogeneous at kappa = 0) and the
+draw of many units from one generator live in ``pointproc``
+(``_locked_rate``, ``_simulate_units``), where ``simulate`` takes them
+too, so ``simulate`` at a replicate's seed writes that replicate's draws.
+Every verdict comes from ``_judge``, where the named tolerance's kind
+alone decides the rule: a ``min_rate`` floor on the observed value, or
+else a bound on its distance from the target (a multiple of the standard
+error, a fraction of the target, or an absolute value).
 """
 
 from __future__ import annotations
@@ -54,13 +58,15 @@ from .pointproc import (
     HomogeneousRate,
     SinusoidRate,
     _check_phase_offset,
+    _check_trials,
     _locked_rate,
     _simulate_units,
     _thinning_bound,
     fourth_moment_oracle,
     simulate_poisson,
 )
-from .signals import LinearPhase, _check_grid, _check_whole_cycles, synthesize_oscillations
+from .signals import (LinearPhase, _MAX_BYTES, _check_grid, _check_whole_cycles,
+                      synthesize_oscillations)
 from .specfun import mp_density, mp_law
 from .unicoupling import (
     estimate_plv,
@@ -101,7 +107,7 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters, seed, and named tolerances for one experiment.
+    """The experiment, its master seed and the parameters its runner reads.
 
     Build it with the experiment's name and the fields to change. Every
     parameter left unset (None) that the experiment reads is filled from
@@ -111,15 +117,15 @@ class ExperimentConfig:
     multivariate runs use five oscillatory components at 11-15 Hz over
     11 s, 100 channels, 90 units, K = 10, phase-noise concentration 10.
     Replicate counts are scaled to desk runtime (2000 univariate, 100
-    multivariate). ``tolerances`` names only the bounds to change; once
-    built, the config holds every bound the experiment judges.
+    multivariate). The config holds no bound: the bounds live only in the
+    experiment's ``EXPERIMENTS`` entry, and a report is written where
+    ``ExperimentReport.write`` is told (``spikefield experiment --out``).
 
     A field the experiment does not read stays unset, and setting one is
-    refused, as are a tolerance name it does not judge and every parameter
-    out of its domain. All of it is checked here, before any replicate
-    runs, and the config is frozen, so it stays valid. The rules every
-    experiment shares are written here (replicates, trials, tolerance
-    kinds, a finite phase offset); then the experiment's build runs, the
+    refused, as is every parameter out of its domain. All of it is checked
+    here, before any replicate runs, and the config is frozen, so it stays
+    valid. The rules every experiment shares are written here (replicates,
+    trials, a finite phase offset); then the experiment's build runs, the
     one its runner simulates from, which holds the experiment's own rules
     and sends every other field through the check of the model, phase,
     synthesis grid or sampler it builds.
@@ -143,8 +149,6 @@ class ExperimentConfig:
     noise_kappa: float = None
     dt: float = None
     windows: tuple = None
-    output_dir: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -152,20 +156,14 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {sorted(EXPERIMENTS)}"
             )
         experiment = EXPERIMENTS[self.experiment]
-        unknown = set(self.tolerances) - set(experiment.tolerances)
-        if unknown:
-            raise ConfigurationError(f"{self.experiment} judges no tolerance(s) {sorted(unknown)}; "
-                                     f"it judges {sorted(experiment.tolerances)}")
         unread = {f.name for f in fields(self) if getattr(self, f.name) is not None}
         unread -= experiment.accepted
         if unread:
             raise ConfigurationError(f"{self.experiment} reads no field(s) {sorted(unread)}; "
-                                     f"it reads {sorted(experiment.parameters)}, master_seed "
-                                     f"and output_dir")
+                                     f"it reads {sorted(experiment.parameters)} and master_seed")
         for name, value in experiment.parameters.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        object.__setattr__(self, "tolerances", {**experiment.tolerances, **self.tolerances})
         _validate(self, experiment)
 
     @classmethod
@@ -193,8 +191,8 @@ class _Experiment:
 
     @property
     def accepted(self) -> set:
-        """Every field a config of this experiment may set, and its report holds."""
-        return {"experiment", "master_seed", "output_dir", "tolerances", *self.parameters}
+        """Every field a config of this experiment may set, and its report's config holds."""
+        return {"experiment", "master_seed", *self.parameters}
 
 
 @dataclass
@@ -256,35 +254,32 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run a named experiment and return (and optionally write) its report."""
+    """Run a named experiment and return its report."""
     started = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     parts = experiment.run(config, experiment.build(config))
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment=config.experiment,
         config=_config_dict(config),
         master_seed=config.master_seed,
         runtime_seconds=time.perf_counter() - started,
         **parts,
     )
-    if config.output_dir is not None:
-        report.write(config.output_dir)
-    return report
 
 
 def _validate(config: ExperimentConfig, experiment: _Experiment) -> None:
     # The rules every experiment shares. The experiment's own rules, and the
     # check of every other field it reads, are its build: the one its runner
     # simulates from, run here before any replicate.
-    if "replicates" in experiment.parameters and config.replicates < 2:
-        raise ConfigurationError("need at least two replicates")
-    if config.trials < 1:
-        raise ConfigurationError("need at least one trial per replicate")
-    for name, tol in config.tolerances.items():
-        # Exactly the verdicts whose default bound is se_multiple carry a standard error.
-        if tol.kind == "se_multiple" and experiment.tolerances[name].kind != "se_multiple":
-            raise ConfigurationError(f"verdict {name!r} has no standard error for an se_multiple bound")
+    if "replicates" in experiment.parameters:
+        if config.replicates < 2:
+            raise ConfigurationError("need at least two replicates")
+        if not config.replicates * 16 <= _MAX_BYTES:  # the replicates' complex PLVs
+            raise ConfigurationError(f"replicates must be at most {_MAX_BYTES // 16} for numpy to "
+                                     f"build an array of one complex per replicate, got "
+                                     f"{config.replicates!r}")
     try:
+        _check_trials(config.trials)
         # At kappa = 0 no model reads the phase offset; the univariate law does.
         if "phase_offset" in experiment.parameters:
             _check_phase_offset(config.phase_offset)
@@ -294,9 +289,11 @@ def _validate(config: ExperimentConfig, experiment: _Experiment) -> None:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    """The fields the experiment reads, with its name, seed and output directory."""
-    accepted = EXPERIMENTS[config.experiment].accepted
-    return {k: v for k, v in asdict(config).items() if k in accepted}
+    """The fields the experiment reads, with its name, seed and published bounds."""
+    experiment = EXPERIMENTS[config.experiment]
+    body = {k: v for k, v in asdict(config).items() if k in experiment.accepted}
+    body["tolerances"] = {name: asdict(tol) for name, tol in experiment.tolerances.items()}
+    return body
 
 
 def _parts() -> dict:
@@ -305,7 +302,7 @@ def _parts() -> dict:
 
 
 def _judge(config, name, observed, target, tolerance_name=None, se=None):
-    """Verdict on ``observed`` under the named tolerance, whose kind alone sets the rule.
+    """Verdict on ``observed`` under its experiment's named bound, whose kind alone sets the rule.
 
     ``min_rate`` passes when ``observed`` reaches the tolerance's value. Every
     other kind bounds |observed - target|: ``se_multiple`` by value * se,
@@ -313,7 +310,7 @@ def _judge(config, name, observed, target, tolerance_name=None, se=None):
     error, the verdict also carries the signed z = (observed - target) / se.
     """
     tolerance_name = tolerance_name or name
-    tol = config.tolerances[tolerance_name]
+    tol = EXPERIMENTS[config.experiment].tolerances[tolerance_name]
     bound = tol.value * {"se_multiple": se, "relative": abs(target)}.get(tol.kind, 1.0)
     passed = observed >= bound if tol.kind == "min_rate" else abs(observed - target) <= bound
     v = {
@@ -377,7 +374,7 @@ def _plv_case(config, parts, laws, plvs, label=""):
         _judge(config, prefix + "var_im", var_im, corrected.cov[1, 1], "variance"),
         _judge(config, prefix + "cov_offdiag", off, 0.0, "offdiag", se=se_off),
     ]
-    if "gaussian_ks" in config.tolerances:
+    if "gaussian_ks" in EXPERIMENTS[config.experiment].tolerances:
         ks = _normal_ks(z_corrected.real, math.sqrt(corrected.cov[0, 0]))
         verdicts.append(_judge(config, prefix + "gaussian_ks", ks, 0.0, "gaussian_ks"))
 
@@ -467,7 +464,7 @@ def _run_univar(config: ExperimentConfig, built: tuple) -> dict:
         "expected_events_per_trial": law.expected_events,
     })
     parts["replicates"].update({"total_spikes": totals.tolist(), "p_null": p_null.tolist()})
-    if "null_fp_rate" in config.tolerances:
+    if "null_fp_rate" in EXPERIMENTS[config.experiment].tolerances:
         fp = float(np.mean(p_null < 0.05))
         parts["verdicts"].append(_judge(config, "null_fp_rate", fp, 0.05))
         parts["aggregates"]["null_fp_rate"] = fp

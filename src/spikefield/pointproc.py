@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .signals import LinearPhase, _check_window
+from .signals import LinearPhase, _MAX_BYTES, _check_window
 
 __all__ = [
     "HomogeneousRate",
@@ -285,6 +285,15 @@ def _thinning_bound(model: IntensityModel, window) -> tuple:
     return lam_max, expected
 
 
+def _check_trials(trials) -> None:
+    """At least one trial, and few enough for numpy's array of one int64 per trial."""
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials!r}")
+    if not (trials + 1) * 8 <= _MAX_BYTES:
+        raise DomainError(f"trials must be at most {_MAX_BYTES // 8 - 1} for numpy to build an "
+                          f"array of one int64 per trial, got {trials!r}")
+
+
 def simulate_poisson(
     model: IntensityModel,
     window: float,
@@ -305,8 +314,7 @@ def simulate_poisson(
     anything is drawn.
     """
     lam_max, expected = _thinning_bound(model, window)
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    _check_trials(trials)
     counts = rng.poisson(expected, size=trials)
     total = int(counts.sum())
     # Sorted uniform candidates per trial via the order-statistics

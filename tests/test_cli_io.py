@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikefield
-from spikefield import _floattext, cli_io
+from spikefield import _floattext, cli_io, harness
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -25,7 +26,7 @@ from spikefield.cli_io import (
     save_spikes,
 )
 from spikefield.errors import DomainError
-from spikefield.harness import ExperimentConfig, replicate_seed, run_experiment
+from spikefield.harness import EXPERIMENTS, ExperimentConfig, Tolerance, replicate_seed, run_experiment
 from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, synthesize_oscillations, whiten
@@ -517,6 +518,8 @@ class TestSpikeReader:
         ("1.75]]}", "1.75]x]}", ":1:123: Expecting ',' delimiter"),
         ("[0.5, 1.25]", "[0.5,11.25]", ": unit 0 trial 0: event time outside [0, 2.0]"),
         ('"trials": [[0.125]', '"trials": [x[0.125]', ":1:103: Expecting value"),
+        # false == 0.0, so a boolean t_start used to be read as 0.
+        ('"t_start": 0.0', '"t_start": false', ": field 't_start' must be 0, got False"),
     ])
     def test_edited_documents(self, tmp_path, old, new, outcome):
         assert old in _SPIKE_DOC
@@ -575,16 +578,6 @@ class TestExperimentConfigFile:
         path.write_text(json.dumps({"experiment": "univar-null", "nonsense": 1}))
         with pytest.raises(DomainError, match="nonsense"):
             load_experiment_config(path)
-
-    def test_tolerance_override(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "experiment": "univar-null",
-            "tolerances": {"variance": {"value": 0.2, "kind": "relative", "provenance": "loosened"}},
-        }))
-        cfg = load_experiment_config(path)
-        assert cfg.tolerances["variance"].value == 0.2
-        assert cfg.tolerances["gaussian_ks"].value == 0.03  # others intact
 
 
 _MULTIVAR_SMALL = dict(replicates=2, channels=20, units=18, components=(3.0, 4.0), window=2.0,
@@ -754,18 +747,6 @@ class TestCliSimulateAnalyze:
         assert "unit(s) [1] have zero spikes" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_experiment_se_multiple_without_a_standard_error_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "experiment": "multivar-coupled", "replicates": 2, "channels": 20, "units": 18,
-            "components": [3.0, 4.0], "window": 2.0, "dt": 1 / 256, "trials": 5,
-            "tolerances": {"detection_rate": {"value": 3.0, "kind": "se_multiple",
-                                              "provenance": "not a rate floor"}},
-        }))
-        assert main(["experiment", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {cfg}: verdict 'detection_rate' has no standard error")
-
     @pytest.mark.parametrize("kind, reads", [
         ("homogeneous", {"rate0"}),
         ("vonmises", {"rate0", "kappa", "phase_offset", "frequency"}),
@@ -874,15 +855,26 @@ class TestCliSimulateAnalyze:
         captured = capsys.readouterr()
         assert "moment-oracle" in captured.out
 
-    def test_experiment_fail_verdict_keeps_exit_zero(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
+    def test_experiment_fail_verdict_keeps_exit_zero(self, tmp_path, monkeypatch, capsys):
         # Absurdly tight tolerance guarantees a FAIL verdict; exit stays 0.
-        cfg.write_text(json.dumps({
-            "experiment": "moment-oracle", "trials": 2000,
-            "tolerances": {"moment": {"value": 1e-9, "kind": "se_multiple",
-                                      "provenance": "test"}},
-        }))
+        tight = {"moment": Tolerance(1e-9, "se_multiple", "test")}
+        monkeypatch.setitem(EXPERIMENTS, "moment-oracle",
+                            replace(EXPERIMENTS["moment-oracle"], tolerances=tight))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "moment-oracle", "trials": 2000}))
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert "[FAIL] moment-oracle/" in capsys.readouterr().out
+
+    def test_experiment_report_body_is_the_same_whatever_the_out_dir(self, tmp_path):
+        # The output directory used to be a config field, written into the body.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "univar-null", "replicates": 12, "trials": 200}))
+        docs = []
+        for out in ("a", "b"):
+            assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+            docs.append(json.loads((tmp_path / out / "report.json").read_text()))
+            docs[-1].pop("runtime_seconds")
+        assert docs[0] == docs[1]
 
     def test_unknown_config_field_exits_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1023,20 +1015,8 @@ class TestTypedFields:
     @pytest.mark.parametrize("change, message", [
         ({"replicates": "x"}, "field 'replicates' must be an integer"),
         ({"components": 5}, "field 'components' must be a list of numbers, got 5"),
-        ({"tolerances": {"variance": {"v": 1}}}, "tolerance 'variance': unknown field(s) ['v']"),
-        ({"tolerances": {"variance": 5}}, "tolerance 'variance': expected a JSON object, got 5"),
-        ({"tolerances": {"variance": {"value": 0.05, "kind": "relatve", "provenance": "typo"}}},
-         "tolerance 'variance': kind must be one of"),
-        ({"experiment": "moment-oracle",
-          "tolerances": {"momnet": {"value": 1e-9, "kind": "se_multiple", "provenance": "typo"}}},
-         "moment-oracle judges no tolerance(s) ['momnet']; it judges ['moment']"),
-        ({"tolerances": {"detection_rate": {"value": 0.95, "kind": "min_rate",
-                                            "provenance": "another experiment's"}}},
-         "univar-null judges no tolerance(s) ['detection_rate']"),
         ({"channels": 3}, "univar-null reads no field(s) ['channels']"),
-    ], ids=["string-replicates", "scalar-components", "unknown-tolerance-field",
-            "scalar-tolerance", "mistyped-tolerance-kind", "misspelled-tolerance",
-            "unjudged-tolerance", "unread-field"])
+    ], ids=["string-replicates", "scalar-components", "unread-field"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**_EXPERIMENT, **change}))
@@ -1128,9 +1108,12 @@ class TestRefusedConfigs:
          "the phase 2*pi*f*T overflows at frequency 1e+308 and window 1.0"),
         ({"kind": "vonmises", "frequency": 1.0, "kappa": 710.0},
          "modulation strength must be at most 700.0, got 710.0"),
+        ({"trials": 2**70}, f"trials must be at most {2**60 - 2} for numpy to build an array of "
+                            f"one int64 per trial, got {2**70}"),
     ], ids=["zero-dt", "nan-dt", "undersampled", "unit-model-after-signals", "no-channels",
             "no-components", "no-units", "no-trials", "inf-window", "inf-kappa", "unknown-kind",
-            "huge-window", "off-grid-window", "overflowing-phase", "huge-kappa"])
+            "huge-window", "off-grid-window", "overflowing-phase", "huge-kappa",
+            "trials-past-numpy"])
     def test_simulate(self, tmp_path, capsys, change, message):
         # Each signals block here is refused before any unit is drawn, and each
         # unit model after the signals are drawn; neither leaves a file behind.
@@ -1161,10 +1144,20 @@ class TestRefusedConfigs:
         ({**_MULTIVAR, "kappa": 0.5},
          "multivar-null needs kappa = 0 (uncoupled units), got 0.5; "
          "coupled units are multivar-coupled"),
+        # The bounds live only in the experiment's entry, and --out names the report's directory.
+        ({"tolerances": {"variance": {"value": 0.2, "kind": "relative", "provenance": "loosened"}}},
+         "unknown field(s) ['tolerances']"),
+        ({"output_dir": "reports"}, "unknown field(s) ['output_dir']"),
+        # numpy raised "ValueError: Maximum allowed dimension exceeded" after the build.
+        ({"replicates": 2**70}, f"replicates must be at most {2**59 - 1} for numpy to build an "
+                                f"array of one complex per replicate, got {2**70}"),
+        ({"trials": 2**70}, f"trials must be at most {2**60 - 2} for numpy to build an array of "
+                            f"one int64 per trial, got {2**70}"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
-            "multivar-null-kappa"])
+            "multivar-null-kappa", "tolerances", "output-dir", "replicates-past-numpy",
+            "trials-past-numpy"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         doc = {k: v for k, v in {**_EXPERIMENT, **change}.items() if v is not None}
@@ -1212,6 +1205,47 @@ class TestRefusedConfigs:
         common = ["kind", "signals", "trials", "units", "window"]
         self._refused(code, err, f"{path}: {kind} simulation reads no field(s) {unread}; "
                                  f"it reads {sorted(common + reads)}", tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "experiment"])
+    @pytest.mark.parametrize("out", ["f", "f/sub"], ids=["file", "under-a-file"])
+    def test_out_that_is_not_a_directory(self, tmp_path, capsys, monkeypatch, command, out):
+        # mkdir raised FileExistsError or NotADirectoryError, experiment only
+        # after every replicate had run.
+        def no_draws(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr(harness, "simulate_poisson", no_draws)
+        monkeypatch.setattr(cli_io, "_simulate_units", no_draws)
+        (tmp_path / "f").write_text("a file\n")
+        (tmp_path / "sim.json").write_text(json.dumps(_SIM))
+        (tmp_path / "cfg.json").write_text(json.dumps(_EXPERIMENT))
+        save_spikes(_sample_spikes(), tmp_path / "s.json")
+        argv = {"simulate": ["--config", str(tmp_path / "sim.json")],
+                "analyze": ["--spikes", str(tmp_path / "s.json"), "--phase", "linear:1"],
+                "experiment": ["--config", str(tmp_path / "cfg.json")]}[command]
+        before = sorted(tmp_path.iterdir())
+        code, err = _run(capsys, [command, *argv, "--out", str(tmp_path / out)])
+        self._refused(code, err, f"--out {tmp_path / out}: {tmp_path / 'f'} is not a directory",
+                      tmp_path / "f" / "sub")
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "f").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_a_draw_past_memory(self, tmp_path, capsys, monkeypatch, command):
+        # numpy's MemoryError escaped main, as for simulate's 10**12 trials
+        # ("Unable to allocate 7.28 TiB"). Whether the host refuses such a
+        # request at once depends on its overcommit policy, so a draw raises it here.
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def past_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness, "simulate_poisson", past_memory)
+        monkeypatch.setattr(cli_io, "_simulate_units", past_memory)
+        (tmp_path / "cfg.json").write_text(json.dumps(_SIM if command == "simulate" else _EXPERIMENT))
+        code, err = _run(capsys, [command, "--config", str(tmp_path / "cfg.json"),
+                                  "--out", str(tmp_path / "o")])
+        self._refused(code, err, message, tmp_path / "o")
 
     def test_simulate_refuses_a_negative_seed(self, tmp_path, capsys):
         # numpy's default_rng raised a bare "ValueError: expected non-negative integer".
@@ -1269,7 +1303,7 @@ class TestRefusedConfigs:
         ("signals.json", '{"dt": 0.0078125, "T": ' + _DEEP, "JSON nested too deeply to read"),
         ("signals.json", '{"dt": 0.0078125, "T": 2.0, "p": ' + _HUGE + ', "whitened": false}',
          "Exceeds the limit ("),
-        ("cfg.json", '{"experiment": "univar-null", "tolerances": {"var_re": ' + _DEEP,
+        ("cfg.json", '{"experiment": "bias-curve", "windows": ' + _DEEP,
          "JSON nested too deeply to read"),
         ("cfg.json", '{"experiment": "univar-null", "trials": ' + _HUGE + "}", "Exceeds the limit ("),
     ], ids=["spikes-deep", "spikes-huge-int", "sidecar-deep", "sidecar-huge-int",

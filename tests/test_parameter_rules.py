@@ -1,10 +1,10 @@
 """One check per parameter rule, the same refusal at every site that takes the parameter.
 
 Each rule is written once, in the module that owns the parameter: the
-window in ``signals``, the rate, depth, harmonic and phase offset in
-``pointproc``, whole cycles in ``signals``. The models, the closed-form
-laws, the synthesis and ``ExperimentConfig`` call that check, so each
-refuses every bad value with a ``DomainError`` naming the value.
+window in ``signals``, the rate, depth, harmonic, phase offset and trial
+count in ``pointproc``, whole cycles in ``signals``. The models, the
+closed-form laws, the synthesis and ``ExperimentConfig`` call that check,
+so each refuses every bad value with a ``DomainError`` naming the value.
 """
 
 import math
@@ -91,6 +91,13 @@ _RULES = {
         "multivar-coupled": lambda o: ExperimentConfig("multivar-coupled", phase_offset=o),
         "multivar-coupled-kappa-0": lambda o: ExperimentConfig(
             "multivar-coupled", kappa=0.0, phase_offset=o),
+    }),
+    # At least one trial, and no more than numpy's array of one int64 per trial holds.
+    "trials": ((0, -1, 2**60 - 1, 2**70), {
+        "simulate_poisson": lambda k: simulate_poisson(HomogeneousRate(20.0), 1.0, k, _rng()),
+        **{name: lambda k, name=name: ExperimentConfig(name, trials=k) for name in (
+            "univar-null", "univar-coupled", "bias-curve", "sinusoid-uncoupled",
+            "multivar-null", "multivar-coupled", "moment-oracle")},
     }),
 }
 

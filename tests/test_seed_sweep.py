@@ -27,9 +27,10 @@ seed_sweep = _load_sweep()
 _CONFIG = {"experiment": "univar-null", "replicates": 12, "trials": 200}
 
 
-def test_counts_each_verdicts_fails_and_range(tmp_path, capsys):
+def test_counts_each_verdicts_fails_and_range(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**_CONFIG, "output_dir": str(tmp_path / "reports")}))
+    path.write_text(json.dumps(_CONFIG))
     assert seed_sweep.main([str(path), "1", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
 
@@ -45,7 +46,7 @@ def test_counts_each_verdicts_fails_and_range(tmp_path, capsys):
     assert [line.partition(":")[0] for line in lines[:3]] == ["seed 1", "seed 2", "seed 3"]
     assert lines[3] == "--- univar-null: 3 seed(s), 1..3"
     assert lines[4:] == expected
-    assert not (tmp_path / "reports").exists()  # the sweep writes no report
+    assert list(tmp_path.iterdir()) == [path]  # the sweep writes no file
 
 
 def test_refused_config_exits_one(tmp_path, capsys):

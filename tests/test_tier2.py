@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from spikefield.harness import ExperimentConfig, Tolerance
+from spikefield.harness import EXPERIMENTS, Tolerance
 
 
 _TIER2 = Path(__file__).resolve().parents[1] / "tools" / "tier2.py"
@@ -28,17 +29,6 @@ def _load_tier2():
 tier2 = _load_tier2()
 
 
-class _TightMoment:
-    """Published defaults, but a moment-oracle tolerance no run can meet."""
-
-    @staticmethod
-    def defaults(name):
-        if name != "moment-oracle":
-            return ExperimentConfig.defaults(name)
-        return ExperimentConfig.defaults(
-            name, tolerances={"moment": Tolerance(1e-9, "se_multiple", "test")})
-
-
 def test_all_pass_exits_zero(capsys):
     assert tier2.main(["moment-oracle"]) == 0
     out = capsys.readouterr().out
@@ -47,7 +37,10 @@ def test_all_pass_exits_zero(capsys):
 
 
 def test_any_fail_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(tier2, "ExperimentConfig", _TightMoment)
+    # A moment-oracle bound no run can meet.
+    tight = {"moment": Tolerance(1e-9, "se_multiple", "test")}
+    monkeypatch.setitem(EXPERIMENTS, "moment-oracle",
+                        replace(EXPERIMENTS["moment-oracle"], tolerances=tight))
     assert tier2.main(["moment-oracle", "bias-curve"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] moment-oracle/" in out

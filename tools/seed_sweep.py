@@ -5,7 +5,7 @@
 CONFIG is an experiment config file, read by
 ``spikefield.cli_io.load_experiment_config`` as ``spikefield experiment``
 reads it. The config runs once for each master seed FIRST..LAST (both
-included); the seed is the only field that changes, and no report is
+included); the seed is the only field that changes, and no file is
 written. One line per seed is printed as its run finishes. Then, for each
 verdict, one line gives how many seeds failed it and the smallest and
 largest value it observed, which shows how far a bound sits from the
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     if args.last < args.first:
         parser.error(f"last seed {args.last} is before first seed {args.first}")
     try:
-        config = replace(load_experiment_config(args.config), output_dir=None)
+        config = load_experiment_config(args.config)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
