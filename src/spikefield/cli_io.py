@@ -51,8 +51,9 @@ The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
 Mises law, which holds over whole cycles only: it is refused when f*T of
 the phase over the spikes' window is more than 1e-9 from an integer. The
 law is built once per file, at rate0 = T = 1, where its expected count
-per trial is I0(kappa). Every entry of its covariance scales as
-1/(expected count), so each unit's z fields take that covariance times
+per trial is I0(kappa). The z fields read its ``ratio_corrected_cov``,
+as the harness's variance verdicts do. Every entry of that covariance
+scales as 1/(expected count), so each unit's z fields take it times
 I0(kappa)/(rate_hat*T), with rate_hat*T the unit's estimated count per
 trial. No baseline rate is formed, so none rounds to zero at a large
 kappa and a small mean rate.
@@ -529,10 +530,9 @@ def _cmd_analyze(args) -> int:
         law = None
         if "kappa" in options:  # the von Mises law holds over whole cycles only
             _check_whole_cycles(phase)
-            # The ratio-corrected law, as the harness judges the same residual, at
-            # rate0 = T = 1, where its expected count per trial is I0(kappa).
+            # The law at rate0 = T = 1, where its expected count per trial is I0(kappa).
             law = plv_asymptotics_vonmises(options["kappa"], options.get("phase_offset", 0.0),
-                                           1.0, 1.0, ratio_correction=True)
+                                           1.0, 1.0)
         totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
@@ -553,9 +553,11 @@ def _cmd_analyze(args) -> int:
                     "null_cov_re": null_law.cov[0, 0],
                 })
                 if law is not None:
-                    # Its covariance scales as 1 / (expected count): here the
-                    # unit's estimated count per trial, rate_hat * T.
-                    var = law.cov.diagonal() * law.expected_events / (total / spikes.n_trials)
+                    # Its ratio-corrected covariance, as the harness judges the same
+                    # residual, scales as 1 / (expected count): here the unit's
+                    # estimated count per trial, rate_hat * T.
+                    var = (law.ratio_corrected_cov.diagonal() * law.expected_events
+                           / (total / spikes.n_trials))
                     z = law.rotated_residuals(np.array([plv]), spikes.n_trials)[0]
                     entry.update({
                         "law_limit_re": law.limit.real,

@@ -26,7 +26,10 @@ config alone. The PLV experiments draw their replicates from
 ``_plv_replicates`` (replicate i of block b uses seed index
 ``b * replicates + i``) and judge each case against its asymptotic law
 with ``_plv_case``: the univariate experiments are one unprefixed case,
-the sinusoid experiment a matched and a mismatched one. A multivariate
+the sinusoid experiment a matched and a mismatched one. Every build but
+the moment oracle's refuses a config under which some unit of some
+replicate is likely to draw no spike (``_check_spiking``): such a
+replicate has no PLV and no normalized coupling column. A multivariate
 replicate draws its signals, then its units, and its spectrum is that of
 ``whitened_coupling`` of the raw signals, as in ``analyze``. The rule for
 a unit locked to a phase (von Mises, or homogeneous at kappa = 0) and the
@@ -47,7 +50,6 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +67,8 @@ from .pointproc import (
     fourth_moment_oracle,
     simulate_poisson,
 )
-from .signals import (LinearPhase, _MAX_BYTES, _check_grid, _check_whole_cycles,
-                      synthesize_oscillations)
+from .signals import (LinearPhase, _GRAM_CONDITION_LIMIT, _MAX_BYTES, _check_grid,
+                      _check_whole_cycles, synthesize_oscillations)
 from .specfun import mp_density, mp_law
 from .unicoupling import (
     estimate_plv,
@@ -342,47 +344,44 @@ def _plv_replicates(config, model, phase, window, block=0):
     return plvs, totals
 
 
-def _plv_case(config, parts, laws, plvs, label=""):
+def _plv_case(config, parts, law, plvs, label=""):
     """Judge one case's replicate PLVs against its asymptotic law.
 
-    ``laws(ratio_correction=...)`` builds the law. The two variance
-    verdicts, the Gaussianity verdict and their residuals come from the
-    ratio-corrected law, which accounts for the fluctuating spike count the
-    PLV divides by; the mean and off-diagonal checks use the paper-form
-    law (the two laws are one at kappa = 0). Adds the
-    case's limit targets, verdicts, residual statistics, replicate PLVs and
-    residual histogram to ``parts``, every key prefixed by ``label`` (the
-    single univariate case has none). Returns the paper-form law.
+    The two variance verdicts and the Gaussianity verdict read the law's
+    ``ratio_corrected_cov``, which accounts for the fluctuating spike count
+    the PLV divides by; the mean check and the off-diagonal standard error
+    read the paper-form ``cov``, and the off-diagonal target is the
+    corrected covariance's [0, 1] entry (the two forms differ only on the
+    diagonal). Adds the case's limit targets, verdicts, residual
+    statistics, replicate PLVs and residual histogram to ``parts``, every
+    key prefixed by ``label`` (the single univariate case has none).
     """
     prefix = f"{label}_" if label else ""
-    law = laws()
-    corrected = laws(ratio_correction=True)
     n = len(plvs)
     z = law.rotated_residuals(plvs, config.trials)
-    z_corrected = corrected.rotated_residuals(plvs, config.trials)
-    cov = law.cov
+    cov, corrected = law.cov, law.ratio_corrected_cov
 
     se_mean = math.sqrt((cov[0, 0] + cov[1, 1]) / (config.trials * n))
     mean_err = abs(np.mean(plvs) - law.limit)
-    var_re = float(np.var(z_corrected.real, ddof=1))
-    var_im = float(np.var(z_corrected.imag, ddof=1))
+    var_re = float(np.var(z.real, ddof=1))
+    var_im = float(np.var(z.imag, ddof=1))
     off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
-    se_off = math.sqrt(cov[0, 0] * cov[1, 1] / n)
+    se_off = math.sqrt((cov[0, 0] * cov[1, 1] + cov[0, 1] ** 2) / n)
     verdicts = [
         _judge(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
-        _judge(config, prefix + "var_re", var_re, corrected.cov[0, 0], "variance"),
-        _judge(config, prefix + "var_im", var_im, corrected.cov[1, 1], "variance"),
-        _judge(config, prefix + "cov_offdiag", off, 0.0, "offdiag", se=se_off),
+        _judge(config, prefix + "var_re", var_re, corrected[0, 0], "variance"),
+        _judge(config, prefix + "var_im", var_im, corrected[1, 1], "variance"),
+        _judge(config, prefix + "cov_offdiag", off, corrected[0, 1], "offdiag", se=se_off),
     ]
     if "gaussian_ks" in EXPERIMENTS[config.experiment].tolerances:
-        ks = _normal_ks(z_corrected.real, math.sqrt(corrected.cov[0, 0]))
+        ks = _normal_ks(z.real, math.sqrt(corrected[0, 0]))
         verdicts.append(_judge(config, prefix + "gaussian_ks", ks, 0.0, "gaussian_ks"))
 
     parts["verdicts"].extend(verdicts)
     parts["targets"].update({
         prefix + "limit_re": law.limit.real,
         prefix + "limit_im": law.limit.imag,
-        prefix + "cov_re_ratio_corrected": corrected.cov[0, 0],
+        prefix + "cov_re_ratio_corrected": corrected[0, 0],
     })
     parts["aggregates"].update({
         prefix + "var_re": var_re,
@@ -396,7 +395,6 @@ def _plv_case(config, parts, laws, plvs, label=""):
         prefix + "plv_im": plvs.imag.tolist(),
     })
     parts["plot_data"]["residual_hist" + (f"_{label}" if label else "")] = _residual_histogram(z, law)
-    return law
 
 
 def _normal_ks(x, sd: float) -> float:
@@ -434,6 +432,26 @@ def _residual_histogram(z, law):
     return rows
 
 
+def _check_spiking(config, draws: int, window: float) -> None:
+    """Refuse a config under which some of ``draws`` unit draws likely has no spike.
+
+    A silent unit has no PLV and no normalized coupling column, so its
+    replicate would fail. A unit's expected count per trial is at least
+    rate0 * window: I0 >= 1 for a von Mises unit, and a sinusoid over whole
+    cycles gives rate0 * window exactly. So each draw is silent over all
+    trials with chance at most exp(-trials * rate0 * window), and the build
+    refuses when ``draws`` (replicates x units x cases or windows) times
+    that exceeds 1e-9.
+    """
+    spikes = config.trials * config.rate0 * window
+    chance = draws * math.exp(-spikes)
+    if chance > 1e-9:
+        raise ConfigurationError(
+            f"trials * rate0 * window = {spikes:.3g} expected spikes per unit leaves one of "
+            f"{draws} unit draws silent with chance up to {min(chance, 1.0):.2g}, above 1e-9; "
+            f"raise trials, rate0 or window")
+
+
 def _whole_cycles(frequency, window) -> LinearPhase:
     """The phase at ``frequency`` over ``window``, which must hold whole cycles of it."""
     phase = LinearPhase(frequency, window)
@@ -446,6 +464,7 @@ def _build_univar(config: ExperimentConfig) -> tuple:
     phase = _whole_cycles(config.frequency, config.window)
     model = _locked_rate(config.rate0, config.kappa, config.phase_offset, phase)
     _thinning_bound(model, config.window)
+    _check_spiking(config, config.replicates, config.window)
     return phase, model
 
 
@@ -455,9 +474,8 @@ def _run_univar(config: ExperimentConfig, built: tuple) -> dict:
     p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
     parts = _parts()
-    laws = partial(plv_asymptotics_vonmises, config.kappa, config.phase_offset,
-                   config.rate0, config.window)
-    law = _plv_case(config, parts, laws, plvs)
+    law = plv_asymptotics_vonmises(config.kappa, config.phase_offset, config.rate0, config.window)
+    _plv_case(config, parts, law, plvs)
     parts["targets"].update({
         "cov_re": law.cov[0, 0],
         "cov_im": law.cov[1, 1],
@@ -478,6 +496,7 @@ def _build_bias_curve(config: ExperimentConfig) -> tuple:
     model = HomogeneousRate(config.rate0)
     for window in config.windows:
         _thinning_bound(model, window)
+    _check_spiking(config, config.replicates * len(config.windows), min(config.windows))
     return model, [LinearPhase(config.frequency, window) for window in config.windows]
 
 
@@ -521,17 +540,13 @@ def _build_sinusoid(config: ExperimentConfig) -> tuple:
         raise ConfigurationError(
             "rate_harmonic must differ from phase_harmonic; the matched case is run alongside"
         )
-    if config.rate_harmonic == 2 * config.phase_harmonic:
-        raise ConfigurationError(
-            "rate_harmonic = 2 * phase_harmonic adds a second-harmonic covariance term "
-            "not covered by the closed form; pick another harmonic"
-        )
     models = {label: SinusoidRate(config.rate0, config.depth, harmonic, config.phase_offset,
                                   config.window)
               for label, harmonic in (("matched", config.phase_harmonic),
                                       ("mismatched", config.rate_harmonic))}
     for model in models.values():
         _thinning_bound(model, config.window)
+    _check_spiking(config, config.replicates * len(models), config.window)
     return LinearPhase(config.phase_harmonic / config.window, config.window), models
 
 
@@ -540,9 +555,9 @@ def _run_sinusoid(config: ExperimentConfig, built: tuple) -> dict:
     parts = _parts()
     for c_idx, (label, model) in enumerate(models.items()):
         vals, _ = _plv_replicates(config, model, phase, config.window, block=c_idx)
-        laws = partial(plv_asymptotics_sinusoid, config.depth, model.harmonic, config.phase_harmonic,
-                       config.phase_offset, config.rate0, config.window)
-        law = _plv_case(config, parts, laws, vals, label)
+        law = plv_asymptotics_sinusoid(config.depth, model.harmonic, config.phase_harmonic,
+                                       config.phase_offset, config.rate0, config.window)
+        _plv_case(config, parts, law, vals, label)
         parts["targets"][f"{label}_cov"] = law.cov[0, 0]
     return parts
 
@@ -551,9 +566,9 @@ def _build_multivar(config: ExperimentConfig) -> list:
     """One rate model per component; unit j takes component j mod len(components)'s.
 
     The synthesis grid is checked, and every component holds whole cycles,
-    as the MP test needs. Without phase noise channel c is carrier c mod
-    len(components), so the channels' carriers must differ, or the Gram
-    matrix is singular.
+    as the MP test needs. Channel c carries component c mod
+    len(components), and channels that share a carrier frequency must keep
+    enough phase noise between them for their Gram to be inverted.
     """
     if config.units < 1:
         raise ConfigurationError(f"need at least one unit, got {config.units}")
@@ -563,15 +578,46 @@ def _build_multivar(config: ExperimentConfig) -> list:
     # multivar-null's uncoupled units read no offset, and it has none.
     offset = config.phase_offset if config.experiment == "multivar-coupled" else None
     _check_grid(config.components, config.window, config.dt, config.noise_kappa, config.channels)
-    if config.noise_kappa == 0.0 and len(set(config.components[:config.channels])) < config.channels:
-        raise ConfigurationError(
-            f"noise_kappa = 0 leaves {config.channels} channels over components "
-            f"{config.components!r} with a repeated carrier: a singular Gram matrix")
+    _check_carrier_spread(config)
     phases = [_whole_cycles(f, config.window) for f in config.components]
     models = [_locked_rate(config.rate0, config.kappa, offset, phase) for phase in phases]
     for model in models:
         _thinning_bound(model, config.window)
+    _check_spiking(config, config.replicates * config.units, config.window)
     return models
+
+
+def _check_carrier_spread(config) -> None:
+    """Refuse channels that share a carrier and are too close for their Gram to be inverted.
+
+    Channels of one carrier frequency differ only by their phase noise, of
+    variance v = 1 - A^2 with A = I1/I0 at ``noise_kappa``; m of them give
+    the interpolant Gram a condition number of about 3m / (2v). This reads
+    v >= 1 / (1/2 + sqrt(1/4 + kappa^2)), which is Amos's bound
+    A <= kappa / (1/2 + sqrt(1/4 + kappa^2)) (Math. Comp. 28:239, 1974),
+    so the check is arithmetic and loads no scipy. It overstates the
+    condition number by 5 % at kappa = 10 and less above, where v is about
+    1/kappa.
+    The build refuses a condition number above 1/100 of the limit
+    ``_inverse_root`` enforces. ``noise_kappa = 0`` is noiseless, v = 0.
+    """
+    per_carrier = {}  # channel c carries component c mod len(components)
+    for k, frequency in enumerate(config.components):
+        channels = len(range(k, config.channels, len(config.components)))
+        per_carrier[frequency] = per_carrier.get(frequency, 0) + channels
+    m = max(per_carrier.values())
+    if m < 2:
+        return
+    if config.noise_kappa == 0.0:
+        raise ConfigurationError(
+            f"noise_kappa = 0 leaves {config.channels} channels over components "
+            f"{config.components!r} with a repeated carrier: a singular Gram matrix")
+    condition = 1.5 * m * (0.5 + math.sqrt(0.25 + config.noise_kappa ** 2))
+    if condition > _GRAM_CONDITION_LIMIT / 100:
+        raise ConfigurationError(
+            f"noise_kappa = {config.noise_kappa:g} leaves {m} channels of one carrier nearly "
+            f"equal: a Gram condition number of about {condition:.2g}, above "
+            f"{_GRAM_CONDITION_LIMIT / 100:g}")
 
 
 def _run_multivar(config: ExperimentConfig, models: list) -> dict:

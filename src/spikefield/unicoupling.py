@@ -41,9 +41,14 @@ __all__ = [
 class AsymptoticLaw:
     """Infinite-trial limit and Gaussian law of the scaled residual.
 
-    ``cov`` is the 2x2 covariance of (Re, Im) of
-    exp(-i rotation) * sqrt(K) * (estimate - limit); ``expected_events``
-    is the mean number of events per trial.
+    ``cov`` is the paper-form 2x2 covariance of (Re, Im) of
+    exp(-i rotation) * sqrt(K) * (estimate - limit), which treats the spike
+    count the PLV divides by as constant; ``expected_events`` is the mean
+    number of events per trial. The law is stated in its own frame:
+    ``rotation`` turns the limit onto the nonnegative real axis, so
+    exp(-i rotation) * limit = |limit| (a zero limit takes any rotation).
+    The constructor does not check that: at subnormal kappa the rounded
+    limit has no direction.
     """
 
     limit: complex
@@ -58,6 +63,21 @@ class AsymptoticLaw:
         if np.any(np.linalg.eigvalsh(cov) < -1e-12):
             raise DomainError("covariance must be positive semidefinite")
         object.__setattr__(self, "cov", cov)
+
+    @property
+    def ratio_corrected_cov(self) -> np.ndarray:
+        """The covariance with the count fluctuations of the ratio estimator propagated.
+
+        The PLV divides by the pooled spike count, which fluctuates with the
+        numerator: for any rate, with Lambda the expected count and L the
+        limit, the delta method gives (1/Lambda^2) int (h - L)(h - L)^T lambda
+        = ``cov`` - L L^T / Lambda. In the law's frame L is (|limit|, 0), so
+        only the variance along the limit drops, by |limit|^2 /
+        ``expected_events``. It is a property of the estimator, not of a
+        rate model, and Monte Carlo at large trial counts follows it
+        whenever the limit is nonzero.
+        """
+        return self.cov - np.diag([abs(self.limit) ** 2 / self.expected_events, 0.0])
 
     def rotated_residuals(self, estimates, trials: int) -> np.ndarray:
         """Map estimates to exp(-i rotation) sqrt(K) (estimate - limit)."""
@@ -106,21 +126,16 @@ def plv_asymptotics_vonmises(
     phase_offset: float,
     rate0: float,
     window: float,
-    ratio_correction: bool = False,
 ) -> AsymptoticLaw:
     """Closed-form PLV law for the exponential-cosine rate over integer cycles.
 
-    Limit exp(i phase_offset) I1(kappa)/I0(kappa); residual covariance
-    diag(I0+I2, I0-I2) / (2 rate0 window I0^2) in the frame rotated by
-    exp(-i phase_offset). The caller is responsible for the window holding
-    an integer number of oscillation periods.
-
-    The default covariance treats the spike-count normalization of the PLV
-    as constant. With ``ratio_correction`` the count fluctuations of the
-    ratio estimator are propagated as well, lowering the variance along
-    the limit direction by |limit|^2 / expected_events; Monte Carlo at
-    large trial counts follows the corrected value whenever the limit is
-    nonzero.
+    Limit exp(i phase_offset) I1(kappa)/I0(kappa); paper-form residual
+    covariance diag(I0+I2, I0-I2) / (2 rate0 window I0^2) in the frame
+    rotated by exp(-i phase_offset), where the limit is real and
+    nonnegative. The caller is responsible for the window holding an
+    integer number of oscillation periods. The law's
+    ``ratio_corrected_cov`` lowers the Re variance by (I1/I0)^2 /
+    expected_events.
 
     It is computed in the ratios r1 = I1/I0 and r2 = I2/I0 of the
     exponentially scaled ``scipy.special.ive``, finite at every kappa the
@@ -147,12 +162,9 @@ def plv_asymptotics_vonmises(
         # I0 >= 1, but e0 * e^kappa rounds to 1 - 2^-53 for kappa from about 6e-17 to 3e-8.
         i0, r1, r2 = max(1.0, e0 * math.exp(kappa)), e1 / e0, e2 / e0
     expected = rate0 * window * i0
-    cov = np.diag([1.0 + r2, 1.0 - r2]) / (2.0 * expected)
-    if ratio_correction:
-        cov[0, 0] -= r1 * r1 / expected
     return AsymptoticLaw(
         limit=np.exp(1j * phase_offset) * r1,
-        cov=cov,
+        cov=np.diag([1.0 + r2, 1.0 - r2]) / (2.0 * expected),
         expected_events=expected,
         rotation=phase_offset,
     )
@@ -165,20 +177,20 @@ def plv_asymptotics_sinusoid(
     phase_offset: float,
     rate0: float,
     window: float,
-    ratio_correction: bool = False,
 ) -> AsymptoticLaw:
     """Closed-form PLV law for a sinusoidally modulated rate.
 
-    Phase runs at ``phase_harmonic`` cycles per window, the rate modulation
-    at ``rate_harmonic`` cycles per window; the limit is
-    (depth/2) exp(i phase_offset) when they coincide and 0 otherwise, with
-    isotropic residual covariance I / (2 rate0 window).
-
-    ``ratio_correction`` propagates the spike-count fluctuations of the
-    ratio estimator (see ``plv_asymptotics_vonmises``); in the matched case
-    it lowers the variance along the limit direction by
-    (depth/2)^2 / expected_events and the law is reported in the frame
-    rotated by exp(-i phase_offset).
+    Phase runs at ``phase_harmonic`` cycles per window, the rate
+    rate0 (1 + depth cos(2 pi rate_harmonic t / window - phase_offset)) at
+    ``rate_harmonic``. With s = 1 / (2 rate0 window), the paper-form
+    covariance is s I, plus one term when the rate runs at twice the
+    phase's harmonic, where cos^2 and sin^2 of the phase beat with the
+    rate: s (depth/2) [[cos psi, sin psi], [sin psi, -cos psi]], with psi
+    = ``phase_offset``. The limit is (depth/2) exp(i phase_offset) when
+    the harmonics coincide, in the frame rotated by exp(-i phase_offset),
+    and 0 otherwise, in the unrotated frame. The law's
+    ``ratio_corrected_cov`` lowers the matched case's Re variance by
+    (depth/2)^2 / expected_events.
     """
     _check_depth(depth)
     _check_harmonic(rate_harmonic)
@@ -187,19 +199,16 @@ def plv_asymptotics_sinusoid(
     _check_window(window)
     _check_phase_offset(phase_offset)
     matched = rate_harmonic == phase_harmonic
-    limit = 0.5 * depth * np.exp(1j * phase_offset) if matched else 0j
     scale = 1.0 / (2.0 * rate0 * window)
     cov = np.diag([scale, scale])
-    expected = rate0 * window
-    rotation = 0.0
-    if ratio_correction and matched:
-        cov = cov - np.diag([(0.5 * depth) ** 2 / expected, 0.0])
-        rotation = phase_offset
+    if rate_harmonic == 2 * phase_harmonic:
+        c, s = math.cos(phase_offset), math.sin(phase_offset)
+        cov = cov + scale * (0.5 * depth) * np.array([[c, s], [s, -c]])
     return AsymptoticLaw(
-        limit=limit,
+        limit=0.5 * depth * np.exp(1j * phase_offset) if matched else 0j,
         cov=cov,
-        expected_events=expected,
-        rotation=rotation,
+        expected_events=rate0 * window,
+        rotation=phase_offset if matched else 0.0,
     )
 
 

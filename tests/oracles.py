@@ -99,6 +99,47 @@ def vonmises_plv_quadrature(kappa: float, phase_offset: float, frequency: float,
     return complex(num_re, num_im) / den
 
 
+def plv_law_quadrature(rate, phase, window: float, rotation: float = 0.0):
+    """The PLV law of a rate over one trial by adaptive quadrature, from its definition.
+
+    With Lambda = int lambda, L = int e^{i phi} lambda / Lambda and, in the
+    frame rotated by ``rotation``, h = (cos, sin)(phi - rotation) and
+    g = h - (Re, Im)(e^{-i rotation} L): the paper-form covariance
+    (1/Lambda^2) int h h^T lambda and the ratio-corrected covariance
+    (1/Lambda^2) int g g^T lambda, each of (Re, Im) of
+    e^{-i rotation} sqrt(K) (estimate - L). ``rate`` and ``phase`` are
+    vectorized callables of time. Returns (Lambda, L, paper, corrected).
+    """
+
+    def integral(f, epsabs):
+        val, _ = quad(lambda t: f(t) * rate(t), 0.0, window, epsabs=epsabs, epsrel=1e-13,
+                      limit=800)
+        return val
+
+    total = integral(lambda t: 1.0, 0.0)
+    # The other integrands are bounded by lambda, and some integrate to 0.
+    tol = 1e-14 * total
+    limit = complex(integral(lambda t: np.cos(phase(t)), tol),
+                    integral(lambda t: np.sin(phase(t)), tol)) / total
+    centre = np.exp(-1j * rotation) * limit
+
+    def h(t):
+        return np.cos(phase(t) - rotation), np.sin(phase(t) - rotation)
+
+    def g(t):
+        c, s = h(t)
+        return c - centre.real, s - centre.imag
+
+    covs = []
+    for vec in (h, g):
+        cov = np.empty((2, 2))
+        for a in range(2):
+            for b in range(a, 2):
+                cov[a, b] = cov[b, a] = integral(lambda t: vec(t)[a] * vec(t)[b], tol) / total**2
+        covs.append(cov)
+    return total, limit, covs[0], covs[1]
+
+
 def interpolant_gram(x):
     """(2/3) A0 + (1/6)(B + B^H) over the periodic grid, B the lag-one cross-Gram."""
     q = x.shape[1]

@@ -1133,8 +1133,6 @@ class TestRefusedConfigs:
         ({"experiment": "no-such-thing"}, "unknown experiment 'no-such-thing'"),
         ({"replicates": 1}, "need at least two replicates"),
         ({"window": math.inf}, "window must be positive and finite, got inf"),
-        ({"experiment": "sinusoid-uncoupled", "rate_harmonic": 2},
-         "rate_harmonic = 2 * phase_harmonic"),
         ({"experiment": "moment-oracle", "replicates": None, "trials": 1},
          "moment-oracle needs at least two trials"),
         ({"experiment": "bias-curve", "trials": 10, "windows": []}, "bias-curve needs windows"),
@@ -1154,7 +1152,7 @@ class TestRefusedConfigs:
         ({"trials": 2**70}, f"trials must be at most {2**60 - 2} for numpy to build an array of "
                             f"one int64 per trial, got {2**70}"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
-            "unknown-experiment", "one-replicate", "inf-window", "second-harmonic",
+            "unknown-experiment", "one-replicate", "inf-window",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
             "multivar-null-kappa", "tolerances", "output-dir", "replicates-past-numpy",
             "trials-past-numpy"])

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,8 @@ import pytest
 
 import spikefield
 from spikefield import harness
-from spikefield.errors import ConfigurationError, DomainError, SingularGramError
+from spikefield.errors import (ConfigurationError, DomainError, SingularGramError,
+                               UndefinedEstimateError)
 from spikefield.harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -27,7 +27,7 @@ from spikefield.harness import (
 from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum, whitened_coupling
 from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
 from spikefield.signals import SignalMatrix, _interpolant_root, synthesize_oscillations, whiten
-from spikefield.unicoupling import plv_asymptotics_vonmises
+from spikefield.unicoupling import plv_asymptotics_sinusoid, plv_asymptotics_vonmises
 
 from oracles import interpolant_gram, two_step_whitening
 
@@ -233,11 +233,75 @@ class TestConfig:
             ExperimentConfig(experiment=name)
         assert str(refused.value) == message
 
+    _MULTIVAR_GRID = dict(channels=20, window=2.0, components=(11.0, 12.0), dt=1 / 256)
+
+    @pytest.mark.parametrize("name, change, message, check, failure, failure_message", [
+        ("univar-null", dict(rate0=0.2, trials=1, window=1.0, replicates=20),
+         r"trials \* rate0 \* window = 0.2 expected spikes per unit leaves one of 20 unit draws "
+         r"silent with chance up to 1, above 1e-9; raise trials, rate0 or window",
+         "_check_spiking", UndefinedEstimateError, "zero spikes across 1 trials"),
+        ("multivar-null", dict(_MULTIVAR_GRID, rate0=0.05, units=18),
+         r"trials \* rate0 \* window = 1 expected spikes per unit leaves one of 1800 unit draws",
+         "_check_spiking", DomainError, r"unit\(s\) \[1, 4, 7, 11\] have zero spikes"),
+        # Phase noise this concentrated (spread about 3e-6 rad) leaves the four
+        # channels of one carrier nearly equal.
+        ("multivar-null", dict(replicates=2, channels=4, units=4, components=(3.0, 3.0),
+                               noise_kappa=1e11, window=2.0, dt=1 / 256, trials=2),
+         r"noise_kappa = 1e\+11 leaves 4 channels of one carrier nearly equal: a Gram condition "
+         r"number of about 6e\+11, above 1e\+08",
+         "_check_carrier_spread", SingularGramError, "near-null"),
+    ], ids=["silent-univar", "silent-multivar", "near-noiseless-carrier"])
+    def test_run_time_failures_refused_at_construction(self, monkeypatch, name, change, message,
+                                                       check, failure, failure_message):
+        # Each config fails at replicate 0 unless a build check refuses it: with
+        # that one check patched out, it constructs and its run fails.
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(experiment=name, **change)
+        monkeypatch.setattr(harness, check, lambda *args: None)
+        config = ExperimentConfig(experiment=name, **change)
+        with pytest.raises(failure, match=failure_message):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("name, change, refused, accepted", [
+        # 20 draws need trials * rate0 * window > ln(20 / 1e-9) = 23.7.
+        ("univar-null", dict(replicates=20, trials=1, window=1.0), 23.0, 24.0),
+        # Two cases: 40 draws need 24.4.
+        ("sinusoid-uncoupled", dict(replicates=20, trials=1, window=1.0), 24.0, 25.0),
+        # Two windows, 20 draws, judged at the shorter one.
+        ("bias-curve", dict(replicates=10, trials=1, windows=(1.0, 0.5)), 47.0, 48.0),
+        # Two replicates of ten units: 20 draws.
+        ("multivar-null", dict(_MULTIVAR_GRID, replicates=2, units=10, trials=1), 11.5, 12.5),
+    ], ids=["univar", "sinusoid-cases", "bias-curve-windows", "multivar-units"])
+    def test_silent_unit_bound_counts_every_draw(self, name, change, refused, accepted):
+        with pytest.raises(ConfigurationError, match="raise trials, rate0 or window"):
+            ExperimentConfig(experiment=name, rate0=refused, **change)
+        ExperimentConfig(experiment=name, rate0=accepted, **change)
+
+    @pytest.mark.parametrize("components, channels", [((3.0, 3.0), 2), ((3.0, 4.0, 3.0), 3)],
+                             ids=["two-components", "channels-over-three"])
+    def test_carrier_spread_bound(self, components, channels):
+        # Two channels of one carrier: 3m/(2v) <= 3 (1/2 + sqrt(1/4 + kappa^2)) crosses 1e8
+        # at kappa = 3.3e7.
+        change = dict(components=components, channels=channels, units=4, replicates=2,
+                      window=2.0, dt=1 / 256)
+        with pytest.raises(ConfigurationError, match="leaves 2 channels of one carrier nearly"):
+            ExperimentConfig(experiment="multivar-null", noise_kappa=4e7, **change)
+        ExperimentConfig(experiment="multivar-null", noise_kappa=3e7, **change)
+
+    def test_building_every_default_config_loads_no_scipy(self):
+        # perfbench builds its configs inside its timed set-up, so every build
+        # check, the carrier-spread bound included, is arithmetic.
+        code = ("import sys; from spikefield.harness import EXPERIMENTS, ExperimentConfig; "
+                "[ExperimentConfig(name) for name in EXPERIMENTS]; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(spikefield.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_sinusoid_rejects_degenerate_harmonics(self):
         with pytest.raises(ConfigurationError):
             run_experiment(ExperimentConfig.defaults("sinusoid-uncoupled", rate_harmonic=1))
-        with pytest.raises(ConfigurationError, match="second-harmonic"):
-            run_experiment(ExperimentConfig.defaults("sinusoid-uncoupled", rate_harmonic=2))
 
     def test_every_experiment_has_a_runner(self):
         assert set(EXPERIMENTS) == {
@@ -359,12 +423,24 @@ class TestReports:
     def test_variance_verdicts_judge_the_ratio_corrected_law(self):
         cfg = _small("univar-coupled", replicates=10, trials=100)
         rep = run_experiment(cfg)
-        law = partial(plv_asymptotics_vonmises, cfg.kappa, cfg.phase_offset, cfg.rate0, cfg.window)
+        law = plv_asymptotics_vonmises(cfg.kappa, cfg.phase_offset, cfg.rate0, cfg.window)
         verdicts = {v["name"]: v for v in rep.verdicts}
-        corrected = law(ratio_correction=True).cov
+        corrected = law.ratio_corrected_cov
         assert verdicts["var_re"]["target"] == corrected[0, 0]
         assert verdicts["var_im"]["target"] == corrected[1, 1]
-        assert rep.targets["cov_re"] == law().cov[0, 0] > corrected[0, 0]  # paper form kept beside
+        assert rep.targets["cov_re"] == law.cov[0, 0] > corrected[0, 0]  # paper form kept beside
+
+    def test_second_harmonic_offdiag_follows_the_law(self):
+        # At rate_harmonic = 2 * phase_harmonic and psi = 1 the law's off-diagonal
+        # (1/(2 rate0 T)) (depth/2) sin psi sits about seven standard errors
+        # from 0, and the replicates follow the law.
+        cfg = _small("sinusoid-uncoupled", rate_harmonic=2, depth=0.9, phase_offset=1.0,
+                     replicates=400, trials=200)
+        rep = run_experiment(cfg)
+        (verdict,) = [v for v in rep.verdicts if v["name"] == "mismatched_cov_offdiag"]
+        law = plv_asymptotics_sinusoid(0.9, 2, 1, 1.0, cfg.rate0, cfg.window)
+        assert verdict["target"] == law.ratio_corrected_cov[0, 1] > 0.0
+        assert verdict["passed"] and verdict["observed"] > 5.0 * verdict["bound"] / 3.0
 
 
 class TestInterpolantWhitening:
@@ -405,15 +481,6 @@ class TestInterpolantWhitening:
         got, expected = whitened_coupling(white, sd), build_coupling_matrix(white, sd)
         assert got.entries.tobytes() == expected.entries.tobytes()
         assert got.signal_integral.tobytes() == expected.signal_integral.tobytes()
-
-    def test_duplicated_noiseless_components_singular(self):
-        # Phase noise this concentrated (spread about 3e-6 rad) leaves the four
-        # channels of one carrier nearly equal, which no build check sees: the run
-        # refuses their Gram.
-        cfg = _small("multivar-null", replicates=2, channels=4, units=4, components=(3.0, 3.0),
-                     noise_kappa=1e11, window=2.0, dt=1 / 256, trials=2)
-        with pytest.raises(SingularGramError, match="near-null"):
-            run_experiment(cfg)
 
     def test_spectrum_called_once_per_replicate(self, monkeypatch):
         # perfbench collects the multivar spectra through harness.spectrum.

@@ -22,6 +22,7 @@ from spikefield.unicoupling import (
 from oracles import (
     bessel_quadrature,
     partial_cycle_plv,
+    plv_law_quadrature,
     vonmises_law_mp,
     vonmises_plv_quadrature,
 )
@@ -143,7 +144,7 @@ class TestVonMisesLaw:
         rate0, window, offset = 23.0, 3.0, 0.3
         want = vonmises_law_mp(kappa, rate0, window)
         law = plv_asymptotics_vonmises(kappa, offset, rate0, window)
-        corrected = plv_asymptotics_vonmises(kappa, offset, rate0, window, ratio_correction=True)
+        corrected = law.ratio_corrected_cov
         limit = abs(law.limit * np.exp(-1j * offset))
         if kappa >= 1e-300:
             assert limit == pytest.approx(want["limit"], rel=1e-13, abs=0.0)
@@ -154,25 +155,25 @@ class TestVonMisesLaw:
         # 1 - I2/I0 cancels as kappa grows: 2.9e-3 at kappa = 700.
         assert law.cov[1, 1] == pytest.approx(want["var_im"], rel=5e-13, abs=0.0)
         # So does 1 + I2/I0 - 2 (I1/I0)^2 in the corrected Re variance.
-        assert (abs(corrected.cov[0, 0] - want["var_re_corrected"])
+        assert (abs(corrected[0, 0] - want["var_re_corrected"])
                 <= 1e-14 / want["expected_events"])
-        assert corrected.cov[1, 1] == law.cov[1, 1] and corrected.limit == law.limit
-        for cov in (law.cov, corrected.cov):
+        assert corrected[1, 1] == law.cov[1, 1]
+        for cov in (law.cov, corrected):
             assert cov[0, 1] == cov[1, 0] == 0.0 and (cov.diagonal() > 0.0).all()
         if kappa == 0.0:  # the uncoupled law, to the bit
             exact = 1.0 / (2.0 * rate0 * window)
             assert law.limit == 0.0 and law.expected_events == rate0 * window
-            assert law.cov.tolist() == corrected.cov.tolist() == [[exact, 0.0], [0.0, exact]]
+            assert law.cov.tolist() == corrected.tolist() == [[exact, 0.0], [0.0, exact]]
 
     def test_ratio_correction_shifts_re_variance_only(self):
         base = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
-        corr = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0, ratio_correction=True)
+        corr = base.ratio_corrected_cov
         shift = abs(base.limit) ** 2 / base.expected_events
-        assert corr.cov[0, 0] == pytest.approx(base.cov[0, 0] - shift, rel=1e-12)
-        assert corr.cov[1, 1] == base.cov[1, 1]
+        assert corr[0, 0] == pytest.approx(base.cov[0, 0] - shift, rel=1e-12)
+        assert corr[1, 1] == base.cov[1, 1]
         # Null case: no correction when the limit vanishes.
-        null = plv_asymptotics_vonmises(0.0, 0.0, 20.0, 5.0, ratio_correction=True)
-        assert np.allclose(null.cov, np.eye(2) / 200.0)
+        null = plv_asymptotics_vonmises(0.0, 0.0, 20.0, 5.0).ratio_corrected_cov
+        assert np.allclose(null, np.eye(2) / 200.0)
 
     def test_corrected_variance_matches_monte_carlo(self):
         # The pooled-count normalization makes the PLV a ratio estimator;
@@ -180,16 +181,16 @@ class TestVonMisesLaw:
         kappa, rate0, window, trials, n_sims = 0.5, 20.0, 1.0, 4000, 600
         phase = LinearPhase(1.0, window)
         model = VonMisesRate(rate0, kappa, 0.0, phase)
-        corr = plv_asymptotics_vonmises(kappa, 0.0, rate0, window, ratio_correction=True)
         base = plv_asymptotics_vonmises(kappa, 0.0, rate0, window)
+        corr = base.ratio_corrected_cov
         rng = np.random.default_rng(34)
         vals = np.empty(n_sims, dtype=complex)
         for i in range(n_sims):
             vals[i] = estimate_plv(phase, simulate_poisson(model, window, trials, rng))
-        z = corr.rotated_residuals(vals, trials)
+        z = base.rotated_residuals(vals, trials)
         var_re = np.var(z.real, ddof=1)
-        se = corr.cov[0, 0] * math.sqrt(2.0 / n_sims)
-        assert abs(var_re - corr.cov[0, 0]) < 3 * se
+        se = corr[0, 0] * math.sqrt(2.0 / n_sims)
+        assert abs(var_re - corr[0, 0]) < 3 * se
         assert var_re < base.cov[0, 0]
 
 
@@ -272,6 +273,44 @@ class TestSinusoidLaw:
         for rate_harmonic in (1, 3):
             with pytest.raises(DomainError, match="phase offset must be finite"):
                 plv_asymptotics_sinusoid(0.3, rate_harmonic, 1, offset, 20.0, 1.0)
+
+
+def _assert_law_matches_quadrature(law, rate, phase, window):
+    """The law's limit, frame and both covariances against the quadrature oracle."""
+    total, limit, paper, corrected = plv_law_quadrature(rate, phase, window, law.rotation)
+    assert law.expected_events == pytest.approx(total, rel=1e-11)
+    assert abs(law.limit - limit) <= 1e-12
+    # The law's frame: the rotated limit is real and nonnegative.
+    rotated = np.exp(-1j * law.rotation) * law.limit
+    assert abs(rotated.imag) <= 1e-15 and rotated.real >= 0.0
+    scale = paper[0, 0] + paper[1, 1]
+    np.testing.assert_allclose(law.cov, paper, rtol=0.0, atol=1e-11 * scale)
+    np.testing.assert_allclose(law.ratio_corrected_cov, corrected, rtol=0.0, atol=1e-11 * scale)
+
+
+class TestLawsAgainstQuadrature:
+    """Both covariances of each closed form against (1/Lambda^2) int h h^T lambda and its centred form."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0])
+    def test_vonmises(self, kappa, offset):
+        rate0, window, frequency = 3.0, 2.0, 1.0
+        law = plv_asymptotics_vonmises(kappa, offset, rate0, window)
+        _assert_law_matches_quadrature(
+            law, lambda t: rate0 * np.exp(kappa * np.cos(2 * np.pi * frequency * t - offset)),
+            lambda t: 2 * np.pi * frequency * t, window)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 1.0, -2.0])
+    @pytest.mark.parametrize("rate_harmonic, phase_harmonic", [(1, 1), (2, 2), (3, 1), (2, 1),
+                                                               (4, 2)],
+                             ids=["matched", "matched-2", "mismatched", "second", "second-2"])
+    def test_sinusoid(self, rate_harmonic, phase_harmonic, offset):
+        depth, rate0, window = 0.6, 7.0, 2.0
+        law = plv_asymptotics_sinusoid(depth, rate_harmonic, phase_harmonic, offset, rate0, window)
+        _assert_law_matches_quadrature(
+            law,
+            lambda t: rate0 * (1 + depth * np.cos(2 * np.pi * rate_harmonic * t / window - offset)),
+            lambda t: 2 * np.pi * phase_harmonic * t / window, window)
 
 
 class TestPlvLimitNumeric:
