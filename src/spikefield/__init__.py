@@ -38,7 +38,7 @@ from .unicoupling import (
     estimate_plv,
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,
-    plv_limit_numeric,
+    plv_law_numeric,
     plv_null_test,
 )
 

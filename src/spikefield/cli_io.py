@@ -19,6 +19,11 @@ the same document, and ``analyze`` writes the entry lists of
 A file marked ``"whitened": true`` is taken as it is, and ``coupling.json``
 holds its samples' matrix; for an unwhitened file it holds G^(-1/2) times
 that matrix, G the Gram of the samples' piecewise-linear interpolant.
+``coupling.json`` keeps every unit's column. A unit with no spike has no
+rate to normalize by, so the spectrum is that of the units that spiked:
+the bytes the same file without the silent units gives, with alpha =
+channels / (units that spiked). ``spectrum.json`` names the silent units in
+``silent_units``, and a file with no spiking unit is refused.
 
 CSV files are written in blocks of rows. Each signal file is read once,
 straight into the arrays the analysis uses. ``load_signals`` reads every
@@ -570,7 +575,8 @@ def _cmd_analyze(args) -> int:
         texts["univariate.json"] = json.dumps(doc, indent=2, sort_keys=True)
 
     if args.signals is not None:
-        raw = whitened_coupling(load_signals(args.signals), spikes)
+        signals = load_signals(args.signals)
+        raw = whitened_coupling(signals, spikes)
         parts = {
             "channels": json.dumps(raw.n_channels),
             "units": json.dumps(raw.n_units),
@@ -581,8 +587,18 @@ def _cmd_analyze(args) -> int:
         }
         # The bytes of json.dumps(..., sort_keys=True) on the same values.
         texts["coupling.json"] = "{" + ", ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "}"
-        report = spectrum(normalize(raw, spikes))
+        silent = np.flatnonzero(spikes.counts().sum(axis=1) == 0).tolist()
+        if not silent:
+            report = spectrum(normalize(raw, spikes))
+        elif len(silent) == spikes.n_units:
+            raise DomainError(f"no unit has a spike: all {spikes.n_units} unit(s) are silent")
+        else:
+            # A silent unit has no rate estimate: the spectrum is that of the file without it.
+            active = SpikeData(spikes.window, [train for j, train in enumerate(spikes.trains)
+                                               if j not in silent])
+            report = spectrum(normalize(whitened_coupling(signals, active), active))
         texts["spectrum.json"] = json.dumps({
+            "silent_units": silent,
             "eigenvalues": report.eigenvalues.tolist(),
             "singular_values": report.singular_values.tolist(),
             "alpha": report.mp.alpha,

@@ -25,8 +25,11 @@ replicates, verdicts and plot data. Nothing here writes to disk:
 config alone. The PLV experiments draw their replicates from
 ``_plv_replicates`` (replicate i of block b uses seed index
 ``b * replicates + i``) and judge each case against its asymptotic law
-with ``_plv_case``: the univariate experiments are one unprefixed case,
-the sinusoid experiment a matched and a mismatched one. Every build but
+with ``_plv_case``, the one place a PLV verdict is made: the univariate
+experiments are one unprefixed case against the von Mises closed form, the
+sinusoid experiment a matched and a mismatched one against the sinusoid
+closed form, and the bias curve one case per sub-cycle window
+(``window_<T>``) against ``plv_law_numeric``. Every build but
 the moment oracle's refuses a config under which some unit of some
 replicate is likely to draw no spike (``_check_spiking``): such a
 replicate has no PLV and no normalized coupling column. A multivariate
@@ -61,6 +64,7 @@ from .pointproc import (
     SinusoidRate,
     _check_phase_offset,
     _check_trials,
+    _gauss_legendre,
     _locked_rate,
     _simulate_units,
     _thinning_bound,
@@ -74,7 +78,7 @@ from .unicoupling import (
     estimate_plv,
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,
-    plv_limit_numeric,
+    plv_law_numeric,
     plv_null_test,
 )
 
@@ -118,10 +122,11 @@ class ExperimentConfig:
     trials; the bias sweep uses K = 10, rate 30 Hz over sub-cycle windows;
     multivariate runs use five oscillatory components at 11-15 Hz over
     11 s, 100 channels, 90 units, K = 10, phase-noise concentration 10.
-    Replicate counts are scaled to desk runtime (2000 univariate, 100
-    multivariate). The config holds no bound: the bounds live only in the
-    experiment's ``EXPERIMENTS`` entry, and a report is written where
-    ``ExperimentReport.write`` is told (``spikefield experiment --out``).
+    Replicate counts are scaled to desk runtime (2000 univariate, 4000 for
+    the bias sweep and the sinusoid, 100 multivariate). The config holds no
+    bound: the bounds live only in the experiment's ``EXPERIMENTS`` entry,
+    and a report is written where ``ExperimentReport.write`` is told
+    (``spikefield experiment --out``).
 
     A field the experiment does not read stays unset, and setting one is
     refused, as is every parameter out of its domain. All of it is checked
@@ -353,8 +358,9 @@ def _plv_case(config, parts, law, plvs, label=""):
     read the paper-form ``cov``, and the off-diagonal target is the
     corrected covariance's [0, 1] entry (the two forms differ only on the
     diagonal). Adds the case's limit targets, verdicts, residual
-    statistics, replicate PLVs and residual histogram to ``parts``, every
-    key prefixed by ``label`` (the single univariate case has none).
+    statistics, replicate PLVs and residual histogram (beside the normal
+    densities of the corrected law, the one judged) to ``parts``, every key
+    prefixed by ``label`` (the single univariate case has none).
     """
     prefix = f"{label}_" if label else ""
     n = len(plvs)
@@ -394,7 +400,8 @@ def _plv_case(config, parts, law, plvs, label=""):
         prefix + "plv_re": plvs.real.tolist(),
         prefix + "plv_im": plvs.imag.tolist(),
     })
-    parts["plot_data"]["residual_hist" + (f"_{label}" if label else "")] = _residual_histogram(z, law)
+    parts["plot_data"]["residual_hist" + (f"_{label}" if label else "")] = \
+        _residual_histogram(z, corrected)
 
 
 def _normal_ks(x, sd: float) -> float:
@@ -411,15 +418,16 @@ def _normal_ks(x, sd: float) -> float:
     return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
 
 
-def _residual_histogram(z, law):
+def _residual_histogram(z, cov):
+    """Histograms of the residuals' Re and Im parts beside the centred normals of ``cov``."""
     lo = float(min(z.real.min(), z.imag.min()))
     hi = float(max(z.real.max(), z.imag.max()))
     edges = np.linspace(lo, hi, 41)
     mids = 0.5 * (edges[1:] + edges[:-1])
     h_re, _ = np.histogram(z.real, bins=edges, density=True)
     h_im, _ = np.histogram(z.imag, bins=edges, density=True)
-    sd_re = math.sqrt(law.cov[0, 0])
-    sd_im = math.sqrt(law.cov[1, 1])
+    sd_re = math.sqrt(cov[0, 0])
+    sd_im = math.sqrt(cov[1, 1])
     rows = []
     for m, a, b in zip(mids, h_re, h_im):
         rows.append({
@@ -504,27 +512,20 @@ def _run_bias_curve(config: ExperimentConfig, built: tuple) -> dict:
     model, phases = built
     parts, rows = _parts(), []
     for w_idx, (window, phase) in enumerate(zip(config.windows, phases)):
-        limit = plv_limit_numeric(phase, model, window)
+        label = f"window_{window:g}"
+        law = plv_law_numeric(phase, model, window)
         vals, _ = _plv_replicates(config, model, phase, window, block=w_idx)
-        mean = vals.mean()
-        se = math.sqrt((np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / config.replicates)
-        parts["verdicts"].append(
-            _judge(config, f"window_{window:g}_mean_limit", abs(mean - limit), 0.0, "mean_limit", se=se)
-        )
-        parts["targets"].update({f"limit_re_{window:g}": limit.real, f"limit_im_{window:g}": limit.imag})
-        parts["aggregates"][f"mean_modulus_{window:g}"] = abs(mean)
-        parts["replicates"].update({f"plv_re_{window:g}": vals.real.tolist(),
-                                    f"plv_im_{window:g}": vals.imag.tolist()})
+        _plv_case(config, parts, law, vals, label)
+        aggregates = parts["aggregates"]
+        mean = complex(aggregates[f"{label}_mean_re"], aggregates[f"{label}_mean_im"])
         rows.append({
             "window": window,
-            "limit_re": limit.real,
-            "limit_im": limit.imag,
-            "limit_modulus": abs(limit),
+            "limit_re": law.limit.real,
+            "limit_im": law.limit.imag,
+            "limit_modulus": abs(law.limit),
             "mean_re": mean.real,
             "mean_im": mean.imag,
             "mean_modulus": abs(mean),
-            "se": se,
-            "replicates": config.replicates,
         })
     parts["plot_data"]["bias_curve"] = rows
     return parts
@@ -724,7 +725,7 @@ def _build_moment_oracle(config: ExperimentConfig) -> HomogeneousRate:
 
 def _run_moment_oracle(config: ExperimentConfig, model: HomogeneousRate) -> dict:
     window = config.window
-    grid = np.linspace(0.0, window, 4097)
+    grid, weights = _gauss_legendre(window)
     parts, rows = _parts(), []
     for s_idx, (label, factory) in enumerate(_MOMENT_SETS.items()):
         fns = factory(window)
@@ -737,7 +738,7 @@ def _run_moment_oracle(config: ExperimentConfig, model: HomogeneousRate) -> dict
         lam_grid = model.rate(grid)
         prods = np.ones(config.trials)
         for fn in fns:
-            comp = float(np.trapezoid(fn(grid) * lam_grid, grid))
+            comp = float(np.dot(weights, fn(grid) * lam_grid))
             sums = np.bincount(trial_of, weights=fn(times), minlength=config.trials)
             prods *= sums - comp
         observed = float(prods.mean())
@@ -775,8 +776,11 @@ EXPERIMENTS = {
     }),
     "bias-curve": _Experiment(
         _build_bias_curve, _run_bias_curve,
-        dict(rate0=30.0, trials=10, replicates=500, frequency=1.0, windows=(0.5, 0.75, 1.0)),
-        {"mean_limit": _SE3}),
+        dict(rate0=30.0, trials=10, replicates=4000, frequency=1.0, windows=(0.5, 0.75, 1.0)), {
+            "mean_limit": _SE3,
+            "variance": Tolerance(0.10, "relative", "rotated residual covariance vs quadrature law"),
+            "offdiag": _SE3,
+        }),
     "sinusoid-uncoupled": _Experiment(
         _build_sinusoid, _run_sinusoid,
         dict(rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,

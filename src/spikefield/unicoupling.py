@@ -2,10 +2,13 @@
 
 The multi-trial PLV averages the unit phasor of a linear phase over the
 spikes pooled across trials; sampled signals couple through
-``build_coupling_matrix``. Closed forms for the infinite-trial limit and
-the Gaussian law of the scaled residual are provided for the
-exponential-cosine (von Mises) and the sinusoidally modulated rate;
-arbitrary windows go through quadrature.
+``build_coupling_matrix``. Its law is the infinite-trial limit and the
+Gaussian law of the scaled residual, an ``AsymptoticLaw``: the delta method
+on the ratio of two Poisson functionals, which holds for any bounded rate
+over any window. ``plv_law_numeric`` states it for any rate model and
+window by quadrature; the closed forms state it for the exponential-cosine
+(von Mises) and the sinusoidally modulated rate over whole cycles, and the
+tests hold them equal to it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,15 @@ import numpy as np
 from .errors import DomainError, UndefinedEstimateError
 from .pointproc import (
     IntensityModel,
+    SinusoidRate,
     SpikeData,
+    VonMisesRate,
     _check_depth,
     _check_harmonic,
     _check_kappa,
     _check_phase_offset,
     _check_rate0,
+    _gauss_legendre,
 )
 from .signals import LinearPhase, _check_window, _time_tolerance
 
@@ -32,7 +38,7 @@ __all__ = [
     "estimate_plv",
     "plv_asymptotics_vonmises",
     "plv_asymptotics_sinusoid",
-    "plv_limit_numeric",
+    "plv_law_numeric",
     "plv_null_test",
 ]
 
@@ -212,31 +218,63 @@ def plv_asymptotics_sinusoid(
     )
 
 
-# Gauss-Legendre nodes reused across segments of the limit quadrature.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_EPS = float(np.finfo(float).eps)
 
 
-def plv_limit_numeric(phase: LinearPhase, model: IntensityModel, window: float) -> complex:
-    """Infinite-trial PLV limit int e^{i phi} lambda / int lambda for any window.
+def _segments(phase: LinearPhase, model: IntensityModel, window: float) -> int:
+    """Segments of the composite rule over ``window``: enough per cycle for the sharpest factor.
 
-    Composite Gauss-Legendre quadrature with at least two segments per
-    oscillation cycle; relative accuracy is far below 1e-8 for the smooth
-    rates in this package.
+    The integrands oscillate with the phase and with the rate: a von Mises
+    rate at its own phase, a sinusoid at its harmonic. Each cycle of the
+    faster one gets two segments, plus one per unit of sqrt(kappa) for a von
+    Mises rate, whose peak is about 1/sqrt(kappa) rad wide.
+    """
+    cycles, per_cycle = phase.frequency * window, 2
+    if isinstance(model, VonMisesRate):
+        cycles = max(cycles, model.phase.frequency * window)
+        per_cycle += math.ceil(math.sqrt(model.kappa))
+    elif isinstance(model, SinusoidRate):
+        cycles = max(cycles, model.harmonic * window / model.window)
+    return min(8192, max(4, per_cycle * math.ceil(min(cycles, 8192.0))))
+
+
+def plv_law_numeric(phase: LinearPhase, model: IntensityModel, window: float) -> AsymptoticLaw:
+    """The PLV law of any bounded rate over any window, by quadrature.
+
+    With Lambda = int lambda (``expected_events``), the limit is
+    L = int e^{i phi} lambda / Lambda, and the paper-form covariance is
+    (1/Lambda^2) int h h^T lambda with h = (cos, sin)(phi - rotation), in
+    the frame rotated by ``rotation`` = arg L. A limit within the rule's
+    rounding error of 0 has no direction, and the law takes rotation 0 for
+    it, as the closed forms do for the mismatched sinusoid. The law's
+    ``ratio_corrected_cov`` is the corrected form.
+
+    The integrals use the composite Gauss-Legendre rule of
+    ``_gauss_legendre``, its segments set by ``_segments``. The rate
+    enters as lambda / max_rate, at most 1, so neither Lambda^2 nor the
+    rate itself overflows at kappa = 700: the covariance is (int h h^T mu /
+    int mu) / Lambda with mu = lambda / max_rate.
     """
     _check_window(window)
-    cycles = abs(float(phase.phase(window)) - float(phase.phase(0.0))) / (2.0 * math.pi)
-    segments = min(8192, max(4, 2 * int(math.ceil(cycles))))
-    edges = np.linspace(0.0, window, segments + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    lam = np.asarray(model.rate(t), dtype=float)
-    den = float(np.dot(w, lam))
-    if den <= 0.0:
-        raise DomainError("rate integrates to zero over the window; PLV limit undefined")
-    num = np.dot(w, np.exp(1j * phase.phase(t)) * lam)
-    return complex(num / den)
+    t, w = _gauss_legendre(window, _segments(phase, model, window))
+    lam_max = model.max_rate()
+    mu = np.asarray(model.rate(t), dtype=float) / lam_max
+    mass = float(np.dot(w, mu))
+    if not mass > 0.0:
+        raise DomainError("rate integrates to zero over the window; PLV law undefined")
+    phi, wm = phase.phase(t), w * mu
+    limit = complex(np.dot(wm, np.exp(1j * phi))) / mass
+    # The rule's sums of n terms round by up to n eps int mu: a smaller limit has no direction.
+    rotation = math.atan2(limit.imag, limit.real) if abs(limit) > t.size * _EPS else 0.0
+    c, s = np.cos(phi - rotation), np.sin(phi - rotation)
+    cc, cs, ss = (float(np.dot(wm, x * y)) / mass for x, y in ((c, c), (c, s), (s, s)))
+    expected = lam_max * mass
+    return AsymptoticLaw(
+        limit=limit,
+        cov=np.array([[cc, cs], [cs, ss]]) / expected,
+        expected_events=expected,
+        rotation=rotation,
+    )
 
 
 def plv_null_test(plv_hat: complex, total_spikes: int) -> float:

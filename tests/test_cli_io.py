@@ -734,18 +734,46 @@ class TestCliSimulateAnalyze:
         assert capsys.readouterr().err.startswith("error: phase offset must be finite, got inf")
         assert not (tmp_path / "o").exists()
 
-    def test_analyze_refuses_a_silent_unit_before_writing(self, tmp_path, capsys):
-        # The coupling matrix cannot be normalized, so neither mode writes its output.
-        trains = _sample_spikes().trains
-        trains[1] = [np.empty(0) for _ in range(3)]
+    def test_analyze_refuses_a_file_with_no_spiking_unit_before_writing(self, tmp_path, capsys):
+        # With no unit to normalize, there is no spectrum, so neither mode writes its output.
+        trains = [[np.empty(0) for _ in range(3)] for _ in range(2)]
         save_spikes(SpikeData(window=2.0, trains=trains), tmp_path / "s.json")
         save_signals(synthesize_oscillations([4.0], 2.0, 1 / 32, 5.0, 2, np.random.default_rng(2)),
                      tmp_path / "signals.csv")
         code = main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1",
                      "--signals", str(tmp_path / "signals.csv"), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "unit(s) [1] have zero spikes" in capsys.readouterr().err
+        assert "no unit has a spike: all 2 unit(s) are silent" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("whitened", [True, False], ids=["whitened", "unwhitened"])
+    def test_silent_units_leave_the_spectrum(self, tmp_path, whitened):
+        # The spectrum of a file with silent units is, to the byte, that of the
+        # same file without them; only silent_units names them. coupling.json
+        # keeps every unit's column, a silent unit's zero.
+        raw = synthesize_oscillations([3.0, 4.0], 2.0, 1 / 64, 5.0, 5, np.random.default_rng(4))
+        save_signals(whiten(raw) if whitened else raw, tmp_path / "signals.csv")
+        trains = _sample_spikes(units=6, trials=3, seed=6).trains
+        for j in (1, 4):
+            trains[j] = [np.empty(0) for _ in range(3)]
+        active = [train for j, train in enumerate(trains) if j not in (1, 4)]
+        docs = {}
+        for name, units in (("silent", trains), ("removed", active)):
+            save_spikes(SpikeData(window=2.0, trains=units), tmp_path / f"{name}.json")
+            out = tmp_path / name
+            assert main(["analyze", "--spikes", str(tmp_path / f"{name}.json"),
+                         "--signals", str(tmp_path / "signals.csv"), "--out", str(out)]) == 0
+            docs[name] = json.loads((out / "spectrum.json").read_text())
+        assert docs["silent"].pop("silent_units") == [1, 4]
+        assert docs["removed"].pop("silent_units") == []
+        assert json.dumps(docs["silent"]) == json.dumps(docs["removed"])
+        assert docs["silent"]["alpha"] == 5 / 4
+        assert (tmp_path / "silent" / "esd.csv").read_bytes() == \
+            (tmp_path / "removed" / "esd.csv").read_bytes()
+        coupling = json.loads((tmp_path / "silent" / "coupling.json").read_text())
+        entries = np.array(coupling["entries_re"]) + 1j * np.array(coupling["entries_im"])
+        assert coupling["units"] == 6 and entries.shape == (5, 6)
+        assert not entries[:, [1, 4]].any() and entries[:, [0, 2, 3, 5]].all()
 
     @pytest.mark.parametrize("kind, reads", [
         ("homogeneous", {"rate0"}),
@@ -1338,6 +1366,9 @@ class TestRefusedConfigs:
 # baseline rate became the mean rate over I0(kappa), which scaled the z fields
 # by 1/sqrt(I0(0.8)), and again when the law was built once per file and its
 # covariance scaled to each unit's count, which moved unit 0's z_re by one ulp.
+# spectrum.json was re-pinned here and below when it gained the line
+# "silent_units": [], which names the units left out of the spectrum; no other
+# byte of it moved.
 _CLI_BYTES = {
     "data/spikes.json":
         "f444bf845040717b62e4f182a09a3bb2d8ba6f3606bf70a6a5317597826b546e",
@@ -1348,7 +1379,7 @@ _CLI_BYTES = {
     "analysis/coupling.json":
         "c4147cb582dc3d32afbe9112b0a972121c3c31447a6c4c2c0a72fa37df9116b5",
     "analysis/spectrum.json":
-        "fd12f20e753bc08fdcd7305bc9167778708ee2e7272e478471d8f741a3a08cc6",
+        "7a022dde9c56d37102c4d0f74580cf0a2b2d20961a2e1356da3b515b4453cd18",
     "analysis/esd.csv":
         "5727928afa64bc012acaae5acbedd97863053d8ca6eb59e03ad0196ef8a93a72",
     "analysis/univariate.json":
@@ -1363,7 +1394,7 @@ _UNWHITENED_BYTES = {
     "analysis/coupling.json":
         "d21f13f81bf8ab83ef5fb21cbb4f15875ab044e5e05cf0441e79bf6888188127",
     "analysis/spectrum.json":
-        "7893959b3efb803286c3c356e814d70ad6028d9560f4fcda6bd94944369801a6",
+        "47742850b88bcfb00131071d51caa674eae84401fc69b6835716374a2a54b30c",
     "analysis/esd.csv":
         "71ba3802fd2f36ab5205ef9ed03995883ff670a7e4acb8fbdff0aa11ca16a6e4",
 }

@@ -27,7 +27,7 @@ from spikefield.signals import LinearPhase, _check_whole_cycles, synthesize_osci
 from spikefield.unicoupling import (
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,
-    plv_limit_numeric,
+    plv_law_numeric,
 )
 
 _PHASE = LinearPhase(1.0, 5.0)
@@ -47,7 +47,7 @@ _RULES = {
         "fourth_moment_oracle": lambda w: fourth_moment_oracle(1, 1, 1, 1, rate=1.0, horizon=w),
         "vonmises-law": lambda w: plv_asymptotics_vonmises(0.5, 0.0, 20.0, w),
         "sinusoid-law": lambda w: plv_asymptotics_sinusoid(0.3, 3, 1, 0.0, 20.0, w),
-        "plv_limit_numeric": lambda w: plv_limit_numeric(_PHASE, HomogeneousRate(20.0), w),
+        "plv_law_numeric": lambda w: plv_law_numeric(_PHASE, HomogeneousRate(20.0), w),
         "synthesis": lambda w: synthesize_oscillations([3.0], w, 1 / 64, 0.0, 1, _rng()),
         "univar-null": lambda w: ExperimentConfig("univar-null", window=w),
         "sinusoid-uncoupled": lambda w: ExperimentConfig("sinusoid-uncoupled", window=w),

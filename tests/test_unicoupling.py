@@ -15,7 +15,7 @@ from spikefield.unicoupling import (
     estimate_plv,
     plv_asymptotics_sinusoid,
     plv_asymptotics_vonmises,
-    plv_limit_numeric,
+    plv_law_numeric,
     plv_null_test,
 )
 
@@ -313,25 +313,26 @@ class TestLawsAgainstQuadrature:
             lambda t: 2 * np.pi * phase_harmonic * t / window, window)
 
 
-class TestPlvLimitNumeric:
+class TestPlvLawNumeric:
     def test_full_cycle_vanishes(self):
-        val = plv_limit_numeric(LinearPhase(1.0, 1.0), HomogeneousRate(30.0), 1.0)
-        assert abs(val) < 1e-12
+        law = plv_law_numeric(LinearPhase(1.0, 1.0), HomogeneousRate(30.0), 1.0)
+        assert abs(law.limit) < 1e-12
+        assert law.rotation == 0.0  # a zero limit has no direction
 
     def test_half_cycle(self):
-        val = plv_limit_numeric(LinearPhase(1.0, 0.5), HomogeneousRate(30.0), 0.5)
+        val = plv_law_numeric(LinearPhase(1.0, 0.5), HomogeneousRate(30.0), 0.5).limit
         oracle = partial_cycle_plv(1.0, 0.5)
         assert abs(val) == pytest.approx(2 / math.pi, abs=1e-8)
         assert val == pytest.approx(oracle, abs=1e-8)
 
     def test_three_quarter_cycle(self):
-        val = plv_limit_numeric(LinearPhase(1.0, 0.75), HomogeneousRate(30.0), 0.75)
+        val = plv_law_numeric(LinearPhase(1.0, 0.75), HomogeneousRate(30.0), 0.75).limit
         assert abs(val) == pytest.approx(0.3001054387190354, abs=1e-8)
 
     def test_matches_vonmises_closed_form(self):
         phase = LinearPhase(1.0, 5.0)
         model = VonMisesRate(20.0, 0.5, 0.4, phase)
-        val = plv_limit_numeric(phase, model, 5.0)
+        val = plv_law_numeric(phase, model, 5.0).limit
         law = plv_asymptotics_vonmises(0.5, 0.4, 20.0, 5.0)
         assert val == pytest.approx(law.limit, abs=1e-6)
 
@@ -339,17 +340,104 @@ class TestPlvLimitNumeric:
         window = 1.0
         phase = LinearPhase(1.0, window)
         model = SinusoidRate(20.0, 0.3, 1, 0.0, window)
-        val = plv_limit_numeric(phase, model, window)
+        val = plv_law_numeric(phase, model, window).limit
         assert val == pytest.approx(0.15, abs=1e-8)
         mismatched = SinusoidRate(20.0, 0.3, 3, 0.0, window)
-        assert abs(plv_limit_numeric(phase, mismatched, window)) < 1e-8
+        assert abs(plv_law_numeric(phase, mismatched, window).limit) < 1e-8
 
     def test_noninteger_cycle_vonmises_against_quadrature(self):
         phase = LinearPhase(1.0, 0.75)
         model = VonMisesRate(20.0, 0.5, 0.2, phase)
-        val = plv_limit_numeric(phase, model, 0.75)
+        val = plv_law_numeric(phase, model, 0.75).limit
         oracle = vonmises_plv_quadrature(0.5, 0.2, 1.0, 0.75)
         assert val == pytest.approx(oracle, abs=1e-7)
+
+    @pytest.mark.parametrize("window", [0.5, 0.75])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0])
+    def test_sub_cycle_law_against_quadrature(self, kappa, window):
+        # Homogeneous (kappa = 0) and von Mises rates over part of a cycle,
+        # where no closed form holds: the limit, frame and both covariances.
+        rate0, offset = 30.0, 0.4
+        phase = LinearPhase(1.0, window)
+        model = VonMisesRate(rate0, kappa, offset, phase) if kappa else HomogeneousRate(rate0)
+        _assert_law_matches_quadrature(plv_law_numeric(phase, model, window), model.rate,
+                                       phase.phase, window)
+
+    def test_rate_integrating_to_zero_is_refused(self):
+        class Silent:
+            def rate(self, t):
+                return np.zeros_like(t)
+
+            def max_rate(self):
+                return 1.0
+
+        with pytest.raises(DomainError, match="rate integrates to zero"):
+            plv_law_numeric(LinearPhase(1.0, 1.0), Silent(), 1.0)
+
+
+def _assert_laws_equal(closed, numeric, expected_rel, limit_abs, cov_rel, corrected_rel):
+    """Two laws of one rate agree: count, limit, frame and both covariances.
+
+    Each covariance is compared entrywise relative to its trace. The frame is
+    compared where the limit has a direction: a zero limit takes any
+    rotation, and the numeric law takes 0 for it, the closed forms their
+    phase offset. An angle read off a limit of modulus r carries the
+    limit's absolute error over r.
+    """
+    assert numeric.expected_events == pytest.approx(closed.expected_events, rel=expected_rel)
+    assert abs(numeric.limit - closed.limit) <= limit_abs
+    if abs(closed.limit) > 1e-12:
+        turn = np.angle(np.exp(1j * (numeric.rotation - closed.rotation)))
+        assert abs(turn) <= 1e-14 / abs(closed.limit)
+    for a, b, rel in ((numeric.cov, closed.cov, cov_rel),
+                      (numeric.ratio_corrected_cov, closed.ratio_corrected_cov, corrected_rel)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=rel * np.trace(b))
+
+
+class TestClosedFormsEqualTheNumericLaw:
+    """``plv_law_numeric`` reproduces each closed form over whole cycles.
+
+    At large kappa the ratio-corrected Re variance, ``cov`` minus
+    |limit|^2 / expected_events, cancels about 1 - 1/kappa^2 of each term,
+    so both laws carry rounding of order kappa^2 eps there: the mpmath law
+    decides, and each is held to it.
+    """
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.5, 5.0, 50.0, 300.0, 700.0])
+    def test_vonmises(self, kappa, offset):
+        rate0, window = 20.0, 5.0
+        phase = LinearPhase(1.0, window)
+        model = VonMisesRate(rate0, kappa, offset, phase) if kappa else HomogeneousRate(rate0)
+        closed = plv_asymptotics_vonmises(kappa, offset, rate0, window)
+        numeric = plv_law_numeric(phase, model, window)
+        corrected_rel = 1e-13 + 5e-15 * kappa**2
+        _assert_laws_equal(closed, numeric, expected_rel=1e-13, limit_abs=1e-14, cov_rel=1e-13,
+                           corrected_rel=corrected_rel)
+        mp = vonmises_law_mp(kappa, rate0, window)
+        for law in (closed, numeric):
+            assert law.expected_events == pytest.approx(mp["expected_events"], rel=1e-13)
+            assert abs(law.limit) == pytest.approx(mp["limit"], rel=1e-14, abs=1e-15)
+            assert law.cov[0, 0] == pytest.approx(mp["var_re"], rel=1e-13)
+            assert law.cov[1, 1] == pytest.approx(mp["var_im"], rel=1e-13)
+            assert law.ratio_corrected_cov[0, 0] == pytest.approx(mp["var_re_corrected"],
+                                                                  rel=corrected_rel)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 1.0, -2.0])
+    @pytest.mark.parametrize("rate_harmonic, phase_harmonic", [(1, 1), (3, 3), (3, 1), (2, 1),
+                                                               (4, 2)],
+                             ids=["matched", "matched-3", "mismatched", "second", "second-2"])
+    def test_sinusoid(self, rate_harmonic, phase_harmonic, offset):
+        depth, rate0, window = 0.6, 7.0, 2.0
+        phase = LinearPhase(phase_harmonic / window, window)
+        model = SinusoidRate(rate0, depth, rate_harmonic, offset, window)
+        closed = plv_asymptotics_sinusoid(depth, rate_harmonic, phase_harmonic, offset, rate0,
+                                          window)
+        numeric = plv_law_numeric(phase, model, window)
+        _assert_laws_equal(closed, numeric, expected_rel=1e-14, limit_abs=1e-14, cov_rel=1e-14,
+                           corrected_rel=1e-14)
+        if rate_harmonic != phase_harmonic:
+            assert numeric.rotation == closed.rotation == 0.0
 
 
 class TestNullTest:
