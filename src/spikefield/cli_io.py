@@ -11,8 +11,8 @@ goes through one vectorized kernel, ``_floattext.repr_lines``, which
 writes the bytes of ``repr(float(v))`` for every value, exactly: an
 integer shortest-digits path for 1e-4 <= |v| < 1e15 and ``repr`` itself
 for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
-the same document, and ``analyze`` writes the entry lists of
-``coupling.json`` the same way.
+the same document, and ``analyze`` writes ``coupling.json`` with
+``json.dumps`` itself.
 
 ``analyze --signals`` takes the coupling matrix from
 ``multicoupling.whitened_coupling``, as the multivariate experiments do.
@@ -94,8 +94,8 @@ then thinning uniforms unless the unit is homogeneous). An experiment's
 replicate i draws the same things in the same order from
 ``default_rng(replicate_seed(master_seed, i))``. So with an experiment's
 parameters (a univariate one as one vonmises unit at its frequency, a
-multivariate one as vonmises units over its components, multivar-null's
-at kappa 0) and ``--seed replicate_seed(master_seed, i)``, ``simulate``
+multivariate one as vonmises units over its components, a null's at
+kappa 0) and ``--seed replicate_seed(master_seed, i)``, ``simulate``
 writes replicate i's draws, and ``analyze`` gives replicate i's
 statistics: ``--phase`` its PLV, p-value and spike total, ``--signals``
 its spectrum.
@@ -510,13 +510,6 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
 _OPTION_KINDS = {"kappa": "float", "phase_offset": "float"}
 
 
-def _json_matrix(values) -> str:
-    """``json.dumps(values.tolist())`` of a nonempty 2-D array of finite float64 values."""
-    from ._floattext import repr_lines  # loaded only by the commands that write floats
-
-    return "[[" + repr_lines(values, b", ", b"], [")[0][:-4].decode() + "]]"
-
-
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
@@ -577,16 +570,14 @@ def _cmd_analyze(args) -> int:
     if args.signals is not None:
         signals = load_signals(args.signals)
         raw = whitened_coupling(signals, spikes)
-        parts = {
-            "channels": json.dumps(raw.n_channels),
-            "units": json.dumps(raw.n_units),
-            "trials": json.dumps(raw.trials),
-            "window": json.dumps(raw.window),
-            "entries_re": _json_matrix(raw.entries.real),
-            "entries_im": _json_matrix(raw.entries.imag),
-        }
-        # The bytes of json.dumps(..., sort_keys=True) on the same values.
-        texts["coupling.json"] = "{" + ", ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "}"
+        texts["coupling.json"] = json.dumps({
+            "channels": raw.n_channels,
+            "units": raw.n_units,
+            "trials": raw.trials,
+            "window": raw.window,
+            "entries_re": raw.entries.real.tolist(),
+            "entries_im": raw.entries.imag.tolist(),
+        }, sort_keys=True)
         silent = np.flatnonzero(spikes.counts().sum(axis=1) == 0).tolist()
         if not silent:
             report = spectrum(normalize(raw, spikes))

@@ -22,23 +22,31 @@ master seed, runtime); a runner returns only its targets, aggregates,
 replicates, verdicts and plot data. Nothing here writes to disk:
 ``ExperimentReport.write`` writes a report where it is told, as
 ``spikefield experiment --out`` does, so the report body depends on the
-config alone. The PLV experiments draw their replicates from
-``_plv_replicates`` (replicate i of block b uses seed index
-``b * replicates + i``) and judge each case against its asymptotic law
-with ``_plv_case``, the one place a PLV verdict is made: the univariate
-experiments are one unprefixed case against the von Mises closed form, the
-sinusoid experiment a matched and a mismatched one against the sinusoid
-closed form, and the bias curve one case per sub-cycle window
-(``window_<T>``) against ``plv_law_numeric``. Every build but
-the moment oracle's refuses a config under which some unit of some
-replicate is likely to draw no spike (``_check_spiking``): such a
-replicate has no PLV and no normalized coupling column. A multivariate
-replicate draws its signals, then its units, and its spectrum is that of
-``whitened_coupling`` of the raw signals, as in ``analyze``. The rule for
-a unit locked to a phase (von Mises, or homogeneous at kappa = 0) and the
-draw of many units from one generator live in ``pointproc``
-(``_locked_rate``, ``_simulate_units``), where ``simulate`` takes them
-too, so ``simulate`` at a replicate's seed writes that replicate's draws.
+config alone. Seven experiments share three runners. The PLV
+experiments' builds return their cases (``_PlvCase``: a label, a phase, a
+rate model, a window, and how to build the case's law), and one runner,
+``_run_plv``, draws replicate block b for case b (replicate i from seed
+index ``b * replicates + i``) and judges it against the case's law with
+``_plv_case``, the one place a PLV verdict or statistic is made: the
+univariate experiments are one unlabelled case against the von Mises
+closed form, the sinusoid experiment a matched and a mismatched one
+against the sinusoid closed form, and the bias curve one case per
+sub-cycle window (``window_<T>``) against ``plv_law_numeric``. A build's
+case labels are distinct, since they prefix every key and verdict name.
+``_run_multivar`` runs both multivariate experiments and
+``_run_moment_oracle`` the moment oracle. No build or runner branches on
+the experiment's name: a runner judges exactly the verdicts the
+experiment's tolerances name, and a null, which sets no kappa, builds
+uncoupled units. Every build but the moment oracle's refuses a config
+under which some unit of some replicate is likely to draw no spike
+(``_check_spiking``): such a replicate has no PLV and no normalized
+coupling column. A multivariate replicate draws its signals, then its
+units, and its spectrum is that of ``whitened_coupling`` of the raw
+signals, as in ``analyze``. The rule for a unit locked to a phase (von
+Mises, or homogeneous when uncoupled) and the draw of many units from one
+generator live in ``pointproc`` (``_locked_rate``, ``_simulate_units``),
+where ``simulate`` takes them too, so ``simulate`` at a replicate's seed
+writes that replicate's draws.
 Every verdict comes from ``_judge``, where the named tolerance's kind
 alone decides the rule: a ``min_rate`` floor on the observed value, or
 else a bound on its distance from the target (a multiple of the standard
@@ -53,6 +61,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +70,7 @@ from .errors import ConfigurationError, DomainError
 from .multicoupling import ks_statistic, normalize, spectrum, whitened_coupling
 from .pointproc import (
     HomogeneousRate,
+    IntensityModel,
     SinusoidRate,
     _check_phase_offset,
     _check_trials,
@@ -129,7 +139,8 @@ class ExperimentConfig:
     (``spikefield experiment --out``).
 
     A field the experiment does not read stays unset, and setting one is
-    refused, as is every parameter out of its domain. All of it is checked
+    refused, as is every parameter out of its domain. The nulls read no
+    ``kappa``: their units are uncoupled. All of it is checked
     here, before any replicate runs, and the config is frozen, so it stays
     valid. The rules every experiment shares are written here (replicates,
     trials, a finite phase offset); then the experiment's build runs, the
@@ -333,23 +344,56 @@ def _judge(config, name, observed, target, tolerance_name=None, se=None):
     return v
 
 
-def _plv_replicates(config, model, phase, window, block=0):
-    """PLV and total spike count of each replicate of one block.
+@dataclass(frozen=True)
+class _PlvCase:
+    """One PLV case: the unit drawn, the phase its PLV reads, and the law it is judged against.
+
+    ``law()`` builds the case's ``AsymptoticLaw`` when the case is judged,
+    so building a config loads no scipy. ``label`` prefixes every key and
+    verdict name of the case; the single univariate case has none.
+    """
+
+    label: str
+    phase: LinearPhase
+    model: IntensityModel
+    window: float
+    law: Callable
+
+
+def _plv_cases(config, cases: list) -> list:
+    """A PLV build's cases, checked: distinct labels, and units that can be drawn and spike."""
+    windows = {}
+    for case in cases:
+        if case.label in windows:
+            raise ConfigurationError(
+                f"the cases at windows {windows[case.label]!r} and {case.window!r} share the label "
+                f"{case.label!r}; each case needs a label of its own")
+        windows[case.label] = case.window
+        _thinning_bound(case.model, case.window)
+    _check_spiking(config, config.replicates * len(cases), min(windows.values()))
+    return cases
+
+
+def _run_plv(config, cases: list) -> dict:
+    """Draw replicate block b for case b and judge it with ``_plv_case``.
 
     Replicate i of block b draws from seed index ``b * replicates + i``, so
-    blocks (windows, cases) use disjoint streams.
+    the cases use disjoint streams.
     """
-    plvs = np.empty(config.replicates, dtype=complex)
-    totals = np.empty(config.replicates, dtype=int)
-    for i in range(config.replicates):
-        rng = np.random.default_rng(replicate_seed(config.master_seed, block * config.replicates + i))
-        sd = simulate_poisson(model, window, config.trials, rng)
-        plvs[i] = estimate_plv(phase, sd)
-        totals[i] = int(sd.counts().sum())
-    return plvs, totals
+    parts = _parts()
+    for block, case in enumerate(cases):
+        plvs = np.empty(config.replicates, dtype=complex)
+        totals = np.empty(config.replicates, dtype=int)
+        for i in range(config.replicates):
+            rng = np.random.default_rng(replicate_seed(config.master_seed, block * config.replicates + i))
+            sd = simulate_poisson(case.model, case.window, config.trials, rng)
+            plvs[i] = estimate_plv(case.phase, sd)
+            totals[i] = int(sd.counts().sum())
+        _plv_case(config, parts, case, plvs, totals)
+    return parts
 
 
-def _plv_case(config, parts, law, plvs, label=""):
+def _plv_case(config, parts, case, plvs, totals):
     """Judge one case's replicate PLVs against its asymptotic law.
 
     The two variance verdicts and the Gaussianity verdict read the law's
@@ -357,51 +401,77 @@ def _plv_case(config, parts, law, plvs, label=""):
     the PLV divides by; the mean check and the off-diagonal standard error
     read the paper-form ``cov``, and the off-diagonal target is the
     corrected covariance's [0, 1] entry (the two forms differ only on the
-    diagonal). Adds the case's limit targets, verdicts, residual
-    statistics, replicate PLVs and residual histogram (beside the normal
-    densities of the corrected law, the one judged) to ``parts``, every key
-    prefixed by ``label`` (the single univariate case has none).
+    diagonal). The Gaussianity and null false-positive verdicts are judged
+    where the experiment's tolerances bound them. Adds the case's targets,
+    verdicts, aggregates, replicate PLVs, spike totals and null p-values to
+    ``parts``, every key prefixed by the case's label, with its residual
+    histogram (beside the normal densities of the corrected law, the one
+    judged) and its row of the limit-vs-mean plot.
     """
-    prefix = f"{label}_" if label else ""
+    tolerances = EXPERIMENTS[config.experiment].tolerances
+    law = case.law()
     n = len(plvs)
     z = law.rotated_residuals(plvs, config.trials)
     cov, corrected = law.cov, law.ratio_corrected_cov
+    p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
 
     se_mean = math.sqrt((cov[0, 0] + cov[1, 1]) / (config.trials * n))
-    mean_err = abs(np.mean(plvs) - law.limit)
-    var_re = float(np.var(z.real, ddof=1))
-    var_im = float(np.var(z.imag, ddof=1))
-    off = float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag))
     se_off = math.sqrt((cov[0, 0] * cov[1, 1] + cov[0, 1] ** 2) / n)
+    aggregates = {
+        "var_re": float(np.var(z.real, ddof=1)),
+        "var_im": float(np.var(z.imag, ddof=1)),
+        "cov_offdiag": float(np.mean(z.real * z.imag) - np.mean(z.real) * np.mean(z.imag)),
+        "mean_re": float(np.mean(plvs.real)),
+        "mean_im": float(np.mean(plvs.imag)),
+    }
     verdicts = [
-        _judge(config, prefix + "mean_limit", mean_err, 0.0, "mean_limit", se=se_mean),
-        _judge(config, prefix + "var_re", var_re, corrected[0, 0], "variance"),
-        _judge(config, prefix + "var_im", var_im, corrected[1, 1], "variance"),
-        _judge(config, prefix + "cov_offdiag", off, corrected[0, 1], "offdiag", se=se_off),
+        _judge(config, "mean_limit", abs(np.mean(plvs) - law.limit), 0.0, se=se_mean),
+        _judge(config, "var_re", aggregates["var_re"], corrected[0, 0], "variance"),
+        _judge(config, "var_im", aggregates["var_im"], corrected[1, 1], "variance"),
+        _judge(config, "cov_offdiag", aggregates["cov_offdiag"], corrected[0, 1], "offdiag",
+               se=se_off),
     ]
-    if "gaussian_ks" in EXPERIMENTS[config.experiment].tolerances:
-        ks = _normal_ks(z.real, math.sqrt(corrected[0, 0]))
-        verdicts.append(_judge(config, prefix + "gaussian_ks", ks, 0.0, "gaussian_ks"))
+    if "gaussian_ks" in tolerances:
+        verdicts.append(_judge(config, "gaussian_ks",
+                               _normal_ks(z.real, math.sqrt(corrected[0, 0])), 0.0))
+    if "null_fp_rate" in tolerances:
+        aggregates["null_fp_rate"] = float(np.mean(p_null < 0.05))
+        verdicts.append(_judge(config, "null_fp_rate", aggregates["null_fp_rate"], 0.05))
+    targets = {
+        "limit_re": law.limit.real,
+        "limit_im": law.limit.imag,
+        "cov_re": cov[0, 0],
+        "cov_im": cov[1, 1],
+        "cov_re_ratio_corrected": corrected[0, 0],
+        "expected_events_per_trial": law.expected_events,
+    }
+    replicates = {
+        "plv_re": plvs.real.tolist(),
+        "plv_im": plvs.imag.tolist(),
+        "total_spikes": totals.tolist(),
+        "p_null": p_null.tolist(),
+    }
 
+    prefix = f"{case.label}_" if case.label else ""
+    for verdict in verdicts:
+        verdict["name"] = prefix + verdict["name"]
     parts["verdicts"].extend(verdicts)
-    parts["targets"].update({
-        prefix + "limit_re": law.limit.real,
-        prefix + "limit_im": law.limit.imag,
-        prefix + "cov_re_ratio_corrected": corrected[0, 0],
-    })
-    parts["aggregates"].update({
-        prefix + "var_re": var_re,
-        prefix + "var_im": var_im,
-        prefix + "cov_offdiag": off,
-        prefix + "mean_re": float(np.mean(plvs.real)),
-        prefix + "mean_im": float(np.mean(plvs.imag)),
-    })
-    parts["replicates"].update({
-        prefix + "plv_re": plvs.real.tolist(),
-        prefix + "plv_im": plvs.imag.tolist(),
-    })
-    parts["plot_data"]["residual_hist" + (f"_{label}" if label else "")] = \
+    for section, values in (("targets", targets), ("aggregates", aggregates),
+                            ("replicates", replicates)):
+        parts[section].update({prefix + key: value for key, value in values.items()})
+    parts["plot_data"]["residual_hist" + (f"_{case.label}" if case.label else "")] = \
         _residual_histogram(z, corrected)
+    mean = complex(aggregates["mean_re"], aggregates["mean_im"])
+    parts["plot_data"].setdefault("limit_vs_mean", []).append({
+        "case": case.label,
+        "window": case.window,
+        "limit_re": law.limit.real,
+        "limit_im": law.limit.imag,
+        "limit_modulus": abs(law.limit),
+        "mean_re": mean.real,
+        "mean_im": mean.imag,
+        "mean_modulus": abs(mean),
+    })
 
 
 def _normal_ks(x, sd: float) -> float:
@@ -448,7 +518,7 @@ def _check_spiking(config, draws: int, window: float) -> None:
     rate0 * window: I0 >= 1 for a von Mises unit, and a sinusoid over whole
     cycles gives rate0 * window exactly. So each draw is silent over all
     trials with chance at most exp(-trials * rate0 * window), and the build
-    refuses when ``draws`` (replicates x units x cases or windows) times
+    refuses when ``draws`` (replicates x units, or replicates x cases) times
     that exceeds 1e-9.
     """
     spikes = config.trials * config.rate0 * window
@@ -467,72 +537,34 @@ def _whole_cycles(frequency, window) -> LinearPhase:
     return phase
 
 
-def _build_univar(config: ExperimentConfig) -> tuple:
-    """The unit's phase, over whole cycles as the law needs, and its rate model."""
+def _build_univar(config: ExperimentConfig) -> list:
+    """One unlabelled case: the unit over whole cycles of its phase, as the law needs.
+
+    A null sets no kappa: its unit is uncoupled, and its law is the von
+    Mises law at kappa = 0.
+    """
     phase = _whole_cycles(config.frequency, config.window)
     model = _locked_rate(config.rate0, config.kappa, config.phase_offset, phase)
-    _thinning_bound(model, config.window)
-    _check_spiking(config, config.replicates, config.window)
-    return phase, model
+    law = partial(plv_asymptotics_vonmises, config.kappa or 0.0, config.phase_offset,
+                  config.rate0, config.window)
+    return _plv_cases(config, [_PlvCase("", phase, model, config.window, law)])
 
 
-def _run_univar(config: ExperimentConfig, built: tuple) -> dict:
-    phase, model = built
-    plvs, totals = _plv_replicates(config, model, phase, config.window)
-    p_null = np.array([plv_null_test(plv, total) for plv, total in zip(plvs, totals)])
-
-    parts = _parts()
-    law = plv_asymptotics_vonmises(config.kappa, config.phase_offset, config.rate0, config.window)
-    _plv_case(config, parts, law, plvs)
-    parts["targets"].update({
-        "cov_re": law.cov[0, 0],
-        "cov_im": law.cov[1, 1],
-        "expected_events_per_trial": law.expected_events,
-    })
-    parts["replicates"].update({"total_spikes": totals.tolist(), "p_null": p_null.tolist()})
-    if "null_fp_rate" in EXPERIMENTS[config.experiment].tolerances:
-        fp = float(np.mean(p_null < 0.05))
-        parts["verdicts"].append(_judge(config, "null_fp_rate", fp, 0.05))
-        parts["aggregates"]["null_fp_rate"] = fp
-    return parts
-
-
-def _build_bias_curve(config: ExperimentConfig) -> tuple:
-    """The homogeneous rate model and the phase over each window."""
+def _build_bias_curve(config: ExperimentConfig) -> list:
+    """One case per sub-cycle window (``window_<T>``): a homogeneous unit, the numeric law."""
     if not config.windows:
         raise ConfigurationError("bias-curve needs windows, got none")
     model = HomogeneousRate(config.rate0)
+    cases = []
     for window in config.windows:
-        _thinning_bound(model, window)
-    _check_spiking(config, config.replicates * len(config.windows), min(config.windows))
-    return model, [LinearPhase(config.frequency, window) for window in config.windows]
+        phase = LinearPhase(config.frequency, window)
+        cases.append(_PlvCase(f"window_{window:g}", phase, model, window,
+                              partial(plv_law_numeric, phase, model, window)))
+    return _plv_cases(config, cases)
 
 
-def _run_bias_curve(config: ExperimentConfig, built: tuple) -> dict:
-    model, phases = built
-    parts, rows = _parts(), []
-    for w_idx, (window, phase) in enumerate(zip(config.windows, phases)):
-        label = f"window_{window:g}"
-        law = plv_law_numeric(phase, model, window)
-        vals, _ = _plv_replicates(config, model, phase, window, block=w_idx)
-        _plv_case(config, parts, law, vals, label)
-        aggregates = parts["aggregates"]
-        mean = complex(aggregates[f"{label}_mean_re"], aggregates[f"{label}_mean_im"])
-        rows.append({
-            "window": window,
-            "limit_re": law.limit.real,
-            "limit_im": law.limit.imag,
-            "limit_modulus": abs(law.limit),
-            "mean_re": mean.real,
-            "mean_im": mean.imag,
-            "mean_modulus": abs(mean),
-        })
-    parts["plot_data"]["bias_curve"] = rows
-    return parts
-
-
-def _build_sinusoid(config: ExperimentConfig) -> tuple:
-    """The phase, and the rate models of the matched and the mismatched case.
+def _build_sinusoid(config: ExperimentConfig) -> list:
+    """The matched and the mismatched case against the sinusoid closed form.
 
     The matched case (rate harmonic == phase harmonic) runs alongside the
     mismatched one, whose rate harmonic comes from the config.
@@ -545,22 +577,12 @@ def _build_sinusoid(config: ExperimentConfig) -> tuple:
                                   config.window)
               for label, harmonic in (("matched", config.phase_harmonic),
                                       ("mismatched", config.rate_harmonic))}
-    for model in models.values():
-        _thinning_bound(model, config.window)
-    _check_spiking(config, config.replicates * len(models), config.window)
-    return LinearPhase(config.phase_harmonic / config.window, config.window), models
-
-
-def _run_sinusoid(config: ExperimentConfig, built: tuple) -> dict:
-    phase, models = built
-    parts = _parts()
-    for c_idx, (label, model) in enumerate(models.items()):
-        vals, _ = _plv_replicates(config, model, phase, config.window, block=c_idx)
-        law = plv_asymptotics_sinusoid(config.depth, model.harmonic, config.phase_harmonic,
-                                       config.phase_offset, config.rate0, config.window)
-        _plv_case(config, parts, law, vals, label)
-        parts["targets"][f"{label}_cov"] = law.cov[0, 0]
-    return parts
+    phase = LinearPhase(config.phase_harmonic / config.window, config.window)
+    return _plv_cases(config, [
+        _PlvCase(label, phase, model, config.window,
+                 partial(plv_asymptotics_sinusoid, config.depth, model.harmonic,
+                         config.phase_harmonic, config.phase_offset, config.rate0, config.window))
+        for label, model in models.items()])
 
 
 def _build_multivar(config: ExperimentConfig) -> list:
@@ -573,15 +595,11 @@ def _build_multivar(config: ExperimentConfig) -> list:
     """
     if config.units < 1:
         raise ConfigurationError(f"need at least one unit, got {config.units}")
-    if config.experiment == "multivar-null" and config.kappa != 0.0:
-        raise ConfigurationError(f"multivar-null needs kappa = 0 (uncoupled units), got "
-                                 f"{config.kappa!r}; coupled units are multivar-coupled")
-    # multivar-null's uncoupled units read no offset, and it has none.
-    offset = config.phase_offset if config.experiment == "multivar-coupled" else None
     _check_grid(config.components, config.window, config.dt, config.noise_kappa, config.channels)
     _check_carrier_spread(config)
     phases = [_whole_cycles(f, config.window) for f in config.components]
-    models = [_locked_rate(config.rate0, config.kappa, offset, phase) for phase in phases]
+    models = [_locked_rate(config.rate0, config.kappa, config.phase_offset, phase)
+              for phase in phases]
     for model in models:
         _thinning_bound(model, config.window)
     _check_spiking(config, config.replicates * config.units, config.window)
@@ -656,16 +674,17 @@ def _run_multivar(config: ExperimentConfig, models: list) -> dict:
         "mean_n_significant": float(n_sig.mean()),
     }
 
-    if config.experiment == "multivar-null":
-        verdicts = [
-            _judge(config, "mean_ks", aggregates["mean_ks"], 0.0),
-            _judge(config, "pooled_ks", aggregates["pooled_ks"], 0.0),
-            _judge(config, "top_eigenvalue", aggregates["mean_top_eigenvalue"], upper),
-            _judge(config, "edge_fp_rate", aggregates["edge_fp_rate"], 0.0),
-            _judge(config, "trace", aggregates["mean_trace_over_p"], 1.0),
-        ]
-    else:
-        verdicts = [_judge(config, "detection_rate", aggregates["detection_rate"], 1.0)]
+    # Each verdict the experiment's tolerances name: the aggregate it judges, and its target.
+    checks = {
+        "mean_ks": ("mean_ks", 0.0),
+        "pooled_ks": ("pooled_ks", 0.0),
+        "top_eigenvalue": ("mean_top_eigenvalue", upper),
+        "edge_fp_rate": ("edge_fp_rate", 0.0),
+        "trace": ("mean_trace_over_p", 1.0),
+        "detection_rate": ("detection_rate", 1.0),
+    }
+    verdicts = [_judge(config, name, aggregates[checks[name][0]], checks[name][1])
+                for name in EXPERIMENTS[config.experiment].tolerances]
 
     # Pooled ESD histogram against the MP density for plotting.
     positive = pooled[pooled > 1e-12]
@@ -761,35 +780,35 @@ _MULTIVAR = dict(rate0=20.0, window=11.0, trials=10, replicates=100, units=90, c
 # Each experiment, declared once: its build and runner, its published
 # parameters (exactly those the runner reads, besides the seed) and bounds.
 EXPERIMENTS = {
-    "univar-null": _Experiment(_build_univar, _run_univar, dict(_UNIVAR, kappa=0.0), {
+    "univar-null": _Experiment(_build_univar, _run_plv, _UNIVAR, {
         "mean_limit": _SE3,
         "variance": Tolerance(0.05, "relative", "scaled-residual variance vs 1/(2 rate0 T)"),
         "offdiag": _SE3,
         "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs predicted normal"),
         "null_fp_rate": Tolerance(0.01, "absolute", "false-positive rate at p<0.05, Monte Carlo calibration"),
     }),
-    "univar-coupled": _Experiment(_build_univar, _run_univar, dict(_UNIVAR, kappa=0.5), {
+    "univar-coupled": _Experiment(_build_univar, _run_plv, dict(_UNIVAR, kappa=0.5), {
         "mean_limit": _SE3,
         "variance": Tolerance(0.10, "relative", "rotated residual covariance vs Bessel closed form"),
         "offdiag": _SE3,
         "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs ratio-corrected normal"),
     }),
     "bias-curve": _Experiment(
-        _build_bias_curve, _run_bias_curve,
+        _build_bias_curve, _run_plv,
         dict(rate0=30.0, trials=10, replicates=4000, frequency=1.0, windows=(0.5, 0.75, 1.0)), {
             "mean_limit": _SE3,
             "variance": Tolerance(0.10, "relative", "rotated residual covariance vs quadrature law"),
             "offdiag": _SE3,
         }),
     "sinusoid-uncoupled": _Experiment(
-        _build_sinusoid, _run_sinusoid,
+        _build_sinusoid, _run_plv,
         dict(rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,
              rate_harmonic=3, phase_harmonic=1, phase_offset=0.0), {
             "mean_limit": _SE3,
             "variance": Tolerance(0.10, "relative", "isotropic covariance 1/(2 rate0 T)"),
             "offdiag": _SE3,
         }),
-    "multivar-null": _Experiment(_build_multivar, _run_multivar, dict(_MULTIVAR, kappa=0.0), {
+    "multivar-null": _Experiment(_build_multivar, _run_multivar, _MULTIVAR, {
         "mean_ks": Tolerance(0.08, "absolute", "per-run KS to MP, Monte Carlo calibration"),
         "pooled_ks": Tolerance(0.05, "absolute", "pooled-ESD KS to MP, Monte Carlo calibration"),
         "top_eigenvalue": Tolerance(0.15, "relative", "mean top eigenvalue vs MP upper edge"),

@@ -111,12 +111,13 @@ IntensityModel = Union[HomogeneousRate, VonMisesRate, SinusoidRate]
 
 
 def _locked_rate(rate0, kappa, phase_offset, phase: LinearPhase):
-    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous at kappa = 0.
+    """The rate model of a unit locked to ``phase``: von Mises, or homogeneous when uncoupled.
 
-    An uncoupled unit (kappa = 0) is drawn as a homogeneous one, which
-    spends no thinning uniforms; it reads neither the offset nor the phase.
+    An uncoupled unit (kappa = 0, or None for a null experiment, which sets
+    no kappa) is drawn as a homogeneous one, which spends no thinning
+    uniforms; it reads neither the offset nor the phase.
     """
-    if kappa == 0.0:
+    if kappa is None or kappa == 0.0:
         return HomogeneousRate(rate0)
     return VonMisesRate(rate0, kappa, phase_offset, phase)
 

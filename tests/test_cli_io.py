@@ -830,10 +830,10 @@ class TestCliSimulateAnalyze:
         # other draws than their replicates.
         i, c = 1, ExperimentConfig(name, **self._REPLICATE_CASES[name])
         replicates = run_experiment(c).replicates
-        sim = {"kind": "vonmises", "window": c.window, "trials": c.trials, "rate0": c.rate0,
-               "kappa": c.kappa}
-        if c.phase_offset is not None:
-            sim["phase_offset"] = c.phase_offset
+        sim = {"kind": "vonmises", "window": c.window, "trials": c.trials, "rate0": c.rate0}
+        for key in ("kappa", "phase_offset"):  # a null sets no kappa: simulate's default 0
+            if getattr(c, key) is not None:
+                sim[key] = getattr(c, key)
         if name.startswith("univar"):
             sim["frequency"] = c.frequency
             flags = ["--phase", f"linear:{c.frequency!r}"]
@@ -1167,9 +1167,8 @@ class TestRefusedConfigs:
         ({"frequency": 1e308}, "the phase 2*pi*f*T overflows at frequency 1e+308 and window 5.0"),
         ({"experiment": "univar-coupled", "kappa": 710.0},
          "modulation strength must be at most 700.0, got 710.0"),
-        ({**_MULTIVAR, "kappa": 0.5},
-         "multivar-null needs kappa = 0 (uncoupled units), got 0.5; "
-         "coupled units are multivar-coupled"),
+        ({**_MULTIVAR, "kappa": 0.5}, "multivar-null reads no field(s) ['kappa']"),
+        ({"kappa": 0}, "univar-null reads no field(s) ['kappa']"),
         # The bounds live only in the experiment's entry, and --out names the report's directory.
         ({"tolerances": {"variance": {"value": 0.2, "kind": "relative", "provenance": "loosened"}}},
          "unknown field(s) ['tolerances']"),
@@ -1182,7 +1181,7 @@ class TestRefusedConfigs:
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
-            "multivar-null-kappa", "tolerances", "output-dir", "replicates-past-numpy",
+            "multivar-null-kappa", "univar-null-kappa", "tolerances", "output-dir", "replicates-past-numpy",
             "trials-past-numpy"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"

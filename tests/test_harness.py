@@ -79,14 +79,24 @@ class TestConfig:
             with pytest.raises(ConfigurationError, match="window must be positive and finite, got inf"):
                 ExperimentConfig(experiment=name, window=math.inf)
 
-    @pytest.mark.parametrize("kappa", [0.5, math.nan])
-    def test_multivar_null_refuses_coupled_units(self, kappa):
-        # A nonzero kappa built von Mises units without a phase offset, which
-        # escaped as a bare TypeError.
+    @pytest.mark.parametrize("name", ["univar-null", "multivar-null"])
+    @pytest.mark.parametrize("kappa", [0.5, math.nan, 0.0])
+    def test_nulls_refuse_coupled_units(self, name, kappa):
+        # A null's units are uncoupled, so it reads no kappa. univar-null used
+        # to run a coupled unit and fail its own null verdicts; multivar-null
+        # refused one with a message of its own.
         with pytest.raises(ConfigurationError,
-                           match=f"multivar-null needs kappa = 0 .*got {kappa}; "
-                                 "coupled units are multivar-coupled"):
-            ExperimentConfig(experiment="multivar-null", kappa=kappa)
+                           match=re.escape(f"{name} reads no field(s) ['kappa']")):
+            ExperimentConfig(experiment=name, kappa=kappa)
+
+    @pytest.mark.parametrize("windows", [(0.5, 0.5), (0.5, 0.5000001)], ids=["equal", "same-label"])
+    def test_case_labels_are_distinct(self, windows):
+        # Both windows were run as the case window_0.5, and the second's
+        # replicates overwrote the first's in the report body.
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"the cases at windows {windows[0]!r} and "
+                                           f"{windows[1]!r} share the label 'window_0.5'")):
+            ExperimentConfig(experiment="bias-curve", windows=windows)
 
     @pytest.mark.parametrize("name, change, message", [
         ("multivar-null", {"units": 0}, "at least one unit"),
@@ -313,6 +323,9 @@ class TestConfig:
         }
 
 
+_PLV_EXPERIMENTS = sorted(n for n, e in EXPERIMENTS.items() if "mean_limit" in e.tolerances)
+
+
 def _small(name, **kw):
     return ExperimentConfig.defaults(name, **kw)
 
@@ -357,13 +370,16 @@ class TestReports:
         assert abs(lag1) < 3.0 / np.sqrt(len(x))
 
     def test_writes_report_and_csv(self, tmp_path):
-        run_experiment(_small("bias-curve", replicates=10)).write(tmp_path)
+        cfg = _small("bias-curve", replicates=10)
+        run_experiment(cfg).write(tmp_path)
         assert (tmp_path / "report.json").exists()
-        assert (tmp_path / "bias_curve.csv").exists()
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["experiment"] == "bias-curve"
-        header = (tmp_path / "bias_curve.csv").read_text().splitlines()[0]
-        assert header.startswith("window,")
+        with open(tmp_path / "limit_vs_mean.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:2] == ["case", "window"]
+        assert [(row["case"], float(row["window"])) for row in rows] == [
+            (f"window_{w:g}", w) for w in cfg.windows]
 
     def test_moment_oracle_all_pass(self):
         rep = run_experiment(_small("moment-oracle", trials=20000))
@@ -449,26 +465,45 @@ class TestReports:
                 density = math.exp(-0.5 * (m / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
                 assert float(row[column]) == pytest.approx(density, rel=1e-12)
 
-    @pytest.mark.parametrize("name", sorted(n for n, e in EXPERIMENTS.items()
-                                            if "mean_limit" in e.tolerances))
+    @pytest.mark.parametrize("name", _PLV_EXPERIMENTS)
     def test_every_plv_verdict_comes_from_plv_case(self, monkeypatch, name):
         # Every verdict under a PLV bound is one of a case's verdicts from
         # _plv_case, so no runner judges a PLV by code of its own.
         labels, case = [], harness._plv_case
 
-        def recorded(config, parts, law, plvs, label=""):
-            labels.append(label)
-            case(config, parts, law, plvs, label)
+        def recorded(config, parts, plv_case, plvs, totals):
+            labels.append(plv_case.label)
+            case(config, parts, plv_case, plvs, totals)
 
         monkeypatch.setattr(harness, "_plv_case", recorded)
         rep = run_experiment(_small(name, **_GOLDEN_BODIES[name][0]))
         bounds = EXPERIMENTS[name].tolerances
         suffixes = ["mean_limit", "var_re", "var_im", "cov_offdiag"]
-        suffixes += ["gaussian_ks"] if "gaussian_ks" in bounds else []
+        suffixes += [s for s in ("gaussian_ks", "null_fp_rate") if s in bounds]
         expected = [f"{label}_{s}" if label else s for label in labels for s in suffixes]
-        plv_bounds = {"mean_limit", "variance", "offdiag", "gaussian_ks"}
+        plv_bounds = {"mean_limit", "variance", "offdiag", "gaussian_ks", "null_fp_rate"}
         judged = [v["name"] for v in rep.verdicts if v["tolerance"] in plv_bounds]
         assert labels and judged == expected
+
+    @pytest.mark.parametrize("name", _PLV_EXPERIMENTS)
+    def test_every_case_reports_the_same_keys(self, name):
+        # Each case of each PLV experiment reports one set of statistics under
+        # its label's prefix, and nothing else is reported.
+        config = _small(name, **_GOLDEN_BODIES[name][0])
+        labels = [case.label for case in EXPERIMENTS[name].build(config)]
+        rep = run_experiment(config)
+        bounded = {"null_fp_rate"} & set(EXPERIMENTS[name].tolerances)
+        suffixes = {
+            "targets": {"limit_re", "limit_im", "cov_re", "cov_im", "cov_re_ratio_corrected",
+                        "expected_events_per_trial"},
+            "aggregates": {"mean_re", "mean_im", "var_re", "var_im", "cov_offdiag", *bounded},
+            "replicates": {"plv_re", "plv_im", "total_spikes", "p_null"},
+        }
+        for section, names in suffixes.items():
+            keys = {f"{label}_{s}" if label else s for label in labels for s in names}
+            assert set(getattr(rep, section)) == keys, section
+        for values in rep.replicates.values():
+            assert len(values) == config.replicates
 
     def test_bias_curve_judges_each_window_against_the_numeric_law(self):
         cfg = _small("bias-curve", replicates=20)
@@ -589,7 +624,9 @@ _GOLDEN_MULTIVAR = dict(
 _GOLDEN_BODIES = {
     "univar-null": (
         dict(replicates=12, trials=200),
-        "7434f0d01936f2fc72a6f18fef12b4558df59c2095089e369ce17ed35137b391",
+        # Re-pinned when the nulls stopped reading kappa: the body is the one
+        # before with its "config.kappa": 0.0 deleted, and nothing else.
+        "9c2ba9da5766889499f307afb595a666d8c55cb5eed2977cbba9bedef59e9ec5",
     ),
     "univar-coupled": (
         dict(replicates=12, trials=200),
@@ -603,15 +640,24 @@ _GOLDEN_BODIES = {
         # Re-pinned when each window became a _plv_case case judged against
         # plv_law_numeric: the keys took the case prefix, and each window gained
         # its variance and off-diagonal verdicts. The replicate draws did not move.
-        "b82d2429e631301fa437954be20a5516e139ad6c986521f06f9fbede47bdbfdf",
+        # Re-pinned when every case came to report the same statistics: each
+        # window gained its cov_re, cov_im, expected_events_per_trial,
+        # total_spikes and p_null; no other key or verdict moved.
+        "868d8ab63cb12c6fbea1003f8c89315bb2c4c12c0bcbdf6715b0e13df3decee9",
     ),
     "sinusoid-uncoupled": (
         dict(replicates=12, trials=100),
-        "6ef8beb48103632d86be944131e78540a1cac79b2d1ec657859c6445212b6b28",
+        # Re-pinned when every case came to report the same statistics: the
+        # <case>_cov targets became <case>_cov_re, with their values, and each
+        # case gained its cov_im, expected_events_per_trial, total_spikes and
+        # p_null; no other key or verdict moved.
+        "a07e8e10527998da6716fecc0d07806f2b0dc74e5a695fc9fd694bffcd99e385",
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,
-        "d9d0341bc15b5608e0e423e62a653d9aee3e19f485be54db8511c36b8d98c2ce",
+        # Re-pinned when the nulls stopped reading kappa: the body is the one
+        # before with its "config.kappa": 0.0 deleted, and nothing else.
+        "f9d72e79dff02f6f151552037c04fecbb9e3967a8980d97f3d0f00fdec063308",
     ),
     "multivar-coupled": (
         _GOLDEN_MULTIVAR,
@@ -654,10 +700,13 @@ class TestGoldenBodies:
         # A field the constructor accepts is one the runner reads, and the
         # reverse. Each field is probed with a real value, since an unset one
         # is always accepted.
+        # A null sets neither kappa nor phase_offset: its build reads them unset,
+        # and pointproc._locked_rate draws an uncoupled unit for kappa None.
         config = _small(name, **_GOLDEN_BODIES[name][0])
         recorder = _ReadRecorder(config)
         experiment = EXPERIMENTS[name]
         experiment.run(recorder, experiment.build(recorder))
+        assert recorder.unset_reads <= {"kappa", "phase_offset"}
         accepted = set()
         for key, value in _probes(name).items():
             try:
@@ -686,11 +735,15 @@ def _probes(name):
 
 
 class _ReadRecorder:
-    """Stands in for a config and records the name of every attribute read from it."""
+    """Stands in for a config and records the name of every attribute read from it.
+
+    ``reads`` holds the fields read with a value, ``unset_reads`` those read unset (None).
+    """
 
     def __init__(self, config):
-        self._config, self.reads = config, set()
+        self._config, self.reads, self.unset_reads = config, set(), set()
 
     def __getattr__(self, name):
-        self.reads.add(name)
-        return getattr(self._config, name)
+        value = getattr(self._config, name)
+        (self.reads if value is not None else self.unset_reads).add(name)
+        return value

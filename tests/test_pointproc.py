@@ -340,6 +340,7 @@ class TestUnitsDrawnInTurn:
 
 def test_an_uncoupled_locked_unit_is_homogeneous_and_reads_no_offset():
     assert _locked_rate(20.0, 0.0, None, LinearPhase(1.0, 2.0)) == HomogeneousRate(20.0)
+    assert _locked_rate(20.0, None, None, LinearPhase(1.0, 2.0)) == HomogeneousRate(20.0)
 
 
 _WINDOW = 2.0
