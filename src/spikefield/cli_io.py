@@ -54,14 +54,17 @@ the parser and an integer of more digits than ``int()`` converts.
 
 The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
 Mises law, which holds over whole cycles only: it is refused when f*T of
-the phase over the spikes' window is more than 1e-9 from an integer. The
-law is built once per file, at rate0 = T = 1, where its expected count
-per trial is I0(kappa). The z fields read its ``ratio_corrected_cov``,
-as the harness's variance verdicts do. Every entry of that covariance
-scales as 1/(expected count), so each unit's z fields take it times
-I0(kappa)/(rate_hat*T), with rate_hat*T the unit's estimated count per
-trial. No baseline rate is formed, so none rounds to zero at a large
-kappa and a small mean rate.
+the phase over the spikes' window is more than 1e-9 from an integer. Over
+whole cycles that law reads the phase only through the expected count
+rate0 T I0(kappa), so it is built once per file as the law of one
+``_locked_rate`` unit at rate0 = T = 1 over one cycle, where the expected
+count per trial is I0(kappa); the null variance ``null_cov_re`` is that
+of one uncoupled unit at rate0 = T = 1. The z fields read the kappa law's
+``ratio_corrected_cov``, as the harness's variance verdicts do. Every
+entry of either covariance scales as 1/(expected count), so each unit
+takes it times the law's expected count over the unit's estimated count
+per trial, its spike total over K. No baseline rate is formed, so none
+rounds to zero at a large kappa and a small mean rate.
 
 Experiment configs. ``experiment --config`` reads one JSON object: the
 ``experiment``'s name, ``master_seed`` and the parameters its runner
@@ -120,8 +123,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .harness import ExperimentConfig, run_experiment
 from .multicoupling import normalize, spectrum, whitened_coupling
-from .pointproc import (HomogeneousRate, SinusoidRate, SpikeData, _check_phase_offset,
-                        _locked_rate, _simulate_units)
+from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, _locked_rate, _simulate_units
 from .signals import (
     LinearPhase,
     SignalMatrix,
@@ -437,7 +439,6 @@ def _vonmises_models(window, components, rate0, kappa, phase_offset, frequency):
     frequencies = components if frequency is None else (frequency,)
     if not frequencies:
         raise DomainError("vonmises simulation needs 'frequency' or a signals block with 'components'")
-    _check_phase_offset(phase_offset)  # checked as the harness does: at kappa = 0 no model reads it
     return [_locked_rate(rate0, kappa, phase_offset, LinearPhase(f, window)) for f in frequencies]
 
 
@@ -510,6 +511,12 @@ def _parse_phase_flag(text: str, window: float) -> LinearPhase:
 _OPTION_KINDS = {"kappa": "float", "phase_offset": "float"}
 
 
+def _unit_law(kappa, phase_offset):
+    """The von Mises law of a unit at rate0 = T = 1 over one cycle: expected count I0(kappa)."""
+    phase = LinearPhase(1.0, 1.0)
+    return plv_asymptotics_vonmises(phase, _locked_rate(1.0, kappa, phase_offset, phase))
+
+
 def _cmd_analyze(args) -> int:
     if args.signals is None and args.phase is None:
         raise DomainError("analyze needs --signals and/or --phase")
@@ -525,12 +532,10 @@ def _cmd_analyze(args) -> int:
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
-        law = None
+        law, null_law = None, _unit_law(0.0, 0.0)
         if "kappa" in options:  # the von Mises law holds over whole cycles only
             _check_whole_cycles(phase)
-            # The law at rate0 = T = 1, where its expected count per trial is I0(kappa).
-            law = plv_asymptotics_vonmises(options["kappa"], options.get("phase_offset", 0.0),
-                                           1.0, 1.0)
+            law = _unit_law(options["kappa"], options.get("phase_offset", 0.0))
         totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
@@ -540,22 +545,20 @@ def _cmd_analyze(args) -> int:
                 entry["plv"] = None
             else:
                 plv = estimate_plv(phase, spikes, unit=j)
-                rate_hat = total / (spikes.n_trials * spikes.window)
-                null_law = plv_asymptotics_vonmises(0.0, 0.0, rate_hat, spikes.window)
+                # Each covariance scales as 1 / (expected count): here the unit's
+                # estimated count per trial.
+                count = total / spikes.n_trials
                 entry.update({
                     "plv_re": plv.real,
                     "plv_im": plv.imag,
                     "plv_modulus": abs(plv),
                     "p_null": plv_null_test(plv, total),
-                    "estimated_rate": rate_hat,
-                    "null_cov_re": null_law.cov[0, 0],
+                    "estimated_rate": total / (spikes.n_trials * spikes.window),
+                    "null_cov_re": null_law.cov[0, 0] * null_law.expected_events / count,
                 })
                 if law is not None:
-                    # Its ratio-corrected covariance, as the harness judges the same
-                    # residual, scales as 1 / (expected count): here the unit's
-                    # estimated count per trial, rate_hat * T.
-                    var = (law.ratio_corrected_cov.diagonal() * law.expected_events
-                           / (total / spikes.n_trials))
+                    # Its ratio-corrected covariance, as the harness judges the same residual.
+                    var = law.ratio_corrected_cov.diagonal() * law.expected_events / count
                     z = law.rotated_residuals(np.array([plv]), spikes.n_trials)[0]
                     entry.update({
                         "law_limit_re": law.limit.real,

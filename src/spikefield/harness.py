@@ -24,14 +24,16 @@ replicates, verdicts and plot data. Nothing here writes to disk:
 ``spikefield experiment --out`` does, so the report body depends on the
 config alone. Seven experiments share three runners. The PLV
 experiments' builds return their cases (``_PlvCase``: a label, a phase, a
-rate model, a window, and how to build the case's law), and one runner,
+rate model, and the law to judge them by), and one runner,
 ``_run_plv``, draws replicate block b for case b (replicate i from seed
 index ``b * replicates + i``) and judges it against the case's law with
 ``_plv_case``, the one place a PLV verdict or statistic is made: the
 univariate experiments are one unlabelled case against the von Mises
 closed form, the sinusoid experiment a matched and a mismatched one
 against the sinusoid closed form, and the bias curve one case per
-sub-cycle window (``window_<T>``) against ``plv_law_numeric``. A build's
+sub-cycle window (``window_<T>``) against ``plv_law_numeric``. Each law
+is called as ``law(phase, model)`` on the unit the case draws, over the
+phase's window, so no parameter is restated for it. A build's
 case labels are distinct, since they prefix every key and verdict name.
 ``_run_multivar`` runs both multivariate experiments and
 ``_run_moment_oracle`` the moment oracle. No build or runner branches on
@@ -61,7 +63,6 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,6 @@ from .pointproc import (
     HomogeneousRate,
     IntensityModel,
     SinusoidRate,
-    _check_phase_offset,
     _check_trials,
     _gauss_legendre,
     _locked_rate,
@@ -140,10 +140,10 @@ class ExperimentConfig:
 
     A field the experiment does not read stays unset, and setting one is
     refused, as is every parameter out of its domain. The nulls read no
-    ``kappa``: their units are uncoupled. All of it is checked
-    here, before any replicate runs, and the config is frozen, so it stays
-    valid. The rules every experiment shares are written here (replicates,
-    trials, a finite phase offset); then the experiment's build runs, the
+    ``kappa`` and no ``phase_offset``: their units are uncoupled. All of
+    it is checked here, before any replicate runs, and the config is
+    frozen, so it stays valid. The rules every experiment shares are
+    written here (replicates, trials); then the experiment's build runs, the
     one its runner simulates from, which holds the experiment's own rules
     and sends every other field through the check of the model, phase,
     synthesis grid or sampler it builds.
@@ -298,9 +298,6 @@ def _validate(config: ExperimentConfig, experiment: _Experiment) -> None:
                                      f"{config.replicates!r}")
     try:
         _check_trials(config.trials)
-        # At kappa = 0 no model reads the phase offset; the univariate law does.
-        if "phase_offset" in experiment.parameters:
-            _check_phase_offset(config.phase_offset)
         experiment.build(config)
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from None
@@ -348,15 +345,15 @@ def _judge(config, name, observed, target, tolerance_name=None, se=None):
 class _PlvCase:
     """One PLV case: the unit drawn, the phase its PLV reads, and the law it is judged against.
 
-    ``law()`` builds the case's ``AsymptoticLaw`` when the case is judged,
-    so building a config loads no scipy. ``label`` prefixes every key and
-    verdict name of the case; the single univariate case has none.
+    The unit is drawn over the phase's window. ``law`` is one of the
+    ``unicoupling`` laws, called as ``law(phase, model)`` only when the case
+    is judged, so building a config loads no scipy. ``label`` prefixes every
+    key and verdict name of the case; the single univariate case has none.
     """
 
     label: str
     phase: LinearPhase
     model: IntensityModel
-    window: float
     law: Callable
 
 
@@ -364,12 +361,13 @@ def _plv_cases(config, cases: list) -> list:
     """A PLV build's cases, checked: distinct labels, and units that can be drawn and spike."""
     windows = {}
     for case in cases:
+        window = case.phase.window
         if case.label in windows:
             raise ConfigurationError(
-                f"the cases at windows {windows[case.label]!r} and {case.window!r} share the label "
+                f"the cases at windows {windows[case.label]!r} and {window!r} share the label "
                 f"{case.label!r}; each case needs a label of its own")
-        windows[case.label] = case.window
-        _thinning_bound(case.model, case.window)
+        windows[case.label] = window
+        _thinning_bound(case.model, window)
     _check_spiking(config, config.replicates * len(cases), min(windows.values()))
     return cases
 
@@ -386,7 +384,7 @@ def _run_plv(config, cases: list) -> dict:
         totals = np.empty(config.replicates, dtype=int)
         for i in range(config.replicates):
             rng = np.random.default_rng(replicate_seed(config.master_seed, block * config.replicates + i))
-            sd = simulate_poisson(case.model, case.window, config.trials, rng)
+            sd = simulate_poisson(case.model, case.phase.window, config.trials, rng)
             plvs[i] = estimate_plv(case.phase, sd)
             totals[i] = int(sd.counts().sum())
         _plv_case(config, parts, case, plvs, totals)
@@ -409,7 +407,7 @@ def _plv_case(config, parts, case, plvs, totals):
     judged) and its row of the limit-vs-mean plot.
     """
     tolerances = EXPERIMENTS[config.experiment].tolerances
-    law = case.law()
+    law = case.law(case.phase, case.model)
     n = len(plvs)
     z = law.rotated_residuals(plvs, config.trials)
     cov, corrected = law.cov, law.ratio_corrected_cov
@@ -464,7 +462,7 @@ def _plv_case(config, parts, case, plvs, totals):
     mean = complex(aggregates["mean_re"], aggregates["mean_im"])
     parts["plot_data"].setdefault("limit_vs_mean", []).append({
         "case": case.label,
-        "window": case.window,
+        "window": case.phase.window,
         "limit_re": law.limit.real,
         "limit_im": law.limit.imag,
         "limit_modulus": abs(law.limit),
@@ -540,14 +538,12 @@ def _whole_cycles(frequency, window) -> LinearPhase:
 def _build_univar(config: ExperimentConfig) -> list:
     """One unlabelled case: the unit over whole cycles of its phase, as the law needs.
 
-    A null sets no kappa: its unit is uncoupled, and its law is the von
-    Mises law at kappa = 0.
+    A null sets neither kappa nor phase_offset: its unit is homogeneous,
+    and its law is the von Mises law of a homogeneous rate.
     """
     phase = _whole_cycles(config.frequency, config.window)
     model = _locked_rate(config.rate0, config.kappa, config.phase_offset, phase)
-    law = partial(plv_asymptotics_vonmises, config.kappa or 0.0, config.phase_offset,
-                  config.rate0, config.window)
-    return _plv_cases(config, [_PlvCase("", phase, model, config.window, law)])
+    return _plv_cases(config, [_PlvCase("", phase, model, plv_asymptotics_vonmises)])
 
 
 def _build_bias_curve(config: ExperimentConfig) -> list:
@@ -557,9 +553,8 @@ def _build_bias_curve(config: ExperimentConfig) -> list:
     model = HomogeneousRate(config.rate0)
     cases = []
     for window in config.windows:
-        phase = LinearPhase(config.frequency, window)
-        cases.append(_PlvCase(f"window_{window:g}", phase, model, window,
-                              partial(plv_law_numeric, phase, model, window)))
+        cases.append(_PlvCase(f"window_{window:g}", LinearPhase(config.frequency, window), model,
+                              plv_law_numeric))
     return _plv_cases(config, cases)
 
 
@@ -578,11 +573,8 @@ def _build_sinusoid(config: ExperimentConfig) -> list:
               for label, harmonic in (("matched", config.phase_harmonic),
                                       ("mismatched", config.rate_harmonic))}
     phase = LinearPhase(config.phase_harmonic / config.window, config.window)
-    return _plv_cases(config, [
-        _PlvCase(label, phase, model, config.window,
-                 partial(plv_asymptotics_sinusoid, config.depth, model.harmonic,
-                         config.phase_harmonic, config.phase_offset, config.rate0, config.window))
-        for label, model in models.items()])
+    return _plv_cases(config, [_PlvCase(label, phase, model, plv_asymptotics_sinusoid)
+                               for label, model in models.items()])
 
 
 def _build_multivar(config: ExperimentConfig) -> list:
@@ -772,8 +764,7 @@ def _run_moment_oracle(config: ExperimentConfig, model: HomogeneousRate) -> dict
 
 _SE3 = Tolerance(3.0, "se_multiple", "three standard errors (CLT)")
 
-_UNIVAR = dict(rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0,
-               phase_offset=0.0)
+_UNIVAR = dict(rate0=20.0, window=5.0, trials=5000, replicates=2000, frequency=1.0)
 _MULTIVAR = dict(rate0=20.0, window=11.0, trials=10, replicates=100, units=90, channels=100,
                  components=(11.0, 12.0, 13.0, 14.0, 15.0), noise_kappa=10.0, dt=1.0 / 1024.0)
 
@@ -787,7 +778,7 @@ EXPERIMENTS = {
         "gaussian_ks": Tolerance(0.03, "absolute", "KS of Re residual vs predicted normal"),
         "null_fp_rate": Tolerance(0.01, "absolute", "false-positive rate at p<0.05, Monte Carlo calibration"),
     }),
-    "univar-coupled": _Experiment(_build_univar, _run_plv, dict(_UNIVAR, kappa=0.5), {
+    "univar-coupled": _Experiment(_build_univar, _run_plv, dict(_UNIVAR, kappa=0.5, phase_offset=0.0), {
         "mean_limit": _SE3,
         "variance": Tolerance(0.10, "relative", "rotated residual covariance vs Bessel closed form"),
         "offdiag": _SE3,
@@ -805,7 +796,8 @@ EXPERIMENTS = {
         dict(rate0=20.0, window=1.0, trials=500, replicates=4000, depth=0.3,
              rate_harmonic=3, phase_harmonic=1, phase_offset=0.0), {
             "mean_limit": _SE3,
-            "variance": Tolerance(0.10, "relative", "isotropic covariance 1/(2 rate0 T)"),
+            "variance": Tolerance(0.10, "relative",
+                                  "rotated residual covariance vs sinusoid closed form"),
             "offdiag": _SE3,
         }),
     "multivar-null": _Experiment(_build_multivar, _run_multivar, _MULTIVAR, {

@@ -115,9 +115,13 @@ def _locked_rate(rate0, kappa, phase_offset, phase: LinearPhase):
 
     An uncoupled unit (kappa = 0, or None for a null experiment, which sets
     no kappa) is drawn as a homogeneous one, which spends no thinning
-    uniforms; it reads neither the offset nor the phase.
+    uniforms; it reads neither the offset nor the phase. An offset given
+    to it all the same (not None) is held to the rule a coupled unit's is,
+    so a value refused at kappa > 0 is refused at kappa = 0 too.
     """
     if kappa is None or kappa == 0.0:
+        if phase_offset is not None:
+            _check_phase_offset(phase_offset)
         return HomogeneousRate(rate0)
     return VonMisesRate(rate0, kappa, phase_offset, phase)
 

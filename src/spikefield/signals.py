@@ -57,13 +57,17 @@ def _check_whole_cycles(phase: LinearPhase) -> None:
     """Refuse a phase whose window is not a whole number of its cycles, to 1e-9 of a cycle.
 
     The closed-form PLV laws and the multivariate experiments hold over
-    whole cycles only. f*T is finite: ``LinearPhase`` refuses a phase that
-    overflows.
+    whole cycles only, and over at least one: a phase that barely turns
+    has a PLV near 1, not the laws' limit. f*T is finite: ``LinearPhase``
+    refuses a phase that overflows.
     """
     cycles = phase.frequency * phase.window
     if abs(cycles - round(cycles)) > 1e-9:
         raise DomainError(f"window {phase.window} s must hold an integer number of cycles of "
                           f"{phase.frequency} Hz, got f*T={cycles}")
+    if round(cycles) < 1:
+        raise DomainError(f"window {phase.window} s holds no whole cycle of {phase.frequency} Hz, "
+                          f"got f*T={cycles}")
 
 
 def _time_tolerance(window: float) -> float:

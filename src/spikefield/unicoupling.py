@@ -4,11 +4,16 @@ The multi-trial PLV averages the unit phasor of a linear phase over the
 spikes pooled across trials; sampled signals couple through
 ``build_coupling_matrix``. Its law is the infinite-trial limit and the
 Gaussian law of the scaled residual, an ``AsymptoticLaw``: the delta method
-on the ratio of two Poisson functionals, which holds for any bounded rate
-over any window. ``plv_law_numeric`` states it for any rate model and
-window by quadrature; the closed forms state it for the exponential-cosine
-(von Mises) and the sinusoidally modulated rate over whole cycles, and the
-tests hold them equal to it.
+on the ratio of two Poisson functionals of the rate and the phase, which
+holds for any bounded rate over any window. Every law takes the unit the
+way it is drawn, ``law(phase, model)``: the phase its PLV reads and the
+rate model of the unit, over the phase's window. ``plv_law_numeric``
+states it for any rate model and window by quadrature; the closed forms
+state it for the exponential-cosine (von Mises) and the sinusoidally
+modulated rate over whole cycles, read their parameters from the model,
+and refuse a phase of partial cycles, a rate tied to another phase (a
+von Mises lock to another frequency, a sinusoid over another window) and
+a model of another kind. The tests hold them equal to the numeric law.
 """
 
 from __future__ import annotations
@@ -19,19 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedEstimateError
-from .pointproc import (
-    IntensityModel,
-    SinusoidRate,
-    SpikeData,
-    VonMisesRate,
-    _check_depth,
-    _check_harmonic,
-    _check_kappa,
-    _check_phase_offset,
-    _check_rate0,
-    _gauss_legendre,
-)
-from .signals import LinearPhase, _check_window, _time_tolerance
+from .pointproc import (HomogeneousRate, IntensityModel, SinusoidRate, SpikeData, VonMisesRate,
+                        _gauss_legendre)
+from .signals import LinearPhase, _check_whole_cycles, _time_tolerance
 
 __all__ = [
     "AsymptoticLaw",
@@ -127,27 +122,30 @@ def estimate_plv(phase: LinearPhase, spikes: SpikeData, unit: int = 0) -> comple
     return complex(np.mean(z))
 
 
-def plv_asymptotics_vonmises(
-    kappa: float,
-    phase_offset: float,
-    rate0: float,
-    window: float,
-) -> AsymptoticLaw:
-    """Closed-form PLV law for the exponential-cosine rate over integer cycles.
+def _check_model(law: str, model, kinds: tuple) -> None:
+    if not isinstance(model, kinds):
+        raise DomainError(f"the {law} law takes a {' or a '.join(k.__name__ for k in kinds)}, "
+                          f"got {type(model).__name__}")
 
-    Limit exp(i phase_offset) I1(kappa)/I0(kappa); paper-form residual
-    covariance diag(I0+I2, I0-I2) / (2 rate0 window I0^2) in the frame
-    rotated by exp(-i phase_offset), where the limit is real and
-    nonnegative. The caller is responsible for the window holding an
-    integer number of oscillation periods. The law's
-    ``ratio_corrected_cov`` lowers the Re variance by (I1/I0)^2 /
-    expected_events.
+
+def plv_asymptotics_vonmises(phase: LinearPhase, model: IntensityModel) -> AsymptoticLaw:
+    """Closed-form PLV law of the exponential-cosine rate over whole cycles of ``phase``.
+
+    ``model`` is a ``VonMisesRate`` locked to a phase at ``phase``'s
+    frequency, or a ``HomogeneousRate``: kappa = 0, offset 0. With T the
+    phase's window, the limit is exp(i phase_offset) I1(kappa)/I0(kappa),
+    and the paper-form residual covariance diag(I0+I2, I0-I2) / (2 rate0 T
+    I0^2) in the frame rotated by exp(-i phase_offset), where the limit is
+    real and nonnegative. The law's ``ratio_corrected_cov`` lowers the Re
+    variance by (I1/I0)^2 / expected_events. A phase of partial cycles, a
+    rate locked to another frequency and a model of another kind are
+    refused.
 
     It is computed in the ratios r1 = I1/I0 and r2 = I2/I0 of the
     exponentially scaled ``scipy.special.ive``, finite at every kappa the
     rate model accepts (I0^2 overflows past kappa ~ 355): the limit is
     exp(i phase_offset) r1, the covariance diag(1 + r2, 1 - r2) /
-    (2 expected_events), with expected_events = rate0 window I0. The
+    (2 expected_events), with expected_events = rate0 T I0. The
     recurrence form 1 - r2 = 2 r1 / kappa would avoid the cancellation in
     1 - r2 near kappa = 700, but ive(1, kappa) underflows to 0 at subnormal
     kappa, where that form gives an Im variance of 0 instead of
@@ -155,10 +153,14 @@ def plv_asymptotics_vonmises(
     that a process with no coupled law pays no import; at kappa = 0,
     I0 = 1 and r1 = r2 = 0.
     """
-    _check_kappa(kappa)
-    _check_rate0(rate0)
-    _check_window(window)
-    _check_phase_offset(phase_offset)
+    _check_model("von Mises", model, (VonMisesRate, HomogeneousRate))
+    _check_whole_cycles(phase)
+    kappa, offset = 0.0, 0.0
+    if isinstance(model, VonMisesRate):
+        if model.phase.frequency != phase.frequency:
+            raise DomainError(f"the rate is locked to {model.phase.frequency} Hz, "
+                              f"the phase runs at {phase.frequency} Hz")
+        kappa, offset = model.kappa, model.phase_offset
     if kappa == 0.0:
         i0, r1, r2 = 1.0, 0.0, 0.0
     else:
@@ -167,68 +169,63 @@ def plv_asymptotics_vonmises(
         e0, e1, e2 = ive((0, 1, 2), kappa).tolist()
         # I0 >= 1, but e0 * e^kappa rounds to 1 - 2^-53 for kappa from about 6e-17 to 3e-8.
         i0, r1, r2 = max(1.0, e0 * math.exp(kappa)), e1 / e0, e2 / e0
-    expected = rate0 * window * i0
+    expected = model.rate0 * phase.window * i0
     return AsymptoticLaw(
-        limit=np.exp(1j * phase_offset) * r1,
+        limit=np.exp(1j * offset) * r1,
         cov=np.diag([1.0 + r2, 1.0 - r2]) / (2.0 * expected),
         expected_events=expected,
-        rotation=phase_offset,
+        rotation=offset,
     )
 
 
-def plv_asymptotics_sinusoid(
-    depth: float,
-    rate_harmonic: int,
-    phase_harmonic: int,
-    phase_offset: float,
-    rate0: float,
-    window: float,
-) -> AsymptoticLaw:
-    """Closed-form PLV law for a sinusoidally modulated rate.
+def plv_asymptotics_sinusoid(phase: LinearPhase, model: SinusoidRate) -> AsymptoticLaw:
+    """Closed-form PLV law of a sinusoidally modulated rate over whole cycles of ``phase``.
 
-    Phase runs at ``phase_harmonic`` cycles per window, the rate
-    rate0 (1 + depth cos(2 pi rate_harmonic t / window - phase_offset)) at
-    ``rate_harmonic``. With s = 1 / (2 rate0 window), the paper-form
-    covariance is s I, plus one term when the rate runs at twice the
-    phase's harmonic, where cos^2 and sin^2 of the phase beat with the
-    rate: s (depth/2) [[cos psi, sin psi], [sin psi, -cos psi]], with psi
-    = ``phase_offset``. The limit is (depth/2) exp(i phase_offset) when
-    the harmonics coincide, in the frame rotated by exp(-i phase_offset),
-    and 0 otherwise, in the unrotated frame. The law's
+    ``model`` is a ``SinusoidRate`` over the phase's window T, its rate
+    rate0 (1 + depth cos(2 pi harmonic t / T - phase_offset)); the phase
+    runs at round(f T) cycles per window, its harmonic. With s =
+    1 / (2 rate0 T), the paper-form covariance is s I, plus one term when
+    the rate runs at twice the phase's harmonic, where cos^2 and sin^2 of
+    the phase beat with the rate: s (depth/2) [[cos psi, sin psi], [sin
+    psi, -cos psi]], with psi = ``phase_offset``. The limit is (depth/2)
+    exp(i phase_offset) when the harmonics coincide, in the frame rotated by
+    exp(-i phase_offset), and 0 otherwise, in the unrotated frame. The law's
     ``ratio_corrected_cov`` lowers the matched case's Re variance by
-    (depth/2)^2 / expected_events.
+    (depth/2)^2 / expected_events. A phase of partial cycles, a rate over
+    another window and a model of another kind are refused.
     """
-    _check_depth(depth)
-    _check_harmonic(rate_harmonic)
-    _check_harmonic(phase_harmonic)
-    _check_rate0(rate0)
-    _check_window(window)
-    _check_phase_offset(phase_offset)
-    matched = rate_harmonic == phase_harmonic
-    scale = 1.0 / (2.0 * rate0 * window)
+    _check_model("sinusoid", model, (SinusoidRate,))
+    _check_whole_cycles(phase)
+    if model.window != phase.window:
+        raise DomainError(f"the rate is modulated over {model.window} s, "
+                          f"the phase runs over {phase.window} s")
+    phase_harmonic, offset = round(phase.frequency * phase.window), model.phase_offset
+    matched = model.harmonic == phase_harmonic
+    scale = 1.0 / (2.0 * model.rate0 * phase.window)
     cov = np.diag([scale, scale])
-    if rate_harmonic == 2 * phase_harmonic:
-        c, s = math.cos(phase_offset), math.sin(phase_offset)
-        cov = cov + scale * (0.5 * depth) * np.array([[c, s], [s, -c]])
+    if model.harmonic == 2 * phase_harmonic:
+        c, s = math.cos(offset), math.sin(offset)
+        cov = cov + scale * (0.5 * model.depth) * np.array([[c, s], [s, -c]])
     return AsymptoticLaw(
-        limit=0.5 * depth * np.exp(1j * phase_offset) if matched else 0j,
+        limit=0.5 * model.depth * np.exp(1j * offset) if matched else 0j,
         cov=cov,
-        expected_events=rate0 * window,
-        rotation=phase_offset if matched else 0.0,
+        expected_events=model.rate0 * phase.window,
+        rotation=offset if matched else 0.0,
     )
 
 
 _EPS = float(np.finfo(float).eps)
 
 
-def _segments(phase: LinearPhase, model: IntensityModel, window: float) -> int:
-    """Segments of the composite rule over ``window``: enough per cycle for the sharpest factor.
+def _segments(phase: LinearPhase, model: IntensityModel) -> int:
+    """Segments of the composite rule over the phase's window: enough per cycle for the sharpest factor.
 
     The integrands oscillate with the phase and with the rate: a von Mises
     rate at its own phase, a sinusoid at its harmonic. Each cycle of the
     faster one gets two segments, plus one per unit of sqrt(kappa) for a von
     Mises rate, whose peak is about 1/sqrt(kappa) rad wide.
     """
+    window = phase.window
     cycles, per_cycle = phase.frequency * window, 2
     if isinstance(model, VonMisesRate):
         cycles = max(cycles, model.phase.frequency * window)
@@ -238,10 +235,11 @@ def _segments(phase: LinearPhase, model: IntensityModel, window: float) -> int:
     return min(8192, max(4, per_cycle * math.ceil(min(cycles, 8192.0))))
 
 
-def plv_law_numeric(phase: LinearPhase, model: IntensityModel, window: float) -> AsymptoticLaw:
-    """The PLV law of any bounded rate over any window, by quadrature.
+def plv_law_numeric(phase: LinearPhase, model: IntensityModel) -> AsymptoticLaw:
+    """The PLV law of any bounded rate over the phase's window, whole cycles or not, by quadrature.
 
-    With Lambda = int lambda (``expected_events``), the limit is
+    With the integrals over the phase's window and Lambda = int lambda
+    (``expected_events``), the limit is
     L = int e^{i phi} lambda / Lambda, and the paper-form covariance is
     (1/Lambda^2) int h h^T lambda with h = (cos, sin)(phi - rotation), in
     the frame rotated by ``rotation`` = arg L. A limit within the rule's
@@ -255,8 +253,7 @@ def plv_law_numeric(phase: LinearPhase, model: IntensityModel, window: float) ->
     rate itself overflows at kappa = 700: the covariance is (int h h^T mu /
     int mu) / Lambda with mu = lambda / max_rate.
     """
-    _check_window(window)
-    t, w = _gauss_legendre(window, _segments(phase, model, window))
+    t, w = _gauss_legendre(phase.window, _segments(phase, model))
     lam_max = model.max_rate()
     mu = np.asarray(model.rate(t), dtype=float) / lam_max
     mass = float(np.dot(w, mu))

@@ -692,11 +692,16 @@ class TestCliSimulateAnalyze:
             "error: phase_noise_kappa must be in [0, 1e+12], got ")
         assert not (tmp_path / "o" / "signals.csv").exists()
 
-    @pytest.mark.parametrize("kind", ["sinusoid", "vonmises"])
-    def test_simulate_rejects_a_phase_offset_that_is_not_finite(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, locking", [
+        ("sinusoid", {}), ("vonmises", {"frequency": 2.0, "kappa": 0.5}),
+        ("vonmises", {"frequency": 2.0, "kappa": 0.0}),
+    ], ids=["sinusoid", "vonmises", "vonmises-kappa-0"])
+    def test_simulate_rejects_a_phase_offset_that_is_not_finite(self, tmp_path, capsys, kind,
+                                                                 locking):
         # JSON reads Infinity; a sinusoid rate at an infinite offset used to
         # thin away every spike and exit 0. A sinusoid reads no frequency or kappa.
-        locking = {"frequency": 2.0, "kappa": 0.5} if kind == "vonmises" else {}
+        # At kappa = 0 the unit is homogeneous and reads no offset; a given one
+        # is held to the same rule all the same.
         sim_cfg = tmp_path / "sim.json"
         sim_cfg.write_text(json.dumps({"kind": kind, "window": 1.0, "trials": 3,
                                        "phase_offset": math.inf, **locking}))
@@ -984,6 +989,36 @@ class TestCliSimulateAnalyze:
         assert unit["z_re"] == pytest.approx((unit["plv_re"] - r1) / math.sqrt(var_re), rel=1e-6)
         assert unit["z_im"] == pytest.approx(unit["plv_im"] / math.sqrt(var_im), rel=1e-9)
 
+    def test_analyze_null_variance_reads_the_count_per_trial(self, tmp_path):
+        # null_cov_re is the uncoupled law's variance at the unit's spike total N
+        # over K trials, 1 / (2 N/K), rounded once. Built from a baseline rate
+        # N / (K T) times T, it was an ulp off for both units here.
+        rng = np.random.default_rng(0)
+        trains = [simulate_poisson(HomogeneousRate(25.0), 5.3, 3, rng).trains[0] for _ in range(2)]
+        save_spikes(SpikeData(window=5.3, trains=trains), tmp_path / "s.json")
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1.3",
+                     "--out", str(tmp_path / "o")]) == 0
+        units = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
+        for unit in units:
+            assert unit["null_cov_re"] == 1.0 / (2.0 * (unit["total_spikes"] / 3))
+
+    def test_analyze_uncoupled_law_reads_no_offset(self, tmp_path):
+        # At kappa = 0 the law is that of a homogeneous unit: limit 0, isotropic,
+        # stated in the unrotated frame, so an offset moves no z field.
+        save_spikes(_sample_spikes(units=2, seed=5), tmp_path / "s.json")
+        docs = []
+        for offset in (0.0, 1.0):
+            (tmp_path / "opt.json").write_text(json.dumps({"kappa": 0.0, "phase_offset": offset}))
+            out = tmp_path / f"o{offset}"
+            assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:2",
+                         "--config", str(tmp_path / "opt.json"), "--out", str(out)]) == 0
+            docs.append(json.loads((out / "univariate.json").read_text()))
+        assert docs[0] == docs[1]
+        for unit in docs[0]["units"]:
+            scale = math.sqrt(3 * 2.0 * unit["total_spikes"] / 3)  # sqrt(K) / sqrt(1 / (2 N/K))
+            assert unit["z_re"] == pytest.approx(unit["plv_re"] * scale, rel=1e-14)
+            assert unit["z_im"] == pytest.approx(unit["plv_im"] * scale, rel=1e-14)
+
     def test_analyze_phase_of_partial_cycles_needs_no_kappa(self, tmp_path):
         # 1.3 Hz over the 2 s window is 2.6 cycles: the PLV is still estimated,
         # and only the kappa option, whose law needs whole cycles, is refused.
@@ -1169,6 +1204,7 @@ class TestRefusedConfigs:
          "modulation strength must be at most 700.0, got 710.0"),
         ({**_MULTIVAR, "kappa": 0.5}, "multivar-null reads no field(s) ['kappa']"),
         ({"kappa": 0}, "univar-null reads no field(s) ['kappa']"),
+        ({"phase_offset": 0.3}, "univar-null reads no field(s) ['phase_offset']"),
         # The bounds live only in the experiment's entry, and --out names the report's directory.
         ({"tolerances": {"variance": {"value": 0.2, "kind": "relative", "provenance": "loosened"}}},
          "unknown field(s) ['tolerances']"),
@@ -1181,7 +1217,7 @@ class TestRefusedConfigs:
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
-            "multivar-null-kappa", "univar-null-kappa", "tolerances", "output-dir", "replicates-past-numpy",
+            "multivar-null-kappa", "univar-null-kappa", "univar-null-phase-offset", "tolerances", "output-dir", "replicates-past-numpy",
             "trials-past-numpy"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"

@@ -26,7 +26,8 @@ from spikefield.harness import (
     run_experiment,
 )
 from spikefield.multicoupling import build_coupling_matrix, normalize, spectrum, whitened_coupling
-from spikefield.pointproc import HomogeneousRate, SpikeData, simulate_poisson
+from spikefield.pointproc import (HomogeneousRate, SinusoidRate, SpikeData, VonMisesRate,
+                                  simulate_poisson)
 from spikefield.signals import (LinearPhase, SignalMatrix, _interpolant_root,
                                synthesize_oscillations, whiten)
 from spikefield.unicoupling import (plv_asymptotics_sinusoid, plv_asymptotics_vonmises,
@@ -330,6 +331,13 @@ def _small(name, **kw):
     return ExperimentConfig.defaults(name, **kw)
 
 
+def _univar_law(cfg):
+    """The von Mises law of a univariate config's unit, written out from its fields."""
+    phase = LinearPhase(cfg.frequency, cfg.window)
+    return plv_asymptotics_vonmises(phase, VonMisesRate(cfg.rate0, cfg.kappa, cfg.phase_offset,
+                                                        phase))
+
+
 def _judge_by(monkeypatch, name, **bounds):
     """Judge experiment ``name`` by ``bounds`` in place of its published ones, for one test."""
     experiment = EXPERIMENTS[name]
@@ -442,7 +450,7 @@ class TestReports:
     def test_variance_verdicts_judge_the_ratio_corrected_law(self):
         cfg = _small("univar-coupled", replicates=10, trials=100)
         rep = run_experiment(cfg)
-        law = plv_asymptotics_vonmises(cfg.kappa, cfg.phase_offset, cfg.rate0, cfg.window)
+        law = _univar_law(cfg)
         verdicts = {v["name"]: v for v in rep.verdicts}
         corrected = law.ratio_corrected_cov
         assert verdicts["var_re"]["target"] == corrected[0, 0]
@@ -454,7 +462,7 @@ class TestReports:
         # variance and Gaussianity verdicts judge, not of the paper form.
         cfg = _small("univar-coupled", replicates=10, trials=100)
         run_experiment(cfg).write(tmp_path)
-        law = plv_asymptotics_vonmises(cfg.kappa, cfg.phase_offset, cfg.rate0, cfg.window)
+        law = _univar_law(cfg)
         sd_re, sd_im = np.sqrt(law.ratio_corrected_cov.diagonal())
         with open(tmp_path / "residual_hist.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -511,12 +519,24 @@ class TestReports:
         verdicts = {v["name"]: v for v in rep.verdicts}
         for window in cfg.windows:
             phase = LinearPhase(cfg.frequency, window)
-            law = plv_law_numeric(phase, HomogeneousRate(cfg.rate0), window)
+            law = plv_law_numeric(phase, HomogeneousRate(cfg.rate0))
             prefix = f"window_{window:g}_"
             assert rep.targets[prefix + "limit_re"] == law.limit.real
             assert rep.targets[prefix + "limit_im"] == law.limit.imag
             assert verdicts[prefix + "var_re"]["target"] == law.ratio_corrected_cov[0, 0]
             assert verdicts[prefix + "var_im"]["target"] == law.ratio_corrected_cov[1, 1]
+
+    def test_an_uncoupled_unit_reads_no_offset(self):
+        # At kappa = 0 the unit is homogeneous and its law, limit 0 and
+        # isotropic, is stated in the unrotated frame: the offset moves nothing
+        # in the body but its own config entry. The residuals were rotated by it.
+        bodies = []
+        for offset in (0.0, 1.0):
+            body = run_experiment(_small("univar-coupled", kappa=0.0, phase_offset=offset,
+                                         replicates=12, trials=200)).body_dict()
+            assert body["config"].pop("phase_offset") == offset
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
 
     def test_second_harmonic_offdiag_follows_the_law(self):
         # At rate_harmonic = 2 * phase_harmonic and psi = 1 the law's off-diagonal
@@ -526,7 +546,8 @@ class TestReports:
                      replicates=400, trials=200)
         rep = run_experiment(cfg)
         (verdict,) = [v for v in rep.verdicts if v["name"] == "mismatched_cov_offdiag"]
-        law = plv_asymptotics_sinusoid(0.9, 2, 1, 1.0, cfg.rate0, cfg.window)
+        law = plv_asymptotics_sinusoid(LinearPhase(1.0 / cfg.window, cfg.window),
+                                       SinusoidRate(cfg.rate0, 0.9, 2, 1.0, cfg.window))
         assert verdict["target"] == law.ratio_corrected_cov[0, 1] > 0.0
         assert verdict["passed"] and verdict["observed"] > 5.0 * verdict["bound"] / 3.0
 
@@ -626,7 +647,10 @@ _GOLDEN_BODIES = {
         dict(replicates=12, trials=200),
         # Re-pinned when the nulls stopped reading kappa: the body is the one
         # before with its "config.kappa": 0.0 deleted, and nothing else.
-        "9c2ba9da5766889499f307afb595a666d8c55cb5eed2977cbba9bedef59e9ec5",
+        # Re-pinned when univar-null stopped reading phase_offset (its unit is
+        # homogeneous and its law reads the unit): the body is the one before
+        # with its "config.phase_offset": 0.0 deleted, and nothing else.
+        "66c913cd0f86763eebe69245036538e0b0b3579bb394ba1ef8aa612d84b59217",
     ),
     "univar-coupled": (
         dict(replicates=12, trials=200),
@@ -651,7 +675,10 @@ _GOLDEN_BODIES = {
         # <case>_cov targets became <case>_cov_re, with their values, and each
         # case gained its cov_im, expected_events_per_trial, total_spikes and
         # p_null; no other key or verdict moved.
-        "a07e8e10527998da6716fecc0d07806f2b0dc74e5a695fc9fd694bffcd99e385",
+        # Re-pinned when the variance bound's provenance stopped calling the
+        # covariance isotropic, which the law is not when the rate runs at twice
+        # the phase's harmonic: that string moved, and nothing else.
+        "6450fbccaba44560ab1c34ee3892c7f65fc481f5bf532841604ca2500ea46489",
     ),
     "multivar-null": (
         _GOLDEN_MULTIVAR,

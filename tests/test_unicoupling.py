@@ -1,6 +1,7 @@
 """Tests for univariate coupling estimators and their asymptotic laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ from oracles import (
 
 def _spikes(window, trials):
     return SpikeData(window=window, trains=[trials])
+
+
+def _vonmises_law(kappa, offset=0.0, rate0=20.0, window=5.0):
+    """The von Mises law of a unit locked to 1 Hz, over ``window``."""
+    phase = LinearPhase(1.0, window)
+    return plv_asymptotics_vonmises(phase, VonMisesRate(rate0, kappa, offset, phase))
+
+
+def _sinusoid_law(depth, rate_harmonic, phase_harmonic, offset=0.0, rate0=20.0, window=1.0):
+    """The sinusoid law of a phase at ``phase_harmonic`` cycles per window."""
+    phase = LinearPhase(phase_harmonic / window, window)
+    return plv_asymptotics_sinusoid(phase, SinusoidRate(rate0, depth, rate_harmonic, offset, window))
 
 
 class TestEstimatePlv:
@@ -96,14 +109,15 @@ class TestPhaseWindow:
 
 class TestVonMisesLaw:
     def test_uncoupled(self):
-        law = plv_asymptotics_vonmises(0.0, 0.0, 20.0, 5.0)
-        assert law.limit == 0.0
+        # A homogeneous unit is the von Mises one at kappa = 0 and offset 0.
+        law = plv_asymptotics_vonmises(LinearPhase(1.0, 5.0), HomogeneousRate(20.0))
+        assert law.limit == 0.0 and law.rotation == 0.0
         assert np.allclose(law.cov, np.eye(2) / 200.0)
         assert law.expected_events == pytest.approx(100.0)
 
     def test_coupled_half(self):
         # Frozen from the quadrature oracle: I1/I0 and (I0 +/- I2)/(2 r T I0^2).
-        law = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
+        law = _vonmises_law(0.5)
         assert law.limit.real == pytest.approx(0.24249961258080197, abs=1e-10)
         assert law.limit.imag == 0.0
         i0 = bessel_quadrature(0, 0.5)
@@ -114,14 +128,15 @@ class TestVonMisesLaw:
         assert law.expected_events == pytest.approx(100.0 * i0, rel=1e-9)
 
     def test_rotation(self):
-        law = plv_asymptotics_vonmises(0.5, math.pi / 2, 20.0, 5.0)
+        law = _vonmises_law(0.5, math.pi / 2)
         assert law.limit.real == pytest.approx(0.0, abs=1e-15)
         assert law.limit.imag == pytest.approx(0.24249961258080197, abs=1e-10)
         assert law.rotation == math.pi / 2
 
+    # The law reads kappa and the offset from its rate model, which refuses them.
     def test_rejects_negative_kappa(self):
         with pytest.raises(DomainError):
-            plv_asymptotics_vonmises(-0.5, 0.0, 20.0, 5.0)
+            _vonmises_law(-0.5)
 
     @pytest.mark.parametrize("kappa, message", [
         (math.nan, "must be >= 0, got nan"), (math.inf, "must be >= 0, got inf"),
@@ -129,12 +144,12 @@ class TestVonMisesLaw:
     ], ids=["nan", "inf", "past-700"])
     def test_rejects_kappa_as_the_rate_model_does(self, kappa, message):
         with pytest.raises(DomainError, match=f"modulation strength {message}"):
-            plv_asymptotics_vonmises(kappa, 0.0, 20.0, 5.0)
+            _vonmises_law(kappa)
 
     @pytest.mark.parametrize("offset", [math.inf, math.nan])
     def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
         with pytest.raises(DomainError, match="phase offset must be finite"):
-            plv_asymptotics_vonmises(0.5, offset, 20.0, 5.0)
+            _vonmises_law(0.5, offset)
 
     @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e-300, 1e-8, 0.15, 0.5, 0.8, 10.0, 355.0,
                                        400.0, 700.0])
@@ -143,7 +158,7 @@ class TestVonMisesLaw:
         # I0^2 overflows, which once collapsed the covariance to 0.
         rate0, window, offset = 23.0, 3.0, 0.3
         want = vonmises_law_mp(kappa, rate0, window)
-        law = plv_asymptotics_vonmises(kappa, offset, rate0, window)
+        law = _vonmises_law(kappa, offset, rate0, window)
         corrected = law.ratio_corrected_cov
         limit = abs(law.limit * np.exp(-1j * offset))
         if kappa >= 1e-300:
@@ -166,13 +181,13 @@ class TestVonMisesLaw:
             assert law.cov.tolist() == corrected.tolist() == [[exact, 0.0], [0.0, exact]]
 
     def test_ratio_correction_shifts_re_variance_only(self):
-        base = plv_asymptotics_vonmises(0.5, 0.0, 20.0, 5.0)
+        base = _vonmises_law(0.5)
         corr = base.ratio_corrected_cov
         shift = abs(base.limit) ** 2 / base.expected_events
         assert corr[0, 0] == pytest.approx(base.cov[0, 0] - shift, rel=1e-12)
         assert corr[1, 1] == base.cov[1, 1]
         # Null case: no correction when the limit vanishes.
-        null = plv_asymptotics_vonmises(0.0, 0.0, 20.0, 5.0).ratio_corrected_cov
+        null = _vonmises_law(0.0).ratio_corrected_cov
         assert np.allclose(null, np.eye(2) / 200.0)
 
     def test_corrected_variance_matches_monte_carlo(self):
@@ -181,7 +196,7 @@ class TestVonMisesLaw:
         kappa, rate0, window, trials, n_sims = 0.5, 20.0, 1.0, 4000, 600
         phase = LinearPhase(1.0, window)
         model = VonMisesRate(rate0, kappa, 0.0, phase)
-        base = plv_asymptotics_vonmises(kappa, 0.0, rate0, window)
+        base = plv_asymptotics_vonmises(phase, model)
         corr = base.ratio_corrected_cov
         rng = np.random.default_rng(34)
         vals = np.empty(n_sims, dtype=complex)
@@ -200,7 +215,7 @@ def _bessel_from_law(x):
     At rate0 = T = 1 and offset 0: expected_events = I0, limit = I1/I0, and
     cov = diag(1 + I2/I0, 1 - I2/I0) / (2 I0).
     """
-    law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+    law = _vonmises_law(x, rate0=1.0, window=1.0)
     i0 = law.expected_events
     return i0, law.limit.real, (law.cov[0, 0] - law.cov[1, 1]) * i0
 
@@ -226,14 +241,14 @@ class TestLawBesselValues:
     def test_large_argument_recurrence_consistency(self, x):
         # I0 - I2 = (2/x) I1, past the reach of the quadrature oracle. The
         # law's 1 - I2/I0 is its Im variance times 2 I0.
-        law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+        law = _vonmises_law(x, rate0=1.0, window=1.0)
         lhs = 2.0 * law.expected_events * law.cov[1, 1]
         assert lhs == pytest.approx((2.0 / x) * law.limit.real, rel=1e-9)
 
     @given(x=st.floats(min_value=0.1, max_value=20.0))
     @settings(max_examples=60, deadline=None)
     def test_three_term_recurrence(self, x):
-        law = plv_asymptotics_vonmises(x, 0.0, 1.0, 1.0)
+        law = _vonmises_law(x, rate0=1.0, window=1.0)
         lhs = 2.0 * law.expected_events * law.cov[1, 1]
         rhs = (2.0 / x) * law.limit.real
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-300)
@@ -251,28 +266,62 @@ class TestLawBesselValues:
 
 class TestSinusoidLaw:
     def test_matched(self):
-        law = plv_asymptotics_sinusoid(0.3, 1, 1, 0.0, 20.0, 1.0)
+        law = _sinusoid_law(0.3, 1, 1)
         assert law.limit == pytest.approx(0.15)
         assert np.allclose(law.cov, np.eye(2) / 40.0)
 
     def test_mismatched_harmonics(self):
-        law = plv_asymptotics_sinusoid(0.3, 2, 1, 0.7, 20.0, 1.0)
+        law = _sinusoid_law(0.3, 2, 1, 0.7)
         assert law.limit == 0j
 
     def test_full_depth(self):
-        law = plv_asymptotics_sinusoid(1.0, 3, 3, 0.0, 20.0, 1.0)
+        law = _sinusoid_law(1.0, 3, 3)
         assert law.limit == pytest.approx(0.5)
 
+    # The law reads the depth and the offset from its rate model, which refuses them.
     def test_rejects_bad_depth(self):
         with pytest.raises(DomainError):
-            plv_asymptotics_sinusoid(1.5, 1, 1, 0.0, 20.0, 1.0)
+            _sinusoid_law(1.5, 1, 1)
 
     @pytest.mark.parametrize("offset", [math.inf, math.nan])
     def test_rejects_a_phase_offset_that_is_not_finite(self, offset):
         # The mismatched law's limit is 0 whatever the offset; it is refused all the same.
         for rate_harmonic in (1, 3):
             with pytest.raises(DomainError, match="phase offset must be finite"):
-                plv_asymptotics_sinusoid(0.3, rate_harmonic, 1, offset, 20.0, 1.0)
+                _sinusoid_law(0.3, rate_harmonic, 1, offset)
+
+
+class TestClosedFormsTakeTheirOwnUnit:
+    """A closed form refuses a unit it does not describe: the law would be another's."""
+
+    @pytest.mark.parametrize("law, phase, model, message", [
+        (plv_asymptotics_vonmises, LinearPhase(1.0, 5.0),
+         VonMisesRate(20.0, 0.5, 0.0, LinearPhase(2.0, 5.0)),
+         "the rate is locked to 2.0 Hz, the phase runs at 1.0 Hz"),
+        (plv_asymptotics_vonmises, LinearPhase(1.0, 1.0), SinusoidRate(20.0, 0.3, 1, 0.0, 1.0),
+         "the von Mises law takes a VonMisesRate or a HomogeneousRate, got SinusoidRate"),
+        (plv_asymptotics_sinusoid, LinearPhase(1.0, 1.0), SinusoidRate(20.0, 0.3, 1, 0.0, 2.0),
+         "the rate is modulated over 2.0 s, the phase runs over 1.0 s"),
+        (plv_asymptotics_sinusoid, LinearPhase(1.0, 1.0), HomogeneousRate(20.0),
+         "the sinusoid law takes a SinusoidRate, got HomogeneousRate"),
+        (plv_asymptotics_sinusoid, LinearPhase(1.0, 1.0),
+         VonMisesRate(20.0, 0.5, 0.0, LinearPhase(1.0, 1.0)),
+         "the sinusoid law takes a SinusoidRate, got VonMisesRate"),
+    ], ids=["vonmises-other-frequency", "vonmises-sinusoid-rate", "sinusoid-other-window",
+            "sinusoid-homogeneous-rate", "sinusoid-vonmises-rate"])
+    def test_refuses(self, law, phase, model, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            law(phase, model)
+
+    def test_the_lock_is_the_frequency(self):
+        # The rate reads its phase at t in [0, T] only through 2 pi f t, so a
+        # lock to the same frequency over another window is the same unit.
+        phase = LinearPhase(1.0, 5.0)
+        other = VonMisesRate(20.0, 0.5, 0.3, LinearPhase(1.0, 9.0))
+        same = VonMisesRate(20.0, 0.5, 0.3, phase)
+        a, b = plv_asymptotics_vonmises(phase, other), plv_asymptotics_vonmises(phase, same)
+        assert (a.limit, a.expected_events, a.rotation) == (b.limit, b.expected_events, b.rotation)
+        assert a.cov.tolist() == b.cov.tolist()
 
 
 def _assert_law_matches_quadrature(law, rate, phase, window):
@@ -295,7 +344,8 @@ class TestLawsAgainstQuadrature:
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0])
     def test_vonmises(self, kappa, offset):
         rate0, window, frequency = 3.0, 2.0, 1.0
-        law = plv_asymptotics_vonmises(kappa, offset, rate0, window)
+        phase = LinearPhase(frequency, window)
+        law = plv_asymptotics_vonmises(phase, VonMisesRate(rate0, kappa, offset, phase))
         _assert_law_matches_quadrature(
             law, lambda t: rate0 * np.exp(kappa * np.cos(2 * np.pi * frequency * t - offset)),
             lambda t: 2 * np.pi * frequency * t, window)
@@ -306,7 +356,7 @@ class TestLawsAgainstQuadrature:
                              ids=["matched", "matched-2", "mismatched", "second", "second-2"])
     def test_sinusoid(self, rate_harmonic, phase_harmonic, offset):
         depth, rate0, window = 0.6, 7.0, 2.0
-        law = plv_asymptotics_sinusoid(depth, rate_harmonic, phase_harmonic, offset, rate0, window)
+        law = _sinusoid_law(depth, rate_harmonic, phase_harmonic, offset, rate0, window)
         _assert_law_matches_quadrature(
             law,
             lambda t: rate0 * (1 + depth * np.cos(2 * np.pi * rate_harmonic * t / window - offset)),
@@ -315,40 +365,40 @@ class TestLawsAgainstQuadrature:
 
 class TestPlvLawNumeric:
     def test_full_cycle_vanishes(self):
-        law = plv_law_numeric(LinearPhase(1.0, 1.0), HomogeneousRate(30.0), 1.0)
+        law = plv_law_numeric(LinearPhase(1.0, 1.0), HomogeneousRate(30.0))
         assert abs(law.limit) < 1e-12
         assert law.rotation == 0.0  # a zero limit has no direction
 
     def test_half_cycle(self):
-        val = plv_law_numeric(LinearPhase(1.0, 0.5), HomogeneousRate(30.0), 0.5).limit
+        val = plv_law_numeric(LinearPhase(1.0, 0.5), HomogeneousRate(30.0)).limit
         oracle = partial_cycle_plv(1.0, 0.5)
         assert abs(val) == pytest.approx(2 / math.pi, abs=1e-8)
         assert val == pytest.approx(oracle, abs=1e-8)
 
     def test_three_quarter_cycle(self):
-        val = plv_law_numeric(LinearPhase(1.0, 0.75), HomogeneousRate(30.0), 0.75).limit
+        val = plv_law_numeric(LinearPhase(1.0, 0.75), HomogeneousRate(30.0)).limit
         assert abs(val) == pytest.approx(0.3001054387190354, abs=1e-8)
 
     def test_matches_vonmises_closed_form(self):
         phase = LinearPhase(1.0, 5.0)
         model = VonMisesRate(20.0, 0.5, 0.4, phase)
-        val = plv_law_numeric(phase, model, 5.0).limit
-        law = plv_asymptotics_vonmises(0.5, 0.4, 20.0, 5.0)
+        val = plv_law_numeric(phase, model).limit
+        law = plv_asymptotics_vonmises(phase, model)
         assert val == pytest.approx(law.limit, abs=1e-6)
 
     def test_matches_sinusoid_closed_form(self):
         window = 1.0
         phase = LinearPhase(1.0, window)
         model = SinusoidRate(20.0, 0.3, 1, 0.0, window)
-        val = plv_law_numeric(phase, model, window).limit
+        val = plv_law_numeric(phase, model).limit
         assert val == pytest.approx(0.15, abs=1e-8)
         mismatched = SinusoidRate(20.0, 0.3, 3, 0.0, window)
-        assert abs(plv_law_numeric(phase, mismatched, window).limit) < 1e-8
+        assert abs(plv_law_numeric(phase, mismatched).limit) < 1e-8
 
     def test_noninteger_cycle_vonmises_against_quadrature(self):
         phase = LinearPhase(1.0, 0.75)
         model = VonMisesRate(20.0, 0.5, 0.2, phase)
-        val = plv_law_numeric(phase, model, 0.75).limit
+        val = plv_law_numeric(phase, model).limit
         oracle = vonmises_plv_quadrature(0.5, 0.2, 1.0, 0.75)
         assert val == pytest.approx(oracle, abs=1e-7)
 
@@ -360,7 +410,7 @@ class TestPlvLawNumeric:
         rate0, offset = 30.0, 0.4
         phase = LinearPhase(1.0, window)
         model = VonMisesRate(rate0, kappa, offset, phase) if kappa else HomogeneousRate(rate0)
-        _assert_law_matches_quadrature(plv_law_numeric(phase, model, window), model.rate,
+        _assert_law_matches_quadrature(plv_law_numeric(phase, model), model.rate,
                                        phase.phase, window)
 
     def test_rate_integrating_to_zero_is_refused(self):
@@ -372,7 +422,7 @@ class TestPlvLawNumeric:
                 return 1.0
 
         with pytest.raises(DomainError, match="rate integrates to zero"):
-            plv_law_numeric(LinearPhase(1.0, 1.0), Silent(), 1.0)
+            plv_law_numeric(LinearPhase(1.0, 1.0), Silent())
 
 
 def _assert_laws_equal(closed, numeric, expected_rel, limit_abs, cov_rel, corrected_rel):
@@ -380,9 +430,9 @@ def _assert_laws_equal(closed, numeric, expected_rel, limit_abs, cov_rel, correc
 
     Each covariance is compared entrywise relative to its trace. The frame is
     compared where the limit has a direction: a zero limit takes any
-    rotation, and the numeric law takes 0 for it, the closed forms their
-    phase offset. An angle read off a limit of modulus r carries the
-    limit's absolute error over r.
+    rotation. The numeric law takes 0 for it, as the closed forms do for a
+    homogeneous unit and a mismatched sinusoid. An angle read off a limit
+    of modulus r carries the limit's absolute error over r.
     """
     assert numeric.expected_events == pytest.approx(closed.expected_events, rel=expected_rel)
     assert abs(numeric.limit - closed.limit) <= limit_abs
@@ -409,11 +459,13 @@ class TestClosedFormsEqualTheNumericLaw:
         rate0, window = 20.0, 5.0
         phase = LinearPhase(1.0, window)
         model = VonMisesRate(rate0, kappa, offset, phase) if kappa else HomogeneousRate(rate0)
-        closed = plv_asymptotics_vonmises(kappa, offset, rate0, window)
-        numeric = plv_law_numeric(phase, model, window)
+        closed = plv_asymptotics_vonmises(phase, model)
+        numeric = plv_law_numeric(phase, model)
         corrected_rel = 1e-13 + 5e-15 * kappa**2
         _assert_laws_equal(closed, numeric, expected_rel=1e-13, limit_abs=1e-14, cov_rel=1e-13,
                            corrected_rel=corrected_rel)
+        if not kappa:
+            assert numeric.rotation == closed.rotation == 0.0
         mp = vonmises_law_mp(kappa, rate0, window)
         for law in (closed, numeric):
             assert law.expected_events == pytest.approx(mp["expected_events"], rel=1e-13)
@@ -431,9 +483,8 @@ class TestClosedFormsEqualTheNumericLaw:
         depth, rate0, window = 0.6, 7.0, 2.0
         phase = LinearPhase(phase_harmonic / window, window)
         model = SinusoidRate(rate0, depth, rate_harmonic, offset, window)
-        closed = plv_asymptotics_sinusoid(depth, rate_harmonic, phase_harmonic, offset, rate0,
-                                          window)
-        numeric = plv_law_numeric(phase, model, window)
+        closed = plv_asymptotics_sinusoid(phase, model)
+        numeric = plv_law_numeric(phase, model)
         _assert_laws_equal(closed, numeric, expected_rel=1e-14, limit_abs=1e-14, cov_rel=1e-14,
                            corrected_rel=1e-14)
         if rate_harmonic != phase_harmonic:
@@ -458,6 +509,6 @@ class TestAsymptoticLaw:
             AsymptoticLaw(limit=0j, cov=np.array([[1.0, 0.5], [0.0, 1.0]]), expected_events=1.0)
 
     def test_rotated_residuals(self):
-        law = plv_asymptotics_vonmises(0.5, math.pi / 2, 20.0, 5.0)
+        law = _vonmises_law(0.5, math.pi / 2)
         z = law.rotated_residuals(np.array([law.limit]), trials=4)
         assert z[0] == pytest.approx(0j, abs=1e-15)
