@@ -1,7 +1,8 @@
 """Floats as text, both ways: ``repr`` bytes for whole float64 arrays, and floats from such files.
 
-Writing. ``repr_lines`` is the one path by which the CLI turns floats into
-text (``signals.csv``, ``esd.csv`` and the spike times of ``spikes.json``).
+Writing. ``repr_lines`` is the one path by which the CLI turns the floats
+of its two bulk files into text (``signals.csv`` and the spike times of
+``spikes.json``).
 Its contract: every value is written exactly as ``repr`` writes it.
 ``float_rows`` gives each value's bytes. Its fast path covers finite
 values with 1e-4 <= |v| < 1e15 (repr's fixed notation, short of 1e15)

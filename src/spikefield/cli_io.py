@@ -6,26 +6,32 @@ with shortest round-trip formatting (``repr``), so serialize -> parse is
 lossless, signed zeros included, and the determinism guarantees survive
 file boundaries.
 
-Every float written into ``signals.csv``, ``esd.csv`` and ``spikes.json``
-goes through one vectorized kernel, ``_floattext.repr_lines``, which
-writes the bytes of ``repr(float(v))`` for every value, exactly: an
-integer shortest-digits path for 1e-4 <= |v| < 1e15 and ``repr`` itself
-for the rest. ``save_spikes`` writes the bytes ``json.dumps`` writes for
-the same document, and ``analyze`` writes ``coupling.json`` with
-``json.dumps`` itself.
+The floats of the two bulk files, ``signals.csv`` and the spike times of
+``spikes.json``, go through one vectorized kernel,
+``_floattext.repr_lines``, which writes the bytes of ``repr(float(v))``
+for every value, exactly: an integer shortest-digits path for 1e-4 <=
+|v| < 1e15 and ``repr`` itself for the rest. ``save_spikes`` writes the
+bytes ``json.dumps`` writes for the same document. ``analyze`` builds
+every output as text, then writes them all in one loop: its JSON files
+from ``json.dumps``, and ``esd.csv`` from ``csv.writer``, which writes
+``repr`` of each float and ends each line in CRLF, as ``save_signals``
+does.
 
 ``analyze --signals`` takes the coupling matrix from
-``multicoupling.whitened_coupling``, as the multivariate experiments do.
-A file marked ``"whitened": true`` is taken as it is, and ``coupling.json``
-holds its samples' matrix; for an unwhitened file it holds G^(-1/2) times
-that matrix, G the Gram of the samples' piecewise-linear interpolant.
-``coupling.json`` keeps every unit's column. A unit with no spike has no
-rate to normalize by, so the spectrum is that of the units that spiked:
-the bytes the same file without the silent units gives, with alpha =
-channels / (units that spiked). ``spectrum.json`` names the silent units in
-``silent_units``, and a file with no spiking unit is refused.
+``multicoupling.whitened_coupling``, as the multivariate experiments do,
+once per file. A unit with no spike has no rate to normalize by, so that
+one coupling is built from the units that spiked, and a file with no
+spiking unit is refused before anything is built. A file marked
+``"whitened": true`` is taken as it is, and the coupling is its samples'
+matrix; for an unwhitened file it is G^(-1/2) times that matrix, G the
+Gram of the samples' piecewise-linear interpolant. ``coupling.json``,
+``spectrum.json`` and ``esd.csv`` are the bytes the same file without
+the silent units gives, with alpha = channels / (units that spiked), but
+for two things: ``coupling.json`` keeps every unit's column, a silent
+unit's zero, and ``spectrum.json`` names the silent units in
+``silent_units``.
 
-CSV files are written in blocks of rows. Each signal file is read once,
+``signals.csv`` is written in blocks of rows. Each signal file is read once,
 straight into the arrays the analysis uses. ``load_signals`` reads every
 signal file with ``_floattext.read_rows``, one vectorized reader, into a
 (q, 2p) table of the sample columns that the samples view without a copy.
@@ -52,10 +58,12 @@ the analyze options) is read by ``_read_json``, which reports as
 syntax error with its line and column, a document nested too deeply for
 the parser and an integer of more digits than ``int()`` converts.
 
-The ``kappa`` option of ``analyze --phase`` adds the z fields of the von
-Mises law, which holds over whole cycles only: it is refused when f*T of
-the phase over the spikes' window is more than 1e-9 from an integer. Over
-whole cycles that law reads the phase only through the expected count
+Every law of ``analyze --phase`` holds over whole cycles only: the
+Rayleigh null of ``p_null``, the null variance ``null_cov_re`` and the von
+Mises law whose z fields the ``kappa`` option adds. So every ``--phase``
+run refuses a phase whose f*T over the spikes' window is more than 1e-9
+from an integer, or rounds to no whole cycle. Over whole cycles the von
+Mises law reads the phase only through the expected count
 rate0 T I0(kappa), so it is built once per file as the law of one
 ``_locked_rate`` unit at rate0 = T = 1 over one cycle, where the expected
 count per trial is I0(kappa); the null variance ``null_cov_re`` is that
@@ -67,8 +75,9 @@ per trial, its spike total over K. No baseline rate is formed, so none
 rounds to zero at a large kappa and a small mean rate.
 
 Experiment configs. ``experiment --config`` reads one JSON object: the
-``experiment``'s name, ``master_seed`` and the parameters its runner
-reads, each defaulting to the experiment's published value. The bounds
+``experiment``'s name, ``master_seed`` (an integer in [0, 2**64), as
+``--seed`` is) and the parameters its runner reads, each defaulting to
+the experiment's published value. The bounds
 its verdicts are judged by live only in ``harness.EXPERIMENTS``, and the
 report is written only where ``--out`` says, so a config holds neither.
 The report body depends on the config alone, whatever directory it is
@@ -90,7 +99,7 @@ A vonmises unit is locked to ``frequency`` or, with none given, unit j to
 component j mod len(components) of the signals block. At kappa = 0 it is
 uncoupled and drawn as a homogeneous unit, which spends no thinning
 uniforms; its phase_offset is checked but no model reads it. One
-generator, numpy's ``default_rng(--seed)`` with a seed >= 0, draws
+generator, numpy's ``default_rng(--seed)`` with a seed in [0, 2**64), draws
 everything in this order: the signals' phase noise, then unit 0, 1, ...,
 each unit all its trials at once (Poisson counts, exponential spacings,
 then thinning uniforms unless the unit is homogeneous). An experiment's
@@ -112,6 +121,8 @@ experiment report does not change the exit code.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -121,7 +132,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, _check_seed, run_experiment
 from .multicoupling import normalize, spectrum, whitened_coupling
 from .pointproc import HomogeneousRate, SinusoidRate, SpikeData, _locked_rate, _simulate_units
 from .signals import (
@@ -212,20 +223,6 @@ def _sidecar(csv_path) -> Path:
 _CSV_BLOCK_ROWS = 1024  # rows built and written at once; bounds the float table alive
 
 
-def _write_csv(path, header, blocks) -> None:
-    """Write a CSV of floats: a header line, then the rows of each 2-D block.
-
-    Every field is ``repr`` of the float and every line ends in CRLF, as
-    ``csv.writer`` writes them.
-    """
-    from ._floattext import repr_lines  # loaded only by the commands that write floats
-
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\r\n")
-        for block in blocks:
-            fh.write(repr_lines(block, b",", b"\r\n")[0])
-
-
 def _signal_rows(signals: SignalMatrix):
     """Yield the signal table (time, then re/im per channel) in blocks of rows."""
     p, n = signals.n_channels, signals.n_samples
@@ -239,9 +236,19 @@ def _signal_rows(signals: SignalMatrix):
 
 
 def save_signals(signals: SignalMatrix, csv_path) -> None:
+    """Write the signal table as CSV, then its JSON sidecar.
+
+    Every field is ``repr`` of the float and every line ends in CRLF, as
+    ``csv.writer`` writes them.
+    """
+    from ._floattext import repr_lines  # loaded only by the commands that write floats
+
     p = signals.n_channels
     header = ["time"] + [f"ch{k}_{part}" for k in range(p) for part in ("re", "im")]
-    _write_csv(csv_path, header, _signal_rows(signals))
+    with open(csv_path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for block in _signal_rows(signals):
+            fh.write(repr_lines(block, b",", b"\r\n")[0])
     meta = {
         "dt": signals.dt,
         "T": signals.window,
@@ -455,8 +462,7 @@ _SIMULATIONS = {
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {args.seed}")
+    _check_seed(args.seed)
     sim = _fields(_read_json(args.config), args.config, _SIM_KINDS, required=("window", "trials"))
     if "signals" in sim:
         sim["signals"] = _fields(sim["signals"], f"{args.config}: signals", _SIGNAL_KINDS,
@@ -527,16 +533,18 @@ def _cmd_analyze(args) -> int:
         if key in options and not given:
             raise DomainError(f"{args.config}: option {key!r} needs {needs}")
     spikes = load_spikes(args.spikes)
+    totals = spikes.counts().sum(axis=1)
+    if args.signals is not None and not totals.any():
+        raise DomainError(f"no unit has a spike: all {spikes.n_units} unit(s) are silent")
     # Every output is built before any is written, so a refused input leaves none behind.
-    texts, esd = {}, None
+    texts = {}
 
     if args.phase is not None:
         phase = _parse_phase_flag(args.phase, spikes.window)
+        _check_whole_cycles(phase)  # the null law and the von Mises law alike
         law, null_law = None, _unit_law(0.0, 0.0)
-        if "kappa" in options:  # the von Mises law holds over whole cycles only
-            _check_whole_cycles(phase)
+        if "kappa" in options:
             law = _unit_law(options["kappa"], options.get("phase_offset", 0.0))
-        totals = spikes.counts().sum(axis=1)
         units = []
         for j in range(spikes.n_units):
             total = int(totals[j])
@@ -571,28 +579,24 @@ def _cmd_analyze(args) -> int:
         texts["univariate.json"] = json.dumps(doc, indent=2, sort_keys=True)
 
     if args.signals is not None:
-        signals = load_signals(args.signals)
-        raw = whitened_coupling(signals, spikes)
+        # A silent unit has no rate to normalize by: the coupling is that of the units that spiked.
+        silent, active = np.flatnonzero(totals == 0), spikes
+        if silent.size:
+            active = SpikeData(spikes.window, [t for t, total in zip(spikes.trains, totals) if total])
+        raw = whitened_coupling(load_signals(args.signals), active)
+        report = spectrum(normalize(raw, active))
+        # coupling.json keeps every unit's column, a silent unit's zero.
+        entries = np.insert(raw.entries, silent - np.arange(silent.size), 0.0, axis=1)
         texts["coupling.json"] = json.dumps({
             "channels": raw.n_channels,
-            "units": raw.n_units,
+            "units": spikes.n_units,
             "trials": raw.trials,
             "window": raw.window,
-            "entries_re": raw.entries.real.tolist(),
-            "entries_im": raw.entries.imag.tolist(),
+            "entries_re": entries.real.tolist(),
+            "entries_im": entries.imag.tolist(),
         }, sort_keys=True)
-        silent = np.flatnonzero(spikes.counts().sum(axis=1) == 0).tolist()
-        if not silent:
-            report = spectrum(normalize(raw, spikes))
-        elif len(silent) == spikes.n_units:
-            raise DomainError(f"no unit has a spike: all {spikes.n_units} unit(s) are silent")
-        else:
-            # A silent unit has no rate estimate: the spectrum is that of the file without it.
-            active = SpikeData(spikes.window, [train for j, train in enumerate(spikes.trains)
-                                               if j not in silent])
-            report = spectrum(normalize(whitened_coupling(signals, active), active))
         texts["spectrum.json"] = json.dumps({
-            "silent_units": silent,
+            "silent_units": silent.tolist(),
             "eigenvalues": report.eigenvalues.tolist(),
             "singular_values": report.singular_values.tolist(),
             "alpha": report.mp.alpha,
@@ -602,14 +606,15 @@ def _cmd_analyze(args) -> int:
             "n_significant": report.n_significant,
             "ks_distance": report.ks_distance,
         }, indent=2, sort_keys=True)
-        esd = np.column_stack([report.eigenvalues, mp_density(report.mp, report.eigenvalues)])
+        esd = io.StringIO()  # csv writes repr of each float and ends each line in CRLF
+        csv.writer(esd).writerows([("eigenvalue", "mp_density"), *zip(
+            report.eigenvalues.tolist(), mp_density(report.mp, report.eigenvalues).tolist())])
+        texts["esd.csv"] = esd.getvalue()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        (out / name).write_text(text)
-    if esd is not None:
-        _write_csv(out / "esd.csv", ["eigenvalue", "mp_density"], [esd])
+        (out / name).write_text(text, newline="")
     print(f"analysis written to {out}")
     return 0
 
@@ -649,13 +654,14 @@ def main(argv=None) -> int:
                            description=doc[doc.find("Simulation configs."):doc.find("\n\nExit codes")],
                            formatter_class=argparse.RawDescriptionHelpFormatter)
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed, at least 0 (default 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed, in [0, 2**64) (default 0)")
     p_sim.add_argument("--out", required=True, help="output directory")
 
     p_an = sub.add_parser("analyze", help="estimate coupling from data files")
     p_an.add_argument("--spikes", required=True, help="spike JSON file")
     p_an.add_argument("--signals", help="signal CSV file (with JSON sidecar)")
-    p_an.add_argument("--phase", help="phase model, e.g. linear:1.0")
+    p_an.add_argument("--phase", help="phase model over whole cycles of the spikes' window, "
+                                      "e.g. linear:1.0")
     p_an.add_argument("--config", help="optional options JSON: the law's kappa and phase_offset")
     p_an.add_argument("--out", required=True, help="output directory")
 

@@ -107,6 +107,12 @@ def replicate_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_seed(seed) -> None:
+    """A master seed: an integer, not a bool, in [0, 2**64), which ``replicate_seed`` reads whole."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= _MASK64):
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """A named pass/fail bound with its provenance."""
@@ -143,10 +149,10 @@ class ExperimentConfig:
     ``kappa`` and no ``phase_offset``: their units are uncoupled. All of
     it is checked here, before any replicate runs, and the config is
     frozen, so it stays valid. The rules every experiment shares are
-    written here (replicates, trials); then the experiment's build runs, the
-    one its runner simulates from, which holds the experiment's own rules
-    and sends every other field through the check of the model, phase,
-    synthesis grid or sampler it builds.
+    written here (the master seed, replicates, trials); then the
+    experiment's build runs, the one its runner simulates from, which
+    holds the experiment's own rules and sends every other field through
+    the check of the model, phase, synthesis grid or sampler it builds.
     """
 
     experiment: str
@@ -297,6 +303,7 @@ def _validate(config: ExperimentConfig, experiment: _Experiment) -> None:
                                      f"build an array of one complex per replicate, got "
                                      f"{config.replicates!r}")
     try:
+        _check_seed(config.master_seed)
         _check_trials(config.trials)
         experiment.build(config)
     except DomainError as exc:

@@ -57,7 +57,7 @@ class CouplingMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise DomainError("entries must be a (channels, units) matrix")
-        if not (np.all(np.isfinite(entries.real)) and np.all(np.isfinite(entries.imag))):
+        if not np.isfinite(entries).all():
             raise DomainError("coupling entries must be finite")
         self.entries = entries
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikefield
-from spikefield import _floattext, cli_io, harness
+from spikefield import _floattext, cli_io, harness, multicoupling
 from spikefield.cli_io import (
     load_experiment_config,
     load_signals,
@@ -752,33 +752,48 @@ class TestCliSimulateAnalyze:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("whitened", [True, False], ids=["whitened", "unwhitened"])
-    def test_silent_units_leave_the_spectrum(self, tmp_path, whitened):
+    def test_silent_units_leave_the_spectrum(self, tmp_path, monkeypatch, whitened):
         # The spectrum of a file with silent units is, to the byte, that of the
         # same file without them; only silent_units names them. coupling.json
-        # keeps every unit's column, a silent unit's zero.
+        # keeps every unit's column, a silent unit's zero, and its other columns
+        # are the same file's without them. One coupling serves both outputs:
+        # an unwhitened silent file took two interpolant roots, and its active
+        # columns were a few ulps off those of the file without the silent units.
+        roots = []
+
+        def counted(signals):
+            roots.append(signals)
+            return root(signals)
+
+        root = multicoupling._interpolant_root
+        monkeypatch.setattr(multicoupling, "_interpolant_root", counted)
         raw = synthesize_oscillations([3.0, 4.0], 2.0, 1 / 64, 5.0, 5, np.random.default_rng(4))
         save_signals(whiten(raw) if whitened else raw, tmp_path / "signals.csv")
         trains = _sample_spikes(units=6, trials=3, seed=6).trains
         for j in (1, 4):
             trains[j] = [np.empty(0) for _ in range(3)]
         active = [train for j, train in enumerate(trains) if j not in (1, 4)]
-        docs = {}
+        docs, entries = {}, {}
         for name, units in (("silent", trains), ("removed", active)):
             save_spikes(SpikeData(window=2.0, trains=units), tmp_path / f"{name}.json")
             out = tmp_path / name
+            roots.clear()
             assert main(["analyze", "--spikes", str(tmp_path / f"{name}.json"),
                          "--signals", str(tmp_path / "signals.csv"), "--out", str(out)]) == 0
+            assert len(roots) == (0 if whitened else 1)
             docs[name] = json.loads((out / "spectrum.json").read_text())
+            coupling = json.loads((out / "coupling.json").read_text())
+            assert coupling["units"] == len(units)
+            entries[name] = np.array(coupling["entries_re"]) + 1j * np.array(coupling["entries_im"])
         assert docs["silent"].pop("silent_units") == [1, 4]
         assert docs["removed"].pop("silent_units") == []
         assert json.dumps(docs["silent"]) == json.dumps(docs["removed"])
         assert docs["silent"]["alpha"] == 5 / 4
         assert (tmp_path / "silent" / "esd.csv").read_bytes() == \
             (tmp_path / "removed" / "esd.csv").read_bytes()
-        coupling = json.loads((tmp_path / "silent" / "coupling.json").read_text())
-        entries = np.array(coupling["entries_re"]) + 1j * np.array(coupling["entries_im"])
-        assert coupling["units"] == 6 and entries.shape == (5, 6)
-        assert not entries[:, [1, 4]].any() and entries[:, [0, 2, 3, 5]].all()
+        assert entries["silent"].shape == (5, 6) and not entries["silent"][:, [1, 4]].any()
+        assert np.array_equal(entries["silent"][:, [0, 2, 3, 5]], entries["removed"])
+        assert entries["removed"].all()
 
     @pytest.mark.parametrize("kind, reads", [
         ("homogeneous", {"rate0"}),
@@ -992,12 +1007,13 @@ class TestCliSimulateAnalyze:
     def test_analyze_null_variance_reads_the_count_per_trial(self, tmp_path):
         # null_cov_re is the uncoupled law's variance at the unit's spike total N
         # over K trials, 1 / (2 N/K), rounded once. Built from a baseline rate
-        # N / (K T) times T, it was an ulp off for both units here.
+        # N / (K T) times T, it was an ulp off for both units here. The phase
+        # turns 10 whole cycles over the window; the totals do not read it.
         rng = np.random.default_rng(0)
         trains = [simulate_poisson(HomogeneousRate(25.0), 5.3, 3, rng).trains[0] for _ in range(2)]
         save_spikes(SpikeData(window=5.3, trains=trains), tmp_path / "s.json")
-        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1.3",
-                     "--out", str(tmp_path / "o")]) == 0
+        assert main(["analyze", "--spikes", str(tmp_path / "s.json"),
+                     "--phase", f"linear:{10 / 5.3!r}", "--out", str(tmp_path / "o")]) == 0
         units = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
         for unit in units:
             assert unit["null_cov_re"] == 1.0 / (2.0 * (unit["total_spikes"] / 3))
@@ -1019,14 +1035,21 @@ class TestCliSimulateAnalyze:
             assert unit["z_re"] == pytest.approx(unit["plv_re"] * scale, rel=1e-14)
             assert unit["z_im"] == pytest.approx(unit["plv_im"] * scale, rel=1e-14)
 
-    def test_analyze_phase_of_partial_cycles_needs_no_kappa(self, tmp_path):
-        # 1.3 Hz over the 2 s window is 2.6 cycles: the PLV is still estimated,
-        # and only the kappa option, whose law needs whole cycles, is refused.
-        save_spikes(_sample_spikes(units=1), tmp_path / "s.json")
-        assert main(["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", "linear:1.3",
-                     "--out", str(tmp_path / "o")]) == 0
-        (unit,) = json.loads((tmp_path / "o" / "univariate.json").read_text())["units"]
-        assert "plv_re" in unit and "z_re" not in unit
+    def test_analyze_phase_of_partial_cycles_is_refused_without_kappa(self, tmp_path, capsys):
+        # Three homogeneous units over 2.6 cycles of 1.3 Hz: each |PLV| read
+        # 0.11-0.12, the limit there, and p_null 1.7e-43 to 4.3e-52 from the
+        # whole-cycle Rayleigh null. The null law holds over whole cycles only.
+        sim = {"kind": "homogeneous", "window": 2.0, "trials": 200, "units": 3}
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "4",
+                     "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["analyze", "--spikes", str(tmp_path / "d" / "spikes.json"),
+                     "--phase", "linear:1.3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: window 2.0 s must hold an integer number of "
+                                           "cycles of 1.3 Hz, got f*T=2.6\n")
+        assert not (tmp_path / "o").exists()
 
 
 def _run(capsys, argv):
@@ -1214,11 +1237,14 @@ class TestRefusedConfigs:
                                 f"array of one complex per replicate, got {2**70}"),
         ({"trials": 2**70}, f"trials must be at most {2**60 - 2} for numpy to build an array of "
                             f"one int64 per trial, got {2**70}"),
+        # Both ran: -5 as a seed of its own, 2**64 + 5 drawing what seed 5 draws.
+        ({"master_seed": -5}, "seed must be an integer in [0, 2**64), got -5"),
+        ({"master_seed": 2**64 + 5}, f"seed must be an integer in [0, 2**64), got {2**64 + 5}"),
     ], ids=["no-units", "zero-dt", "nan-dt", "no-components", "nan-frequency", "unread-fields",
             "unknown-experiment", "one-replicate", "inf-window",
             "one-moment-trial", "no-windows", "overflowing-cycles", "huge-kappa",
             "multivar-null-kappa", "univar-null-kappa", "univar-null-phase-offset", "tolerances", "output-dir", "replicates-past-numpy",
-            "trials-past-numpy"])
+            "trials-past-numpy", "negative-seed", "seed-past-64-bits"])
     def test_experiment(self, tmp_path, capsys, change, message):
         path = tmp_path / "cfg.json"
         doc = {k: v for k, v in {**_EXPERIMENT, **change}.items() if v is not None}
@@ -1232,11 +1258,18 @@ class TestRefusedConfigs:
         ("linear:1", {"kappa": 701.0}, "modulation strength must be at most 700.0, got 701.0"),
         ("linear:1.3", {"kappa": 0.5},
          "window 2.0 s must hold an integer number of cycles of 1.3 Hz, got f*T=2.6"),
-    ], ids=["inf-frequency", "overflowing-phase", "huge-kappa", "partial-cycles-kappa"])
+        ("linear:1.3", None,
+         "window 2.0 s must hold an integer number of cycles of 1.3 Hz, got f*T=2.6"),
+        ("linear:1e-12", None, "window 2.0 s holds no whole cycle of 1e-12 Hz, got f*T=2e-12"),
+        ("linear:1e-12", {"kappa": 0.5},
+         "window 2.0 s holds no whole cycle of 1e-12 Hz, got f*T=2e-12"),
+    ], ids=["inf-frequency", "overflowing-phase", "huge-kappa", "partial-cycles-kappa",
+            "partial-cycles", "no-whole-cycle", "no-whole-cycle-kappa"])
     def test_analyze(self, tmp_path, capsys, phase, options, message):
         # The phases used to write NaN and Infinity, which are not JSON, into
         # univariate.json; a kappa past the rate model's cap raised a bare
-        # OverflowError; the whole-cycles law was applied to 2.6 cycles.
+        # OverflowError; the whole-cycle laws were applied to 2.6 cycles, the
+        # null law with or without kappa.
         save_spikes(_sample_spikes(), tmp_path / "s.json")
         argv = ["analyze", "--spikes", str(tmp_path / "s.json"), "--phase", phase,
                 "--out", str(tmp_path / "o")]
@@ -1314,7 +1347,17 @@ class TestRefusedConfigs:
         path.write_text(json.dumps(_SIM))
         code, err = _run(capsys, ["simulate", "--config", str(path), "--seed", "-1",
                                   "--out", str(tmp_path / "o")])
-        self._refused(code, err, "seed must be a non-negative integer, got -1", tmp_path / "o")
+        self._refused(code, err, "seed must be an integer in [0, 2**64), got -1", tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("seed", [-7, 2**64], ids=["negative", "2**64"])
+    def test_a_seed_flag_outside_the_rule(self, tmp_path, capsys, command, seed):
+        # experiment --seed -7 ran and exited 0; simulate --seed 2**64 drew
+        # from numpy's generator, which takes seeds past 64 bits.
+        (tmp_path / "cfg.json").write_text(json.dumps(_SIM if command == "simulate" else _EXPERIMENT))
+        code, err = _run(capsys, [command, "--config", str(tmp_path / "cfg.json"),
+                                  "--seed", str(seed), "--out", str(tmp_path / "o")])
+        self._refused(code, err, f"seed must be an integer in [0, 2**64), got {seed}", tmp_path / "o")
 
     def test_simulate_refuses_a_candidate_count_past_the_poisson_limit(self, tmp_path, capsys):
         # Past numpy's limit its Poisson draw raises a bare "ValueError: lam value too large".

@@ -80,6 +80,19 @@ class TestConfig:
             with pytest.raises(ConfigurationError, match="window must be positive and finite, got inf"):
                 ExperimentConfig(experiment=name, window=math.inf)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, 2**64, 2**64 + 5],
+                             ids=["fractional", "negative", "bool", "2**64", "2**64+5"])
+    def test_master_seed_outside_the_rule_is_refused(self, seed):
+        # 1.5 constructed, then run_experiment raised a bare TypeError; -1,
+        # True and 2**64 + 5 ran, the last drawing exactly what seed 5 draws.
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")):
+            ExperimentConfig("moment-oracle", master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_master_seed_takes_every_64_bit_value(self, seed):
+        assert ExperimentConfig("moment-oracle", master_seed=seed).master_seed == seed
+
     @pytest.mark.parametrize("name", ["univar-null", "multivar-null"])
     @pytest.mark.parametrize("kappa", [0.5, math.nan, 0.0])
     def test_nulls_refuse_coupled_units(self, name, kappa):

@@ -61,3 +61,23 @@ def test_empty_seed_range_is_refused(tmp_path):
     with pytest.raises(SystemExit) as exit_:
         seed_sweep.main([str(tmp_path / "cfg.json"), "3", "1"])
     assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("first, last", [(-1, 2), (1, 2**64)], ids=["negative", "past-64-bits"])
+def test_seed_outside_the_rule_is_refused_before_any_run(tmp_path, capsys, monkeypatch, first,
+                                                         last):
+    # Both were swept: -1 as a seed of its own, 2**64 as seed 0. The config's
+    # seed rule alone would stop the sweep with a traceback at the first such
+    # seed, after the seeds before it had run.
+    def no_run(config):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(seed_sweep, "run_experiment", no_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_CONFIG))
+    with pytest.raises(SystemExit) as exit_:
+        seed_sweep.main([str(path), str(first), str(last)])
+    assert exit_.value.code == 2
+    bad = first if first < 0 else last
+    assert capsys.readouterr().err.endswith(
+        f"error: seed must be an integer in [0, 2**64), got {bad}\n")

@@ -11,8 +11,9 @@ verdict, one line gives how many seeds failed it and the smallest and
 largest value it observed, which shows how far a bound sits from the
 statistic's spread. Exit 0 once every seed has run, whatever the verdicts;
 1 on a refused config, as ``spikefield experiment`` refuses it; 2 on bad
-arguments. OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says
-otherwise, as in ``tools/tier2.py``.
+arguments, a seed outside [0, 2**64) among them, before any run.
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise,
+as in ``tools/tier2.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from spikefield.cli_io import load_experiment_config  # noqa: E402
 from spikefield.errors import DomainError  # noqa: E402
-from spikefield.harness import run_experiment  # noqa: E402
+from spikefield.harness import _check_seed, run_experiment  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -40,6 +41,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.last < args.first:
         parser.error(f"last seed {args.last} is before first seed {args.first}")
+    for seed in (args.first, args.last):  # every seed between them then keeps the rule too
+        try:
+            _check_seed(seed)
+        except DomainError as exc:
+            parser.error(str(exc))
     try:
         config = load_experiment_config(args.config)
     except DomainError as exc:
