@@ -68,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .multicoupling import ks_statistic, normalize, spectrum, whitened_coupling
+from .multicoupling import _ks_distance, ks_statistic, normalize, spectrum, whitened_coupling
 from .pointproc import (
     HomogeneousRate,
     IntensityModel,
@@ -437,8 +437,11 @@ def _plv_case(config, parts, case, plvs, totals):
                se=se_off),
     ]
     if "gaussian_ks" in tolerances:
-        verdicts.append(_judge(config, "gaussian_ks",
-                               _normal_ks(z.real, math.sqrt(corrected[0, 0])), 0.0))
+        from scipy.special import ndtr  # loaded only by the experiments that judge Gaussianity
+
+        sd = math.sqrt(corrected[0, 0])
+        verdicts.append(_judge(config, "gaussian_ks", _ks_distance(z.real, lambda v: ndtr(v / sd)),
+                               0.0))
     if "null_fp_rate" in tolerances:
         aggregates["null_fp_rate"] = float(np.mean(p_null < 0.05))
         verdicts.append(_judge(config, "null_fp_rate", aggregates["null_fp_rate"], 0.05))
@@ -477,20 +480,6 @@ def _plv_case(config, parts, case, plvs, totals):
         "mean_im": mean.imag,
         "mean_modulus": abs(mean),
     })
-
-
-def _normal_ks(x, sd: float) -> float:
-    """KS distance of a sample from the centred normal law of standard deviation ``sd``.
-
-    The formula of ``scipy.stats.kstest`` and its bits, without loading
-    ``scipy.stats``: with F the normal CDF at the sorted sample, the larger
-    of max(i/n - F_i) and max(F_i - (i - 1)/n).
-    """
-    from scipy.special import ndtr  # loaded only by the experiments that judge Gaussianity
-
-    cdf = ndtr(np.sort(x) / sd)
-    n = cdf.size
-    return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
 
 
 def _residual_histogram(z, cov):
@@ -692,8 +681,8 @@ def _run_multivar(config: ExperimentConfig, models: list) -> dict:
     hist *= len(positive) / len(pooled)  # account for the zero atom
     mids = 0.5 * (edges[1:] + edges[:-1])
     esd_rows = [
-        {"eigenvalue": m, "esd_density": h, "mp_density": float(mp_density(law, m))}
-        for m, h in zip(mids, hist)
+        {"eigenvalue": m, "esd_density": h, "mp_density": d}
+        for m, h, d in zip(mids.tolist(), hist.tolist(), mp_density(law, mids).tolist())
     ]
 
     return {

@@ -204,15 +204,21 @@ def spectrum(normalized: CouplingMatrix) -> SpectrumReport:
 
 
 def ks_statistic(eigenvalues: np.ndarray, law: MpLaw) -> float:
-    # Both CDFs may jump at 0 (the MP zero atom, tied zero eigenvalues), so
-    # compare one-sided limits at every distinct eigenvalue.
-    values, counts = np.unique(np.asarray(eigenvalues, dtype=float), return_counts=True)
-    p = counts.sum()
-    emp_hi = np.cumsum(counts) / p
-    emp_lo = emp_hi - counts / p
-    dist = 0.0
-    for x, lo, hi in zip(values, emp_lo, emp_hi):
-        f_right = mp_cdf(law, x)
-        f_left = f_right - (law.zero_atom if x == 0.0 else 0.0)
-        dist = max(dist, abs(hi - f_right), abs(lo - f_left))
-    return float(dist)
+    """KS distance of the eigenvalues' empirical CDF from the MP law, zero atom included."""
+    return _ks_distance(eigenvalues, lambda v: mp_cdf(law, v), law.zero_atom)
+
+
+def _ks_distance(sample, cdf, atom: float = 0.0) -> float:
+    """KS distance of ``sample`` from the law with vectorized CDF ``cdf`` and a jump ``atom`` at 0.
+
+    Both CDFs may jump at 0 (the MP zero atom, tied zero eigenvalues), so the
+    one-sided limits are compared at every distinct value. For a continuous
+    law this is ``scipy.stats.kstest``'s statistic, to the bit.
+    """
+    values, counts = np.unique(np.asarray(sample, dtype=float), return_counts=True)
+    if values.size == 0:
+        raise DomainError("KS distance of an empty sample")
+    total, n = np.cumsum(counts), counts.sum()
+    right = cdf(values)
+    left = right - np.where(values == 0.0, atom, 0.0)
+    return float(max(np.abs(total / n - right).max(), np.abs((total - counts) / n - left).max()))

@@ -1,11 +1,13 @@
 """Special functions: the Marchenko-Pastur law and von Mises sampling.
 
 Self-contained numerics for the multivariate test and the phase noise.
-The MP CDF is validated against adaptive quadrature of the density in the
-test suite, which is kept independent of this module. The two von Mises
-samplers share one Best-Fisher rejection core, which yields cos(theta) and
-a sign per draw: ``von_mises_sample`` turns them into angles and
-``von_mises_phasor`` into unit phasors exp(i theta), from the same stream.
+The MP CDF is the density's antiderivative in closed form, so this module
+holds no quadrature; the quadrature oracles it is checked against, adaptive
+and multiprecision, stay in the test suite, independent of this module.
+The two von Mises samplers share one Best-Fisher rejection core, which
+yields cos(theta) and a sign per draw: ``von_mises_sample`` turns them into
+angles and ``von_mises_phasor`` into unit phasors exp(i theta), from the
+same stream.
 """
 
 from __future__ import annotations
@@ -64,36 +66,35 @@ def mp_density(law: MpLaw, x):
     return dens if dens.ndim else float(dens)
 
 
-# Fixed Gauss-Legendre rule; the CDF integrand below is smooth after the
-# sin^2 substitution, so 128 nodes reach machine accuracy.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+def mp_cdf(law: MpLaw, x):
+    """CDF of the MP law at ``x`` (scalar or array), the zero atom included when alpha > 1.
 
+    It is 0 below 0, the atom up to the lower edge a and 1 from the upper
+    edge b. Inside (a, b), with s = sqrt((b - x)(x - a)), c = 1 + alpha and
+    g = |1 - alpha| = sqrt(a b), the density's antiderivative gives
 
-def mp_cdf(law: MpLaw, x: float) -> float:
-    """CDF of the MP law at ``x``, including the zero atom when alpha > 1."""
-    x = float(x)
-    if math.isnan(x):
+        atom + [s + c atan2(x - c, s) - g atan2(c x - g^2, g s) + (pi/2)(c - g)] / (2 pi alpha),
+
+    each arcsin written as an atan2 so that it stays accurate at both edges.
+    The tests hold it to quadrature of the density: within 1e-13 of a
+    40-digit mpmath integral for alpha from 0.01 to 100. Below alpha = 0.01
+    its O(1) terms cancel to O(alpha), and the error grows to about 1e-11
+    at alpha = 1e-4.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise DomainError("NaN in cdf argument")
-    if x < 0.0:
-        return 0.0
-    if x >= law.upper_edge:
-        return 1.0
-    if x <= law.lower_edge:
-        return law.zero_atom
-    return law.zero_atom + _mp_cdf_continuous(law, x)
-
-
-def _mp_cdf_continuous(law: MpLaw, x: float) -> float:
-    # Substitute t = a + (b-a) sin^2(u); the sqrt edge factors become
-    # sin(2u)/2 and the integrand is analytic in u.
-    a, b = law.lower_edge, law.upper_edge
-    width = b - a
-    u_hi = math.asin(math.sqrt(min(1.0, (x - a) / width)))
-    u = 0.5 * u_hi * (_GL_NODES + 1.0)
-    w = 0.5 * u_hi * _GL_WEIGHTS
-    t = a + width * np.sin(u) ** 2
-    integrand = width**2 * np.sin(2.0 * u) ** 2 / (4.0 * math.pi * law.alpha * t)
-    return float(np.dot(w, integrand))
+    a, b, alpha = law.lower_edge, law.upper_edge, law.alpha
+    cdf = np.where(x < 0.0, 0.0, np.where(x >= b, 1.0, law.zero_atom))
+    inside = (x > a) & (x < b)
+    xs = x[inside]
+    s = np.sqrt((b - xs) * (xs - a))
+    c, g = 1.0 + alpha, abs(1.0 - alpha)
+    cdf[inside] += (
+        s + c * np.arctan2(xs - c, s) - g * np.arctan2(c * xs - g * g, g * s)
+        + 0.5 * math.pi * (c - g)
+    ) / (2.0 * math.pi * alpha)
+    return cdf if cdf.ndim else float(cdf)
 
 
 def von_mises_sample(mu: float, kappa: float, rng: np.random.Generator, size=None):

@@ -275,7 +275,20 @@ def plv_law_numeric(phase: LinearPhase, model: IntensityModel) -> AsymptoticLaw:
 
 
 def plv_null_test(plv_hat: complex, total_spikes: int) -> float:
-    """Rayleigh-type tail p-value exp(-N |PLV|^2) for the no-coupling null."""
+    """Rayleigh p-value of the no-coupling null for a PLV over N spikes.
+
+    Zar's finite-N form (*Biostatistical Analysis*, 1999, eq. 27.4, after
+    Greenwood & Durand 1955), exp(sqrt(a^2 - 4 R^2) - a) with R = N |PLV|
+    and a = 1 + 2N, written as exp(-4 R^2 / (a + sqrt(a^2 - 4 R^2))) so the
+    exponent does not cancel. It tends to the large-N law exp(-N |PLV|^2),
+    which rejects far below its level at a few spikes (0.06 % at the 5 %
+    level for N = 3, against Zar's 3.6 %).
+    """
     if total_spikes < 1:
         raise DomainError("null test needs at least one spike")
-    return float(math.exp(-float(total_spikes) * abs(complex(plv_hat)) ** 2))
+    r = total_spikes * abs(complex(plv_hat))
+    a = 1.0 + 2.0 * total_spikes
+    root = a * a - 4.0 * r * r
+    if not root > 0.0:  # R >= N + 1/2, or NaN: no N unit phasors average to it
+        raise DomainError(f"|PLV| = {abs(complex(plv_hat))!r} is no mean of {total_spikes} phases")
+    return float(math.exp(-4.0 * r * r / (a + math.sqrt(root))))

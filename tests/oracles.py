@@ -81,6 +81,32 @@ def mp_cdf_quadrature(law, x: float) -> float:
     return law.zero_atom + val
 
 
+def mp_cdf_mpmath(alpha: float, x: float) -> float:
+    """MP CDF at x by mpmath's tanh-sinh quadrature of the density at 40 digits, rounded once.
+
+    The edges and the atom are taken exactly from ``alpha``. The integral runs
+    from the nearer edge, so its one square-root singularity sits at an end
+    of the interval, where tanh-sinh resolves it.
+    """
+    with mpmath.workdps(40):
+        alpha, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        lower, upper = (1 - mpmath.sqrt(alpha)) ** 2, (1 + mpmath.sqrt(alpha)) ** 2
+        atom = max(mpmath.mpf(0), 1 - 1 / alpha)
+        if x < 0:
+            return 0.0
+        if x >= upper:
+            return 1.0
+        if x <= lower:
+            return float(atom)
+
+        def density(t):
+            return mpmath.sqrt((upper - t) * (t - lower)) / (2 * mpmath.pi * alpha * t)
+
+        if x - lower <= upper - x:
+            return float(atom + mpmath.quad(density, [lower, x]))
+        return float(1 - mpmath.quad(density, [x, upper]))
+
+
 def partial_cycle_plv(frequency: float, window: float) -> complex:
     """Closed-form PLV limit for a constant rate: (e^{i 2 pi f T} - 1)/(i 2 pi f T)."""
     w = 2j * np.pi * frequency * window

@@ -12,6 +12,7 @@ from spikefield.errors import DomainError
 from spikefield.multicoupling import (
     CouplingMatrix,
     build_coupling_matrix,
+    ks_statistic,
     normalize,
     spectrum,
 )
@@ -278,10 +279,29 @@ class TestKsDistance:
         rep = spectrum(CouplingMatrix(entries=y, trials=1, window=1.0, normalized=True,
                                       signal_integral=np.zeros(p)))
         # alpha from this artificial shape is not 0.5; compare against the law directly
-        from spikefield.multicoupling import ks_statistic
-
         assert ks_statistic(np.sort(eigs)[::-1], law) <= 1 / p + 1e-6
         assert rep.ks_distance >= 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+    def test_equals_the_scalar_loop(self, alpha):
+        # The one-sided limits at every distinct value, one scalar CDF call each,
+        # on a sample with ties and with zeros, which the law's atom meets when alpha > 1.
+        law = mp_law(alpha)
+        rng = np.random.default_rng(11)
+        eigs = np.concatenate((np.zeros(7), np.round(rng.uniform(0.0, law.upper_edge + 1.0, 300), 1)))
+        values, counts = np.unique(eigs, return_counts=True)
+        hi = np.cumsum(counts) / counts.sum()
+        lo = hi - counts / counts.sum()
+        expected = 0.0
+        for x, below, upto in zip(values, lo, hi):
+            right = mp_cdf(law, x)
+            left = right - (law.zero_atom if x == 0.0 else 0.0)
+            expected = max(expected, abs(upto - right), abs(below - left))
+        assert ks_statistic(rng.permutation(eigs), law) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    def test_refuses_an_empty_spectrum(self):
+        with pytest.raises(DomainError, match="empty"):
+            ks_statistic(np.array([]), mp_law(1.0))
 
     def test_all_zero_spectrum_atom(self):
         p, n = 30, 3  # alpha = 10

@@ -17,7 +17,7 @@ from spikefield.specfun import (
     von_mises_sample,
 )
 
-from oracles import bessel_quadrature, mp_cdf_quadrature, mp_mass_quadrature
+from oracles import bessel_quadrature, mp_cdf_mpmath, mp_cdf_quadrature, mp_mass_quadrature
 
 
 class TestMpLaw:
@@ -49,6 +49,25 @@ class TestMpLaw:
         for frac in (0.1, 0.35, 0.7, 0.95):
             x = law.lower_edge + frac * (law.upper_edge - law.lower_edge)
             assert mp_cdf(law, x) == pytest.approx(mp_cdf_quadrature(law, x), abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 100.0 / 90.0, 2.0, 10.0, 100.0])
+    def test_cdf_against_mpmath(self, alpha):
+        # The closed form to 1e-13 from 1e-12 of the support to 1 - 1e-12, so
+        # within 1e-12 of either edge, against a 40-digit integral of the density.
+        law = mp_law(alpha)
+        for frac in (1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-3, 1 - 1e-6, 1 - 1e-12):
+            x = law.lower_edge + frac * (law.upper_edge - law.lower_edge)
+            assert mp_cdf(law, x) == pytest.approx(mp_cdf_mpmath(alpha, x), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 100.0 / 90.0, 4.0])
+    def test_cdf_array_equals_scalar_calls(self, alpha):
+        law = mp_law(alpha)
+        xs = np.concatenate((np.linspace(-0.5, law.upper_edge + 0.5, 301),
+                             [0.0, law.lower_edge, law.upper_edge]))
+        got = mp_cdf(law, xs.reshape(2, -1))
+        assert got.shape == (2, xs.size // 2)
+        assert got.ravel().tolist() == [mp_cdf(law, x) for x in xs]
+        assert isinstance(mp_cdf(law, 1.0), float)
 
     def test_cdf_boundaries(self):
         law = mp_law(0.5)
@@ -83,6 +102,8 @@ class TestMpLaw:
         law = mp_law(1.0)
         with pytest.raises(DomainError):
             mp_cdf(law, float("nan"))
+        with pytest.raises(DomainError):
+            mp_cdf(law, np.array([1.0, float("nan")]))
         with pytest.raises(DomainError):
             mp_density(law, float("nan"))
 

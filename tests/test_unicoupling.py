@@ -496,11 +496,28 @@ class TestNullTest:
         assert plv_null_test(0j, 100) == 1.0
 
     def test_direct_formula(self):
-        assert plv_null_test(0.3, 100) == pytest.approx(math.exp(-9.0), rel=1e-12)
+        # Zar's eq. 27.4 as printed, exp(sqrt(1 + 4N + 4(N^2 - R^2)) - (1 + 2N)) at
+        # R = N |PLV| = 30: exp(-9.164...), where the large-N law gave exp(-9).
+        expected = math.exp(math.sqrt(1 + 4 * 100 + 4 * (100**2 - 30**2)) - (1 + 2 * 100))
+        assert plv_null_test(0.3, 100) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_size_at_few_spikes(self, n):
+        # Under uniform phases the test rejects 5 % of draws at the 5 % level;
+        # exp(-N |PLV|^2) rejected 4.3 % at N = 5 and 4.6 % at N = 10.
+        rng = np.random.default_rng(2024)
+        plvs = np.exp(1j * rng.uniform(-np.pi, np.pi, (200_000, n))).mean(axis=1)
+        rate = np.mean([plv_null_test(plv, n) < 0.05 for plv in plvs])
+        assert 0.047 <= rate <= 0.053
 
     def test_rejects_zero_spikes(self):
         with pytest.raises(DomainError):
             plv_null_test(0.1, 0)
+
+    @pytest.mark.parametrize("plv", [1.5, float("nan")])
+    def test_rejects_a_modulus_no_phases_give(self, plv):
+        with pytest.raises(DomainError, match="no mean of 10 phases"):
+            plv_null_test(plv, 10)
 
 
 class TestAsymptoticLaw:
